@@ -37,7 +37,7 @@ from .spectral import (
     unique_lambdas,
 )
 from .specfun import gamma as gamma_fn
-from .volterra import TimeGrid, relaxation_values
+from .volterra import TimeGrid, relaxation_values, require_bounded
 
 #: Permitted |beta_estimate - beta_nominal| before the harness refuses.
 BETA_MISMATCH_TOL = 0.05
@@ -119,6 +119,8 @@ def rescaled_values(
 
     Implements u_hat_{T,k}(xi, t) = z(|xi|^2/k(T)^2, T t) u0_hat(xi/k(T))
     through the dilation identity, solving on tau in [0, max(t_list)].
+    The kernel must be positive definite, as ``converge_to_limit`` checks;
+    |z| above 1 then means the grid is too coarse and raises StepSizeError.
     """
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
     if np.any(t_list <= 0):
@@ -128,6 +130,7 @@ def rescaled_values(
     lambdas, inverse = unique_lambdas(grid)
     lam_eff = lambdas / kT**2 * T
     zmat = relaxation_values(dilate(kernel, T), lam_eff, tg)
+    require_bounded(zmat)
     if grid.radial:
         u0_scaled = u0.hat(xi_squared=grid.xi_squared() / kT**2)
     else:
@@ -328,6 +331,7 @@ def leading_order_rate(
     out = RateReport(s=s, A_infinity=float(A_inf))
     for t in t_list:
         zvals = relaxation_at_time(kernel, lambdas, float(t), n_steps)
+        require_bounded(zvals)
         u_hat = base * zvals[inverse]
         w_hat = U0 * np.exp(-A_inf * lam2 * t)
         dist = hs_norm(SpectralField(grid, u_hat - w_hat), s)

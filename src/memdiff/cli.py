@@ -20,12 +20,11 @@ import sys
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import asymptotics, kernels, spectral, visco
 from .errors import ConfigError, HypothesisViolation, MemdiffError
 from .specfun import mittag_leffler
 from .volterra import TimeGrid
-
-VERSION = "0.1.0"
 
 KNOWN_SECTIONS = {"kernel", "kernel.bulk", "initial", "grid", "time", "experiment"}
 

@@ -24,8 +24,9 @@ class NotEventuallyPositiveError(MemdiffError, RuntimeError):
 
 
 class StepSizeError(MemdiffError, RuntimeError):
-    """The implicit coefficient of a time step is not positive; refine the
-    time grid."""
+    """The time grid is too coarse: the implicit coefficient of a step is
+    not positive, or the solution for a positive-definite kernel left the
+    bound |z| <= 1.  Refine the time grid."""
 
 
 class ConfigError(MemdiffError, ValueError):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, HypothesisViolation
 from .kernels import MemoryKernel, check_positive_definite
 from .specfun import mittag_leffler
-from .volterra import TimeGrid, relaxation_values
+from .volterra import TimeGrid, relaxation_values, require_bounded
 
 #: Tolerated imaginary residue after synthesis of a Hermitian field.
 SYNTH_IMAG_TOL = 1e-10
@@ -230,6 +230,7 @@ def evolve(
     indices = [time_grid.index_of(t) for t in np.atleast_1d(times)]
     lambdas, inverse = unique_lambdas(grid)
     zmat = relaxation_values(kernel, lambdas, time_grid)
+    require_bounded(zmat)
     base = u0.field(grid).values
     fields = []
     for idx in indices:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, HypothesisViolation
 from .kernels import MemoryKernel, check_positive_definite, scale
 from .spectral import InitialData, ModeGrid, SpectralField, hs_norm
-from .volterra import TimeGrid, relaxation_values
+from .volterra import TimeGrid, relaxation_values, require_bounded
 from .asymptotics import relaxation_at_time
 from . import spectral
 
@@ -140,6 +140,8 @@ def evolve_visco(
     indices = [time_grid.index_of(t) for t in np.atleast_1d(times)]
     z1 = relaxation_values(pair.beta_kernel, lambdas, time_grid)
     z = relaxation_values(pair.shear, lambdas, time_grid)
+    require_bounded(z1)
+    require_bounded(z)
     out = []
     for idx in indices:
         f1 = z1[:, idx][inverse]
@@ -263,6 +265,8 @@ def visco_asymptotics(
     for t in t_list:
         z1 = relaxation_at_time(pair.beta_kernel, lambdas, float(t), n_steps)
         z = relaxation_at_time(pair.shear, lambdas, float(t), n_steps)
+        require_bounded(z1)
+        require_bounded(z)
         v_hat = p0.values * z1[inverse][None] + q0.values * z[inverse][None]
         w = stokes_fundamental(float(A), float(B), grid, float(t), V0)
         diff = VectorSpectralField(grid, v_hat - w.values)

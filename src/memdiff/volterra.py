@@ -12,9 +12,12 @@ cell moments of ``A``.  Because only ``A`` enters -- never the possibly
 singular density ``a`` -- the scheme is uniformly second order across the
 whole kernel catalog, including weakly singular memories.
 
-The quadrature weights are Toeplitz on uniform grids, so one weight vector
-serves every step and a whole batch of ``lam`` values is advanced with a
-single matrix-vector product per step.
+The quadrature weights are Toeplitz on uniform grids, so the whole march is
+a lower-triangular Toeplitz system: its solution is the power series of a
+right-hand side divided by the symbol of the weights.  That division is done
+by FFT Newton doubling, O(n log n) per ``lam`` instead of O(n^2), for a
+batch of ``lam`` values at once (Hairer, Lubich & Schlichte, SIAM J. Sci.
+Stat. Comput. 6 (1985)).
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .kernels import MemoryKernel, PowerLaw, SampledKernel
 BOUND_TOL = 1e-6
 #: Slack added to the decay envelope comparison.
 ENVELOPE_TOL = 1e-9
+#: Lambda rows per block of the series inversion; bounds the temporaries.
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,9 @@ def _singular_values(kernel: PowerLaw, lambdas: np.ndarray, grid: TimeGrid):
             w_diag_new = float(np.sum(g * uj))
             w_diag_old = float(np.sum(g * (1.0 - uj)))
         if i > 1:
-            # Row-wise dots for batch-size-independent rounding; see
-            # _solve_matrix.
+            # Row-wise dots, not one matmul: BLAS result bits depend on
+            # the batch size, which would break the batch-equals-single
+            # determinism contract.
             hist = np.array(
                 [
                     np.dot(z[j, : i - 1], w_lo) + np.dot(z[j, 1:i], w_hi)
@@ -163,8 +169,45 @@ def _singular_values(kernel: PowerLaw, lambdas: np.ndarray, grid: TimeGrid):
     return out
 
 
+def _series_inverse(s: np.ndarray, n: int) -> np.ndarray:
+    """Rows g with s*g = 1 mod x^n, by Newton doubling g <- g - g(s g - 1).
+
+    Each step lifts g from k to k2 <= 2k correct coefficients with two
+    FFT products of length >= k2.  Only the new block e of s*g = 1 + x^k e
+    is needed, so the first product may wrap onto the k low coefficients,
+    which are discarded; the second, g*e, has degree below k2.
+    """
+    sizes = [n]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    g = 1.0 / s[:, :1]
+    for k, k2 in zip(sizes[-1:0:-1], sizes[-2::-1]):
+        size = 1 << (k2 - 1).bit_length()
+        g_hat = np.fft.rfft(g, size)
+        e = np.fft.irfft(np.fft.rfft(s[:, :k2], size) * g_hat, size)[:, k:k2]
+        ge = np.fft.irfft(np.fft.rfft(e, size) * g_hat, size)[:, : k2 - k]
+        g = np.concatenate([g, -ge], axis=1)
+    return g
+
+
 def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid):
-    """Rows of z values, one per lambda; shared weights, one BLAS dot/step."""
+    """Rows of z values, one per lambda, by inverting the Toeplitz symbol.
+
+    Step i of the march reads z_i + lam * sum_{m<i} c_m z_{i-m} =
+    1 - lam * wL[i-1], with c[0] = wR[0] and c[m] = wR[m] + wL[m-1] for
+    m >= 1.  So the series of z_1..z_n is (1 - lam*wL) / S with the symbol
+    S(x) = 1 + lam * sum_m c_m x^m, inverted by FFT Newton doubling in
+    O(n log n) per lambda, in blocks of ``_ROW_BLOCK`` rows.  Rows never
+    mix, so a lambda gets the same bits whatever batch it is solved in.
+
+    Numerator and symbol are both multiplied by (1 - x) first.  The c_m
+    follow A, which grows for kernels such as Wave; their differences stay
+    bounded, and FFT rounding scales with the coefficient norms (measured
+    at n = 4000 over the catalog: 5e-13 from the exact solution of the
+    march, against 1.3e-10 undifferenced).  The rounding is relative to
+    the largest |z| of the row, so where z grows (kernels that are not
+    positive definite) its small early values lose relative accuracy.
+    """
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(lambdas < 0):
         raise DomainError("lambda must be nonnegative")
@@ -172,31 +215,39 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid):
         return _singular_values(kernel, lambdas, grid)
     n = grid.n_steps
     wL, wR = _convolution_weights(kernel, grid)
-    diag = 1.0 + lambdas * wR[0]
-    if np.any(diag <= 0.0):
+    if np.any(1.0 + lambdas * wR[0] <= 0.0):
         raise StepSizeError(
             "implicit coefficient 1 + lambda*w <= 0; refine the time grid"
         )
-    # c[m] multiplies z_{i-m} for 0 < m < i; stored reversed so each step
-    # reads a contiguous slice.
-    c = np.empty(n)
-    c[1:] = wR[1:] + wL[:-1]
-    crev = c[1:][::-1].copy()  # crev[k] = c[n-1-k], so [c[i-1]..c[1]] = crev[n-i:]
-    m = len(lambdas)
-    z = np.empty((m, n + 1))
+    c = wR.copy()
+    c[1:] += wL[:-1]
+    size = 1 << (2 * n - 2).bit_length()  # rhs*g must not wrap
+    z = np.empty((len(lambdas), n + 1))
     z[:, 0] = 1.0
-    hist = np.zeros(m)
-    for i in range(1, n + 1):
-        if i > 1:
-            w = crev[n - i :]
-            # Row-wise dots, not one matmul: BLAS result bits depend on
-            # the batch size, which would break the batch-equals-single
-            # determinism contract.
-            for j in range(m):
-                hist[j] = np.dot(z[j, 1:i], w)
-        rhs = 1.0 - lambdas * (hist + wL[i - 1])
-        z[:, i] = rhs / diag
+    for start in range(0, len(lambdas), _ROW_BLOCK):
+        lam = lambdas[start : start + _ROW_BLOCK, None]
+        s = lam * c
+        s[:, 0] += 1.0
+        g = _series_inverse(np.diff(s, prepend=0.0), n)
+        rhs = np.diff(1.0 - lam * wL, prepend=0.0)
+        zhat = np.fft.rfft(rhs, size) * np.fft.rfft(g, size)
+        z[start : start + _ROW_BLOCK, 1:] = np.fft.irfft(zhat, size)[:, :n]
     return z
+
+
+def require_bounded(z) -> None:
+    """Raise StepSizeError unless max|z| <= 1 + BOUND_TOL.
+
+    For a positive-definite kernel |z| <= 1 is a theorem, so a larger value
+    means the discrete scheme went unstable on too coarse a grid.  Call
+    only where the kernel is known to be positive definite.
+    """
+    peak = float(np.max(np.abs(z)))
+    if not peak <= 1.0 + BOUND_TOL:  # NaN fails too
+        raise StepSizeError(
+            f"max|z| = {peak:.3e} exceeds 1 for a positive-definite kernel; "
+            "refine the time grid"
+        )
 
 
 def solve_relaxation(kernel: MemoryKernel, lam: float, grid: TimeGrid) -> ScalarRelaxation:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memdiff.errors import DomainError, HypothesisViolation
+from memdiff.errors import DomainError, HypothesisViolation, StepSizeError
 from memdiff.kernels import Exponential, Heat, Wave
 from memdiff.spectral import Gaussian, ModeGrid, evolve
 from memdiff.visco import (
@@ -260,6 +260,18 @@ def test_visco_rate_refuses_infinite_viscosity():
     v0 = VectorGaussian()
     with pytest.raises(HypothesisViolation, match="not finite"):
         visco_asymptotics(pair, v0, [2.0], -2.0, GRID)
+
+
+def test_visco_rate_refuses_unstable_grid():
+    # 300 steps on [0, 80] leave the march unstable at lam up to 108: |z|
+    # reached 1e31 and the distance came back as 2.1e4 with no error.
+    pair = ViscoKernelPair(Exponential(mu=1.27, c=1.93, a0=0.07), Heat(0.5))
+    v0 = VectorGaussian(1.0, (1.0, 0.0, 0.0))
+    grid = ModeGrid(3, 16, 6.0)
+    with pytest.raises(StepSizeError):
+        visco_asymptotics(pair, v0, [80.0], -2.0, grid, n_steps=300)
+    rep = visco_asymptotics(pair, v0, [80.0], -2.0, grid, n_steps=500)
+    assert rep.rows[0][2] < 1e-12
 
 
 def test_vector_hs_norm_homogeneity():

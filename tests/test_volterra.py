@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memdiff.errors import DomainError
+from memdiff.errors import DomainError, StepSizeError
 from memdiff.kernels import (
     Cosine,
     Exponential,
     Heat,
+    LogModified,
     NegExponential,
     PowerLaw,
+    SampledKernel,
     Wave,
     fractional,
 )
@@ -21,6 +23,7 @@ from memdiff.specfun import mittag_leffler
 from memdiff.volterra import (
     BOUND_TOL,
     TimeGrid,
+    _convolution_weights,
     decay_envelope_check,
     kernel_convergence_test,
     relaxation_values,
@@ -33,6 +36,25 @@ from memdiff.volterra import (
 #: exponent is ~0.529 (dense lam sweep, dt = 1e-3, t_end = 20), so the
 #: envelope must hold with margin at half that rate.
 EXPONENTIAL_ENVELOPE_RATE = 0.2646
+
+
+def _march(kernel, lambdas, grid):
+    """Reference solver: the product-integration march, one step at a time.
+
+    z_i (1 + lam wR[0]) = 1 - lam (sum_{0<m<i} c_m z_{i-m} + wL[i-1]), with
+    c[m] = wR[m] + wL[m-1]; O(n^2) per lambda.
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    n = grid.n_steps
+    wL, wR = _convolution_weights(kernel, grid)
+    diag = 1.0 + lambdas * wR[0]
+    c = wR[1:] + wL[:-1]  # c[m-1] multiplies z_{i-m}
+    z = np.empty((len(lambdas), n + 1))
+    z[:, 0] = 1.0
+    for i in range(1, n + 1):
+        hist = z[:, i - 1 : 0 : -1] @ c[: i - 1] if i > 1 else 0.0
+        z[:, i] = (1.0 - lambdas * (hist + wL[i - 1])) / diag
+    return z
 
 
 def test_time_grid_basics():
@@ -125,9 +147,29 @@ def test_lambda_zero_is_exactly_one():
         assert np.all(rels[0].values == 1.0)
 
 
+ORACLE_GRID = TimeGrid(10.0, 500)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [Heat(1.0), Wave(c=1.0), PowerLaw(beta=0.5, c=1.0),
+     Exponential(mu=1.0, c=1.0), NegExponential(), Cosine(), LogModified(),
+     SampledKernel(ORACLE_GRID.dt, 0.2 + ORACLE_GRID.nodes / (1.0 + ORACLE_GRID.nodes)),
+     Exponential(mu=0.2, c=-2.0, a0=1.0)],
+    ids=lambda k: k.description,
+)
+def test_toeplitz_inversion_matches_march(kernel):
+    # lam * dt reaches 20 at lam = 1e3; the non-PD kernel grows to ~1e6.
+    lams = np.geomspace(1e-2, 1e3, 16)
+    ref = _march(kernel, lams, ORACLE_GRID)
+    z = relaxation_values(kernel, lams, ORACLE_GRID)
+    assert np.max(np.abs(z - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_batch_matches_single_bitwise():
+    # 37 lambdas cross the 32-row block of the series inversion.
     grid = TimeGrid(2.0, 400)
-    lams = [0.3, 1.0, 7.5]
+    lams = np.linspace(0.3, 7.5, 37)
     for kernel in (Exponential(mu=1.0, c=1.0), fractional(-0.5), Cosine()):
         batch = solve_relaxation_batch(kernel, lams, grid)
         for lam, rel in zip(lams, batch):
@@ -189,6 +231,12 @@ def test_interpolation_between_nodes():
 def test_negative_lambda_rejected():
     with pytest.raises(DomainError):
         solve_relaxation(Heat(1.0), -1.0, TimeGrid(1.0, 10))
+
+
+def test_nonpositive_implicit_coefficient_rejected():
+    # A < 0 near 0 makes 1 + lam * wR[0] negative at lam * dt = 100.
+    with pytest.raises(StepSizeError):
+        solve_relaxation(Exponential(mu=1.0, c=-2.0, a0=0.0), 1e3, TimeGrid(1.0, 10))
 
 
 def test_kernel_convergence_identical_is_zero():
