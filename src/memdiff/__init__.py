@@ -35,6 +35,7 @@ from .kernels import (
     laplace_a,
     primitive_A,
     quad_moments,
+    require_positive_definite,
     rv_index_estimate,
     scale,
 )

@@ -24,20 +24,20 @@ import numpy as np
 from .errors import DomainError, HypothesisViolation, NotEventuallyPositiveError
 from .kernels import (
     MemoryKernel,
-    check_positive_definite,
     dilate,
+    require_positive_definite,
     rv_index_estimate,
 )
 from .spectral import (
     InitialData,
     ModeGrid,
     SpectralField,
+    _mode_factors,
     hs_norm,
     limit_profile,
-    unique_lambdas,
 )
 from .specfun import gamma as gamma_fn
-from .volterra import TimeGrid, relaxation_values, require_bounded
+from .volterra import TimeGrid, relaxation_values
 
 #: Permitted |beta_estimate - beta_nominal| before the harness refuses.
 BETA_MISMATCH_TOL = 0.05
@@ -45,6 +45,8 @@ BETA_MISMATCH_TOL = 0.05
 RV_GRID = np.geomspace(1e-2, 1e5, 72)
 #: Default resolution of the dilated time grid per unit of rescaled time.
 STEPS_PER_UNIT_TIME = 2000
+#: Column names of a ConvergenceReport row.
+CONVERGENCE_HEADER = ["T", "t", "distance_hs", "reference_norm"]
 
 
 @dataclass(frozen=True)
@@ -127,10 +129,7 @@ def rescaled_values(
         raise DomainError("rescaled times must be positive")
     kT = sf.k(T)
     tg = _dilated_time_grid(float(np.max(t_list)), n_steps)
-    lambdas, inverse = unique_lambdas(grid)
-    lam_eff = lambdas / kT**2 * T
-    zmat = relaxation_values(dilate(kernel, T), lam_eff, tg)
-    require_bounded(zmat)
+    factors = _mode_factors(dilate(kernel, T), grid, tg, t_list, T / kT**2)
     if grid.radial:
         u0_scaled = u0.hat(xi_squared=grid.xi_squared() / kT**2)
     else:
@@ -138,12 +137,7 @@ def rescaled_values(
         u0_scaled = u0.hat(
             xi_squared=grid.xi_squared() / kT**2, xi_components=comps
         )
-    fields = []
-    for t in t_list:
-        idx = tg.index_of(float(t))
-        factor = zmat[:, idx][inverse]
-        fields.append(SpectralField(grid, u0_scaled * factor))
-    return fields
+    return [SpectralField(grid, u0_scaled * factor) for factor in factors]
 
 
 def rescale_field(
@@ -174,23 +168,22 @@ class ConvergenceReport:
         return np.array([d for _, d in sel])
 
     def write_csv(self, path, metadata=None):
-        import csv
+        meta_lines = [f"# {key}: {value}" for key, value in (metadata or {}).items()]
+        _write_csv(path, meta_lines, CONVERGENCE_HEADER, self.rows)
 
-        with open(path, "w", newline="") as fh:
-            for key, value in (metadata or {}).items():
-                fh.write(f"# {key}: {value}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["T", "t", "distance_hs", "reference_norm"])
-            for T, t, d, ref in self.rows:
-                writer.writerow([repr(T), repr(t), repr(d), repr(ref)])
+
+def _write_csv(path, meta_lines, header, rows):
+    """CSV with '#' metadata lines; floats are written by repr, so exactly."""
+    with open(path, "w", newline="") as fh:
+        for line in meta_lines:
+            fh.write(line + "\n")
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\r\n")
 
 
 def _validate_harness_kernel(kernel: MemoryKernel, sf: ScalingFunction, s: float, n: int):
-    report = check_positive_definite(kernel)
-    if not report.passed:
-        raise HypothesisViolation(
-            f"kernel is not positive definite (min {report.min_value:.3e})"
-        )
+    require_positive_definite(kernel)
     try:
         est = rv_index_estimate(kernel, RV_GRID)
     except NotEventuallyPositiveError as exc:
@@ -301,11 +294,7 @@ def leading_order_rate(
     r(t) = t^{n/4} * ||u_hat(., t) - U0 exp(-A_inf |xi|^2 t)||_{Hs}; on the
     beta = 0 branch r decreases toward 0 along a geometric time list.
     """
-    report = check_positive_definite(kernel)
-    if not report.passed:
-        raise HypothesisViolation(
-            f"kernel is not positive definite (min {report.min_value:.3e})"
-        )
+    require_positive_definite(kernel)
     A_inf = kernel.total_mass()
     if A_inf is None or not np.isfinite(A_inf) or A_inf <= 0:
         raise HypothesisViolation(
@@ -322,20 +311,15 @@ def leading_order_rate(
     if np.any(t_list <= 0):
         raise DomainError("t_list must be positive")
     U0 = u0.mass
-    lambdas, inverse = unique_lambdas(grid)
     lam2 = grid.xi_squared()
-    if grid.radial:
-        base = u0.hat(xi_squared=lam2)
-    else:
-        base = u0.hat(xi_squared=lam2, xi_components=grid.components())
+    base = u0.field(grid).values
     out = RateReport(s=s, A_infinity=float(A_inf))
-    for t in t_list:
-        zvals = relaxation_at_time(kernel, lambdas, float(t), n_steps)
-        require_bounded(zvals)
-        u_hat = base * zvals[inverse]
+    for t in map(float, t_list):
+        factor = _mode_factors(dilate(kernel, t), grid, TimeGrid(1.0, n_steps), [1.0], t)[0]
+        u_hat = base * factor
         w_hat = U0 * np.exp(-A_inf * lam2 * t)
         dist = hs_norm(SpectralField(grid, u_hat - w_hat), s)
-        out.rows.append((float(t), float(t ** (grid.n / 4.0) * dist), float(dist)))
+        out.rows.append((t, float(t ** (grid.n / 4.0) * dist), float(dist)))
     return out
 
 

@@ -2,60 +2,164 @@
 
 Config files are line-oriented: ``[section]`` headers with ``key = value``
 entries.  Sections: [kernel], [kernel.bulk] (visco only), [initial],
-[grid], [time], [experiment].  Values are decimal/scientific reals,
-integers, booleans, or comma-separated lists.  All validation errors are
-collected with their line numbers before the run is rejected.
+[grid], [time], [experiment].  Each value is parsed once, by the typed
+parser that ``PARSERS`` assigns to its (section, key), which checks its
+type and range: decimal/scientific reals, integers, booleans
+(true/false/1/0/yes/no), names from a fixed set, or comma-separated lists
+of reals.  All problems are collected with their line numbers before the
+run is rejected with exit code 2.
 
 Outputs are CSV with '#'-prefixed metadata lines (version, config hash,
 kernel, beta estimate) before the header row; identical configs produce
-byte-identical files.  Refusals (violated hypotheses) exit nonzero with
-the reason on stderr.
+byte-identical files.  Refusals (violated hypotheses) exit 3 with the
+reason on stderr.  Any other library error raised by the run, such as a
+time that is not a node of the time grid or a grid too coarse for the
+kernel, exits 2 with ``error: <message>`` on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 
 import numpy as np
 
 from . import __version__ as VERSION
 from . import asymptotics, kernels, spectral, visco
+from .asymptotics import _write_csv
 from .errors import ConfigError, HypothesisViolation, MemdiffError
 from .specfun import mittag_leffler
 from .volterra import TimeGrid
 
-KNOWN_SECTIONS = {"kernel", "kernel.bulk", "initial", "grid", "time", "experiment"}
-
-KERNEL_KEYS = {
-    "heat": {"a0"},
-    "wave": {"c", "a0"},
-    "powerlaw": {"beta", "c", "a0"},
-    "fractional": {"beta"},
-    "exponential": {"mu", "c", "a0"},
-    "negexponential": set(),
-    "cosine": set(),
-    "logmodified": {"m"},
+#: Kernel family -> (constructor, accepted keys).  A key left out takes
+#: the constructor's default.
+KERNEL_FAMILIES = {
+    "heat": (kernels.Heat, {"a0"}),
+    "wave": (kernels.Wave, {"c", "a0"}),
+    "powerlaw": (kernels.PowerLaw, {"beta", "c", "a0"}),
+    "fractional": (lambda beta=0.5: kernels.fractional(beta), {"beta"}),
+    "exponential": (kernels.Exponential, {"mu", "c", "a0"}),
+    "negexponential": (kernels.NegExponential, set()),
+    "cosine": (kernels.Cosine, set()),
+    "logmodified": (kernels.LogModified, {"m"}),
 }
 
-SECTION_KEYS = {
-    "kernel": {"family", "a0", "c", "beta", "mu", "m"},
-    "kernel.bulk": {"family", "a0", "c", "beta", "mu", "m"},
-    "initial": {"type", "width", "half_width", "mass", "mass_vector"},
-    "grid": {"dimension", "modes_per_axis", "xi_max", "radial"},
-    "time": {"t_end", "n_steps"},
-    "experiment": {"t_list", "big_t_list", "s", "beta", "output", "exponent_override"},
+
+def _number(kind, ok=None, constraint=""):
+    """Parser of one int or finite real; ``ok`` is the range ``constraint`` states."""
+
+    def parse(value):
+        try:
+            x = kind(value)
+        except ValueError:
+            raise ValueError("not an integer" if kind is int else "not a real number") from None
+        if not math.isfinite(x):
+            raise ValueError("not a finite real number")
+        if ok is not None and not ok(x):
+            raise ValueError(f"out of range: {constraint}")
+        return x
+
+    return parse
+
+
+def _real_list(ok=None, constraint="", length=None):
+    """Parser of a comma-separated list of reals, each checked by ``ok``."""
+    item = _number(float, ok, constraint)
+
+    def parse(value):
+        values = [item(v.strip()) for v in value.split(",")]
+        if length is not None and len(values) != length:
+            raise ValueError(f"needs {length} comma-separated reals, got {len(values)}")
+        return values
+
+    return parse
+
+
+def _choice(*names):
+    def parse(value):
+        if value not in names:
+            raise ValueError(f"not one of {', '.join(names)}")
+        return value
+
+    return parse
+
+
+def _boolean(value):
+    flag = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+    try:
+        return flag[value.lower()]
+    except KeyError:
+        raise ValueError("not a boolean (true/false/1/0/yes/no)") from None
+
+
+def _nonempty(value):
+    if not value:
+        raise ValueError("empty")
+    return value
+
+
+_REAL = _number(float)
+_POSITIVE = _number(float, lambda x: x > 0, "must be > 0")
+_KERNEL_PARSERS = {
+    "family": _choice(*KERNEL_FAMILIES),
+    "a0": _number(float, lambda x: x >= 0, "a0 >= 0"),
+    "c": _REAL,
+    "beta": _number(float, lambda x: -1 < x <= 1, "regular-variation index must lie in (-1, 1]"),
+    "mu": _POSITIVE,
+    "m": _REAL,
+}
+
+#: (section, key) -> parser from the raw string to the typed value; a
+#: parser raises ValueError naming what is wrong with the value.
+PARSERS = {
+    **{(sec, key): parse for sec in ("kernel", "kernel.bulk")
+       for key, parse in _KERNEL_PARSERS.items()},
+    ("initial", "type"): _choice("gaussian", "box"),
+    ("initial", "width"): _POSITIVE,
+    ("initial", "half_width"): _POSITIVE,
+    ("initial", "mass"): _REAL,
+    ("initial", "mass_vector"): _real_list(length=3),
+    ("grid", "dimension"): _number(int, lambda x: x in (1, 2, 3), "dimension must be 1, 2 or 3"),
+    ("grid", "modes_per_axis"): _number(int, lambda x: x >= 2 and x % 2 == 0,
+                                        "modes_per_axis must be even and >= 2"),
+    ("grid", "xi_max"): _POSITIVE,
+    ("grid", "radial"): _boolean,
+    ("time", "t_end"): _POSITIVE,
+    ("time", "n_steps"): _number(int, lambda x: x >= 1, "n_steps must be >= 1"),
+    ("experiment", "t_list"): _real_list(lambda x: x >= 0, "times must be >= 0"),
+    ("experiment", "big_t_list"): _real_list(lambda x: x > 0, "times must be > 0"),
+    ("experiment", "s"): _REAL,
+    ("experiment", "beta"): _number(float, lambda x: -1 < x <= 1,
+                                    "the limit theorems require beta in (-1, 1]"),
+    ("experiment", "output"): _nonempty,
+    ("experiment", "exponent_override"): _REAL,
+}
+
+KNOWN_SECTIONS = {sec for sec, _ in PARSERS}
+
+#: Command -> (required sections, required [experiment] keys).
+REQUIRED = {
+    "solve": (["kernel", "initial", "grid", "time", "experiment"], ["t_list"]),
+    "converge": (["kernel", "initial", "grid", "experiment"], ["big_t_list", "t_list"]),
+    "rate": (["kernel", "initial", "grid", "experiment"], ["t_list"]),
+    "visco": (["kernel", "kernel.bulk", "initial", "grid", "experiment"], ["t_list"]),
+    "validate-kernel": (["kernel"], []),
 }
 
 
 class RunConfig:
-    """Parsed configuration: raw text, sections, and the command."""
+    """Parsed configuration: raw text, typed sections, and the command.
+
+    ``sections[section][key]`` is (typed value, line number); the value is
+    None when it failed to parse, and then the config is never returned.
+    """
 
     def __init__(self, command: str, text: str):
         self.command = command
         self.text = text
-        self.sections: dict[str, dict[str, tuple[str, int]]] = {}
+        self.sections: dict[str, dict[str, tuple[object, int]]] = {}
 
     def get(self, section: str, key: str, default=None):
         entry = self.sections.get(section, {}).get(key)
@@ -100,13 +204,19 @@ def parse_config(text: str, command: str = "solve") -> RunConfig:
         if current is None:
             problems.append((ln, f"key {key!r} outside any section"))
             continue
-        if key not in SECTION_KEYS[current]:
+        parse = PARSERS.get((current, key))
+        if parse is None:
             problems.append((ln, f"unknown key {key!r} in section [{current}]"))
             continue
         if key in cfg.sections[current]:
             problems.append((ln, f"duplicate key {key!r} in section [{current}]"))
             continue
-        cfg.sections[current][key] = (value, ln)
+        try:
+            typed = parse(value)
+        except ValueError as exc:
+            problems.append((ln, f"bad value {value!r} for {key}: {exc}"))
+            typed = None
+        cfg.sections[current][key] = (typed, ln)
     problems.extend(_validate(cfg))
     if problems:
         problems.sort()
@@ -114,158 +224,64 @@ def parse_config(text: str, command: str = "solve") -> RunConfig:
     return cfg
 
 
-def _real(cfg, section, key, problems, default=None, low=None, high=None,
-          low_open=False, high_open=False, constraint=""):
-    entry = cfg.sections.get(section, {}).get(key)
-    if entry is None:
-        return default
-    value, ln = entry
-    try:
-        x = float(value)
-    except ValueError:
-        problems.append((ln, f"{key} must be a real number, got {value!r}"))
-        return default
-    bad = (
-        (low is not None and (x <= low if low_open else x < low))
-        or (high is not None and (x >= high if high_open else x > high))
-    )
-    if bad:
-        problems.append((ln, f"{key} = {x} out of range{': ' + constraint if constraint else ''}"))
-        return default
-    return x
-
-
-def _int(cfg, section, key, problems, default=None, low=None):
-    entry = cfg.sections.get(section, {}).get(key)
-    if entry is None:
-        return default
-    value, ln = entry
-    try:
-        x = int(value)
-    except ValueError:
-        problems.append((ln, f"{key} must be an integer, got {value!r}"))
-        return default
-    if low is not None and x < low:
-        problems.append((ln, f"{key} = {x} must be >= {low}"))
-        return default
-    return x
-
-
-def _real_list(cfg, section, key, problems, default=None):
-    entry = cfg.sections.get(section, {}).get(key)
-    if entry is None:
-        return default
-    value, ln = entry
-    try:
-        return [float(v) for v in value.split(",")]
-    except ValueError:
-        problems.append((ln, f"{key} must be a comma-separated list of reals"))
-        return default
-
-
 def _validate(cfg: RunConfig):
+    """Problems that involve more than one value: required sections and
+    keys, the keys each kernel family accepts, and visco's 3-D grid."""
     problems: list[tuple[int, str]] = []
     cmd = cfg.command
-    required = {"solve": ["kernel", "initial", "grid", "time", "experiment"],
-                "converge": ["kernel", "initial", "grid", "experiment"],
-                "rate": ["kernel", "initial", "grid", "experiment"],
-                "visco": ["kernel", "kernel.bulk", "initial", "grid", "experiment"],
-                "validate-kernel": ["kernel"]}.get(cmd, ["kernel"])
-    for sec in required:
+    sections, keys = REQUIRED.get(cmd, (["kernel"], []))
+    for sec in sections:
         if sec not in cfg.sections:
             problems.append((0, f"missing section [{sec}] required by {cmd}"))
+    for key in keys:
+        if "experiment" in cfg.sections and key not in cfg.sections["experiment"]:
+            problems.append((0, f"experiment section needs '{key}'"))
     for sec in ("kernel", "kernel.bulk"):
-        if sec not in cfg.sections:
+        entries = cfg.sections.get(sec)
+        if entries is None:
             continue
-        entry = cfg.sections[sec].get("family")
-        if entry is None:
+        if "family" not in entries:
             problems.append((0, f"section [{sec}] needs a 'family' key"))
             continue
-        family, ln = entry
-        if family not in KERNEL_KEYS:
-            problems.append((ln, f"unknown kernel family {family!r}"))
+        family = entries["family"][0]
+        if family is None:
             continue
-        for key, (_, kln) in cfg.sections[sec].items():
-            if key != "family" and key not in KERNEL_KEYS[family]:
+        for key, (_, kln) in entries.items():
+            if key != "family" and key not in KERNEL_FAMILIES[family][1]:
                 problems.append((kln, f"key {key!r} not accepted by family {family!r}"))
-        _real(cfg, sec, "a0", problems, low=0.0, constraint="a0 >= 0")
-        _real(cfg, sec, "mu", problems, low=0.0, low_open=True, constraint="mu > 0")
-        if family in ("powerlaw", "fractional"):
-            _real(cfg, sec, "beta", problems, low=-1.0, high=1.0, low_open=True,
-                  constraint="regular-variation index must lie in (-1, 1]")
-    if "initial" in cfg.sections:
-        entry = cfg.sections["initial"].get("type")
-        if entry is not None and entry[0] not in ("gaussian", "box"):
-            problems.append((entry[1], f"unknown initial data type {entry[0]!r}"))
-        _real(cfg, "initial", "width", problems, low=0.0, low_open=True)
-        _real(cfg, "initial", "half_width", problems, low=0.0, low_open=True)
-    if "grid" in cfg.sections:
-        n = _int(cfg, "grid", "dimension", problems, default=1, low=1)
-        if n is not None and n > 3:
-            problems.append((cfg.sections["grid"]["dimension"][1], "dimension must be 1, 2 or 3"))
-        m = _int(cfg, "grid", "modes_per_axis", problems, default=64, low=2)
-        if m is not None and m % 2:
-            problems.append((cfg.sections["grid"]["modes_per_axis"][1],
-                             "modes_per_axis must be even"))
-        _real(cfg, "grid", "xi_max", problems, low=0.0, low_open=True)
-    if "time" in cfg.sections:
-        _real(cfg, "time", "t_end", problems, low=0.0, low_open=True)
-        _int(cfg, "time", "n_steps", problems, low=1)
-    if "experiment" in cfg.sections:
-        _real_list(cfg, "experiment", "t_list", problems)
-        _real_list(cfg, "experiment", "big_t_list", problems)
-        _real(cfg, "experiment", "s", problems)
-        _real(cfg, "experiment", "beta", problems, low=-1.0, high=1.0, low_open=True,
-              constraint="the limit theorems require beta in (-1, 1]")
+    if cmd == "visco" and "grid" in cfg.sections:
+        value, ln = cfg.sections["grid"].get("dimension", (1, 0))
+        if value not in (3, None):
+            problems.append((ln, "visco experiments require dimension = 3"))
     return problems
 
 
 def build_kernel(cfg: RunConfig, section: str = "kernel"):
-    sec = cfg.sections[section]
-    family = sec["family"][0]
-    get = lambda k, d=None: float(sec[k][0]) if k in sec else d
-    if family == "heat":
-        return kernels.Heat(a0=get("a0", 1.0))
-    if family == "wave":
-        return kernels.Wave(c=get("c", 1.0), a0=get("a0", 0.0))
-    if family == "powerlaw":
-        return kernels.PowerLaw(beta=get("beta", 0.5), c=get("c", 1.0), a0=get("a0", 0.0))
-    if family == "fractional":
-        return kernels.fractional(get("beta", 0.5))
-    if family == "exponential":
-        return kernels.Exponential(mu=get("mu", 1.0), c=get("c", 1.0), a0=get("a0", 0.0))
-    if family == "negexponential":
-        return kernels.NegExponential()
-    if family == "cosine":
-        return kernels.Cosine()
-    if family == "logmodified":
-        return kernels.LogModified(m=get("m", 1.0))
-    raise ConfigError([(0, f"unknown kernel family {family!r}")])
+    params = {key: value for key, (value, _) in cfg.sections[section].items()}
+    make, _ = KERNEL_FAMILIES[params.pop("family")]
+    return make(**params)
 
 
 def build_initial(cfg: RunConfig):
-    kind = cfg.get("initial", "type", "gaussian")
-    mass = float(cfg.get("initial", "mass", "1.0"))
-    if kind == "box":
-        return spectral.BoxFunction(
-            half_width=float(cfg.get("initial", "half_width", "1.0")), mass=mass
-        )
-    return spectral.Gaussian(width=float(cfg.get("initial", "width", "1.0")), mass=mass)
+    mass = cfg.get("initial", "mass", 1.0)
+    if cfg.get("initial", "type", "gaussian") == "box":
+        return spectral.BoxFunction(half_width=cfg.get("initial", "half_width", 1.0), mass=mass)
+    return spectral.Gaussian(width=cfg.get("initial", "width", 1.0), mass=mass)
 
 
 def build_grid(cfg: RunConfig) -> spectral.ModeGrid:
     return spectral.ModeGrid(
-        n=int(cfg.get("grid", "dimension", "1")),
-        modes_per_axis=int(cfg.get("grid", "modes_per_axis", "64")),
-        xi_max=float(cfg.get("grid", "xi_max", "8.0")),
-        radial=cfg.get("grid", "radial", "false").lower() in ("true", "1", "yes"),
+        n=cfg.get("grid", "dimension", 1),
+        modes_per_axis=cfg.get("grid", "modes_per_axis", 64),
+        xi_max=cfg.get("grid", "xi_max", 8.0),
+        radial=cfg.get("grid", "radial", False),
     )
 
 
 def build_time_grid(cfg: RunConfig) -> TimeGrid:
     return TimeGrid(
-        t_end=float(cfg.get("time", "t_end", "1.0")),
-        n_steps=int(cfg.get("time", "n_steps", "1000")),
+        t_end=cfg.get("time", "t_end", 1.0),
+        n_steps=cfg.get("time", "n_steps", 1000),
     )
 
 
@@ -280,13 +296,12 @@ def _metadata_lines(cfg: RunConfig, kernel, beta_estimate=None):
     return lines
 
 
-def _write_csv(path, meta_lines, header, rows):
-    with open(path, "w", newline="") as fh:
-        for line in meta_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\r\n")
+def _write_output(cfg: RunConfig, meta_lines, header, rows) -> int:
+    """Write the command's CSV to [experiment] output (default <command>.csv)."""
+    path = cfg.get("experiment", "output", f"{cfg.command}.csv")
+    _write_csv(path, meta_lines, header, rows)
+    print(f"wrote {path}")
+    return 0
 
 
 def _cmd_ml(args) -> int:
@@ -308,95 +323,59 @@ def _cmd_ml(args) -> int:
 
 def _cmd_solve(cfg: RunConfig) -> int:
     kernel = build_kernel(cfg)
-    u0 = build_initial(cfg)
     grid = build_grid(cfg)
-    tg = build_time_grid(cfg)
-    t_list = _require_list(cfg, "t_list")
-    fields = spectral.evolve(kernel, u0, grid, t_list, tg)
+    t_list = cfg.get("experiment", "t_list")
+    fields = spectral.evolve(kernel, build_initial(cfg), grid, t_list, build_time_grid(cfg))
     rows = []
     axis = grid.axis
     for t, f in zip(t_list, fields):
-        vals = np.atleast_1d(f.values)
         for idx in np.ndindex(*grid.shape):
-            coords = [axis[i] for i in idx]
-            v = vals[idx]
-            rows.append([repr(float(t))] + [repr(float(c)) for c in coords]
-                        + [repr(float(np.real(v))), repr(float(np.imag(v)))])
+            v = f.values[idx]
+            rows.append([t, *(float(axis[i]) for i in idx), float(v.real), float(v.imag)])
     header = ["t"] + [f"xi{d+1}" for d in range(1 if grid.radial else grid.n)] + ["re_u_hat", "im_u_hat"]
-    path = cfg.get("experiment", "output", "solve.csv")
-    _write_csv(path, _metadata_lines(cfg, kernel), header, rows)
-    print(f"wrote {path}")
-    return 0
-
-
-def _require_list(cfg, key):
-    raw = cfg.get("experiment", key)
-    if raw is None:
-        raise ConfigError([(0, f"experiment section needs '{key}'")])
-    return [float(v) for v in raw.split(",")]
+    return _write_output(cfg, _metadata_lines(cfg, kernel), header, rows)
 
 
 def _cmd_converge(cfg: RunConfig) -> int:
     kernel = build_kernel(cfg)
-    u0 = build_initial(cfg)
-    grid = build_grid(cfg)
-    T_list = _require_list(cfg, "big_t_list")
-    t_list = _require_list(cfg, "t_list")
-    s = float(cfg.get("experiment", "s", "0.0"))
-    beta = float(cfg.get("experiment", "beta", "0.0"))
-    override = cfg.get("experiment", "exponent_override")
     sf = asymptotics.ScalingFunction(
         kernel=kernel,
-        beta=beta,
-        exponent_override=None if override is None else float(override),
+        beta=cfg.get("experiment", "beta", 0.0),
+        exponent_override=cfg.get("experiment", "exponent_override"),
     )
-    report = asymptotics.converge_to_limit(kernel, u0, sf, T_list, t_list, s, grid)
-    path = cfg.get("experiment", "output", "converge.csv")
-    rows = [(repr(T), repr(t), repr(d), repr(r)) for T, t, d, r in report.rows]
-    _write_csv(path, _metadata_lines(cfg, kernel, report.beta_estimate),
-               ["T", "t", "distance_hs", "reference_norm"], rows)
-    print(f"wrote {path}")
-    return 0
+    report = asymptotics.converge_to_limit(
+        kernel, build_initial(cfg), sf, cfg.get("experiment", "big_t_list"),
+        cfg.get("experiment", "t_list"), cfg.get("experiment", "s", 0.0), build_grid(cfg),
+    )
+    return _write_output(cfg, _metadata_lines(cfg, kernel, report.beta_estimate),
+                         asymptotics.CONVERGENCE_HEADER, report.rows)
 
 
 def _cmd_rate(cfg: RunConfig) -> int:
     kernel = build_kernel(cfg)
-    u0 = build_initial(cfg)
-    grid = build_grid(cfg)
-    t_list = _require_list(cfg, "t_list")
-    s = float(cfg.get("experiment", "s", "0.0"))
-    report = asymptotics.leading_order_rate(kernel, u0, t_list, s, grid)
-    path = cfg.get("experiment", "output", "rate.csv")
-    rows = [(repr(t), repr(r), repr(d)) for t, r, d in report.rows]
-    _write_csv(path, _metadata_lines(cfg, kernel),
-               ["t", "scaled_residual", "distance_hs"], rows)
-    print(f"wrote {path}")
-    return 0
+    report = asymptotics.leading_order_rate(
+        kernel, build_initial(cfg), cfg.get("experiment", "t_list"),
+        cfg.get("experiment", "s", 0.0), build_grid(cfg),
+    )
+    return _write_output(cfg, _metadata_lines(cfg, kernel),
+                         ["t", "scaled_residual", "distance_hs"], report.rows)
 
 
 def _cmd_visco(cfg: RunConfig) -> int:
     shear = build_kernel(cfg, "kernel")
     bulk = build_kernel(cfg, "kernel.bulk")
-    pair = visco.ViscoKernelPair(shear, bulk)
-    grid = build_grid(cfg)
-    if grid.n != 3:
-        raise ConfigError([(0, "visco experiments require dimension = 3")])
-    mv = cfg.get("initial", "mass_vector", "1,0,0")
     v0 = visco.VectorGaussian(
-        width=float(cfg.get("initial", "width", "1.0")),
-        mass_vector=tuple(float(v) for v in mv.split(",")),
+        width=cfg.get("initial", "width", 1.0),
+        mass_vector=tuple(cfg.get("initial", "mass_vector", (1.0, 0.0, 0.0))),
     )
-    t_list = _require_list(cfg, "t_list")
-    s = float(cfg.get("experiment", "s", "0.0"))
-    report = visco.visco_asymptotics(pair, v0, t_list, s, grid)
-    path = cfg.get("experiment", "output", "visco.csv")
+    report = visco.visco_asymptotics(
+        visco.ViscoKernelPair(shear, bulk), v0, cfg.get("experiment", "t_list"),
+        cfg.get("experiment", "s", 0.0), build_grid(cfg),
+    )
     meta = _metadata_lines(cfg, shear)
     meta.append(f"# bulk_kernel: {bulk.description}")
     meta.append(f"# effective_viscosities: A={report.A!r} B={report.B!r}")
-    rows = [(repr(t), repr(r), repr(d)) for t, r, d in report.rows]
-    _write_csv(path, meta, ["t", "scaled_residual", "distance_hs"], rows)
-    print(f"wrote {path}")
-    return 0
+    return _write_output(cfg, meta, ["t", "scaled_residual", "distance_hs"], report.rows)
 
 
 def _cmd_validate_kernel(cfg: RunConfig) -> int:
@@ -457,6 +436,9 @@ def main(argv=None) -> int:
     except HypothesisViolation as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except MemdiffError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
-from .errors import DomainError, NotEventuallyPositiveError
+from .errors import DomainError, HypothesisViolation, NotEventuallyPositiveError
 
 #: Shift used to approximate the boundary limit of the Laplace transform.
 PD_BOUNDARY_SHIFT = 1e-8
@@ -622,6 +622,21 @@ def check_positive_definite(
         passed=bool(vals[i] >= -PD_MIN_TOLERANCE),
         omega_at_min=float(omegas[i]),
     )
+
+
+def require_positive_definite(kernel: MemoryKernel, name: str = "kernel") -> None:
+    """Raise HypothesisViolation unless ``kernel`` passes the PD check.
+
+    Positive definiteness is the existence hypothesis of the
+    representation formula; ``name`` says which kernel of a computation
+    failed it.
+    """
+    report = check_positive_definite(kernel)
+    if not report.passed:
+        raise HypothesisViolation(
+            f"{name} {kernel.description} is not positive definite "
+            f"(min a0 + Re a~ = {report.min_value:.3e} at omega = {report.omega_at_min:.3e})"
+        )
 
 
 @dataclass

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolation
-from .kernels import MemoryKernel, check_positive_definite
+from .errors import DomainError
+from .kernels import MemoryKernel, require_positive_definite
 from .specfun import mittag_leffler
 from .volterra import TimeGrid, relaxation_values, require_bounded
 
@@ -195,18 +195,36 @@ def unique_lambdas(grid: ModeGrid):
 
     Modes are bucketed by the integer |j|^2 of their lattice index, so
     equality is exact and 3-D grids collapse to O(N^2) distinct radii.
+    The buckets are ranked by a cumulative count instead of a sort, so
+    the cost is linear in the grid size.
     """
     N = grid.modes_per_axis
     if grid.radial:
-        j2 = np.arange(N + 1) ** 2
-        return grid.dxi**2 * j2.astype(float), np.arange(N + 1)
-    j = np.arange(-N // 2, N // 2 + 1)
-    jsq = j**2
-    total = jsq
-    for _ in range(grid.n - 1):
-        total = total[..., None] + jsq
-    uniq, inverse = np.unique(total.ravel(), return_inverse=True)
-    return grid.dxi**2 * uniq.astype(float), inverse.reshape(total.shape)
+        total = np.arange(N + 1) ** 2
+    else:
+        jsq = np.arange(-N // 2, N // 2 + 1) ** 2
+        total = jsq
+        for _ in range(grid.n - 1):
+            total = total[..., None] + jsq
+    present = np.zeros(int(total.max()) + 1, dtype=bool)
+    present[total] = True
+    rank = np.cumsum(present) - 1
+    return grid.dxi**2 * np.flatnonzero(present).astype(float), rank[total]
+
+
+def _mode_factors(kernel: MemoryKernel, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0):
+    """Grid arrays z(lam_scale * |xi|^2, t), one per t in ``times``.
+
+    The core of the representation formula u_hat = z * u0_hat: one solve
+    over the distinct |xi|^2 of the grid, then a gather onto the modes.
+    Callers must have checked that the kernel is positive definite, since
+    |z| above 1 is then refused as a too coarse time grid.
+    """
+    indices = [time_grid.index_of(float(t)) for t in np.atleast_1d(times)]
+    lambdas, inverse = unique_lambdas(grid)
+    zmat = relaxation_values(kernel, lambdas * lam_scale, time_grid)
+    require_bounded(zmat)
+    return [zmat[:, idx][inverse] for idx in indices]
 
 
 def evolve(
@@ -221,22 +239,10 @@ def evolve(
     Refuses kernels that fail the positive-definiteness check, mirroring
     the existence hypothesis of the representation formula.
     """
-    report = check_positive_definite(kernel)
-    if not report.passed:
-        raise HypothesisViolation(
-            "kernel is not positive definite "
-            f"(min a0 + Re a~ = {report.min_value:.3e} at omega = {report.omega_at_min:.3e})"
-        )
-    indices = [time_grid.index_of(t) for t in np.atleast_1d(times)]
-    lambdas, inverse = unique_lambdas(grid)
-    zmat = relaxation_values(kernel, lambdas, time_grid)
-    require_bounded(zmat)
+    require_positive_definite(kernel)
+    factors = _mode_factors(kernel, grid, time_grid, times)
     base = u0.field(grid).values
-    fields = []
-    for idx in indices:
-        factor = zmat[:, idx][inverse]
-        fields.append(SpectralField(grid, base * factor))
-    return fields
+    return [SpectralField(grid, base * factor) for factor in factors]
 
 
 def hs_norm(field_: SpectralField, s: float) -> float:

@@ -16,16 +16,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import DomainError, HypothesisViolation
-from .kernels import MemoryKernel, check_positive_definite, scale
-from .spectral import InitialData, ModeGrid, SpectralField, hs_norm
-from .volterra import TimeGrid, relaxation_values, require_bounded
-from .asymptotics import relaxation_at_time
+from .kernels import MemoryKernel, dilate, require_positive_definite, scale
+from .spectral import InitialData, ModeGrid, SpectralField, _mode_factors, hs_norm
+from .volterra import TimeGrid
 from . import spectral
 
 #: Entrywise tolerance for the projector algebra identities.
 PROJECTOR_TOL = 1e-14
+#: Taylor coefficients (-1)^n / (n! (2n+1)) of the erf potential F(u); 14
+#: terms reach rounding level for u < 1/2.
+_ERF_POTENTIAL_SERIES = np.array(
+    [(-1.0) ** n / (math.factorial(n) * (2 * n + 1)) for n in range(14)]
+)
 
 
 @dataclass
@@ -42,13 +47,8 @@ class ViscoKernelPair:
     def validate(self):
         """Check the positive-definiteness hypotheses; raise naming the
         violated condition."""
-        for kern, name in ((self.shear, "shear"), (self.beta_kernel, "gradient-part")):
-            rep = check_positive_definite(kern)
-            if not rep.passed:
-                raise HypothesisViolation(
-                    f"{name} kernel is not positive definite "
-                    f"(min {rep.min_value:.3e})"
-                )
+        require_positive_definite(self.shear, "shear kernel")
+        require_positive_definite(self.beta_kernel, "gradient-part kernel")
 
     def effective_viscosities(self):
         """(A, B): total masses of the shear and gradient-part kernels."""
@@ -130,26 +130,18 @@ def evolve_visco(
     """Fields v_hat(., t) = z1 P v0_hat + z Q v0_hat at requested times.
 
     z1 is the relaxation of the gradient-part kernel, z of the shear
-    kernel; both batches share the deduplicated |xi|^2 values.
+    kernel.
     """
     pair.validate()
     base = v0.field(grid)
     p0 = project_P(base)
     q0 = project_Q(base)
-    lambdas, inverse = spectral.unique_lambdas(grid)
-    indices = [time_grid.index_of(t) for t in np.atleast_1d(times)]
-    z1 = relaxation_values(pair.beta_kernel, lambdas, time_grid)
-    z = relaxation_values(pair.shear, lambdas, time_grid)
-    require_bounded(z1)
-    require_bounded(z)
-    out = []
-    for idx in indices:
-        f1 = z1[:, idx][inverse]
-        f = z[:, idx][inverse]
-        out.append(
-            VectorSpectralField(grid, p0.values * f1[None] + q0.values * f[None])
-        )
-    return out
+    z1 = _mode_factors(pair.beta_kernel, grid, time_grid, times)
+    z = _mode_factors(pair.shear, grid, time_grid, times)
+    return [
+        VectorSpectralField(grid, p0.values * f1[None] + q0.values * f[None])
+        for f1, f in zip(z1, z)
+    ]
 
 
 def stokes_fundamental(A: float, B: float, grid: ModeGrid, t: float, V0) -> VectorSpectralField:
@@ -172,41 +164,27 @@ def stokes_fundamental(A: float, B: float, grid: ModeGrid, t: float, V0) -> Vect
 def stokes_gradient_part_real(x, t: float) -> np.ndarray:
     """Real-space gradient part U(x, t) of the Stokes fundamental solution.
 
-    U_ij(x,t) = -d_i d_j [ erf(|x|/sqrt(4t)) / (4 pi |x|) ], evaluated by
-    fourth-order central differences of the scalar potential (removable
-    singularity at 0 filled by its limit).
+    U_ij(x,t) = -d_i d_j phi with phi = erf(|x|/sqrt(4t)) / (4 pi |x|), the
+    exact Hessian.  As a function of u = |x|^2/(4t), phi = F(u) /
+    (2 pi^{3/2} sqrt(4t)) with F(u) = sqrt(pi) erf(sqrt(u)) / (2 sqrt(u)),
+    so Hess phi = (2 F'(u) I / (4t) + 4 F''(u) x x^T / (4t)^2) /
+    (2 pi^{3/2} sqrt(4t)).  F' and F'' are taken in closed form, or from
+    the Taylor series of F for u < 1/2, where the closed form cancels.
     """
     x = np.asarray(x, dtype=float)
-
-    def potential(y):
-        r = float(np.linalg.norm(y))
-        if r < 1e-8:
-            # erf(r/s)/ (4 pi r) -> 1/(4 pi) * 2/(s sqrt(pi)) as r -> 0
-            return 2.0 / (4.0 * math.pi * math.sqrt(4.0 * t) * math.sqrt(math.pi))
-        return math.erf(r / math.sqrt(4.0 * t)) / (4.0 * math.pi * r)
-
-    h = 1e-2
-    out = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            acc = 0.0
-            if i == j:
-                for step, w in ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)):
-                    y = x.copy()
-                    y[i] += step * h
-                    acc += w * potential(y)
-                val = acc / (12.0 * h * h)
-            else:
-                coeffs = {(-2, -2): -1, (-2, 2): 1, (2, -2): 1, (2, 2): -1,
-                          (-1, -1): 16, (-1, 1): -16, (1, -1): -16, (1, 1): 16}
-                for (si, sj), w in coeffs.items():
-                    y = x.copy()
-                    y[i] += si * h
-                    y[j] += sj * h
-                    acc += w * potential(y)
-                val = acc / (48.0 * h * h)
-            out[i, j] = -val
-    return out
+    s2 = 4.0 * t
+    u = float(x @ x) / s2
+    if u < 0.5:
+        d1 = polyval(u, polyder(_ERF_POTENTIAL_SERIES))
+        d2 = polyval(u, polyder(_ERF_POTENTIAL_SERIES, 2))
+    else:
+        v = math.sqrt(u)
+        g = math.exp(-u)
+        num = g * v - 0.5 * math.sqrt(math.pi) * math.erf(v)
+        d1 = num / (2.0 * v**3)
+        d2 = -g / (2.0 * u) - 3.0 * num / (4.0 * v**5)
+    hess = (2.0 * d1 / s2) * np.eye(3) + (4.0 * d2 / s2**2) * np.outer(x, x)
+    return -hess / (2.0 * math.pi**1.5 * math.sqrt(s2))
 
 
 @dataclass
@@ -260,16 +238,14 @@ def visco_asymptotics(
     degenerate = bool(np.allclose(V0, 0.0))
     p0 = project_P(base)
     q0 = project_Q(base)
-    lambdas, inverse = spectral.unique_lambdas(grid)
+    tg = TimeGrid(1.0, n_steps)
     report = ViscoRateReport(s=s, A=float(A), B=float(B), degenerate_mass=degenerate)
-    for t in t_list:
-        z1 = relaxation_at_time(pair.beta_kernel, lambdas, float(t), n_steps)
-        z = relaxation_at_time(pair.shear, lambdas, float(t), n_steps)
-        require_bounded(z1)
-        require_bounded(z)
-        v_hat = p0.values * z1[inverse][None] + q0.values * z[inverse][None]
-        w = stokes_fundamental(float(A), float(B), grid, float(t), V0)
+    for t in map(float, t_list):
+        z1 = _mode_factors(dilate(pair.beta_kernel, t), grid, tg, [1.0], t)[0]
+        z = _mode_factors(dilate(pair.shear, t), grid, tg, [1.0], t)[0]
+        v_hat = p0.values * z1[None] + q0.values * z[None]
+        w = stokes_fundamental(float(A), float(B), grid, t, V0)
         diff = VectorSpectralField(grid, v_hat - w.values)
         dist = vector_hs_norm(diff, s)
-        report.rows.append((float(t), float(t ** 0.75 * dist), float(dist)))
+        report.rows.append((t, float(t ** 0.75 * dist), float(dist)))
     return report

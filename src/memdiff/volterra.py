@@ -240,9 +240,11 @@ def require_bounded(z) -> None:
 
     For a positive-definite kernel |z| <= 1 is a theorem, so a larger value
     means the discrete scheme went unstable on too coarse a grid.  Call
-    only where the kernel is known to be positive definite.
+    only where the kernel is known to be positive definite.  ``z`` is real,
+    so max|z| = max(max z, -min z), which unlike np.abs(z) allocates no
+    copy of the whole solve.
     """
-    peak = float(np.max(np.abs(z)))
+    peak = float(np.maximum(np.max(z), -np.min(z)))
     if not peak <= 1.0 + BOUND_TOL:  # NaN fails too
         raise StepSizeError(
             f"max|z| = {peak:.3e} exceeds 1 for a positive-definite kernel; "
@@ -250,35 +252,27 @@ def require_bounded(z) -> None:
         )
 
 
-def solve_relaxation(kernel: MemoryKernel, lam: float, grid: TimeGrid) -> ScalarRelaxation:
-    """Solve z + lam * A*z = 1 on the grid for a single lam >= 0."""
-    if lam == 0.0:
-        return ScalarRelaxation(0.0, grid, np.ones(grid.n_steps + 1))
-    z = _solve_matrix(kernel, np.array([lam]), grid)
-    return ScalarRelaxation(float(lam), grid, z[0])
-
-
-def solve_relaxation_batch(kernel: MemoryKernel, lambdas, grid: TimeGrid):
-    """Solve for many lam at once; weights are computed a single time.
-
-    Returns a list of ScalarRelaxation in the order of ``lambdas``.  The
-    values are identical to per-lam calls of ``solve_relaxation``: every
-    lam advances independently through the same shared weights.
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    z = _solve_matrix(kernel, lambdas, grid)
-    z[lambdas == 0.0] = 1.0  # exactness contract at lam = 0
-    return [
-        ScalarRelaxation(float(l), grid, z[j]) for j, l in enumerate(lambdas)
-    ]
-
-
 def relaxation_values(kernel: MemoryKernel, lambdas, grid: TimeGrid) -> np.ndarray:
-    """Matrix z[j, i] = z(lambdas[j], t_i); the array core of the batch API."""
+    """Matrix z[j, i] = z(lambdas[j], t_i); the array core of the solver API.
+
+    Weights are computed a single time for all lambdas, and each row has
+    the bits it would have if solved alone.  Rows with lam = 0 are exactly 1.
+    """
     lambdas = np.asarray(lambdas, dtype=float)
     z = _solve_matrix(kernel, lambdas, grid)
     z[lambdas == 0.0] = 1.0
     return z
+
+
+def solve_relaxation(kernel: MemoryKernel, lam: float, grid: TimeGrid) -> ScalarRelaxation:
+    """Solve z + lam * A*z = 1 on the grid for a single lam >= 0."""
+    return ScalarRelaxation(float(lam), grid, relaxation_values(kernel, [lam], grid)[0])
+
+
+def solve_relaxation_batch(kernel: MemoryKernel, lambdas, grid: TimeGrid):
+    """``relaxation_values`` as a list of ScalarRelaxation, in input order."""
+    z = relaxation_values(kernel, lambdas, grid)
+    return [ScalarRelaxation(float(l), grid, row) for l, row in zip(lambdas, z)]
 
 
 def decay_envelope_check(rel: ScalarRelaxation, epsilon: float) -> bool:

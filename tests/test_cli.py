@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memdiff.cli import build_kernel, main, parse_config
+from memdiff.cli import PARSERS, build_kernel, main, parse_config
 from memdiff.errors import ConfigError
 from memdiff.kernels import Exponential, PowerLaw
 
@@ -182,3 +182,80 @@ def test_ml_rejects_bad_args(capsys):
 
 def test_missing_config_file(capsys):
     assert main(["solve", "/nonexistent/path.ini"]) == 2
+
+
+#: A malformed or out-of-range value for every key of the parser table.
+BAD_VALUES = {
+    "family": "nope", "a0": "-1", "c": "abc", "beta": "1.5", "mu": "0", "m": "x",
+    "type": "disk", "width": "0", "half_width": "-2", "mass": "x",
+    "mass_vector": "1,0", "dimension": "4", "modes_per_axis": "7", "xi_max": "inf",
+    "radial": "maybe", "t_end": "0", "n_steps": "2.5", "t_list": "1,,2",
+    "big_t_list": "-10", "s": "nan", "output": "", "exponent_override": "x",
+}
+#: A family that accepts each kernel key, so the value itself is the fault.
+FAMILY_FOR = {"a0": "heat", "c": "wave", "beta": "powerlaw", "mu": "exponential",
+              "m": "logmodified", "family": "heat"}
+
+
+@pytest.mark.parametrize("section,key", sorted(PARSERS))
+def test_every_bad_value_fails_at_parse_with_its_line(section, key, tmp_path, capsys):
+    sections = {
+        "kernel": ["family = heat"],
+        "kernel.bulk": ["family = heat"],
+        "initial": [],
+        "grid": ["dimension = 3", "modes_per_axis = 4"],
+        "time": [],
+        "experiment": ["t_list = 1.0", f"output = {tmp_path / 'out.csv'}"],
+    }
+    if section.startswith("kernel"):
+        sections[section] = [] if key == "family" else [f"family = {FAMILY_FOR[key]}"]
+    sections[section] = [l for l in sections[section] if not l.startswith(key + " ")]
+    sections[section].append(f"{key} = {BAD_VALUES[key]}")
+    lines = []
+    for name, entries in sections.items():
+        lines += [f"[{name}]", *entries, ""]
+    bad_line = lines.index(f"{key} = {BAD_VALUES[key]}") + 1
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text("\n".join(lines))
+    assert main(["visco", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {bad_line}: bad value" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_boolean_and_vector_values_are_typed():
+    cfg = parse_config(MINIMAL_SOLVE.format(out="x.csv").replace(
+        "dimension = 1", "dimension = 1\nradial = YES"), "solve")
+    assert cfg.get("grid", "radial") is True
+    cfg = parse_config("[kernel]\nfamily = heat\n[initial]\nmass_vector = 1, 0, 2\n",
+                       "validate-kernel")
+    assert cfg.get("initial", "mass_vector") == [1.0, 0.0, 2.0]
+
+
+def test_missing_required_key_is_collected_with_the_others():
+    text = MINIMAL_SOLVE.format(out="x.csv").replace("t_list = 0.0, 1.0\n", "")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text.replace("xi_max = 4.0", "xi_max = -4.0"), "solve")
+    msgs = [msg for _, msg in exc.value.problems]
+    assert any("t_list" in m for m in msgs) and any("xi_max" in m for m in msgs)
+
+
+@pytest.mark.parametrize("edits,message", [
+    # Not a node of the time grid: DomainError.
+    ([("t_list = 0.0, 1.0", "t_list = 0.333")], "not a node"),
+    # Far too coarse for the kernel: StepSizeError.
+    ([("family = heat\na0 = 1.0", "family = exponential"),
+      ("t_end = 1.0\nn_steps = 100", "t_end = 50.0\nn_steps = 2"),
+      ("t_list = 0.0, 1.0", "t_list = 50.0")], "refine the time grid"),
+])
+def test_runtime_library_error_exits_2_without_traceback(edits, message, tmp_path, capsys):
+    out = tmp_path / "solve.csv"
+    text = MINIMAL_SOLVE.format(out=out)
+    for edit in edits:
+        text = text.replace(*edit)
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text(text)
+    assert main(["solve", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()

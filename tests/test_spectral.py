@@ -50,6 +50,14 @@ def test_unique_lambdas_dedup_and_inverse():
     assert np.allclose(lams[inverse], g.xi_squared())
     # 2-D lattice radii are far fewer than the mode count.
     assert len(lams) < 9 * 9 / 2
+    # On a 3-D grid the bucket ranking equals np.unique of the integer |j|^2.
+    g = ModeGrid(n=3, modes_per_axis=12, xi_max=3.0)
+    lams, inverse = unique_lambdas(g)
+    j2 = np.arange(-6, 7) ** 2
+    ref, ref_inverse = np.unique(j2[:, None, None] + j2[:, None] + j2, return_inverse=True)
+    assert np.array_equal(lams, g.dxi**2 * ref.astype(float))
+    assert np.array_equal(inverse, ref_inverse.reshape(g.shape))
+    assert np.allclose(lams[inverse], g.xi_squared())
 
 
 def test_initial_data_mass_at_zero_mode():

@@ -1,5 +1,8 @@
 """Helmholtz projectors, viscoelastic evolution, and the Stokes limit."""
 
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +241,35 @@ def test_stokes_real_space_gradient_part():
         fvals = evaluate_at(field, pts).real
         ref = np.array([stokes_gradient_part_real(p, t)[i, j] for p in pts])
         assert np.max(np.abs(fvals - ref)) < 1e-3
+
+
+def _stokes_gradient_part_mpmath(x, t):
+    """-d_i d_j of erf(|x|/sqrt(4t)) / (4 pi |x|) by mpmath differentiation."""
+    s = mpmath.sqrt(4 * mpmath.mpf(t))
+
+    def phi(*y):
+        r = mpmath.sqrt(sum(v * v for v in y))
+        return 1 / (2 * mpmath.pi**1.5 * s) if r == 0 else mpmath.erf(r / s) / (4 * mpmath.pi * r)
+
+    out = np.empty((3, 3))
+    with mpmath.workdps(40):
+        for i, j in itertools.product(range(3), repeat=2):
+            order = [0, 0, 0]
+            order[i] += 1
+            order[j] += 1
+            out[i, j] = -float(mpmath.diff(phi, [mpmath.mpf(v) for v in x], tuple(order)))
+    return out
+
+
+@pytest.mark.parametrize("t", [1.0, 0.25])
+def test_stokes_gradient_part_is_the_exact_hessian(t):
+    # The demo's points, the origin, |x| = 1e-9, the series/closed-form switch
+    # at |x|^2 = 2t, and a far point.
+    pts = [(0.5, 0.5, 0.0), (1.0, -0.5, 0.3), (-1.2, 0.8, 1.1), (0.0, 0.0, 0.0),
+           (0.6e-9, -0.8e-9, 0.0), (np.sqrt(2.0 * t), 0.0, 0.0), (3.0, -2.0, 4.0)]
+    for p in pts:
+        ref = _stokes_gradient_part_mpmath(p, t)
+        assert np.max(np.abs(stokes_gradient_part_real(np.array(p), t) - ref)) < 1e-13
 
 
 def test_visco_rate_decreasing_exponential_pair():
