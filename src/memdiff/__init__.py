@@ -16,7 +16,7 @@ from .errors import (
     NotEventuallyPositiveError,
     StepSizeError,
 )
-from .specfun import MittagLefflerParams, erfc, gamma, mittag_leffler
+from .specfun import erfc, gamma, mittag_leffler
 from .kernels import (
     Cosine,
     Exponential,

@@ -6,15 +6,18 @@ entries.  Sections: [kernel], [kernel.bulk] (visco only), [initial],
 parser that ``PARSERS`` assigns to its (section, key), which checks its
 type and range: decimal/scientific reals, integers, booleans
 (true/false/1/0/yes/no), names from a fixed set, or comma-separated lists
-of reals.  All problems are collected with their line numbers before the
-run is rejected with exit code 2.
+of reals.  Each kernel section is also built once, so the constraints of
+its family (such as Wave's c > 0) are reported at the section's line.
+All problems are collected with their line numbers before the run is
+rejected with exit code 2.
 
 Outputs are CSV with '#'-prefixed metadata lines (version, config hash,
 kernel, beta estimate) before the header row; identical configs produce
 byte-identical files.  Refusals (violated hypotheses) exit 3 with the
 reason on stderr.  Any other library error raised by the run, such as a
 time that is not a node of the time grid or a grid too coarse for the
-kernel, exits 2 with ``error: <message>`` on stderr.
+kernel, and an output file that cannot be written, exit 2 with
+``error: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -217,16 +220,18 @@ def parse_config(text: str, command: str = "solve") -> RunConfig:
             problems.append((ln, f"bad value {value!r} for {key}: {exc}"))
             typed = None
         cfg.sections[current][key] = (typed, ln)
-    problems.extend(_validate(cfg))
+    problems.extend(_validate(cfg, section_lines))
     if problems:
         problems.sort()
         raise ConfigError(problems)
     return cfg
 
 
-def _validate(cfg: RunConfig):
+def _validate(cfg: RunConfig, section_lines: dict[str, int]):
     """Problems that involve more than one value: required sections and
-    keys, the keys each kernel family accepts, and visco's 3-D grid."""
+    keys, the keys each kernel family accepts and the constraints its
+    constructor checks (reported at the section's line), and visco's 3-D
+    grid."""
     problems: list[tuple[int, str]] = []
     cmd = cfg.command
     sections, keys = REQUIRED.get(cmd, (["kernel"], []))
@@ -246,9 +251,16 @@ def _validate(cfg: RunConfig):
         family = entries["family"][0]
         if family is None:
             continue
-        for key, (_, kln) in entries.items():
-            if key != "family" and key not in KERNEL_FAMILIES[family][1]:
-                problems.append((kln, f"key {key!r} not accepted by family {family!r}"))
+        rejected = [(kln, f"key {key!r} not accepted by family {family!r}")
+                    for key, (_, kln) in entries.items()
+                    if key != "family" and key not in KERNEL_FAMILIES[family][1]]
+        problems += rejected
+        if rejected or any(value is None for value, _ in entries.values()):
+            continue
+        try:
+            build_kernel(cfg, sec)
+        except MemdiffError as exc:
+            problems.append((section_lines[sec], f"[{sec}]: {exc}"))
     if cmd == "visco" and "grid" in cfg.sections:
         value, ln = cfg.sections["grid"].get("dimension", (1, 0))
         if value not in (3, None):
@@ -299,7 +311,11 @@ def _metadata_lines(cfg: RunConfig, kernel, beta_estimate=None):
 def _write_output(cfg: RunConfig, meta_lines, header, rows) -> int:
     """Write the command's CSV to [experiment] output (default <command>.csv)."""
     path = cfg.get("experiment", "output", f"{cfg.command}.csv")
-    _write_csv(path, meta_lines, header, rows)
+    try:
+        _write_csv(path, meta_lines, header, rows)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {path}")
     return 0
 
@@ -308,8 +324,11 @@ def _cmd_ml(args) -> int:
     if not 0.0 < args.alpha <= 2.0:
         print("alpha must lie in (0, 2]", file=sys.stderr)
         return 2
-    if args.zmin > args.zmax or args.zmax > 0.0:
-        print("need zmin <= zmax <= 0", file=sys.stderr)
+    if not (math.isfinite(args.zmin) and args.zmin <= args.zmax <= 0.0):
+        print("need finite zmin <= zmax <= 0", file=sys.stderr)
+        return 2
+    if args.n < 1:
+        print("need n >= 1", file=sys.stderr)
         return 2
     z = np.linspace(args.zmin, args.zmax, args.n)
     vals = mittag_leffler(args.alpha, z)

@@ -321,7 +321,5 @@ def limit_profile(beta: float, grid: ModeGrid, t: float, mass: float) -> Spectra
     if t <= 0:
         raise DomainError("t must be positive")
     alpha = 1.0 + beta
-    lam2 = grid.xi_squared()
-    uniq, inverse = np.unique(lam2.ravel(), return_inverse=True)
-    vals = mittag_leffler(alpha, -uniq * t**alpha)
-    return SpectralField(grid, mass * np.asarray(vals)[inverse].reshape(lam2.shape))
+    lambdas, inverse = unique_lambdas(grid)
+    return SpectralField(grid, mass * mittag_leffler(alpha, -lambdas * t**alpha)[inverse])

@@ -180,6 +180,47 @@ def test_ml_rejects_bad_args(capsys):
     assert main(["ml", "--alpha", "1.0", "--zmin", "0", "--zmax", "-1"]) == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--zmin=-1", "--zmax=0", "--n=-1"], "n >= 1"),
+    (["--zmin=nan", "--zmax=0"], "finite"),
+    (["--zmin=-1", "--zmax=nan"], "finite"),
+    (["--zmin=-inf", "--zmax=0"], "finite"),
+])
+def test_ml_rejects_bad_table_args(args, message, capsys):
+    assert main(["ml", "--alpha", "0.6", *args]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "solve.csv"
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text(MINIMAL_SOLVE.format(out=out))
+    assert main(["solve", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+
+
+def test_family_constraint_is_reported_at_parse_with_the_others(tmp_path, capsys):
+    text = MINIMAL_SOLVE.format(out=tmp_path / "x.csv").replace(
+        "family = heat\na0 = 1.0", "family = wave\nc = -1").replace(
+        "xi_max = 4.0", "xi_max = -4.0")
+    lines = text.splitlines()
+    kernel_line = lines.index("[kernel]") + 1
+    xi_line = lines.index("xi_max = -4.0") + 1
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, "solve")
+    msgs = dict(exc.value.problems)
+    assert "c > 0" in msgs[kernel_line] and "xi_max" in msgs[xi_line]
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text(text)
+    assert main(["solve", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {kernel_line}: [kernel]: Wave kernel needs c > 0" in err
+    assert f"line {xi_line}: bad value" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_missing_config_file(capsys):
     assert main(["solve", "/nonexistent/path.ini"]) == 2
 
