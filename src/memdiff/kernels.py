@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .errors import DomainError, HypothesisViolation, NotEventuallyPositiveError
@@ -352,6 +351,8 @@ class LogModified(MemoryKernel):
         return t * np.log(np.e + t) ** self.m
 
     def _quad(self, f, t):
+        from scipy import integrate  # deferred: slow to import
+
         scalar = np.isscalar(t)
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.array([integrate.quad(f, 0.0, x, epsrel=1e-12, limit=200)[0] for x in ts])
@@ -575,6 +576,8 @@ def laplace_a(kernel: MemoryKernel, s):
 
 
 def _numeric_laplace(a_func, s):
+    from scipy import integrate  # deferred: slow to import
+
     scalar = np.isscalar(s)
     svals = np.atleast_1d(np.asarray(s, dtype=complex))
     out = np.empty(svals.shape, dtype=complex)

@@ -26,11 +26,6 @@ from scipy import special as sp
 
 from .errors import DomainError
 
-# Contract tolerances.
-GAMMA_REL_TOL = 1e-12
-ERFC_REL_TOL = 1e-10
-ML_CLOSED_FORM_REL_TOL = 1e-13
-
 #: Trapezoid step in u and the nodes u = 0, h, ..., 9; the integrand at -u
 #: is the conjugate of that at u, so the nodes u < 0 enter as twice the
 #: real part.  A singularity at Im u = _POLE_DISTANCE costs

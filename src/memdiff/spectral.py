@@ -303,14 +303,12 @@ def evaluate_at(field_: SpectralField, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.n:
         raise DomainError(f"points must have {grid.n} coordinates")
-    comps = grid.components()
-    w = grid.trapezoid_weights() * grid.dxi**grid.n
-    vals = np.empty(len(pts), dtype=complex)
-    for i, p in enumerate(pts):
-        phase = np.zeros(grid.shape)
-        for d in range(grid.n):
-            phase = phase + p[d] * comps[d]
-        vals[i] = np.sum(w * field_.values * np.exp(1j * phase))
+    # e^{i p.xi} is a product of one phase factor per axis.
+    phases = [np.exp(1j * np.outer(pts[:, d], grid.axis)) for d in range(grid.n)]
+    weighted = grid.trapezoid_weights() * grid.dxi**grid.n * field_.values
+    axes = "abc"[: grid.n]
+    spec = ",".join("p" + a for a in axes) + f",{axes}->p"
+    vals = np.einsum(spec, *phases, weighted, optimize=True)
     return vals / (2.0 * math.pi) ** grid.n
 
 

@@ -18,11 +18,18 @@ right-hand side divided by the symbol of the weights.  That division is done
 by FFT Newton doubling, O(n log n) per ``lam`` instead of O(n^2), for a
 batch of ``lam`` values at once (Hairer, Lubich & Schlichte, SIAM J. Sci.
 Stat. Comput. 6 (1985)).
+
+Power laws with beta < 0 take a separate path on a mesh uniform in
+t^(1+beta), where the weights are not Toeplitz.  It marches step by step,
+but each step builds its weights for all cells in a few array operations
+and applies them to every ``lam`` at once, so a step costs a fixed number
+of numpy calls whatever the number of ``lam`` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +44,12 @@ BOUND_TOL = 1e-6
 ENVELOPE_TOL = 1e-9
 #: Lambda rows per block of the series inversion; bounds the temporaries.
 _ROW_BLOCK = 32
+#: Gauss rules per cell of the singular path; Legendre nodes and halved
+#: weights on [0, 1].
+_NODES = 10
+_LEG_U, _LEG_W = np.polynomial.legendre.leggauss(_NODES)
+_LEG_U = (_LEG_U + 1.0) / 2.0
+_LEG_W = _LEG_W / 2.0
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,13 @@ def _convolution_weights(kernel: MemoryKernel, grid: TimeGrid):
     return wL, wR
 
 
+@lru_cache(maxsize=16)
+def _jacobi_rule(beta: float):
+    """10-point Gauss-Jacobi rule on [0, 1] for the weight (1-u)^beta."""
+    xj, wj = sp.roots_jacobi(_NODES, beta, 0.0)
+    return (xj + 1.0) / 2.0, wj / 2.0 ** (beta + 1.0)
+
+
 def _singular_values(kernel: PowerLaw, lambdas: np.ndarray, grid: TimeGrid):
     """Solver path for power-law kernels with beta < 0 (A singular at 0).
 
@@ -103,70 +123,59 @@ def _singular_values(kernel: PowerLaw, lambdas: np.ndarray, grid: TimeGrid):
     integrand carries the kernel singularity.  Uniformly second order in
     the y-spacing; the result is mapped back to the nodes of ``grid`` by
     interpolation in y (consistent with the basis).
+
+    Node times, Jacobians and the diagonal weights of every cell are set up
+    once as (nodes x cells) arrays, so step i costs a fixed number of array
+    calls, whatever the number of lambdas: the kernel at the regular nodes,
+    one reduction over the node axis into a weight vector on z_0..z_{i-1},
+    and one dot of that vector with each row.  Memory is O(N) plus the
+    (lambdas x N) solution.
     """
     gamma = 1.0 + kernel.beta
     beta = kernel.beta
     cA = kernel.c / kernel.beta
     a0 = kernel.a0
     N = grid.n_steps
-    ymax = grid.t_end**gamma
-    dy = ymax / N
+    dy = grid.t_end**gamma / N
     y = dy * np.arange(N + 1)
     t = y ** (1.0 / gamma)
-    xg, wg = np.polynomial.legendre.leggauss(10)
-    ug = (xg + 1.0) / 2.0
-    wgh = wg / 2.0
-    xj, wj = sp.roots_jacobi(10, beta, 0.0)
-    uj = (xj + 1.0) / 2.0
-    wjh = wj / 2.0 ** (beta + 1.0)
     inv_g = 1.0 / gamma
+    # Legendre nodes of every cell r: times s[q, r] and Jacobians dt/dy.
+    yg = y[:-1] + _LEG_U[:, None] * dy
+    s = yg**inv_g
+    jac = (_LEG_W * dy * inv_g)[:, None] * yg ** (inv_g - 1.0)
+    # [coefficient on z_r, coefficient on z_{r+1}] per node and cell.
+    basis = np.stack([jac * (1.0 - _LEG_U)[:, None], jac * _LEG_U[:, None]])
+    w_a0 = a0 * basis.sum(axis=1)
+    w_cA = cA * basis
+    # Diagonal cell of step i (cell i-1): factor out the (1-u)^beta
+    # singularity exactly; the constant a0 part takes the Legendre rule.
+    uj, wjh = _jacobi_rule(beta)
+    yj = y[:-1] + uj[:, None] * dy
+    ratio = (t[1:] - yj**inv_g) / (1.0 - uj)[:, None]
+    g = (wjh * cA * inv_g * dy)[:, None] * ratio**beta * yj ** (inv_g - 1.0)
+    w_diag_old = (1.0 - uj) @ g + w_a0[0]
+    denom = 1.0 + lambdas[:, None] * (uj @ g + w_a0[1])
     z = np.empty((len(lambdas), N + 1))
     z[:, 0] = 1.0
+    w = np.empty(N)
     for i in range(1, N + 1):
-        ti = t[i]
-        if i > 1:
-            w_lo = np.zeros(i - 1)  # coefficient on z_r
-            w_hi = np.zeros(i - 1)  # coefficient on z_{r+1}
-            for q in range(10):
-                yq = y[: i - 1] + ug[q] * dy
-                sq = yq**inv_g
-                Aq = a0 + cA * (ti - sq) ** beta
-                fac = wgh[q] * dy * Aq * inv_g * yq ** (inv_g - 1.0)
-                w_hi += fac * ug[q]
-                w_lo += fac * (1.0 - ug[q])
-        # Diagonal cell: factor out the (1-u)^beta singularity exactly.
-        yq = y[i - 1] + uj * dy
-        sq = yq**inv_g
-        ratio = (ti - sq) / (1.0 - uj)
-        g = wjh * cA * ratio**beta * inv_g * yq ** (inv_g - 1.0) * dy
-        if a0 != 0.0:
-            yg = y[i - 1] + ug * dy
-            ga0 = wgh * a0 * inv_g * yg ** (inv_g - 1.0) * dy
-            w_diag_new = float(np.sum(g * uj) + np.sum(ga0 * ug))
-            w_diag_old = float(np.sum(g * (1.0 - uj)) + np.sum(ga0 * (1.0 - ug)))
-        else:
-            w_diag_new = float(np.sum(g * uj))
-            w_diag_old = float(np.sum(g * (1.0 - uj)))
-        if i > 1:
-            # Row-wise dots, not one matmul: BLAS result bits depend on
-            # the batch size, which would break the batch-equals-single
-            # determinism contract.
-            hist = np.array(
-                [
-                    np.dot(z[j, : i - 1], w_lo) + np.dot(z[j, 1:i], w_hi)
-                    for j in range(len(lambdas))
-                ]
-            )
-            hist += w_diag_old * z[:, i - 1]
-        else:
-            hist = w_diag_old * z[:, 0]
-        z[:, i] = (1.0 - lambdas * hist) / (1.0 + lambdas * w_diag_new)
-    # Map to the uniform nodes of the requested grid, interpolating in y.
-    y_target = grid.nodes**gamma
-    out = np.empty((len(lambdas), N + 1))
-    for j in range(len(lambdas)):
-        out[j] = np.interp(y_target, y, z[j])
-    return out
+        m = i - 1
+        cells = np.einsum("kqr,qr->kr", w_cA[:, :, :m], (t[i] - s[:, :m]) ** beta)
+        cells += w_a0[:, :m]
+        w[:m] = cells[0]
+        w[m] = w_diag_old[m]
+        w[1:i] += cells[1]
+        # One dot per row, not a matmul: a row's bits then do not depend
+        # on the batch size.
+        hist = np.einsum("li,i->l", z[:, :i], w[:i])
+        z[:, i] = (1.0 - lambdas * hist) / denom[:, i - 1]
+    # Map to the uniform nodes of the requested grid, interpolating in y:
+    # one fractional mesh index per node, shared by all rows.
+    pos = np.interp(grid.nodes**gamma, y, np.arange(N + 1.0))
+    k = np.minimum(pos.astype(int), N - 1)
+    frac = pos - k
+    return z[:, k] * (1.0 - frac) + z[:, k + 1] * frac
 
 
 def _series_inverse(s: np.ndarray, n: int) -> np.ndarray:

@@ -1,11 +1,16 @@
 """Kernel catalog: primitives, moments, transforms, and diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import memdiff
 from memdiff.errors import DomainError, NotEventuallyPositiveError
 from memdiff.kernels import (
     Cosine,
@@ -252,3 +257,13 @@ def test_primitive_rejects_negative_time():
 def test_quad_moments_rejects_bad_interval():
     with pytest.raises(DomainError):
         quad_moments(Heat(1.0), 1.0, 0.5)
+
+
+def test_import_leaves_scipy_integrate_out():
+    # scipy.integrate (which loads scipy.optimize) is imported only by the
+    # functions that integrate numerically, not by importing the package.
+    src = str(Path(memdiff.__file__).resolve().parents[1])
+    code = "import sys, memdiff; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "False"

@@ -252,6 +252,18 @@ def test_evaluate_at_matches_synthesize():
     assert np.max(np.abs(vals.real - u[60:70])) < 1e-10
 
 
+def test_evaluate_at_matches_synthesize_in_3d():
+    # An anisotropic datum, so that a mix-up of the axes shows.
+    g = ModeGrid(n=3, modes_per_axis=12, xi_max=3.0)
+    c1, c2, c3 = g.components()
+    f = SpectralField(g, np.exp(-0.3 * c1**2 - 0.5 * c2**2 - 0.9 * c3**2).astype(complex))
+    x, u = synthesize(f)
+    idx = [(6, 7, 8), (2, 9, 5), (11, 0, 6), (6, 6, 6)]
+    pts = [[x[i], x[j], x[k]] for i, j, k in idx]
+    vals = evaluate_at(f, pts)
+    assert np.max(np.abs(vals - np.array([u[i] for i in idx]))) < 1e-12
+
+
 def test_limit_profile_heat_and_wave_branches():
     g = ModeGrid(n=1, modes_per_axis=64, xi_max=4.0)
     t = 0.7

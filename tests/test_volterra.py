@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from memdiff.errors import DomainError, StepSizeError
 from memdiff.kernels import (
@@ -55,6 +56,56 @@ def _march(kernel, lambdas, grid):
         hist = z[:, i - 1 : 0 : -1] @ c[: i - 1] if i > 1 else 0.0
         z[:, i] = (1.0 - lambdas * (hist + wL[i - 1])) / diag
     return z
+
+
+def _singular_march(kernel, lambdas, grid):
+    """Reference for the beta < 0 path: weights built node by node per step.
+
+    Gauss-Legendre on the regular cells and Gauss-Jacobi with weight
+    (1-u)^beta on the diagonal cell of a uniform mesh in y = t^(1+beta),
+    one row-wise dot per lambda, then np.interp in y back to the grid.
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    gamma = 1.0 + kernel.beta
+    beta = kernel.beta
+    cA = kernel.c / kernel.beta
+    a0 = kernel.a0
+    N = grid.n_steps
+    dy = grid.t_end**gamma / N
+    y = dy * np.arange(N + 1)
+    t = y ** (1.0 / gamma)
+    xg, wg = np.polynomial.legendre.leggauss(10)
+    ug = (xg + 1.0) / 2.0
+    wgh = wg / 2.0
+    xj, wj = sp.roots_jacobi(10, beta, 0.0)
+    uj = (xj + 1.0) / 2.0
+    wjh = wj / 2.0 ** (beta + 1.0)
+    inv_g = 1.0 / gamma
+    z = np.empty((len(lambdas), N + 1))
+    z[:, 0] = 1.0
+    for i in range(1, N + 1):
+        ti = t[i]
+        w_lo = np.zeros(i - 1)  # coefficient on z_r
+        w_hi = np.zeros(i - 1)  # coefficient on z_{r+1}
+        for q in range(10):
+            yq = y[: i - 1] + ug[q] * dy
+            Aq = a0 + cA * (ti - yq**inv_g) ** beta
+            fac = wgh[q] * dy * Aq * inv_g * yq ** (inv_g - 1.0)
+            w_hi += fac * ug[q]
+            w_lo += fac * (1.0 - ug[q])
+        yq = y[i - 1] + uj * dy
+        ratio = (ti - yq**inv_g) / (1.0 - uj)
+        g = wjh * cA * ratio**beta * inv_g * yq ** (inv_g - 1.0) * dy
+        yg = y[i - 1] + ug * dy
+        ga0 = wgh * a0 * inv_g * yg ** (inv_g - 1.0) * dy
+        w_diag_new = np.sum(g * uj) + np.sum(ga0 * ug)
+        w_diag_old = np.sum(g * (1.0 - uj)) + np.sum(ga0 * (1.0 - ug))
+        hist = np.array(
+            [np.dot(row[: i - 1], w_lo) + np.dot(row[1:i], w_hi) for row in z]
+        )
+        hist += w_diag_old * z[:, i - 1]
+        z[:, i] = (1.0 - lambdas * hist) / (1.0 + lambdas * w_diag_new)
+    return np.array([np.interp(grid.nodes**gamma, y, row) for row in z])
 
 
 def test_time_grid_basics():
@@ -166,11 +217,24 @@ def test_toeplitz_inversion_matches_march(kernel):
     assert np.max(np.abs(z - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("beta", [-0.9, -0.75, -0.4, -0.1])
+@pytest.mark.parametrize("a0", [0.0, 0.3])
+def test_singular_path_matches_march(beta, a0):
+    grid = TimeGrid(2.0, 400)
+    lams = np.geomspace(1e-2, 1e3, 16)
+    kernel = PowerLaw(beta=beta, c=beta / math.gamma(1.0 + beta), a0=a0)
+    ref = _singular_march(kernel, lams, grid)
+    z = relaxation_values(kernel, lams, grid)
+    assert np.max(np.abs(z - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_batch_matches_single_bitwise():
-    # 37 lambdas cross the 32-row block of the series inversion.
+    # 37 lambdas cross the 32-row block of the series inversion; the
+    # PowerLaw with a0 > 0 takes the a0 branch of the singular path.
     grid = TimeGrid(2.0, 400)
     lams = np.linspace(0.3, 7.5, 37)
-    for kernel in (Exponential(mu=1.0, c=1.0), fractional(-0.5), Cosine()):
+    for kernel in (Exponential(mu=1.0, c=1.0), fractional(-0.5), Cosine(),
+                   PowerLaw(beta=-0.3, c=-0.5, a0=0.4)):
         batch = solve_relaxation_batch(kernel, lams, grid)
         for lam, rel in zip(lams, batch):
             single = solve_relaxation(kernel, lam, grid)
