@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DomainError, HypothesisViolation, NotEventuallyPositiveError
 from .kernels import (
     MemoryKernel,
-    dilate,
     require_positive_definite,
     rv_index_estimate,
 )
@@ -108,6 +107,27 @@ def _dilated_time_grid(t_max: float, n_steps: int | None) -> TimeGrid:
     return TimeGrid(t_max, n_steps)
 
 
+def _rescaled_fields(kernel, u0, sf, T_list, t_list, grid: ModeGrid, n_steps):
+    """``rescaled_values`` for every T of ``T_list``, from one solve."""
+    t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
+    if np.any(t_list <= 0):
+        raise DomainError("rescaled times must be positive")
+    T_list = [float(T) for T in T_list]
+    kT = [sf.k(T) for T in T_list]
+    tg = _dilated_time_grid(float(np.max(t_list)), n_steps)
+    lam_scale = [T / k**2 for T, k in zip(T_list, kT)]
+    factors = _mode_factors(kernel, grid, tg, t_list, lam_scale, T_list)
+    out = []
+    for k, per_t in zip(kT, factors):
+        if grid.radial:
+            u0_scaled = u0.hat(xi_squared=grid.xi_squared() / k**2)
+        else:
+            comps = [c / k for c in grid.components()]
+            u0_scaled = u0.hat(xi_squared=grid.xi_squared() / k**2, xi_components=comps)
+        out.append([SpectralField(grid, u0_scaled * factor) for factor in per_t])
+    return out
+
+
 def rescaled_values(
     kernel: MemoryKernel,
     u0: InitialData,
@@ -124,20 +144,7 @@ def rescaled_values(
     The kernel must be positive definite, as ``converge_to_limit`` checks;
     |z| above 1 then means the grid is too coarse and raises StepSizeError.
     """
-    t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
-    if np.any(t_list <= 0):
-        raise DomainError("rescaled times must be positive")
-    kT = sf.k(T)
-    tg = _dilated_time_grid(float(np.max(t_list)), n_steps)
-    factors = _mode_factors(dilate(kernel, T), grid, tg, t_list, T / kT**2)
-    if grid.radial:
-        u0_scaled = u0.hat(xi_squared=grid.xi_squared() / kT**2)
-    else:
-        comps = [c / kT for c in grid.components()]
-        u0_scaled = u0.hat(
-            xi_squared=grid.xi_squared() / kT**2, xi_components=comps
-        )
-    return [SpectralField(grid, u0_scaled * factor) for factor in factors]
+    return _rescaled_fields(kernel, u0, sf, [T], t_list, grid, n_steps)[0]
 
 
 def rescale_field(
@@ -247,8 +254,8 @@ def converge_to_limit(
     profiles = {
         float(t): limit_profile(sf.beta, grid, float(t), U0) for t in t_list
     }
-    for T in T_list:
-        fields = rescaled_values(kernel, u0, sf, float(T), t_list, grid, n_steps)
+    all_fields = _rescaled_fields(kernel, u0, sf, T_list, t_list, grid, n_steps)
+    for T, fields in zip(T_list, all_fields):
         for t, f in zip(t_list, fields):
             prof = profiles[float(t)]
             diff = SpectralField(grid, f.values - prof.values)
@@ -264,7 +271,7 @@ def relaxation_at_time(kernel: MemoryKernel, lambdas, t: float, n_steps: int = 2
         raise DomainError("t must be positive")
     lambdas = np.asarray(lambdas, dtype=float)
     tg = TimeGrid(1.0, n_steps)
-    z = relaxation_values(dilate(kernel, t), lambdas * t, tg)
+    z = relaxation_values(kernel, lambdas * t, tg, t)
     return z[:, -1]
 
 
@@ -314,8 +321,9 @@ def leading_order_rate(
     lam2 = grid.xi_squared()
     base = u0.field(grid).values
     out = RateReport(s=s, A_infinity=float(A_inf))
-    for t in map(float, t_list):
-        factor = _mode_factors(dilate(kernel, t), grid, TimeGrid(1.0, n_steps), [1.0], t)[0]
+    # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t.
+    factors = _mode_factors(kernel, grid, TimeGrid(1.0, n_steps), [1.0], t_list, t_list)
+    for t, (factor,) in zip(map(float, t_list), factors):
         u_hat = base * factor
         w_hat = U0 * np.exp(-A_inf * lam2 * t)
         dist = hs_norm(SpectralField(grid, u_hat - w_hat), s)

@@ -212,19 +212,27 @@ def unique_lambdas(grid: ModeGrid):
     return grid.dxi**2 * np.flatnonzero(present).astype(float), rank[total]
 
 
-def _mode_factors(kernel: MemoryKernel, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0):
-    """Grid arrays z(lam_scale * |xi|^2, t), one per t in ``times``.
+def _mode_factors(
+    kernel: MemoryKernel, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0, dilation=1.0
+):
+    """Grid arrays z(lam_scale[d] * |xi|^2, t) of ``dilate(kernel, dilation[d])``.
 
     The core of the representation formula u_hat = z * u0_hat: one solve
-    over the distinct |xi|^2 of the grid, then a gather onto the modes.
-    Callers must have checked that the kernel is positive definite, since
-    |z| above 1 is then refused as a too coarse time grid.
+    over the distinct |xi|^2 of the grid for every dilation d at once,
+    then a gather onto the modes.  ``lam_scale`` and ``dilation`` are
+    broadcast against each other; the result is indexed [d][k] for the
+    k-th entry of ``times``.  Callers must have checked that the kernel
+    is positive definite, since |z| above 1 is then refused as a too
+    coarse time grid.
     """
     indices = [time_grid.index_of(float(t)) for t in np.atleast_1d(times)]
+    lam_scale, dilation = np.broadcast_arrays(np.atleast_1d(lam_scale), np.atleast_1d(dilation))
     lambdas, inverse = unique_lambdas(grid)
-    zmat = relaxation_values(kernel, lambdas * lam_scale, time_grid)
+    rows = (lam_scale[:, None] * lambdas).ravel()
+    zmat = relaxation_values(kernel, rows, time_grid, np.repeat(dilation, len(lambdas)))
     require_bounded(zmat)
-    return [zmat[:, idx][inverse] for idx in indices]
+    blocks = zmat.reshape(len(dilation), len(lambdas), -1)
+    return [[block[:, idx][inverse] for idx in indices] for block in blocks]
 
 
 def evolve(
@@ -240,7 +248,7 @@ def evolve(
     the existence hypothesis of the representation formula.
     """
     require_positive_definite(kernel)
-    factors = _mode_factors(kernel, grid, time_grid, times)
+    factors = _mode_factors(kernel, grid, time_grid, times)[0]
     base = u0.field(grid).values
     return [SpectralField(grid, base * factor) for factor in factors]
 

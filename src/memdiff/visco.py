@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import DomainError, HypothesisViolation
-from .kernels import MemoryKernel, dilate, require_positive_definite, scale
+from .kernels import MemoryKernel, require_positive_definite, scale
 from .spectral import InitialData, ModeGrid, SpectralField, _mode_factors, hs_norm
 from .volterra import TimeGrid
 from . import spectral
@@ -136,8 +136,8 @@ def evolve_visco(
     base = v0.field(grid)
     p0 = project_P(base)
     q0 = project_Q(base)
-    z1 = _mode_factors(pair.beta_kernel, grid, time_grid, times)
-    z = _mode_factors(pair.shear, grid, time_grid, times)
+    z1 = _mode_factors(pair.beta_kernel, grid, time_grid, times)[0]
+    z = _mode_factors(pair.shear, grid, time_grid, times)[0]
     return [
         VectorSpectralField(grid, p0.values * f1[None] + q0.values * f[None])
         for f1, f in zip(z1, z)
@@ -240,10 +240,11 @@ def visco_asymptotics(
     q0 = project_Q(base)
     tg = TimeGrid(1.0, n_steps)
     report = ViscoRateReport(s=s, A=float(A), B=float(B), degenerate_mass=degenerate)
-    for t in map(float, t_list):
-        z1 = _mode_factors(dilate(pair.beta_kernel, t), grid, tg, [1.0], t)[0]
-        z = _mode_factors(dilate(pair.shear, t), grid, tg, [1.0], t)[0]
-        v_hat = p0.values * z1[None] + q0.values * z[None]
+    # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t.
+    z1 = _mode_factors(pair.beta_kernel, grid, tg, [1.0], t_list, t_list)
+    z = _mode_factors(pair.shear, grid, tg, [1.0], t_list, t_list)
+    for t, (f1,), (f,) in zip(map(float, t_list), z1, z):
+        v_hat = p0.values * f1[None] + q0.values * f[None]
         w = stokes_fundamental(float(A), float(B), grid, t, V0)
         diff = VectorSpectralField(grid, v_hat - w.values)
         dist = vector_hs_norm(diff, s)

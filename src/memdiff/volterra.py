@@ -22,8 +22,11 @@ Stat. Comput. 6 (1985)).
 Power laws with beta < 0 take a separate path on a mesh uniform in
 t^(1+beta), where the weights are not Toeplitz.  It marches step by step,
 but each step builds its weights for all cells in a few array operations
-and applies them to every ``lam`` at once, so a step costs a fixed number
-of numpy calls whatever the number of ``lam`` values.
+and applies them to every row at once, so a step costs a fixed number of
+numpy calls whatever the number of rows.  That scheme is linear in the
+two constants (a0, c/beta) of A = a0 + (c/beta) t^beta, and a dilation
+t -> T t changes c only, so one march carries the rows of every
+coupling and every dilation of a kernel on the same unit weights.
 """
 
 from __future__ import annotations
@@ -36,7 +39,16 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, StepSizeError
-from .kernels import MemoryKernel, PowerLaw, SampledKernel
+from .kernels import (
+    Heat,
+    MemoryKernel,
+    PowerLaw,
+    SampledKernel,
+    ScaledKernel,
+    SumKernel,
+    TimeDilated,
+    dilate,
+)
 
 #: Permitted overshoot of |z| above 1 for positive-definite kernels.
 BOUND_TOL = 1e-6
@@ -106,6 +118,47 @@ def _convolution_weights(kernel: MemoryKernel, grid: TimeGrid):
     return wL, wR
 
 
+def _terms(kernel: MemoryKernel):
+    """(factor, leaf) pairs whose factor-weighted sum is the kernel.
+
+    Sums are split, scalings go into the factor and a dilation is applied
+    to each leaf, so leaves are never SumKernel, ScaledKernel or (for
+    catalog families) TimeDilated.
+    """
+    if isinstance(kernel, SumKernel):
+        return _terms(kernel.left) + _terms(kernel.right)
+    if isinstance(kernel, ScaledKernel):
+        return [(kernel.factor * f, leaf) for f, leaf in _terms(kernel.base)]
+    if isinstance(kernel, TimeDilated):
+        return [(f, dilate(leaf, kernel.T)) for f, leaf in _terms(kernel.base)]
+    return [(1.0, kernel)]
+
+
+def _power_law_constants(kernel: MemoryKernel):
+    """(beta, a0, c/beta) with A = a0 + (c/beta) t^beta, for the singular path.
+
+    Qualify: power laws with beta < 0, and sums, scalings and dilations of
+    Heat kernels and power laws that share one beta < 0; their constants
+    add.  None when the kernel has no beta < 0 power-law part.  A beta < 0
+    power law combined with anything else has no solver path: DomainError.
+    """
+    terms = _terms(kernel)
+    betas = {leaf.beta for _, leaf in terms if isinstance(leaf, PowerLaw) and leaf.beta < 0}
+    if not betas:
+        return None
+    if len(betas) > 1 or not all(
+        isinstance(leaf, Heat) or isinstance(leaf, PowerLaw) and leaf.beta in betas
+        for _, leaf in terms
+    ):
+        raise DomainError(
+            f"{kernel.description}: a power law with beta < 0 can only be "
+            "combined with Heat kernels and power laws of the same beta"
+        )
+    a0 = sum(f * leaf.a0 for f, leaf in terms)
+    cA = sum(f * leaf.c / leaf.beta for f, leaf in terms if isinstance(leaf, PowerLaw))
+    return betas.pop(), a0, cA
+
+
 @lru_cache(maxsize=16)
 def _jacobi_rule(beta: float):
     """10-point Gauss-Jacobi rule on [0, 1] for the weight (1-u)^beta."""
@@ -113,8 +166,16 @@ def _jacobi_rule(beta: float):
     return (xj + 1.0) / 2.0, wj / 2.0 ** (beta + 1.0)
 
 
-def _singular_values(kernel: PowerLaw, lambdas: np.ndarray, grid: TimeGrid):
-    """Solver path for power-law kernels with beta < 0 (A singular at 0).
+def _singular_values(beta: float, p: np.ndarray, q: np.ndarray, grid: TimeGrid):
+    """Solver path for A = a0 + (c/beta) t^beta with beta < 0 (A singular at 0).
+
+    Row j solves z + lam_j A_j * z = 1 with its own constants, given as
+    p[j] = lam_j a0_j and q[j] = lam_j c_j / beta_j; every row shares
+    beta.  The scheme is linear in (a0, c/beta), so the quadrature weights
+    are those of the unit constants, built once for all rows, and a row's
+    history is p times the a0-weighted part plus q times the c-weighted
+    part.  Rows may thus mix couplings and dilations (a dilation changes c
+    only) and are still marched together.
 
     The solution is a smooth function of y = t^gamma with gamma = 1 + beta,
     so the unknown is taken piecewise linear in y on a uniform y-mesh and
@@ -126,15 +187,13 @@ def _singular_values(kernel: PowerLaw, lambdas: np.ndarray, grid: TimeGrid):
 
     Node times, Jacobians and the diagonal weights of every cell are set up
     once as (nodes x cells) arrays, so step i costs a fixed number of array
-    calls, whatever the number of lambdas: the kernel at the regular nodes,
+    calls, whatever the number of rows: the kernel at the regular nodes,
     one reduction over the node axis into a weight vector on z_0..z_{i-1},
-    and one dot of that vector with each row.  Memory is O(N) plus the
-    (lambdas x N) solution.
+    and one dot of that vector with each row.  The a0 part weights each
+    cell the same at every step, so it is a running integral per row.
+    Memory is O(N) plus the (rows x N) solution.
     """
-    gamma = 1.0 + kernel.beta
-    beta = kernel.beta
-    cA = kernel.c / kernel.beta
-    a0 = kernel.a0
+    gamma = 1.0 + beta
     N = grid.n_steps
     dy = grid.t_end**gamma / N
     y = dy * np.arange(N + 1)
@@ -146,30 +205,34 @@ def _singular_values(kernel: PowerLaw, lambdas: np.ndarray, grid: TimeGrid):
     jac = (_LEG_W * dy * inv_g)[:, None] * yg ** (inv_g - 1.0)
     # [coefficient on z_r, coefficient on z_{r+1}] per node and cell.
     basis = np.stack([jac * (1.0 - _LEG_U)[:, None], jac * _LEG_U[:, None]])
-    w_a0 = a0 * basis.sum(axis=1)
-    w_cA = cA * basis
+    # The a0 part weighs z_r by the same w_a0[r] at every step after r, and
+    # the new value z_i by a0_hi[i-1].
+    a0_lo, a0_hi = basis.sum(axis=1)
+    w_a0 = a0_lo.copy()
+    w_a0[1:] += a0_hi[:-1]
     # Diagonal cell of step i (cell i-1): factor out the (1-u)^beta
     # singularity exactly; the constant a0 part takes the Legendre rule.
     uj, wjh = _jacobi_rule(beta)
     yj = y[:-1] + uj[:, None] * dy
     ratio = (t[1:] - yj**inv_g) / (1.0 - uj)[:, None]
-    g = (wjh * cA * inv_g * dy)[:, None] * ratio**beta * yj ** (inv_g - 1.0)
-    w_diag_old = (1.0 - uj) @ g + w_a0[0]
-    denom = 1.0 + lambdas[:, None] * (uj @ g + w_a0[1])
-    z = np.empty((len(lambdas), N + 1))
+    g = (wjh * inv_g * dy)[:, None] * ratio**beta * yj ** (inv_g - 1.0)
+    diag_old = (1.0 - uj) @ g
+    denom = 1.0 + q[:, None] * (uj @ g) + p[:, None] * a0_hi
+    z = np.empty((len(p), N + 1))
     z[:, 0] = 1.0
+    a0_hist = np.zeros(len(p))
     w = np.empty(N)
     for i in range(1, N + 1):
         m = i - 1
-        cells = np.einsum("kqr,qr->kr", w_cA[:, :, :m], (t[i] - s[:, :m]) ** beta)
-        cells += w_a0[:, :m]
+        cells = np.einsum("kqr,qr->kr", basis[:, :, :m], (t[i] - s[:, :m]) ** beta)
         w[:m] = cells[0]
-        w[m] = w_diag_old[m]
+        w[m] = diag_old[m]
         w[1:i] += cells[1]
         # One dot per row, not a matmul: a row's bits then do not depend
         # on the batch size.
         hist = np.einsum("li,i->l", z[:, :i], w[:i])
-        z[:, i] = (1.0 - lambdas * hist) / denom[:, i - 1]
+        a0_hist += w_a0[m] * z[:, m]
+        z[:, i] = (1.0 - q * hist - p * a0_hist) / denom[:, m]
     # Map to the uniform nodes of the requested grid, interpolating in y:
     # one fractional mesh index per node, shared by all rows.
     pos = np.interp(grid.nodes**gamma, y, np.arange(N + 1.0))
@@ -199,8 +262,8 @@ def _series_inverse(s: np.ndarray, n: int) -> np.ndarray:
     return g
 
 
-def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid):
-    """Rows of z values, one per lambda, by inverting the Toeplitz symbol.
+def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, z, rows):
+    """Fill z[rows, 1:] for lambdas[rows] by inverting the Toeplitz symbol.
 
     Step i of the march reads z_i + lam * sum_{m<i} c_m z_{i-m} =
     1 - lam * wL[i-1], with c[0] = wR[0] and c[m] = wR[m] + wL[m-1] for
@@ -217,31 +280,24 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid):
     the largest |z| of the row, so where z grows (kernels that are not
     positive definite) its small early values lose relative accuracy.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas < 0):
-        raise DomainError("lambda must be nonnegative")
-    if isinstance(kernel, PowerLaw) and kernel.beta < 0:
-        return _singular_values(kernel, lambdas, grid)
     n = grid.n_steps
     wL, wR = _convolution_weights(kernel, grid)
-    if np.any(1.0 + lambdas * wR[0] <= 0.0):
+    if np.any(1.0 + lambdas[rows] * wR[0] <= 0.0):
         raise StepSizeError(
             "implicit coefficient 1 + lambda*w <= 0; refine the time grid"
         )
     c = wR.copy()
     c[1:] += wL[:-1]
     size = 1 << (2 * n - 2).bit_length()  # rhs*g must not wrap
-    z = np.empty((len(lambdas), n + 1))
-    z[:, 0] = 1.0
-    for start in range(0, len(lambdas), _ROW_BLOCK):
-        lam = lambdas[start : start + _ROW_BLOCK, None]
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start : start + _ROW_BLOCK]
+        lam = lambdas[block, None]
         s = lam * c
         s[:, 0] += 1.0
         g = _series_inverse(np.diff(s, prepend=0.0), n)
         rhs = np.diff(1.0 - lam * wL, prepend=0.0)
         zhat = np.fft.rfft(rhs, size) * np.fft.rfft(g, size)
-        z[start : start + _ROW_BLOCK, 1:] = np.fft.irfft(zhat, size)[:, :n]
-    return z
+        z[block, 1:] = np.fft.irfft(zhat, size)[:, :n]
 
 
 def require_bounded(z) -> None:
@@ -261,14 +317,39 @@ def require_bounded(z) -> None:
         )
 
 
-def relaxation_values(kernel: MemoryKernel, lambdas, grid: TimeGrid) -> np.ndarray:
+def relaxation_values(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0) -> np.ndarray:
     """Matrix z[j, i] = z(lambdas[j], t_i); the array core of the solver API.
 
-    Weights are computed a single time for all lambdas, and each row has
-    the bits it would have if solved alone.  Rows with lam = 0 are exactly 1.
+    Row j solves the relaxation of ``dilate(kernel, dilation[j])`` at
+    coupling lambdas[j]; a scalar dilation applies to every row.  Each
+    row has the bits it would have if solved alone, and rows with
+    lam = 0 are exactly 1.  Power laws with beta < 0, alone or summed
+    with Heat kernels, march all rows together on shared weights, since
+    their scheme is linear in (a0, c/beta) and a dilation changes c only;
+    any other combination with such a power law raises DomainError.
+    Every other kernel is solved once per distinct dilation, with that
+    dilation's weights computed a single time for all its rows.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    z = _solve_matrix(kernel, lambdas, grid)
+    if np.any(lambdas < 0):
+        raise DomainError("lambda must be nonnegative")
+    try:
+        dilation = np.broadcast_to(np.asarray(dilation, dtype=float), lambdas.shape)
+    except ValueError:
+        raise DomainError("need one dilation per lambda, or a scalar") from None
+    if not np.all(dilation > 0):
+        raise DomainError("dilation factor T must be positive")
+    Ts, which = np.unique(dilation, return_inverse=True)
+    kernels = [kernel if T == 1.0 else dilate(kernel, float(T)) for T in Ts]
+    constants = _power_law_constants(kernel)
+    if constants is not None:
+        a0, cA = np.array([_power_law_constants(k)[1:] for k in kernels]).reshape(-1, 2).T
+        z = _singular_values(constants[0], lambdas * a0[which], lambdas * cA[which], grid)
+    else:
+        z = np.empty((len(lambdas), grid.n_steps + 1))
+        z[:, 0] = 1.0
+        for j, k in enumerate(kernels):
+            _solve_matrix(k, lambdas, grid, z, np.flatnonzero(which == j))
     z[lambdas == 0.0] = 1.0
     return z
 

@@ -26,11 +26,19 @@ from memdiff.kernels import (
     PowerLaw,
     SampledKernel,
     Wave,
+    dilate,
     fractional,
     rv_index_estimate,
 )
 from memdiff.specfun import gamma, mittag_leffler
-from memdiff.spectral import Gaussian, ModeGrid
+from memdiff.spectral import (
+    Gaussian,
+    ModeGrid,
+    SpectralField,
+    hs_norm,
+    limit_profile,
+    unique_lambdas,
+)
 from memdiff.volterra import TimeGrid, relaxation_values
 
 
@@ -128,6 +136,29 @@ def test_converge_exponential_strictly_decreasing():
     for t in (0.5, 1.0, 2.0):
         d = rep.distances_at(t)
         assert np.all(np.diff(d) < 0.0)
+
+
+def test_converge_matches_a_loop_over_T_bitwise():
+    # One solve for every T gives the bits of one dilated solve per T.
+    kernel = Exponential(mu=1.3, c=0.9, a0=0.2)
+    sf = ScalingFunction(kernel=kernel, beta=0.0)
+    u0 = Gaussian(width=0.9, mass=1.4)
+    grid = ModeGrid(2, 16, 6.0)
+    T_list, t_list = [1e2, 1e3, 1e4], [0.5, 1.0]
+    rep = converge_to_limit(kernel, u0, sf, T_list, t_list, 0.0, grid, n_steps=300)
+    lams, inverse = unique_lambdas(grid)
+    tg = TimeGrid(1.0, 300)
+    rows = []
+    for T in T_list:
+        kT = sf.k(T)
+        z = relaxation_values(dilate(kernel, T), lams * (T / kT**2), tg)
+        u0_scaled = u0.hat(xi_squared=grid.xi_squared() / kT**2,
+                           xi_components=[c / kT for c in grid.components()])
+        for t in t_list:
+            prof = limit_profile(0.0, grid, t, u0.mass)
+            diff = u0_scaled * z[:, tg.index_of(t)][inverse] - prof.values
+            rows.append((T, t, hs_norm(SpectralField(grid, diff), 0.0), hs_norm(prof, 0.0)))
+    assert rep.rows == rows
 
 
 def test_converge_wave_beta_one_branch():
@@ -253,6 +284,23 @@ def test_rate_exponential_decreasing():
                              [5.0, 20.0, 80.0, 320.0], 0.0, GRID_1D)
     assert rep.A_infinity == pytest.approx(1.0)
     assert np.all(np.diff(rep.r_values) < 0.0)
+
+
+def test_rate_matches_a_loop_over_t_bitwise():
+    kernel = Exponential(mu=1.3, c=0.9, a0=0.2)
+    u0 = Gaussian(width=0.9, mass=1.4)
+    grid = ModeGrid(2, 16, 6.0)
+    t_list = [2.0, 8.0, 32.0]
+    rep = leading_order_rate(kernel, u0, t_list, 0.0, grid, n_steps=400)
+    lams, inverse = unique_lambdas(grid)
+    base = u0.field(grid).values
+    rows = []
+    for t in t_list:
+        z = relaxation_values(dilate(kernel, t), lams * t, TimeGrid(1.0, 400))[:, -1]
+        w_hat = u0.mass * np.exp(-rep.A_infinity * grid.xi_squared() * t)
+        dist = hs_norm(SpectralField(grid, base * z[inverse] - w_hat), 0.0)
+        rows.append((t, t ** (grid.n / 4.0) * dist, dist))
+    assert rep.rows == rows
 
 
 def test_rate_refuses_negexponential():

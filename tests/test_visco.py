@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memdiff.errors import DomainError, HypothesisViolation, StepSizeError
-from memdiff.kernels import Exponential, Heat, Wave
-from memdiff.spectral import Gaussian, ModeGrid, evolve
+from memdiff.kernels import Exponential, Heat, Wave, dilate
+from memdiff.spectral import Gaussian, ModeGrid, evolve, unique_lambdas
 from memdiff.visco import (
     PROJECTOR_TOL,
     VectorGaussian,
@@ -24,7 +24,7 @@ from memdiff.visco import (
     vector_hs_norm,
     visco_asymptotics,
 )
-from memdiff.volterra import TimeGrid
+from memdiff.volterra import TimeGrid, relaxation_values
 
 GRID = ModeGrid(n=3, modes_per_axis=12, xi_max=3.0)
 
@@ -278,6 +278,26 @@ def test_visco_rate_decreasing_exponential_pair():
     rep = visco_asymptotics(pair, v0, [2.0, 8.0, 32.0], -2.0, GRID)
     assert np.all(np.diff(rep.r_values) < 0.0)
     assert not rep.degenerate_mass
+
+
+def test_visco_rate_matches_a_loop_over_t_bitwise():
+    # One solve per kernel for every t gives the bits of one per t.
+    pair = ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5))
+    v0 = VectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8))
+    t_list = [5.0, 20.0, 80.0]
+    rep = visco_asymptotics(pair, v0, t_list, -2.0, GRID, n_steps=500)
+    lams, inverse = unique_lambdas(GRID)
+    base = v0.field(GRID)
+    tg = TimeGrid(1.0, 500)
+    rows = []
+    for t in t_list:
+        z1 = relaxation_values(dilate(pair.beta_kernel, t), lams * t, tg)[:, -1][inverse]
+        z = relaxation_values(dilate(pair.shear, t), lams * t, tg)[:, -1][inverse]
+        v_hat = project_P(base).values * z1[None] + project_Q(base).values * z[None]
+        w = stokes_fundamental(rep.A, rep.B, GRID, t, base.mass_vector)
+        dist = vector_hs_norm(VectorSpectralField(GRID, v_hat - w.values), -2.0)
+        rows.append((t, t**0.75 * dist, dist))
+    assert rep.rows == rows
 
 
 def test_visco_rate_flags_degenerate_mass():

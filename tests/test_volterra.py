@@ -1,6 +1,7 @@
 """Product-integration solver for the scalar relaxation equation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,12 @@ from memdiff.kernels import (
     NegExponential,
     PowerLaw,
     SampledKernel,
+    ScaledKernel,
+    TimeDilated,
     Wave,
+    dilate,
     fractional,
+    scale,
 )
 from memdiff.specfun import mittag_leffler
 from memdiff.volterra import (
@@ -239,6 +244,76 @@ def test_batch_matches_single_bitwise():
         for lam, rel in zip(lams, batch):
             single = solve_relaxation(kernel, lam, grid)
             assert np.array_equal(rel.values, single.values)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [Exponential(mu=1.0, c=1.0), Cosine(), fractional(-0.5),
+     PowerLaw(beta=-0.3, c=-0.5, a0=0.4)],
+    ids=lambda k: k.description,
+)
+def test_dilation_rows_match_one_dilation_at_a_time(kernel):
+    # 3 dilations x 35 lambdas, interleaved: each dilation alone crosses
+    # the 32-row block of the series inversion.
+    grid = TimeGrid(2.0, 300)
+    rng = np.random.default_rng(7)
+    dilation = rng.permutation(np.repeat([1.0, 10.0, 1e3], 35))
+    lams = rng.uniform(0.0, 8.0, dilation.size)
+    lams[:3] = 0.0
+    z = relaxation_values(kernel, lams, grid, dilation)
+    for T in (1.0, 10.0, 1e3):
+        rows = dilation == T
+        assert np.array_equal(z[rows], relaxation_values(dilate(kernel, T), lams[rows], grid))
+
+
+@pytest.mark.parametrize("beta", [-0.9, -0.4, -0.1])
+@pytest.mark.parametrize("a0", [0.0, 0.3])
+def test_merged_dilations_match_singular_march(beta, a0):
+    grid = TimeGrid(2.0, 200)
+    lams = np.geomspace(1e-2, 1e3, 8)
+    kernel = PowerLaw(beta=beta, c=beta / math.gamma(1.0 + beta), a0=a0)
+    Ts = (1.0, 30.0, 1e4)
+    z = relaxation_values(kernel, np.tile(lams, 3), grid, np.repeat(Ts, 8))
+    for j, T in enumerate(Ts):
+        ref = _singular_march(dilate(kernel, T), lams, grid)
+        assert np.all(np.abs(z[8 * j : 8 * (j + 1)] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_sum_with_singular_power_law_takes_singular_path():
+    # fractional(-0.5) + Heat(0.1) is the power law with a0 = 0.1; on the
+    # smooth path z(t_1) at lam = 100 came out as -0.222 instead of 0.095.
+    grid = TimeGrid(1.0, 300)
+    frac = fractional(-0.5)
+    lams = [1.0, 100.0]
+    ref = relaxation_values(PowerLaw(beta=-0.5, c=frac.c, a0=0.1), lams, grid)
+    z = relaxation_values(frac + Heat(0.1), lams, grid)
+    assert np.max(np.abs(z - ref)) <= 1e-14
+    for wrapped, plain in ((ScaledKernel(frac, 2.0), scale(frac, 2.0)),
+                           (TimeDilated(frac, 3.0), dilate(frac, 3.0)),
+                           (TimeDilated(ScaledKernel(frac, 2.0) + Heat(0.1), 3.0),
+                            scale(frac, 2.0 * 3.0**-0.5) + Heat(0.1))):
+        ref = relaxation_values(plain, lams, grid)
+        assert np.max(np.abs(relaxation_values(wrapped, lams, grid) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "other",
+    [Exponential(mu=1.0, c=1.0), PowerLaw(beta=-0.3, c=-1.0), PowerLaw(beta=0.5, c=1.0),
+     SampledKernel(0.1, [0.0, 0.1, 0.2])],
+    ids=lambda k: k.description,
+)
+def test_singular_power_law_in_other_combinations_rejected(other):
+    kernel = fractional(-0.5) + other
+    with pytest.raises(DomainError, match=re.escape(kernel.description)):
+        relaxation_values(kernel, [1.0], TimeGrid(1.0, 10))
+
+
+def test_relaxation_values_rejects_bad_dilation():
+    grid = TimeGrid(1.0, 10)
+    with pytest.raises(DomainError):
+        relaxation_values(Heat(1.0), [1.0, 2.0], grid, [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError):
+        relaxation_values(fractional(-0.5), [1.0, 2.0], grid, [1.0, 0.0])
 
 
 def test_relaxation_values_shape_and_content():
