@@ -47,6 +47,9 @@ STEPS_PER_UNIT_TIME = 2000
 #: Column names of a ConvergenceReport row.
 CONVERGENCE_HEADER = ["T", "t", "distance_hs", "reference_norm"]
 
+#: Cell types written as floats by ``_column_text``.
+_REAL = (float, np.floating)
+
 
 @dataclass(frozen=True)
 class ScalingFunction:
@@ -176,17 +179,47 @@ class ConvergenceReport:
 
     def write_csv(self, path, metadata=None):
         meta_lines = [f"# {key}: {value}" for key, value in (metadata or {}).items()]
-        _write_csv(path, meta_lines, CONVERGENCE_HEADER, self.rows)
+        _write_csv(path, meta_lines, CONVERGENCE_HEADER, zip(*self.rows))
 
 
-def _write_csv(path, meta_lines, header, rows):
-    """CSV with '#' metadata lines; floats are written by repr, so exactly."""
+def _column_text(column) -> list:
+    """The CSV cells of one column.
+
+    A real floating value is written as ``repr(float(v))``, the shortest
+    string that reads back to the same float64, so numpy scalars are plain
+    numbers too; any other value (an int, a string) by ``str``.  Float
+    columns are converted to Python floats once, and each distinct bit
+    pattern is formatted once: the distinct values are found on the int64
+    view, which keeps -0.0 apart from 0.0.
+    """
+    if not (isinstance(column, np.ndarray) and column.dtype.kind == "f"):
+        if not all(isinstance(v, _REAL) for v in column):
+            return [repr(float(v)) if isinstance(v, _REAL) else str(v) for v in column]
+    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_table(fh, meta_lines, header, columns):
+    """Stream a CSV to the text file ``fh``; see ``_write_csv``."""
+    fh.writelines(line + "\n" for line in meta_lines)
+    fh.write(",".join(header) + "\r\n")
+    cells = [_column_text(column) for column in columns]
+    fh.writelines(row + "\r\n" for row in map(",".join, zip(*cells, strict=True)))
+
+
+def _write_csv(path, meta_lines, header, columns):
+    """Write a CSV: '#' metadata lines, the header row, then the data rows.
+
+    ``columns`` holds one equal-length sequence (or 1-D array) per header
+    entry, and columns of unequal length raise ValueError; no columns
+    writes the header alone.  Cells are formatted by
+    ``_column_text``, so floats are exact, and rows end in CRLF.  Rows are
+    streamed to the file, never built into one string.
+    """
     with open(path, "w", newline="") as fh:
-        for line in meta_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\r\n")
+        _write_table(fh, meta_lines, header, columns)
 
 
 def _validate_harness_kernel(kernel: MemoryKernel, sf: ScalingFunction, s: float, n: int):

@@ -13,11 +13,15 @@ rejected with exit code 2.
 
 Outputs are CSV with '#'-prefixed metadata lines (version, config hash,
 kernel, beta estimate) before the header row; identical configs produce
-byte-identical files.  Refusals (violated hypotheses) exit 3 with the
-reason on stderr.  Any other library error raised by the run, such as a
-time that is not a node of the time grid or a grid too coarse for the
-kernel, and an output file that cannot be written, exit 2 with
-``error: <message>`` on stderr.
+byte-identical files.  Each command builds one array or sequence per
+header entry and hands the columns to one writer
+(``asymptotics._write_csv``, or ``_write_table`` for the ``ml`` table on
+stdout), which writes every float as its shortest round-trip repr.
+Refusals (violated hypotheses) exit 3 with the reason on stderr.  Any
+other library error raised by the run, such as a time that is not a node
+of the time grid or a grid too coarse for the kernel, and an output file
+that cannot be written, exit 2 with ``error: <message>`` on stderr.
+``python -m memdiff`` runs ``main``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from . import __version__ as VERSION
 from . import asymptotics, kernels, spectral, visco
-from .asymptotics import _write_csv
+from .asymptotics import _write_csv, _write_table
 from .errors import ConfigError, HypothesisViolation, MemdiffError
 from .specfun import mittag_leffler
 from .volterra import TimeGrid
@@ -308,11 +312,11 @@ def _metadata_lines(cfg: RunConfig, kernel, beta_estimate=None):
     return lines
 
 
-def _write_output(cfg: RunConfig, meta_lines, header, rows) -> int:
+def _write_output(cfg: RunConfig, meta_lines, header, columns) -> int:
     """Write the command's CSV to [experiment] output (default <command>.csv)."""
     path = cfg.get("experiment", "output", f"{cfg.command}.csv")
     try:
-        _write_csv(path, meta_lines, header, rows)
+        _write_csv(path, meta_lines, header, columns)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -331,12 +335,8 @@ def _cmd_ml(args) -> int:
         print("need n >= 1", file=sys.stderr)
         return 2
     z = np.linspace(args.zmin, args.zmax, args.n)
-    vals = mittag_leffler(args.alpha, z)
-    out = sys.stdout
-    out.write(f"# version: {VERSION}\n# alpha: {args.alpha!r}\n")
-    out.write("z,E_alpha\r\n")
-    for zi, vi in zip(np.atleast_1d(z), np.atleast_1d(vals)):
-        out.write(f"{float(zi)!r},{float(vi)!r}\r\n")
+    _write_table(sys.stdout, [f"# version: {VERSION}", f"# alpha: {args.alpha!r}"],
+                 ["z", "E_alpha"], [z, mittag_leffler(args.alpha, z)])
     return 0
 
 
@@ -345,14 +345,13 @@ def _cmd_solve(cfg: RunConfig) -> int:
     grid = build_grid(cfg)
     t_list = cfg.get("experiment", "t_list")
     fields = spectral.evolve(kernel, build_initial(cfg), grid, t_list, build_time_grid(cfg))
-    rows = []
-    axis = grid.axis
-    for t, f in zip(t_list, fields):
-        for idx in np.ndindex(*grid.shape):
-            v = f.values[idx]
-            rows.append([t, *(float(axis[i]) for i in idx), float(v.real), float(v.imag)])
-    header = ["t"] + [f"xi{d+1}" for d in range(1 if grid.radial else grid.n)] + ["re_u_hat", "im_u_hat"]
-    return _write_output(cfg, _metadata_lines(cfg, kernel), header, rows)
+    # One row per time and mode, modes in C order within each time.
+    coords = np.meshgrid(*[grid.axis] * len(grid.shape), indexing="ij")
+    u_hat = np.concatenate([f.values.ravel() for f in fields])
+    columns = [np.repeat(t_list, coords[0].size),
+               *(np.tile(c.ravel(), len(t_list)) for c in coords), u_hat.real, u_hat.imag]
+    header = ["t"] + [f"xi{d+1}" for d in range(len(coords))] + ["re_u_hat", "im_u_hat"]
+    return _write_output(cfg, _metadata_lines(cfg, kernel), header, columns)
 
 
 def _cmd_converge(cfg: RunConfig) -> int:
@@ -367,7 +366,7 @@ def _cmd_converge(cfg: RunConfig) -> int:
         cfg.get("experiment", "t_list"), cfg.get("experiment", "s", 0.0), build_grid(cfg),
     )
     return _write_output(cfg, _metadata_lines(cfg, kernel, report.beta_estimate),
-                         asymptotics.CONVERGENCE_HEADER, report.rows)
+                         asymptotics.CONVERGENCE_HEADER, zip(*report.rows))
 
 
 def _cmd_rate(cfg: RunConfig) -> int:
@@ -377,7 +376,7 @@ def _cmd_rate(cfg: RunConfig) -> int:
         cfg.get("experiment", "s", 0.0), build_grid(cfg),
     )
     return _write_output(cfg, _metadata_lines(cfg, kernel),
-                         ["t", "scaled_residual", "distance_hs"], report.rows)
+                         ["t", "scaled_residual", "distance_hs"], zip(*report.rows))
 
 
 def _cmd_visco(cfg: RunConfig) -> int:
@@ -394,7 +393,8 @@ def _cmd_visco(cfg: RunConfig) -> int:
     meta = _metadata_lines(cfg, shear)
     meta.append(f"# bulk_kernel: {bulk.description}")
     meta.append(f"# effective_viscosities: A={report.A!r} B={report.B!r}")
-    return _write_output(cfg, meta, ["t", "scaled_residual", "distance_hs"], report.rows)
+    return _write_output(cfg, meta, ["t", "scaled_residual", "distance_hs"],
+                         zip(*report.rows))
 
 
 def _cmd_validate_kernel(cfg: RunConfig) -> int:

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memdiff.asymptotics import (
     RV_GRID,
     ConvergenceReport,
+    _column_text,
+    _write_csv,
     ScalingFunction,
     converge_to_limit,
     leading_order_rate,
@@ -332,3 +336,47 @@ def test_report_csv_roundtrip(tmp_path):
     assert text.startswith("# kernel: demo")
     assert "distance_hs" in text
     assert np.allclose(rep.distances_at(1.0), [0.5, 0.25])
+
+
+def test_report_csv_writes_numpy_scalars_as_plain_numbers(tmp_path):
+    # Under numpy 2, repr(np.float64(10.0)) is 'np.float64(10.0)', which no
+    # CSV reader parses; every real floating cell is written as repr(float(v)).
+    rep = ConvergenceReport(s=0.0, U0=1.0, beta_estimate=0.0)
+    rep.rows = [(np.float64(10.0), 1.0, np.float64(0.5), 1.0),
+                (100.0, np.float32(0.1), 0.25, np.float64(-0.0))]
+    path = tmp_path / "report.csv"
+    rep.write_csv(path)
+    assert path.read_bytes().split(b"\r\n")[1:] == [
+        b"10.0,1.0,0.5,1.0", b"100.0,0.10000000149011612,0.25,-0.0", b""]
+
+
+def test_write_csv_formats_each_column_exactly(tmp_path):
+    floats = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 0.1, -0.0, 0.0])
+    ints = np.arange(len(floats)) - 3
+    words = ["a"] * len(floats)
+    path = tmp_path / "columns.csv"
+    _write_csv(path, ["# note: columns"], ["x", "n", "x_tuple", "n_list", "word"],
+               [floats, ints, tuple(floats.tolist()), ints.tolist(), words])
+    expected = "# note: columns\nx,n,x_tuple,n_list,word\r\n" + "".join(
+        f"{x!r},{n},{x!r},{n},a\r\n" for x, n in zip(floats.tolist(), ints.tolist()))
+    assert path.read_bytes() == expected.encode()
+    lines = path.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[2:]] == [
+        "-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+308", "0.1", "-0.0", "0.0"]
+    # Mixed int and float cells keep str for the ints.
+    assert _column_text((10, 2.5, np.float64(3.0), "x")) == ["10", "2.5", "3.0", "x"]
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "short.csv", [], ["x", "n"], [floats, ints[:-1]])
+
+
+def test_empty_report_writes_header_only(tmp_path):
+    path = tmp_path / "empty.csv"
+    ConvergenceReport(s=0.0, U0=1.0, beta_estimate=0.0).write_csv(path, {"kernel": "demo"})
+    assert path.read_bytes() == b"# kernel: demo\nT,t,distance_hs,reference_norm\r\n"
+
+
+@given(st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_column_text_is_repr_of_every_bit_pattern(bits):
+    values = np.array(bits + bits[::-1], dtype=np.int64).view(np.float64)
+    assert _column_text(values) == [repr(float(x)) for x in values.tolist()]

@@ -1,11 +1,19 @@
 """Config parsing, experiment dispatch, and CSV determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from memdiff.cli import PARSERS, build_kernel, main, parse_config
+import memdiff
+from memdiff import asymptotics, cli, spectral, visco
+from memdiff.cli import PARSERS, VERSION, build_kernel, main, parse_config
 from memdiff.errors import ConfigError
 from memdiff.kernels import Exponential, PowerLaw
+from memdiff.specfun import mittag_leffler
 
 MINIMAL_SOLVE = """\
 [kernel]
@@ -300,3 +308,120 @@ def test_runtime_library_error_exits_2_without_traceback(edits, message, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+# --- The column-wise CSV writer against the row-wise one it replaced ------
+
+
+def _rowwise_write_csv(path, meta_lines, header, rows):
+    """The row-wise writer that defined the CSV bytes: the oracle."""
+    with open(path, "w", newline="") as fh:
+        for line in meta_lines:
+            fh.write(line + "\n")
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\r\n")
+
+
+def _rowwise_solve_rows(grid, t_list, fields):
+    """The per-mode, per-time row builder of ``memdiff solve``: the oracle."""
+    rows = []
+    axis = grid.axis
+    for t, f in zip(t_list, fields):
+        for idx in np.ndindex(*grid.shape):
+            v = f.values[idx]
+            rows.append([t, *(float(axis[i]) for i in idx), float(v.real), float(v.imag)])
+    return rows
+
+
+def _config(**sections):
+    return "".join(f"[{name.replace('_', '.')}]\n{body}\n\n" for name, body in sections.items())
+
+
+_EXPONENTIAL = "family = exponential\nmu = 1.3\nc = 0.7\na0 = 0.4"
+_TIME = "t_end = 1.0\nn_steps = 40"
+_ORACLE_CASES = {
+    "solve_1d_box": ("solve", spectral, "evolve", "t,xi1,re_u_hat,im_u_hat", _config(
+        kernel=_EXPONENTIAL, initial="type = box\nhalf_width = 1.5\nmass = -2.0",
+        grid="dimension = 1\nmodes_per_axis = 64\nxi_max = 12.0", time=_TIME,
+        experiment="t_list = 0.0, 0.5, 1.0")),
+    "solve_2d_gaussian": ("solve", spectral, "evolve", "t,xi1,xi2,re_u_hat,im_u_hat", _config(
+        kernel=_EXPONENTIAL, initial="type = gaussian\nwidth = 0.9\nmass = 1.7",
+        grid="dimension = 2\nmodes_per_axis = 16\nxi_max = 8.0", time=_TIME,
+        experiment="t_list = 0.25, 1.0")),
+    "solve_3d_radial": ("solve", spectral, "evolve", "t,xi1,re_u_hat,im_u_hat", _config(
+        kernel="family = fractional\nbeta = -0.4", initial="type = gaussian",
+        grid="dimension = 3\nmodes_per_axis = 32\nxi_max = 6.0\nradial = true", time=_TIME,
+        experiment="t_list = 0.5, 1.0")),
+    "converge": ("converge", asymptotics, "converge_to_limit", "T,t,distance_hs,reference_norm",
+                 _config(kernel="family = exponential\nmu = 1.0\nc = 1.0",
+                         initial="type = gaussian",
+                         grid="dimension = 1\nmodes_per_axis = 32\nxi_max = 6.0",
+                         experiment="big_t_list = 10, 100\nt_list = 0.5, 1.0\nbeta = 0.0")),
+    "rate": ("rate", asymptotics, "leading_order_rate", "t,scaled_residual,distance_hs",
+             _config(kernel=_EXPONENTIAL, initial="type = gaussian",
+                     grid="dimension = 2\nmodes_per_axis = 16\nxi_max = 6.0",
+                     experiment="t_list = 5, 20\ns = -1.5")),
+    "visco": ("visco", visco, "visco_asymptotics", "t,scaled_residual,distance_hs",
+              _config(kernel=_EXPONENTIAL, kernel_bulk="family = heat\na0 = 0.5",
+                      initial="width = 1.0\nmass_vector = 1, 0.5, -2",
+                      grid="dimension = 3\nmodes_per_axis = 8\nxi_max = 6.0",
+                      experiment="t_list = 5, 20\ns = -2")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_csv_bytes_match_the_rowwise_oracle(case, tmp_path, monkeypatch):
+    command, module, name, header, text = _ORACLE_CASES[case]
+    seen = {}
+    run = getattr(module, name)
+
+    def spy_run(*args, **kwargs):
+        seen["args"], seen["result"] = args, run(*args, **kwargs)
+        return seen["result"]
+
+    write = cli._write_csv
+
+    def spy_write(path, meta_lines, header, columns):
+        seen["meta"] = list(meta_lines)
+        write(path, meta_lines, header, columns)
+
+    monkeypatch.setattr(module, name, spy_run)
+    monkeypatch.setattr(cli, "_write_csv", spy_write)
+    out = tmp_path / "out.csv"
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text(text.replace("[experiment]\n", f"[experiment]\noutput = {out}\n"))
+    assert main([command, str(cfg_file)]) == 0
+    if command == "solve":
+        _, _, grid, t_list, _ = seen["args"]
+        rows = _rowwise_solve_rows(grid, t_list, seen["result"])
+    else:
+        rows = seen["result"].rows
+    oracle = tmp_path / "oracle.csv"
+    _rowwise_write_csv(oracle, seen["meta"], header.split(","), rows)
+    assert len(rows) > 1
+    assert out.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("alpha,zmin,zmax,n", [
+    (0.5, -1.0, 0.0, 3), (0.6, -50.0, 0.0, 2000), (1.7, -3.0, -3.0, 1), (2.0, -1e3, -0.0, 7),
+])
+def test_ml_table_matches_the_rowwise_oracle(alpha, zmin, zmax, n, capsys):
+    z = np.linspace(zmin, zmax, n)
+    expected = f"# version: {VERSION}\n# alpha: {alpha!r}\nz,E_alpha\r\n"
+    for zi, vi in zip(np.atleast_1d(z), np.atleast_1d(mittag_leffler(alpha, z))):
+        expected += f"{float(zi)!r},{float(vi)!r}\r\n"
+    args = ["ml", f"--alpha={alpha!r}", f"--zmin={zmin!r}", f"--zmax={zmax!r}", f"--n={n}"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_python_m_memdiff_runs_the_cli(capsys):
+    args = ["ml", "--alpha", "0.5", "--zmin", "-1", "--zmax", "0", "--n", "3"]
+    src = str(Path(memdiff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "memdiff", *args], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(args) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
