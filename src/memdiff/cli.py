@@ -428,6 +428,11 @@ def main(argv=None) -> int:
     for name in ("solve", "converge", "rate", "visco", "validate-kernel"):
         p = sub.add_parser(name)
         p.add_argument("config")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a bound such as -1e3 for an option: join each bound to its flag.
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--zmin", "--zmax"):
+            argv[i : i + 2] = ["=".join(argv[i : i + 2])]
     args = parser.parse_args(argv)
     if args.command == "ml":
         return _cmd_ml(args)

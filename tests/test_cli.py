@@ -170,8 +170,18 @@ def test_validate_kernel_cosine_report(tmp_path, capsys):
     cfg_file.write_text("[kernel]\nfamily = cosine\n")
     assert main(["validate-kernel", str(cfg_file)]) == 0
     outtext = capsys.readouterr().out
-    assert "positive-definite: yes" in outtext
+    assert "positive-definite: yes (min 1.000300e-12)" in outtext
     assert "regularly-varying: no" in outtext
+
+
+def test_validate_kernel_logmodified_report(tmp_path, capsys):
+    # The minimum of Re a~(i w) sits at the lowest frequency, w = 1e-4.
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text("[kernel]\nfamily = logmodified\nm = 1.0\n")
+    assert main(["validate-kernel", str(cfg_file)]) == 0
+    outtext = capsys.readouterr().out
+    assert "positive-definite: no (min -1.569461e+04)" in outtext
+    assert "regularly-varying: yes" in outtext
 
 
 def test_ml_table(capsys):
@@ -414,6 +424,14 @@ def test_ml_table_matches_the_rowwise_oracle(alpha, zmin, zmax, n, capsys):
     args = ["ml", f"--alpha={alpha!r}", f"--zmin={zmin!r}", f"--zmax={zmax!r}", f"--n={n}"]
     assert main(args) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_ml_bounds_in_scientific_notation_as_separate_arguments(capsys):
+    # argparse alone takes -1e3 for an option rather than for a number.
+    assert main(["ml", "--alpha", "2", "--zmin=-1e3", "--zmax=-1e-3", "--n", "7"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["ml", "--alpha", "2", "--zmin", "-1e3", "--zmax", "-1e-3", "--n", "7"]) == 0
+    assert capsys.readouterr().out == joined
 
 
 def test_python_m_memdiff_runs_the_cli(capsys):

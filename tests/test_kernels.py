@@ -4,15 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 import memdiff
-from memdiff.errors import DomainError, NotEventuallyPositiveError
+from memdiff.errors import DomainError, HypothesisViolation, NotEventuallyPositiveError
 from memdiff.kernels import (
+    PD_BOUNDARY_SHIFT,
     Cosine,
     Exponential,
     Heat,
@@ -27,9 +30,12 @@ from memdiff.kernels import (
     laplace_a,
     primitive_A,
     quad_moments,
+    require_positive_definite,
     rv_index_estimate,
     scale,
 )
+from memdiff.spectral import Gaussian, ModeGrid, evolve
+from memdiff.volterra import TimeGrid
 
 CATALOG = [
     Heat(a0=1.0),
@@ -40,6 +46,7 @@ CATALOG = [
     NegExponential(),
     Cosine(),
     LogModified(m=1.0),
+    LogModified(m=2.5),
 ]
 
 RV_GRID = np.geomspace(1e-2, 1e5, 72)
@@ -80,7 +87,7 @@ def test_moment_cells_agree_with_quad_moments(kernel):
 def test_laplace_closed_forms_against_quadrature():
     s = 0.7 + 0.9j
     for kernel in (Exponential(mu=2.0, c=3.0), Cosine(), NegExponential(),
-                   Wave(c=1.5), PowerLaw(beta=0.5, c=1.0)):
+                   Wave(c=1.5), PowerLaw(beta=0.5, c=1.0), LogModified(m=2.5)):
         val = laplace_a(kernel, s)
         re, _ = integrate.quad(
             lambda t: float(kernel.a(t)) * math.exp(-s.real * t) * math.cos(s.imag * t),
@@ -91,6 +98,55 @@ def test_laplace_closed_forms_against_quadrature():
             0.0, 200.0, limit=800,
         )
         assert abs(val - (re + 1j * im)) < 1e-6
+
+
+def _logmodified_laplace_mp(m, s):
+    # 30-digit transform of a along the ray t = r e^{-i arg s}, on which
+    # e^{-s t} = e^{-|s| r} is real.
+    with mpmath.workdps(30):
+        s = mpmath.mpc(s)
+        turn = mpmath.expj(-mpmath.arg(s))
+
+        def f(r):
+            t = r * turn
+            lg = mpmath.log(mpmath.e + t)
+            a = lg**m + t * m * lg ** (m - 1) / (mpmath.e + t)
+            return a * mpmath.exp(-abs(s) * r) * turn
+
+        return complex(mpmath.quad(f, [0, 1 / abs(s), 10 / abs(s), 100 / abs(s), mpmath.inf]))
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("omega", [1e-4, 0.02, 1.0, 30.0])
+def test_logmodified_laplace_matches_mpmath(m, omega):
+    s = PD_BOUNDARY_SHIFT + 1j * omega
+    ref = _logmodified_laplace_mp(m, s)
+    assert abs(laplace_a(LogModified(m=m), s) - ref) <= 1e-12 * abs(ref)
+
+
+def test_logmodified_not_positive_definite():
+    # Re a~(i w) ~ -pi / (2 w) for the log part, so the minimum sits at
+    # the lowest frequency of the grid; no quadrature warning may appear.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_positive_definite(LogModified())
+    ref = _logmodified_laplace_mp(1.0, PD_BOUNDARY_SHIFT + 1e-4j).real
+    assert rep.omega_at_min == 1e-4 and not rep.passed
+    assert abs(rep.min_value - ref) <= 1e-9 * abs(ref)
+    assert abs(ref + 1.5695e4) < 1.0
+    with pytest.raises(HypothesisViolation, match="logmodified"):
+        require_positive_definite(LogModified())
+
+
+@pytest.mark.parametrize("m", [1.0, 2.5])
+def test_logmodified_moments_match_mpmath(m):
+    kernel = LogModified(m=m)
+    t = np.array([1e3, 1e5])
+    with mpmath.workdps(30):
+        for p, got in ((1, kernel.integral_A(t)), (2, kernel.integral_tA(t))):
+            for ti, gi in zip(t, got):
+                ref = mpmath.quad(lambda s: s**p * mpmath.log(mpmath.e + s) ** m, [0, 1, ti])
+                assert abs(gi - float(ref)) <= 1e-13 * float(ref)
 
 
 def test_powerlaw_sign_constraints():
@@ -184,11 +240,29 @@ def test_sampled_kernel_convergence_to_smooth_moments():
 @pytest.mark.parametrize(
     "kernel",
     [Heat(1.0), Wave(c=1.0), PowerLaw(beta=0.5, c=1.0), fractional(-0.5),
-     Exponential(mu=1.0, c=1.0), NegExponential(), Cosine()],
+     Exponential(mu=1.0, c=1.0), NegExponential(), Cosine(),
+     dilate(NegExponential(), 2.0), dilate(Cosine(), 2.0)],
     ids=lambda k: k.description,
 )
 def test_catalog_kernels_positive_definite(kernel):
     assert check_positive_definite(kernel).passed
+
+
+@pytest.mark.parametrize("kernel", CATALOG, ids=lambda k: k.description)
+def test_dilation_keeps_the_positive_definiteness_verdict(kernel):
+    # a_T(t) = T a(T t) has the transform a~(s / T).
+    assert (check_positive_definite(dilate(kernel, 2.0)).passed
+            == check_positive_definite(kernel).passed)
+
+
+def test_kernel_without_transform_is_refused_by_name():
+    sampled = SampledKernel(0.1, 1.0 + 0.1 * np.arange(11))
+    for kernel in (sampled, dilate(sampled, 2.0), scale(sampled, 2.0)):
+        with pytest.raises(HypothesisViolation, match="sampled kernel has no Laplace"):
+            check_positive_definite(kernel)
+    with pytest.raises(HypothesisViolation, match="sampled kernel"):
+        evolve(sampled, Gaussian(), ModeGrid(n=1, modes_per_axis=8, xi_max=4.0), [0.5],
+               TimeGrid(1.0, 20))
 
 
 def test_negative_exponential_mass_not_positive_definite():
@@ -260,10 +334,13 @@ def test_quad_moments_rejects_bad_interval():
 
 
 def test_import_leaves_scipy_integrate_out():
-    # scipy.integrate (which loads scipy.optimize) is imported only by the
-    # functions that integrate numerically, not by importing the package.
+    # scipy.integrate (which loads scipy.optimize) is used by no code in
+    # the package: not on import, and not by LogModified's transform and
+    # moments, which are the only ones without a closed form.
     src = str(Path(memdiff.__file__).resolve().parents[1])
-    code = "import sys, memdiff; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, memdiff; from memdiff.kernels import LogModified, "
+            "check_positive_definite; check_positive_definite(LogModified()); "
+            "LogModified().moment_cells(0.01, 100); print('scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.strip() == "False"
