@@ -45,7 +45,8 @@ class MemoryKernel:
     # -- pointwise values -------------------------------------------------
 
     def a(self, t):
-        raise NotImplementedError
+        """Density a(t) = A'(t) for t > 0."""
+        raise HypothesisViolation(f"{self.description} has no density a(t)")
 
     def primitive(self, t):
         """A(t) = a0 + int_0^t a(s) ds."""
@@ -433,6 +434,9 @@ class TimeDilated(MemoryKernel):
         self.a0 = base.a0
         self.beta_nominal = base.beta_nominal
         self.description = f"dilated(T={T}, {base.description})"
+
+    def a(self, t):
+        return self.T * self.base.a(self.T * np.asarray(t))
 
     def primitive(self, t):
         return self.base.primitive(self.T * np.asarray(t, dtype=float))

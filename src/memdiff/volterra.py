@@ -15,9 +15,13 @@ whole kernel catalog, including weakly singular memories.
 The quadrature weights are Toeplitz on uniform grids, so the whole march is
 a lower-triangular Toeplitz system: its solution is the power series of a
 right-hand side divided by the symbol of the weights.  That division is done
-by FFT Newton doubling, O(n log n) per ``lam`` instead of O(n^2), for a
-batch of ``lam`` values at once (Hairer, Lubich & Schlichte, SIAM J. Sci.
-Stat. Comput. 6 (1985)).
+by FFT, O(n log n) per ``lam`` instead of O(n^2), for a batch of ``lam``
+values at once (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+(1985)): Newton doubling inverts the symbol to half length, and one
+Karp-Markstein step yields the second half of the quotient, so no FFT is
+longer than the power of two >= n.  Symbol and right-hand side are linear
+in ``lam``, so the transforms of their ``lam``-independent parts are
+computed once per kernel and shared by every row.
 
 Power laws with beta < 0 take a separate path on a mesh uniform in
 t^(1+beta), where the weights are not Toeplitz.  It marches step by step,
@@ -241,22 +245,37 @@ def _singular_values(beta: float, p: np.ndarray, q: np.ndarray, grid: TimeGrid):
     return z[:, k] * (1.0 - frac) + z[:, k + 1] * frac
 
 
-def _series_inverse(s: np.ndarray, n: int) -> np.ndarray:
-    """Rows g with s*g = 1 mod x^n, by Newton doubling g <- g - g(s g - 1).
+def _newton_levels(dc: np.ndarray, h: int):
+    """Per-level transforms of the differenced symbol, shared by all rows.
 
-    Each step lifts g from k to k2 <= 2k correct coefficients with two
-    FFT products of length >= k2.  Only the new block e of s*g = 1 + x^k e
-    is needed, so the first product may wrap onto the k low coefficients,
-    which are discarded; the second, g*e, has degree below k2.
+    The symbol of a row is (1 - x) + lam * dc(x), so its transform at a
+    level is F(1 - x) + lam * F(dc); both terms are computed here once, and
+    a row block only forms the sum.  One entry (k, k2, size, F(1 - x),
+    F(dc)) per Newton step lifting k to k2 <= 2k coefficients, up to h.
     """
-    sizes = [n]
+    sizes = [h]
     while sizes[-1] > 1:
         sizes.append((sizes[-1] + 1) // 2)
-    g = 1.0 / s[:, :1]
+    levels = []
     for k, k2 in zip(sizes[-1:0:-1], sizes[-2::-1]):
         size = 1 << (k2 - 1).bit_length()
+        levels.append((k, k2, size, np.fft.rfft([1.0, -1.0], size), np.fft.rfft(dc[:k2], size)))
+    return levels
+
+
+def _series_inverse(lam: np.ndarray, dc: np.ndarray, levels) -> np.ndarray:
+    """Rows g with S*g = 1 mod x^h, S = (1 - x) + lam*dc, by Newton doubling.
+
+    ``levels`` is ``_newton_levels(dc, h)``.  Each step g <- g - g(S g - 1)
+    lifts g from k to k2 <= 2k correct coefficients with two FFT products
+    of length >= k2.  Only the new block e of S*g = 1 + x^k e is needed,
+    so the first product may wrap onto the k low coefficients, which are
+    discarded; the second, g*e, has degree below k2.
+    """
+    g = 1.0 / (1.0 + lam * dc[:1])
+    for k, k2, size, one_hat, dc_hat in levels:
         g_hat = np.fft.rfft(g, size)
-        e = np.fft.irfft(np.fft.rfft(s[:, :k2], size) * g_hat, size)[:, k:k2]
+        e = np.fft.irfft((one_hat + lam * dc_hat) * g_hat, size)[:, k:k2]
         ge = np.fft.irfft(np.fft.rfft(e, size) * g_hat, size)[:, : k2 - k]
         g = np.concatenate([g, -ge], axis=1)
     return g
@@ -268,17 +287,30 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, z, 
     Step i of the march reads z_i + lam * sum_{m<i} c_m z_{i-m} =
     1 - lam * wL[i-1], with c[0] = wR[0] and c[m] = wR[m] + wL[m-1] for
     m >= 1.  So the series of z_1..z_n is (1 - lam*wL) / S with the symbol
-    S(x) = 1 + lam * sum_m c_m x^m, inverted by FFT Newton doubling in
-    O(n log n) per lambda, in blocks of ``_ROW_BLOCK`` rows.  Rows never
-    mix, so a lambda gets the same bits whatever batch it is solved in.
+    S(x) = 1 + lam * sum_m c_m x^m, divided in O(n log n) per lambda, in
+    blocks of ``_ROW_BLOCK`` rows.  Rows never mix, so a lambda gets the
+    same bits whatever batch it is solved in.
 
     Numerator and symbol are both multiplied by (1 - x) first.  The c_m
     follow A, which grows for kernels such as Wave; their differences stay
     bounded, and FFT rounding scales with the coefficient norms (measured
     at n = 4000 over the catalog: 5e-13 from the exact solution of the
-    march, against 1.3e-10 undifferenced).  The rounding is relative to
-    the largest |z| of the row, so where z grows (kernels that are not
-    positive definite) its small early values lose relative accuracy.
+    march, against 1.3e-10 undifferenced).  Both differenced series are
+    linear in lam: the symbol is (1 - x) + lam*dc and the numerator is
+    rhs = 1 - lam*dwL, with dc and dwL the differences of c and wL.  So
+    the transforms of 1 - x, dc and dwL are computed once per call, at
+    each length used, and shared by every block.
+
+    Newton doubling runs only to h = ceil(n/2) coefficients of g = 1/S.
+    One Karp-Markstein step (Karp & Markstein, ACM TOMS 23 (1997)) gives
+    the rest: q0 = rhs*g mod x^h is z_1..z_h, the residual r = (rhs -
+    S*q0)[h:n] is a middle product, and (g*r) mod x^(n-h) is z_{h+1}..z_n.
+    These products share one FFT length, the power of two >= n: S*q0 then
+    wraps only onto coefficients below h (512 at n = 500, where a full
+    rhs*g product needs 1024).  Rounding is relative to the scale of each
+    half, not of the whole row, so where z grows (kernels that are not
+    positive definite) its small early values keep their relative
+    accuracy far better; within the first half they still share a scale.
     """
     n = grid.n_steps
     wL, wR = _convolution_weights(kernel, grid)
@@ -288,16 +320,24 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, z, 
         )
     c = wR.copy()
     c[1:] += wL[:-1]
-    size = 1 << (2 * n - 2).bit_length()  # rhs*g must not wrap
+    dc = np.diff(c, prepend=0.0)
+    dwL = np.diff(wL, prepend=0.0)
+    h = (n + 1) // 2
+    levels = _newton_levels(dc, h)
+    size = 1 << (n - 1).bit_length()
+    one_hat = np.fft.rfft([1.0, -1.0][:n], size)
+    dc_hat = np.fft.rfft(dc, size)
+    dwL_hat = np.fft.rfft(dwL[:h], size)
     for start in range(0, len(rows), _ROW_BLOCK):
         block = rows[start : start + _ROW_BLOCK]
         lam = lambdas[block, None]
-        s = lam * c
-        s[:, 0] += 1.0
-        g = _series_inverse(np.diff(s, prepend=0.0), n)
-        rhs = np.diff(1.0 - lam * wL, prepend=0.0)
-        zhat = np.fft.rfft(rhs, size) * np.fft.rfft(g, size)
-        z[block, 1:] = np.fft.irfft(zhat, size)[:, :n]
+        g_hat = np.fft.rfft(_series_inverse(lam, dc, levels), size)
+        # rhs = e0 - lam*dwL, and F(e0) = 1; past h only -lam*dwL is left.
+        q0 = np.fft.irfft((1.0 - lam * dwL_hat) * g_hat, size)[:, :h]
+        sq0 = np.fft.irfft((one_hat + lam * dc_hat) * np.fft.rfft(q0, size), size)
+        r = -lam * dwL[h:] - sq0[:, h:n]
+        z[block, 1 : h + 1] = q0
+        z[block, h + 1 :] = np.fft.irfft(np.fft.rfft(r, size) * g_hat, size)[:, : n - h]
 
 
 def require_bounded(z) -> None:

@@ -211,6 +211,26 @@ def test_dilation_composes():
     assert np.allclose(k.primitive(t), ref.primitive(t))
 
 
+def test_dilated_density_is_derivative_of_dilated_primitive():
+    # a_T(t) = T a(T t); LogModified dilates to a TimeDilated wrapper.
+    kernel = LogModified(m=1.0)
+    kd = dilate(kernel, 2.0)
+    t = np.array([0.3, 1.0, 4.0])
+    assert np.allclose(kd.a(t), 2.0 * kernel.a(2.0 * t), rtol=1e-15)
+    assert np.allclose((kd + Heat(1.0)).a(t), kd.a(t), rtol=1e-15)
+    assert np.allclose(scale(kd, 3.0).a(t), 3.0 * kd.a(t), rtol=1e-15)
+    h = 1e-5
+    fd = (kd.primitive(t + h) - kd.primitive(t - h)) / (2.0 * h)
+    assert np.allclose(kd.a(t), fd, rtol=1e-8)
+
+
+def test_kernel_without_density_is_refused_by_name():
+    sampled = SampledKernel(0.1, [1.0, 2.0, 3.0])
+    for kernel in (sampled, dilate(sampled, 2.0), scale(sampled, 2.0), sampled + Heat(1.0)):
+        with pytest.raises(HypothesisViolation, match="sampled kernel has no density"):
+            kernel.a(1.0)
+
+
 def test_sampled_kernel_reproduces_linear_primitive():
     # For an affine A the piecewise-linear interpolant is exact, so all
     # moments must match the Wave kernel's closed forms.

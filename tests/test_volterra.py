@@ -27,6 +27,7 @@ from memdiff.kernels import (
 )
 from memdiff.specfun import mittag_leffler
 from memdiff.volterra import (
+    _ROW_BLOCK,
     BOUND_TOL,
     TimeGrid,
     _convolution_weights,
@@ -222,6 +223,30 @@ def test_toeplitz_inversion_matches_march(kernel):
     assert np.max(np.abs(z - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33])
+def test_toeplitz_inversion_matches_march_on_short_grids(n):
+    # Powers of two and one past them: the shared FFT length must be at
+    # least n, not n - 1, or S*q0 wraps onto z_n (at n = 2, 3, 5, 9, ...).
+    grid = TimeGrid(0.2, n)
+    lams = np.geomspace(1e-2, 30.0, 12)
+    for kernel in (Heat(1.0), Wave(c=1.0), Exponential(mu=1.0, c=1.0), Cosine(),
+                   Exponential(mu=0.2, c=-2.0, a0=1.0)):
+        ref = _march(kernel, lams, grid)
+        z = relaxation_values(kernel, lams, grid)
+        assert np.max(np.abs(z - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_toeplitz_inversion_is_pointwise_accurate_on_growing_rows():
+    # The non-PD kernel grows to |z| ~ 4e13 after dipping to ~5e-4; the
+    # error at every node must be small relative to z there.
+    grid = TimeGrid(20.0, 4000)
+    lams = [1.0, 10.0, 100.0, 1000.0]
+    kernel = Exponential(mu=0.2, c=-2.0, a0=1.0)
+    ref = _march(kernel, lams, grid)
+    z = relaxation_values(kernel, lams, grid)
+    assert np.max(np.abs(z - ref) / np.abs(ref)) <= 1e-6
+
+
 @pytest.mark.parametrize("beta", [-0.9, -0.75, -0.4, -0.1])
 @pytest.mark.parametrize("a0", [0.0, 0.3])
 def test_singular_path_matches_march(beta, a0):
@@ -234,10 +259,10 @@ def test_singular_path_matches_march(beta, a0):
 
 
 def test_batch_matches_single_bitwise():
-    # 37 lambdas cross the 32-row block of the series inversion; the
-    # PowerLaw with a0 > 0 takes the a0 branch of the singular path.
+    # _ROW_BLOCK + 5 lambdas cross a row block of the series inversion;
+    # the PowerLaw with a0 > 0 takes the a0 branch of the singular path.
     grid = TimeGrid(2.0, 400)
-    lams = np.linspace(0.3, 7.5, 37)
+    lams = np.linspace(0.3, 7.5, _ROW_BLOCK + 5)
     for kernel in (Exponential(mu=1.0, c=1.0), fractional(-0.5), Cosine(),
                    PowerLaw(beta=-0.3, c=-0.5, a0=0.4)):
         batch = solve_relaxation_batch(kernel, lams, grid)
@@ -253,11 +278,11 @@ def test_batch_matches_single_bitwise():
     ids=lambda k: k.description,
 )
 def test_dilation_rows_match_one_dilation_at_a_time(kernel):
-    # 3 dilations x 35 lambdas, interleaved: each dilation alone crosses
-    # the 32-row block of the series inversion.
+    # 3 dilations x (_ROW_BLOCK + 3) lambdas, interleaved: each dilation
+    # alone crosses a row block of the series inversion.
     grid = TimeGrid(2.0, 300)
     rng = np.random.default_rng(7)
-    dilation = rng.permutation(np.repeat([1.0, 10.0, 1e3], 35))
+    dilation = rng.permutation(np.repeat([1.0, 10.0, 1e3], _ROW_BLOCK + 3))
     lams = rng.uniform(0.0, 8.0, dilation.size)
     lams[:3] = 0.0
     z = relaxation_values(kernel, lams, grid, dilation)
