@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, HypothesisViolation, NotEventuallyPositiveError
 
@@ -213,7 +212,7 @@ class PowerLaw(MemoryKernel):
         s = np.asarray(s, dtype=complex)
         if np.any(s.real <= 0):
             raise DomainError("PowerLaw Laplace transform needs Re s > 0")
-        return self.c * sp.gamma(self.beta) * s ** (-self.beta)
+        return self.c * math.gamma(self.beta) * s ** (-self.beta)
 
     def total_mass(self):
         return math.inf if self.beta > 0 else None
@@ -224,8 +223,7 @@ def fractional(beta: float) -> PowerLaw:
 
     The scalar relaxation for this kernel is E_{1+beta}(-lambda t^{1+beta}).
     """
-    c = beta / sp.gamma(1.0 + beta)
-    k = PowerLaw(beta=beta, c=float(c), a0=0.0)
+    k = PowerLaw(beta=beta, c=beta / math.gamma(1.0 + beta), a0=0.0)
     k.description = f"fractional(beta={beta})"
     return k
 

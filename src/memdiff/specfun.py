@@ -17,12 +17,18 @@ e^(+-i pi/alpha)``; ``mu`` is chosen per point so that their image in the
 ``u``-plane stays at least 0.4 away from the real axis, and when they
 lie to the right of C their residues ``(2/alpha) e^(Re s*) cos(Im s*)`` are
 added.  The cost is a fixed number of nodes per point, whatever ``x``.
+
+``gamma`` and ``erfc`` are the standard library's ``math.gamma`` and
+``math.erfc``, applied elementwise to arrays, and ``E_{1/2}(-x)`` is the
+scaled complementary error function ``erfcx(x) = e^(x^2) erfc(x)``; the
+module needs numpy and nothing else.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError
 
@@ -41,21 +47,54 @@ _MUS = np.array([1.0, 0.5, 2.0, 4.0])
 _POLE_DISTANCE = 0.4
 #: Points per block of the node sum, bounding the (points x nodes) temporaries.
 _BLOCK = 1024
+#: erfcx(x) is e^(x^2) erfc(x) below _ERFCX_SWITCH, whose rounding grows like
+#: x^2 eps (7e-15 at x = 10), and the asymptotic series above it, where its
+#: first omitted term, 25!! / (2 x^2)^13, is below 1e-17.
+_ERFCX_SWITCH = 10.0
+_ERFCX_TERMS = 13
+#: Series coefficients (-1)^k (2k-1)!!, highest power first for Horner.
+_ERFCX_COEF = np.cumprod([1.0] + [-(2.0 * k - 1.0) for k in range(1, _ERFCX_TERMS)])[::-1]
+
+
+def _elementwise(f, x):
+    """f of a scalar as a float, or of each element of an array (a 0-d array
+    gives a numpy scalar)."""
+    if np.isscalar(x):
+        return f(float(x))
+    xa = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, xa.flat), float, xa.size).reshape(xa.shape)[()]
+
+
+def _gamma(x: float) -> float:
+    if x <= 0.0:
+        raise DomainError("gamma requires x > 0")
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def gamma(x):
-    """Gamma function for positive real arguments."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise DomainError("gamma requires x > 0")
-    out = sp.gamma(xa)
-    return float(out) if np.isscalar(x) else out
+    """Gamma function for positive real arguments; inf where it overflows."""
+    return _elementwise(_gamma, x)
 
 
 def erfc(x):
     """Complementary error function."""
-    out = sp.erfc(np.asarray(x, dtype=float))
-    return float(out) if np.isscalar(x) else out
+    return _elementwise(math.erfc, x)
+
+
+def _erfcx(x: np.ndarray) -> np.ndarray:
+    """e^(x^2) erfc(x) for an array of x >= 0, finite up to x = 1.8e308."""
+    out = np.empty(x.shape)
+    small = x < _ERFCX_SWITCH
+    xs = x[small]
+    out[small] = np.exp(xs * xs) * erfc(xs)
+    # (1 / (x sqrt pi)) sum_k (-1)^k (2k-1)!! / (2 x^2)^k; 1/(2 x^2) may
+    # underflow to 0, but is never formed from an overflowing x^2.
+    xl = x[~small]
+    out[~small] = np.polyval(_ERFCX_COEF, 0.5 / xl / xl) / math.sqrt(math.pi) / xl
+    return out
 
 
 def _contour(alpha: float, mu: float, x: np.ndarray) -> np.ndarray:
@@ -112,7 +151,7 @@ def mittag_leffler(alpha, z):
         out = np.cos(np.sqrt(-za))
     elif alpha == 0.5:
         # E_{1/2}(z) = e^{z^2} erfc(-z); erfcx avoids overflow.
-        out = sp.erfcx(-za)
+        out = _erfcx(-za.ravel()).reshape(za.shape)
     else:
         x = -za.ravel()
         flat = np.ones(x.shape)

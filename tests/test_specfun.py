@@ -41,6 +41,8 @@ def test_gamma_rejects_nonpositive():
         gamma(-0.5)
     with pytest.raises(DomainError):
         gamma(0.0)
+    with pytest.raises(DomainError):
+        gamma(np.array([1.0, -0.5]))
 
 
 def test_gamma_vectorized():
@@ -48,6 +50,14 @@ def test_gamma_vectorized():
     out = gamma(x)
     assert out.shape == x.shape
     assert abs(out[1] - 1.0) < 1e-15
+    # Overflow is inf, nan stays nan, and an empty array stays empty.
+    assert gamma(200.0) == math.inf
+    assert math.isnan(gamma(math.nan))
+    edge = gamma(np.array([[200.0, math.nan], [0.5, 4.0]]))
+    assert edge.shape == (2, 2) and edge[0, 0] == math.inf and math.isnan(edge[0, 1])
+    assert edge[1, 1] == 6.0
+    empty = gamma(np.array([]))
+    assert empty.shape == (0,) and empty.dtype == float
 
 
 def test_erfc_reflection_and_values():
@@ -56,6 +66,9 @@ def test_erfc_reflection_and_values():
     assert erfc(0.0) == 1.0
     # erfc(1) to 1e-12 (standard reference value).
     assert abs(erfc(1.0) - 0.15729920705028513) < 1e-12
+    assert erfc(math.inf) == 0.0 and erfc(-math.inf) == 2.0
+    assert np.array_equal(erfc(np.array([math.inf, 0.0, -math.inf])), [0.0, 1.0, 2.0])
+    assert math.isnan(erfc(math.nan))
 
 
 def test_ml_alpha_one_is_exp():
@@ -72,12 +85,19 @@ def test_ml_alpha_two_is_cos():
 
 
 def test_ml_alpha_half_closed_form():
-    # E_{1/2}(z) = e^{z^2} erfc(-z) for z <= 0; z is kept small enough
-    # that the explicit product does not overflow.
-    z = -np.geomspace(1e-3, 3.0, 60)
-    vals = mittag_leffler(0.5, z)
-    ref = np.exp(z**2) * np.array([erfc(-zi) for zi in z])
-    assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-12
+    # E_{1/2}(-x) = e^(x^2) erfc(x) = U(1/2, 1/2, x^2) / sqrt(pi) (DLMF 7.11.4),
+    # across both of specfun's branches and up to x = 1e300.  mpmath's erfc
+    # loses its exponent past x ~ 1e50, so the confluent hypergeometric form
+    # is the reference above x = 1e8.
+    x = np.geomspace(1e-8, 1e300, 400)
+    vals = mittag_leffler(0.5, -x)
+    with mpmath.workdps(30):
+        ref = np.array([
+            float(mpmath.exp(xi**2) * mpmath.erfc(xi) if xi < 1e8
+                  else mpmath.hyperu(0.5, 0.5, xi**2) / mpmath.sqrt(mpmath.pi))
+            for xi in map(mpmath.mpf, x)
+        ])
+    assert np.max(np.abs(vals - ref) / ref) <= 1e-13
 
 
 def test_ml_at_zero_is_one():
@@ -222,6 +242,26 @@ def test_ml_continuous_at_the_closed_form_orders():
     for alpha in (1.0 - 1e-6, 1.0 + 1e-6):
         assert np.max(np.abs(mittag_leffler(alpha, z) - np.exp(z))) <= 1e-5
     assert np.max(np.abs(mittag_leffler(2.0 - 1e-6, z) - np.cos(np.sqrt(-z)))) <= 1e-5
+
+
+def test_import_leaves_scipy_out():
+    # The package runs on numpy alone: no import, and no call on the
+    # singular path (Gauss-Jacobi rule), the smooth path or in specfun,
+    # loads scipy.
+    src = str(Path(memdiff.__file__).resolve().parents[1])
+    code = (
+        "import sys, memdiff, memdiff.cli\n"
+        "from memdiff import (Exponential, Gaussian, ModeGrid, TimeGrid, erfc, evolve,\n"
+        "                     fractional, gamma, mittag_leffler, relaxation_values)\n"
+        "relaxation_values(fractional(-0.5), [1.0, 10.0], TimeGrid(1.0, 50))\n"
+        "evolve(Exponential(mu=1.0, c=1.0), Gaussian(), ModeGrid(n=1, modes_per_axis=8, xi_max=4.0),\n"
+        "       [0.5], TimeGrid(1.0, 20))\n"
+        "mittag_leffler(0.5, [-1.0, -1e3]); gamma([0.5, 3.0]); erfc(0.5)\n"
+        "print('scipy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_import_leaves_mpmath_out():

@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from memdiff.volterra import (
     BOUND_TOL,
     TimeGrid,
     _convolution_weights,
+    _jacobi_rule,
     decay_envelope_check,
     kernel_convergence_test,
     relaxation_values,
@@ -302,6 +304,17 @@ def test_merged_dilations_match_singular_march(beta, a0):
     for j, T in enumerate(Ts):
         ref = _singular_march(dilate(kernel, T), lams, grid)
         assert np.all(np.abs(z[8 * j : 8 * (j + 1)] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("beta", [-0.9, -0.75, -0.5, -0.1])
+def test_jacobi_rule_is_gauss_jacobi(beta):
+    # 10 nodes are exact on u^k (1-u)^beta for k < 20: int_0^1 is B(k+1, beta+1).
+    u, w = _jacobi_rule(beta)
+    for k in range(20):
+        ref = float(mpmath.beta(k + 1, beta + 1))
+        assert abs(w @ u**k - ref) <= 1e-14 * ref
+    xj, _ = sp.roots_jacobi(10, beta, 0.0)
+    assert np.max(np.abs(u - (xj + 1.0) / 2.0)) <= 1e-15
 
 
 def test_sum_with_singular_power_law_takes_singular_path():
