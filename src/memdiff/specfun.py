@@ -32,13 +32,11 @@ import numpy as np
 
 from .errors import DomainError
 
-#: Trapezoid step in u and the nodes u = 0, h, ..., 9; the integrand at -u
-#: is the conjugate of that at u, so the nodes u < 0 enter as twice the
-#: real part.  A singularity at Im u = _POLE_DISTANCE costs
-#: exp(-2 pi 0.4 / h) ~ 4e-18, and at u = 9 the integrand is below
-#: e^(-80 mu).
+#: Trapezoid step in u and the number of nodes u = 0, h, ..., 9.  A
+#: singularity at Im u = _POLE_DISTANCE costs exp(-2 pi 0.4 / h) ~ 4e-18,
+#: and at u = 9 the integrand is below e^(-80 mu).
 _H = 1.0 / 16.0
-_U = _H * np.arange(145)
+_NODES = 145
 #: Contour parameters mu, in order of preference.  A pole's image lies at
 #: distance |1 - A / sqrt(mu)| from the real axis, with A =
 #: x^(1/(2 alpha)) cos(pi/(2 alpha)); for every A >= 0 one of these four
@@ -97,14 +95,27 @@ def _erfcx(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _parabola(mu: float, h: float, n: int):
+    """Nodes s_k and weights w_k of the trapezoid rule on s = mu (1 + iu)^2.
+
+    For f with f(conj s) = conj f(s), (1 / 2 pi i) int f(s) ds over the
+    parabola is Re sum_k w_k f(s_k), k < n: the nodes u < 0 are the
+    conjugates of u = kh > 0 and enter as twice the real part, so w_k =
+    2 h (ds/du) / (2 pi i) = (2 h mu / pi) (1 + iu), the u = 0 node
+    counted once.
+    """
+    w = 1.0 + 1j * h * np.arange(n)
+    s = mu * w * w
+    w = w * (2.0 * h * mu / np.pi)
+    w[0] *= 0.5
+    return s, w
+
+
 def _contour(alpha: float, mu: float, x: np.ndarray) -> np.ndarray:
     """Trapezoid rule for the contour integral on s = mu (1 + iu)^2."""
-    w = 1.0 + 1j * _U
-    s = mu * w * w
+    s, w = _parabola(mu, _H, _NODES)
     sa = s**alpha
-    # 2 h e^s s^(alpha-1) ds/du / (2 pi i), the u = 0 node counted once.
-    c = np.exp(s) * (sa / s) * w * (2.0 * _H * mu / np.pi)
-    c[0] *= 0.5
+    c = np.exp(s) * (sa / s) * w
     out = np.empty(x.shape)
     for start in range(0, x.size, _BLOCK):
         xb = x[start:start + _BLOCK]

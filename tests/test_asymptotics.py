@@ -1,6 +1,7 @@
 """Self-similarity harness: scalings, rescaled fields, convergence, rates."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -181,6 +182,18 @@ def test_converge_fractional_negative_beta():
                             [1.0], -1.0, GRID_1D)
     d = rep.distances_at(1.0)
     assert np.all(np.diff(d) < 0.0)
+
+
+def test_fractional_converge_cost_is_bounded():
+    # At the default 2000 steps per unit time this solves 4001 nodes for
+    # each of 457 distinct |xi|^2 and 3 T: 0.13 s on one CPU of a 2-core
+    # x86-64 VM, where a step-by-step march of the same rows took 6.9 s.
+    kernel = fractional(-0.4)
+    sf = ScalingFunction(kernel=kernel, beta=-0.4)
+    start = time.perf_counter()
+    converge_to_limit(kernel, Gaussian(), sf, [1e2, 1e3, 1e4], [1.0, 2.0], -1.5,
+                      ModeGrid(n=2, modes_per_axis=64, xi_max=6.0))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_trivial_limit_exclusion():

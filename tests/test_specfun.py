@@ -246,7 +246,7 @@ def test_ml_continuous_at_the_closed_form_orders():
 
 def test_import_leaves_scipy_out():
     # The package runs on numpy alone: no import, and no call on the
-    # singular path (Gauss-Jacobi rule), the smooth path or in specfun,
+    # singular path (contour sums), the smooth path or in specfun,
     # loads scipy.
     src = str(Path(memdiff.__file__).resolve().parents[1])
     code = (
