@@ -7,6 +7,9 @@ integrated kernel ``A(t) = a0 + int_0^t a(s) ds``; every family supplies
 which the Volterra solver consumes as exact cell moments, and the transform
 of ``a``.  ``LogModified`` takes its antiderivatives and transform from fixed
 rules exact to rounding: Gauss-Legendre per cell, trapezoid on a rotated ray.
+Heat, Wave, Exponential, NegExponential and Cosine also list the terms of
+A = sum g t^m e^(s t), from which their cell moments, and the solver's
+weights, are formed without differencing antiderivatives.
 """
 
 from __future__ import annotations
@@ -32,6 +35,49 @@ _RAY_R, _RAY_W = np.exp(_RAY_X), _RAY_H * np.exp(_RAY_X - np.exp(_RAY_X))
 # Gauss-Legendre on [0, 1]; 10 points would miss the cell [0, 1e5] by 7e-5.
 _GL_U, _GL_W = np.polynomial.legendre.leggauss(20)
 _GL_U, _GL_W = (_GL_U + 1.0) / 2.0, _GL_W / 2.0
+# Taylor coefficients of phi_R and phi_L, highest power first: 1/(k+2)! and
+# (k+1)/(k+2)! for k < 18, so the first omitted term is below 1e-17 at |z| < 1.
+_PHI_R = np.array([1.0 / math.factorial(k + 2) for k in range(17, -1, -1)])
+_PHI_L = _PHI_R * np.arange(18, 0, -1)
+
+
+def _phi(z):
+    """(phi_R(z), phi_L(z)) = int_0^1 ((1 - u), u) e^(z u) du, elementwise.
+
+    The closed forms (e^z - 1 - z)/z^2 and (z e^z - e^z + 1)/z^2 cancel for
+    small z, so |z| < 1 takes the Taylor series; z may be complex.
+    """
+    z = np.asarray(z)
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)
+    zb = np.where(small, 1.0, z)
+    em1 = np.expm1(zb)
+    return (
+        np.where(small, np.polyval(_PHI_R, zs), (em1 - zb) / zb**2),
+        np.where(small, np.polyval(_PHI_L, zs), (zb * em1 + zb - em1) / zb**2),
+    )
+
+
+def _hat_moments(terms, t0, h):
+    """(int A(s) (s - t0) ds, int A(s) (t1 - s) ds) / h over [t0, t1 = t0 + h]
+    for A = sum g t^m e^(s t).
+
+    Terms (g, s, m) have m in {0, 1}, and s = 0 when m = 1.  A term
+    g e^(s t) gives g h e^(s t0) (phi_L, phi_R)(s h), and g t gives
+    g h (t0/2 + h/3, t0/2 + h/6): sums of positive parts, so only the terms'
+    own signs can cancel.  Conjugate pairs of complex terms give real sums.
+    """
+    mL = mR = 0.0
+    for g, s, m in terms:
+        if m:
+            mL = mL + g * h * (t0 / 2.0 + h / 3.0)
+            mR = mR + g * h * (t0 / 2.0 + h / 6.0)
+        else:
+            pR, pL = _phi(s * h)
+            e = g * h * np.exp(s * t0)
+            mL = mL + e * pL
+            mR = mR + e * pR
+    return np.real(mL), np.real(mR)
 
 
 class MemoryKernel:
@@ -92,8 +138,32 @@ class MemoryKernel:
         return SumKernel(self, other)
 
 
+class _ExpPolyKernel(MemoryKernel):
+    """Family with A(t) = sum g t^m e^(s t) over the terms (g, s, m) of
+    ``exp_terms``, m in {0, 1}, s = 0 when m = 1.
+
+    Cell moments come from the terms in closed form: differences of
+    antiderivatives would cancel on short cells and far from t = 0.
+    """
+
+    def exp_terms(self):
+        raise NotImplementedError
+
+    def quad_moments(self, t0: float, t1: float):
+        if not 0.0 <= t0 < t1:
+            raise DomainError("need 0 <= t0 < t1")
+        return self._cell_moments(t0, t1 - t0)
+
+    def moment_cells(self, dt: float, n: int):
+        return self._cell_moments(dt * np.arange(n), dt)
+
+    def _cell_moments(self, t0, h):
+        mL, mR = _hat_moments(self.exp_terms(), t0, h)
+        return mL + mR, t0 * (mL + mR) + h * mL
+
+
 @dataclass
-class Heat(MemoryKernel):
+class Heat(_ExpPolyKernel):
     """a = 0: the plain heat equation with diffusivity a0."""
 
     a0: float = 1.0
@@ -103,6 +173,9 @@ class Heat(MemoryKernel):
         if self.a0 <= 0:
             raise DomainError("Heat kernel needs a0 > 0")
         self.description = f"heat(a0={self.a0})"
+
+    def exp_terms(self):
+        return [(self.a0, 0.0, 0)]
 
     def a(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
@@ -124,7 +197,7 @@ class Heat(MemoryKernel):
 
 
 @dataclass
-class Wave(MemoryKernel):
+class Wave(_ExpPolyKernel):
     """a = c constant: the wave equation for a0 = 0."""
 
     c: float = 1.0
@@ -135,6 +208,9 @@ class Wave(MemoryKernel):
         if self.c <= 0:
             raise DomainError("Wave kernel needs c > 0")
         self.description = f"wave(c={self.c}, a0={self.a0})"
+
+    def exp_terms(self):
+        return [(self.a0, 0.0, 0), (self.c, 0.0, 1)]
 
     def a(self, t):
         return self.c * np.ones_like(np.asarray(t, dtype=float))
@@ -229,7 +305,7 @@ def fractional(beta: float) -> PowerLaw:
 
 
 @dataclass
-class Exponential(MemoryKernel):
+class Exponential(_ExpPolyKernel):
     """a(t) = c e^{-mu t}; integrable memory, heat-like asymptotics."""
 
     mu: float = 1.0
@@ -245,6 +321,9 @@ class Exponential(MemoryKernel):
         if self.c < 0:
             self.beta_nominal = None
         self.description = f"exponential(mu={self.mu}, c={self.c}, a0={self.a0})"
+
+    def exp_terms(self):
+        return [(self.a0 + self.c / self.mu, 0.0, 0), (-self.c / self.mu, -self.mu, 0)]
 
     def a(self, t):
         return self.c * np.exp(-self.mu * np.asarray(t, dtype=float))
@@ -274,12 +353,15 @@ class Exponential(MemoryKernel):
         return self.a0 + self.c / self.mu
 
 
-class NegExponential(MemoryKernel):
+class NegExponential(_ExpPolyKernel):
     """a(t) = -e^{-t} with a0 = 1, so A(t) = e^{-t}."""
 
     a0 = 1.0
     beta_nominal = None
     description = "negexponential(a=-exp(-t), a0=1)"
+
+    def exp_terms(self):
+        return [(1.0, -1.0, 0)]
 
     def a(self, t):
         return -np.exp(-np.asarray(t, dtype=float))
@@ -304,12 +386,15 @@ class NegExponential(MemoryKernel):
         return 0.0
 
 
-class Cosine(MemoryKernel):
+class Cosine(_ExpPolyKernel):
     """a(t) = cos t with a0 = 0, so A(t) = sin t; not regularly varying."""
 
     a0 = 0.0
     beta_nominal = None
     description = "cosine(a=cos t, a0=0)"
+
+    def exp_terms(self):
+        return [(-0.5j, 1j, 0), (0.5j, -1j, 0)]
 
     def a(self, t):
         return np.cos(np.asarray(t, dtype=float))

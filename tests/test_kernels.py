@@ -84,6 +84,35 @@ def test_moment_cells_agree_with_quad_moments(kernel):
         assert abs(m1[r] - q1) < 1e-12 * max(1.0, abs(q1))
 
 
+def _exp_decay_A(t):
+    mu = mpmath.mpf(0.2)
+    return 1 + (-2 / mu) * (1 - mpmath.exp(-mu * t))
+
+
+@pytest.mark.parametrize(
+    "kernel, A",
+    [(Exponential(mu=0.2, c=-2.0, a0=1.0), _exp_decay_A), (NegExponential(), lambda t: mpmath.exp(-t)),
+     (Cosine(), mpmath.sin)],
+    ids=["exponential", "negexponential", "cosine"],
+)
+def test_moments_are_exact_on_short_and_far_cells(kernel, A):
+    # Differences of antiderivatives lost up to 5e-2 relative on these
+    # cells; the reference is the 30-digit quadrature of A on each cell.
+    def exact(t0, t1):
+        with mpmath.workdps(30):
+            return (mpmath.quad(A, [t0, t1]), mpmath.quad(lambda s: s * A(s), [t0, t1]))
+
+    for t0, t1 in ((0.0, 1e-6), (0.0, 1e-3), (5.0, 5.001)):
+        for got, ref in zip(quad_moments(kernel, t0, t1), exact(t0, t1)):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+    for dt, r in ((1e-6, 0), (1e-3, 0), (1e-3, 5000)):
+        cells = kernel.moment_cells(dt, r + 1)
+        with mpmath.workdps(30):
+            refs = exact(mpmath.mpf(r * dt), mpmath.mpf(r * dt) + dt)
+        for got, ref in zip(cells, refs):
+            assert abs(got[r] - ref) <= 1e-13 * abs(ref)
+
+
 def test_laplace_closed_forms_against_quadrature():
     s = 0.7 + 0.9j
     for kernel in (Exponential(mu=2.0, c=3.0), Cosine(), NegExponential(),

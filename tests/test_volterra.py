@@ -32,6 +32,8 @@ from memdiff.volterra import (
     BOUND_TOL,
     TimeGrid,
     _convolution_weights,
+    _exp_poly_terms,
+    _memory_modes,
     decay_envelope_check,
     kernel_convergence_test,
     relaxation_values,
@@ -232,7 +234,9 @@ ORACLE_GRID = TimeGrid(10.0, 500)
     [Heat(1.0), Wave(c=1.0), PowerLaw(beta=0.5, c=1.0),
      Exponential(mu=1.0, c=1.0), NegExponential(), Cosine(), LogModified(),
      SampledKernel(ORACLE_GRID.dt, 0.2 + ORACLE_GRID.nodes / (1.0 + ORACLE_GRID.nodes)),
-     Exponential(mu=0.2, c=-2.0, a0=1.0)],
+     Exponential(mu=0.2, c=-2.0, a0=1.0), Exponential(mu=1.0, c=1.0) + Heat(0.5),
+     ScaledKernel(Exponential(mu=1.0, c=1.0), 2.0), TimeDilated(Cosine(), 3.0),
+     TimeDilated(NegExponential(), 3.0), PowerLaw(beta=0.5, c=1.0) + Exponential(mu=1.0, c=1.0)],
     ids=lambda k: k.description,
 )
 def test_toeplitz_inversion_matches_march(kernel):
@@ -250,21 +254,75 @@ def test_toeplitz_inversion_matches_march_on_short_grids(n):
     grid = TimeGrid(0.2, n)
     lams = np.geomspace(1e-2, 30.0, 12)
     for kernel in (Heat(1.0), Wave(c=1.0), Exponential(mu=1.0, c=1.0), Cosine(),
-                   Exponential(mu=0.2, c=-2.0, a0=1.0)):
+                   Exponential(mu=0.2, c=-2.0, a0=1.0), PowerLaw(beta=0.5, c=1.0)):
         ref = _march(kernel, lams, grid)
         z = relaxation_values(kernel, lams, grid)
         assert np.max(np.abs(z - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_toeplitz_inversion_is_pointwise_accurate_on_growing_rows():
-    # The non-PD kernel grows to |z| ~ 4e13 after dipping to ~5e-4; the
-    # error at every node must be small relative to z there.
-    grid = TimeGrid(20.0, 4000)
+@pytest.mark.parametrize("grid", [TimeGrid(20.0, 4000), TimeGrid(40.0, 8000)],
+                         ids=lambda g: f"T{g.t_end:g}-n{g.n_steps}")
+def test_toeplitz_inversion_is_pointwise_accurate_on_growing_rows(grid):
+    # The non-PD kernel grows to |z| ~ 4e13 (9e28 on the longer grid) after
+    # dipping to ~5e-4; the error at every node must be small relative to z.
     lams = [1.0, 10.0, 100.0, 1000.0]
     kernel = Exponential(mu=0.2, c=-2.0, a0=1.0)
     ref = _march(kernel, lams, grid)
     z = relaxation_values(kernel, lams, grid)
     assert np.max(np.abs(z - ref) / np.abs(ref)) <= 1e-6
+
+
+def test_exp_poly_weights_match_mpmath():
+    # Differences of antiderivatives at 30 digits keep 20 after the
+    # cancellation; at double precision they were 8e-9 of max|w| off.
+    grid = TimeGrid(20.0, 4000)
+    wL, wR = _convolution_weights(Exponential(mu=0.2, c=-2.0, a0=1.0), grid)
+    with mpmath.workdps(30):
+        mu, c, a0, dt = map(mpmath.mpf, (0.2, -2.0, 1.0, grid.dt))
+        t = [r * dt for r in range(grid.n_steps + 1)]
+        e = [mpmath.exp(-mu * ti) for ti in t]
+        i1 = [(a0 + c / mu) * ti - c / mu**2 * (1 - ei) for ti, ei in zip(t, e)]
+        i2 = [(a0 + c / mu) * ti**2 / 2 - c / mu**3 * (1 - (1 + mu * ti) * ei) for ti, ei in zip(t, e)]
+        m0 = np.diff(i1)
+        m1 = np.diff(i2)
+        r = np.arange(grid.n_steps)
+        refR = np.array(((r + 1) * dt * m0 - m1) / dt, dtype=float)
+        refL = np.array((m1 - r * dt * m0) / dt, dtype=float)
+    for w, ref in ((wL, refL), (wR, refR)):
+        assert np.max(np.abs(w - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "kernel, states",
+    [(Heat(1.0), 0), (Wave(c=1.0, a0=0.5), 1), (Exponential(mu=1.0, c=1.0), 1),
+     (Exponential(mu=1.0, c=1.0) + Heat(0.5), 1), (Cosine(), 2),
+     (dilate(Cosine() + NegExponential(), 3.0), 3),
+     (PowerLaw(beta=0.5, c=1.0) + Exponential(mu=1.0, c=1.0), None),
+     (dilate(LogModified(), 2.0), None)],
+    ids=lambda k: getattr(k, "description", k),
+)
+def test_exp_poly_terms_choose_the_recurrence_path(kernel, states):
+    # The recurrence takes exponential polynomials, with one state per rate
+    # s != 0 and per t-term; the FFT division keeps every other kernel.
+    terms = _exp_poly_terms(kernel)
+    if states is None:
+        assert terms is None
+    else:
+        assert _memory_modes(terms, 0.01)[2].shape == (4, states)
+
+
+def test_fft_path_rows_keep_their_bits():
+    # The FFT division solves each dilation's rows in blocks of _ROW_BLOCK;
+    # a row must not depend on its block or on the other dilations.
+    kernel = PowerLaw(beta=0.5, c=1.0) + Exponential(mu=1.0, c=1.0)
+    grid = TimeGrid(2.0, 300)
+    dilation = np.repeat([1.0, 10.0], _ROW_BLOCK + 3)
+    lams = np.linspace(0.0, 8.0, dilation.size)
+    z = relaxation_values(kernel, lams, grid, dilation)
+    for T in (1.0, 10.0):
+        rows = dilation == T
+        assert np.array_equal(z[rows], relaxation_values(dilate(kernel, T), lams[rows], grid))
+    assert np.array_equal(z[5], relaxation_values(kernel, lams[5:6], grid)[0])
 
 
 @pytest.mark.parametrize("beta", [-0.9, -0.75, -0.4, -0.1])
@@ -397,6 +455,8 @@ def test_relaxation_values_shape_and_content():
     assert z.shape == (3, 101)
     assert np.all(z[0] == 1.0)
     assert np.all(z[:, 0] == 1.0)
+    for kernel in (Heat(1.0), Cosine(), PowerLaw(beta=0.5, c=1.0), fractional(-0.5)):
+        assert relaxation_values(kernel, [], grid).shape == (0, 101)
 
 
 @pytest.mark.parametrize(
