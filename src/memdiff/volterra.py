@@ -24,8 +24,11 @@ found follows the kernel's structure, in three paths:
   index for each rate s, so the march's history sum splits into one
   state per rate s != 0 (and per t-term), each updated in O(1) per step:
   a short recurrence per row, O(n) per ``lam``.  Heat needs no state,
-  Wave and Exponential one, Cosine two.  One loop over the steps serves
-  the rows of every coupling and every dilation.
+  Wave and Exponential one, Cosine two.  The recurrence is linear with
+  constant coefficients, so a block of 64 steps follows from one state
+  by the powers of a small matrix per row, in a few vectorised
+  operations that serve the rows of every coupling and every dilation
+  at once.
 * Power laws with beta < 0, alone or with Heat kernels: Laplace inversion
   on contours, below.
 * Every other kernel (power laws with beta in (0, 1], LogModified, sampled
@@ -78,7 +81,7 @@ BOUND_TOL = 1e-6
 ENVELOPE_TOL = 1e-9
 #: Lambda rows per block of the series inversion; bounds the temporaries.
 _ROW_BLOCK = 32
-#: Steps per buffer of the recurrence path before they are copied into z.
+#: Steps per block of the recurrence path, filled from one state.
 _STEP_BLOCK = 64
 #: Parabola of the beta < 0 path for the band of times (t_hi/4, t_hi]:
 #: mu = _BAND_MU / t_hi, trapezoid step _BAND_H and _BAND_NODES nodes
@@ -133,13 +136,8 @@ def _convolution_weights(kernel: MemoryKernel, grid: TimeGrid):
     """Toeplitz weights of the exact convolution with a piecewise-linear z.
 
     Cell r of the sigma-integral int_0^{t_i} A(sigma) z(t_i - sigma) dsigma
-    contributes ``wR[r]`` to z_{i-r} and ``wL[r]`` to z_{i-r-1}.  These are
-    the moments of A against the two hat functions of the cell, closed-form
-    for exponential polynomials, else built from the kernel's cell moments.
+    contributes ``wR[r]`` to z_{i-r} and ``wL[r]`` to z_{i-r-1}.
     """
-    terms = _exp_poly_terms(kernel)
-    if terms is not None:
-        return _hat_moments(terms, grid.dt * np.arange(grid.n_steps), grid.dt)
     dt = grid.dt
     m0, m1 = kernel.moment_cells(dt, grid.n_steps)
     r = np.arange(grid.n_steps)
@@ -242,21 +240,26 @@ def _contour_values(beta: float, p: np.ndarray, q: np.ndarray, grid: TimeGrid):
 
 def _memory_modes(terms, dt: float):
     """(wR[0], wL[0], modes) of one exponential polynomial, for the
-    recurrence path; ``modes`` holds one column (rho, KR, KL, f) per state.
+    recurrence path; ``modes`` holds one column (rho, KR, KL, f) per real
+    rate s != 0, per conjugate pair of rates and per t-term.
 
     A term g e^(s t) with s != 0 has weights (KR, KL) rho^r, rho = e^(s dt),
     so its part of the march's sum obeys M(i) = rho M(i-1) + KR z_i +
     KL z_(i-1), and the sum grows by f M(i-1) + KR z_i + KL z_(i-1) per
-    step, f = rho - 1.  A t-term g t adds g dt^2 r / 2 to both weights, a
-    state U(i) = U(i-1) + z_i + z_(i-1) with f = g dt^2 / 2.  Constant parts,
-    s = 0, need no state: they only enter wR[0] and wL[0].
+    step, f = rho - 1.  A is real, so complex rates come in conjugate pairs
+    with conjugate states: the pair is the column of Im s > 0 with 2 g, of
+    which the march takes the real part.  A t-term g t adds g dt^2 r / 2 to
+    both weights, a state U(i) = U(i-1) + z_i + z_(i-1) with
+    f = g dt^2 / 2.  Constant parts, s = 0, need no state: they only enter
+    wR[0] and wL[0].
     """
     wL, wR = _hat_moments(terms, 0.0, dt)
     modes = []
     for g, s, m in terms:
         if m:
             modes.append((1.0, 1.0, 1.0, g * dt**2 / 2.0))
-        elif s != 0.0:
+        elif s != 0.0 and np.imag(s) >= 0.0:
+            g = g if np.imag(s) == 0.0 else 2.0 * g
             pR, pL = _phi(s * dt)
             modes.append((np.exp(s * dt), g * dt * pR, g * dt * pL, np.expm1(s * dt)))
     return wR, wL, np.array(modes, dtype=complex).reshape(-1, 4).T
@@ -277,10 +280,16 @@ def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid:
     history, |rho| <= 1.  A d-term recurrence on the monomial coefficients
     of the rational symbol would need the same few operations per step,
     but its rounding grows like n^d where the rates e^(s dt) cluster at 1:
-    1.8e-5 for Cosine on TimeGrid(10, 20000), against 3e-12 here.  One loop
-    over the steps fills the rows of every kernel, each row with its own
-    coefficients; a complex rate is two real states.  Every operation is
-    elementwise, so a row gets the bits it would have alone.
+    1.8e-5 for Cosine on TimeGrid(10, 20000), against 3e-12 here.
+
+    The step is a fixed linear map S of z and the states, so z over a
+    block of ``_STEP_BLOCK`` steps is row 0 of S^j, j = 1, 2, ..., applied
+    to the state at the block's start, and S^_STEP_BLOCK gives the next
+    block's state.  A Python loop of one pass per step would make a
+    single-row solve on TimeGrid(5, 5000) ten times slower than the FFT
+    division.  The rows of every kernel go through the blocks together,
+    each with its own S.  Every operation is elementwise, so a row gets
+    the bits it would have alone.
     """
     n = grid.n_steps
     if not len(lambdas):
@@ -296,45 +305,56 @@ def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid:
     # State k enters the step as Re(e_k M_k(i)), e_k = -lam f_k / D0.  With
     # Y_k(i) = e_k (rho_k M_k(i) + KL_k z_i), the part of e_k M_k(i+1) known
     # before z_(i+1), a step is
-    #   z_(i+1) = c2 z_i + sum_k Re Y_k(i-1),   Y_k(i) = rho_k Y_k(i-1) + gain_k z_i.
+    #   z_(i+1) = c2 z_i + sum_k Re Y_k(i-1),   Y_k(i) = rho_k Y_k(i-1) + gain_k z_i,
+    # that is x_(i+1) = S x_i for x_i = (z_i, Y(i-1)) and x_1 = (c1, Y(0)),
+    # where a column of complex rates is two real states, Re Y and Im Y.
     e = -lambdas * f / D0
     c1 = (1.0 - lambdas * wL0) / D0
-    c2 = c1 + sum(np.real(e * KR))
     Y, gain = e * KL, e * (rho * KR + KL)
-    # A complex rate is two real states, Re Y and Im Y, half the states
-    # apart, and Y <- rho Y rotates each pair.
-    turn = None
-    if np.any(rho.imag != 0.0):
-        Y, gain = (np.concatenate([a.real, a.imag]) for a in (Y, gain))
-        decay = np.concatenate([rho.real, rho.real])
-        turn = np.concatenate([-rho.imag, rho.imag])
-        partner = np.roll(np.arange(len(Y)), len(rho))
-    else:
-        Y, gain, decay = (np.ascontiguousarray(a.real) for a in (Y, gain, rho))
-    real_parts = list(Y[: len(rho)])
+    pairs = [np.any(np.imag(col) != 0.0) for col in zip(rho, KR, KL, f)]
+    d = 1 + len(pairs) + sum(pairs)
+    S = np.zeros((d, d, len(lambdas)))
+    x1 = np.empty((d, len(lambdas)))
+    S[0, 0] = c1 + sum(np.real(e * KR))
+    x1[0] = c1
+    j = 1
+    for k, pair in enumerate(pairs):
+        S[0, j], S[j, 0], S[j, j], x1[j] = 1.0, gain[k].real, rho[k].real, Y[k].real
+        if pair:
+            S[j + 1, 0], x1[j + 1] = gain[k].imag, Y[k].imag
+            S[j, j + 1], S[j + 1, j], S[j + 1, j + 1] = -rho[k].imag, rho[k].imag, rho[k].real
+        j += 1 + pair
+    # Powers S^j, j = 1.._STEP_BLOCK, by doubling: row 0 of each, which maps
+    # a state to a later z, and S^_STEP_BLOCK in full, which maps it to the
+    # next block's state.
+    row0 = np.empty((d, len(lambdas), _STEP_BLOCK))
+    row0[:, :, 0] = S[0]
+    k = 1
+    while k < _STEP_BLOCK:
+        for c in range(d):
+            out = row0[c][:, k : 2 * k]
+            np.multiply(row0[0][:, :k], S[0, c][:, None], out=out)
+            for b in range(1, d):
+                out += row0[b][:, :k] * S[b, c][:, None]
+        S2 = S[:, 0, None] * S[0]
+        for b in range(1, d):
+            S2 += S[:, b, None] * S[b]
+        S, k = S2, 2 * k
+    # z at steps i + 1..i + _STEP_BLOCK from x_i, block by block.
     z = np.empty((len(lambdas), n + 1))
     z[:, 0] = 1.0
-    # The steps run on a buffer of _STEP_BLOCK steps, copied into z block
-    # by block, so that each step reads and writes contiguous rows.
-    buf = np.empty((_STEP_BLOCK + 1, len(lambdas)))
-    buf[1] = c1
-    tmp = np.empty_like(Y)
-    first = 2
-    for start in range(1, n + 1, _STEP_BLOCK):
-        steps = min(_STEP_BLOCK, n + 1 - start)
-        for j in range(first, steps + 1):
-            zi, znew = buf[j - 1], buf[j]
-            np.multiply(c2, zi, out=znew)
-            for part in real_parts:
-                znew += part
-            if turn is None:
-                Y *= decay
-            else:
-                Y[:] = decay * Y + turn * Y[partner]
-            Y += np.multiply(gain, zi, out=tmp)
-        z[:, start : start + steps] = buf[1 : steps + 1].T
-        buf[0] = buf[steps]
-        first = 1
+    z[:, 1] = x1[0]
+    x = x1
+    for i in range(1, n, _STEP_BLOCK):
+        m = min(_STEP_BLOCK, n - i)
+        out = z[:, i + 1 : i + 1 + m]
+        np.multiply(row0[0][:, :m], x[0][:, None], out=out)
+        for b in range(1, d):
+            out += row0[b][:, :m] * x[b][:, None]
+        x2 = S[:, 0] * x[0]
+        for b in range(1, d):
+            x2 += S[:, b] * x[b]
+        x = x2
     return z
 
 
