@@ -36,7 +36,7 @@ from .spectral import (
     limit_profile,
 )
 from .specfun import gamma as gamma_fn
-from .volterra import TimeGrid, relaxation_values
+from .volterra import TimeGrid, _solve_nodes
 
 #: Permitted |beta_estimate - beta_nominal| before the harness refuses.
 BETA_MISMATCH_TOL = 0.05
@@ -303,9 +303,7 @@ def relaxation_at_time(kernel: MemoryKernel, lambdas, t: float, n_steps: int = 2
     if t <= 0:
         raise DomainError("t must be positive")
     lambdas = np.asarray(lambdas, dtype=float)
-    tg = TimeGrid(1.0, n_steps)
-    z = relaxation_values(kernel, lambdas * t, tg, t)
-    return z[:, -1]
+    return _solve_nodes(kernel, lambdas * t, TimeGrid(1.0, n_steps), t, [n_steps])[0][0]
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .kernels import MemoryKernel, require_positive_definite
 from .specfun import mittag_leffler
-from .volterra import TimeGrid, relaxation_values, require_bounded
+from .volterra import TimeGrid, _solve_nodes, require_bounded
 
 #: Tolerated imaginary residue after synthesis of a Hermitian field.
 SYNTH_IMAG_TOL = 1e-10
@@ -219,20 +219,21 @@ def _mode_factors(
 
     The core of the representation formula u_hat = z * u0_hat: one solve
     over the distinct |xi|^2 of the grid for every dilation d at once,
-    then a gather onto the modes.  ``lam_scale`` and ``dilation`` are
-    broadcast against each other; the result is indexed [d][k] for the
-    k-th entry of ``times``.  Callers must have checked that the kernel
-    is positive definite, since |z| above 1 is then refused as a too
-    coarse time grid.
+    which keeps only the nodes of ``times``, then a gather onto the modes.
+    ``lam_scale`` and ``dilation`` are broadcast against each other; the
+    result is indexed [d][k] for the k-th entry of ``times``.  Callers
+    must have checked that the kernel is positive definite, since |z|
+    above 1 at any node of the solve is then refused as a too coarse time
+    grid.
     """
     indices = [time_grid.index_of(float(t)) for t in np.atleast_1d(times)]
     lam_scale, dilation = np.broadcast_arrays(np.atleast_1d(lam_scale), np.atleast_1d(dilation))
     lambdas, inverse = unique_lambdas(grid)
     rows = (lam_scale[:, None] * lambdas).ravel()
-    zmat = relaxation_values(kernel, rows, time_grid, np.repeat(dilation, len(lambdas)))
-    require_bounded(zmat)
-    blocks = zmat.reshape(len(dilation), len(lambdas), -1)
-    return [[block[:, idx][inverse] for idx in indices] for block in blocks]
+    z, peak = _solve_nodes(kernel, rows, time_grid, np.repeat(dilation, len(lambdas)), indices)
+    require_bounded(peak)
+    z = z.reshape(len(indices), len(dilation), len(lambdas))
+    return [[zk[d][inverse] for zk in z] for d in range(len(dilation))]
 
 
 def evolve(

@@ -28,7 +28,8 @@ found follows the kernel's structure, in three paths:
   constant coefficients, so a block of 64 steps follows from one state
   by the powers of a small matrix per row, in a few vectorised
   operations that serve the rows of every coupling and every dilation
-  at once.
+  at once.  Powers and blocks are stored time-major, (step, row), so
+  each operation runs over one contiguous vector of all rows.
 * Power laws with beta < 0, alone or with Heat kernels: Laplace inversion
   on contours, below.
 * Every other kernel (power laws with beta in (0, 1], LogModified, sampled
@@ -50,6 +51,18 @@ That gives the exact solution to about 1e-12 at every node, at the cost
 of 25 transform values per row and band and a 25-term sum per node.  A
 dilation t -> T t changes c only, so rows of every coupling and every
 dilation of a kernel are solved in one call, each with its own (p, q).
+
+All three paths sit behind one core, ``_solve_nodes``, which returns z
+time-major at the requested node indices only, together with max|z| over
+every node of every row.  A study needs z at a few times but for every
+|xi|^2 and dilation, so the recurrence keeps only those nodes: it fills
+each 64-step block into a reused scratch array, copies the requested
+nodes out and folds the block's max|z| into a running peak, so the bound
+check of positive-definite callers still sees every node while no
+(rows x n+1) matrix is held.  The contour and FFT paths still solve every
+node, then gather.  ``relaxation_values`` is the core with every node
+requested, for which the recurrence writes its blocks straight into the
+result.  A non-finite node raises StepSizeError on every path.
 """
 
 from __future__ import annotations
@@ -69,7 +82,6 @@ from .kernels import (
     SumKernel,
     TimeDilated,
     _ExpPolyKernel,
-    _hat_moments,
     _phi,
     dilate,
 )
@@ -238,10 +250,13 @@ def _contour_values(beta: float, p: np.ndarray, q: np.ndarray, grid: TimeGrid):
     return z
 
 
-def _memory_modes(terms, dt: float):
-    """(wR[0], wL[0], modes) of one exponential polynomial, for the
-    recurrence path; ``modes`` holds one column (rho, KR, KL, f) per real
-    rate s != 0, per conjugate pair of rates and per t-term.
+def _memory_modes(terms_list, dt: float):
+    """(wR[0], wL[0], modes) of exponential polynomials, for the recurrence
+    path.  The term lists of ``terms_list`` share one layout (the dilations
+    of a kernel do), and each output holds one entry per polynomial, on its
+    last axis: ``modes`` is (4, columns, polynomials), with one column
+    (rho, KR, KL, f) per real rate s != 0, per conjugate pair of rates and
+    per t-term.
 
     A term g e^(s t) with s != 0 has weights (KR, KL) rho^r, rho = e^(s dt),
     so its part of the march's sum obeys M(i) = rho M(i-1) + KR z_i +
@@ -251,25 +266,46 @@ def _memory_modes(terms, dt: float):
     which the march takes the real part.  A t-term g t adds g dt^2 r / 2 to
     both weights, a state U(i) = U(i-1) + z_i + z_(i-1) with
     f = g dt^2 / 2.  Constant parts, s = 0, need no state: they only enter
-    wR[0] and wL[0].
+    wR[0] and wL[0], the ``_hat_moments`` of the first cell, summed term by
+    term in the same order.  phi(s dt) of the real rates of every
+    polynomial is one call and of the complex rates another, since a real
+    rate taken through complex arithmetic would get other bits.
     """
-    wL, wR = _hat_moments(terms, 0.0, dt)
+    layout = terms_list[0]
+    rates = {}
+    for pair in (False, True):
+        cols = [l for l, (_, s, m) in enumerate(layout) if not m and (np.imag(s) != 0.0) == pair]
+        kind = complex if pair else float
+        gdt = np.array([[terms[l][0] * dt for terms in terms_list] for l in cols], dtype=kind)
+        sdt = np.array([[terms[l][1] * dt for terms in terms_list] for l in cols], dtype=kind)
+        rates.update(zip(cols, zip(gdt, *_phi(sdt), np.exp(sdt), np.expm1(sdt))))
+    one = np.ones(len(terms_list))
+    wL0 = wR0 = 0.0
     modes = []
-    for g, s, m in terms:
+    for l, (_, s, m) in enumerate(layout):
         if m:
-            modes.append((1.0, 1.0, 1.0, g * dt**2 / 2.0))
-        elif s != 0.0 and np.imag(s) >= 0.0:
-            g = g if np.imag(s) == 0.0 else 2.0 * g
-            pR, pL = _phi(s * dt)
-            modes.append((np.exp(s * dt), g * dt * pR, g * dt * pL, np.expm1(s * dt)))
-    return wR, wL, np.array(modes, dtype=complex).reshape(-1, 4).T
+            g = np.array([terms[l][0] for terms in terms_list])
+            wL0 = wL0 + g * dt * (dt / 3.0)
+            wR0 = wR0 + g * dt * (dt / 6.0)
+            modes.append((one, one, one, g * dt**2 / 2.0))
+            continue
+        gdt, pR, pL, rho, f = rates[l]
+        wL0 = wL0 + np.real(gdt * pL)
+        wR0 = wR0 + np.real(gdt * pR)
+        if s != 0.0 and np.imag(s) >= 0.0:
+            gdt = gdt if np.imag(s) == 0.0 else 2.0 * gdt
+            modes.append((rho, gdt * pR, gdt * pL, f))
+    modes = np.array(modes, dtype=complex).reshape(-1, 4, len(terms_list))
+    return wR0, wL0, modes.transpose(1, 0, 2)
 
 
-def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid: TimeGrid):
+def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid: TimeGrid, nodes):
     """Solver path for exponential polynomials: a short recurrence per row.
 
     Row j solves z + lam_j A * z = 1 for the kernel with terms
-    ``terms_list[which[j]]``.  Differencing the march (see
+    ``terms_list[which[j]]``.  Returns (z, peak) as ``_solve_nodes`` does:
+    z time-major, one row per entry of ``nodes`` (every node if None), and
+    peak = max|z| over every node of every row.  Differencing the march (see
     ``_solve_matrix``) at steps i and i - 1 gives
 
         z_i (1 + lam wR[0]) = z_(i-1) (1 - lam wL[0]) - lam sum_k f_k M_k(i-1),
@@ -290,13 +326,24 @@ def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid:
     division.  The rows of every kernel go through the blocks together,
     each with its own S.  Every operation is elementwise, so a row gets
     the bits it would have alone.
+
+    The powers and the blocks are time-major, (step, row), so each
+    multiply-add runs over one contiguous vector of all rows.  With every
+    node requested, the blocks are written straight into the time-major
+    result; otherwise each block is filled into one reused (_STEP_BLOCK,
+    rows) scratch array, the requested nodes are copied out of it, and its
+    max|z| is folded into a running peak.  Peak memory is then a few
+    blocks, not rows x (n + 1) values, and the bound check still sees every
+    node.
     """
     n = grid.n_steps
-    if not len(lambdas):
-        return np.empty((0, n + 1))
-    modes = [_memory_modes(terms, grid.dt) for terms in terms_list]
-    wR0, wL0 = np.array([m[:2] for m in modes])[which].T
-    rho, KR, KL, f = np.array([m[2] for m in modes])[which].transpose(1, 2, 0)
+    rows = len(lambdas)
+    z = np.empty((n + 1 if nodes is None else len(nodes), rows))
+    if not rows:
+        return z, 0.0
+    wR0, wL0, modes = _memory_modes(terms_list, grid.dt)
+    wR0, wL0 = wR0[which], wL0[which]
+    rho, KR, KL, f = modes[:, :, which]
     D0 = 1.0 + lambdas * wR0
     if np.any(D0 <= 0.0):
         raise StepSizeError(
@@ -313,8 +360,8 @@ def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid:
     Y, gain = e * KL, e * (rho * KR + KL)
     pairs = [np.any(np.imag(col) != 0.0) for col in zip(rho, KR, KL, f)]
     d = 1 + len(pairs) + sum(pairs)
-    S = np.zeros((d, d, len(lambdas)))
-    x1 = np.empty((d, len(lambdas)))
+    S = np.zeros((d, d, rows))
+    x1 = np.empty((d, rows))
     S[0, 0] = c1 + sum(np.real(e * KR))
     x1[0] = c1
     j = 1
@@ -327,35 +374,52 @@ def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid:
     # Powers S^j, j = 1.._STEP_BLOCK, by doubling: row 0 of each, which maps
     # a state to a later z, and S^_STEP_BLOCK in full, which maps it to the
     # next block's state.
-    row0 = np.empty((d, len(lambdas), _STEP_BLOCK))
-    row0[:, :, 0] = S[0]
+    row0 = np.empty((d, _STEP_BLOCK, rows))
+    tmp = np.empty((_STEP_BLOCK, rows))
+    row0[:, 0] = S[0]
     k = 1
     while k < _STEP_BLOCK:
         for c in range(d):
-            out = row0[c][:, k : 2 * k]
-            np.multiply(row0[0][:, :k], S[0, c][:, None], out=out)
+            out = row0[c, k : 2 * k]
+            np.multiply(row0[0, :k], S[0, c], out=out)
             for b in range(1, d):
-                out += row0[b][:, :k] * S[b, c][:, None]
+                out += np.multiply(row0[b, :k], S[b, c], out=tmp[:k])
         S2 = S[:, 0, None] * S[0]
         for b in range(1, d):
             S2 += S[:, b, None] * S[b]
         S, k = S2, 2 * k
-    # z at steps i + 1..i + _STEP_BLOCK from x_i, block by block.
-    z = np.empty((len(lambdas), n + 1))
-    z[:, 0] = 1.0
-    z[:, 1] = x1[0]
+    # z at steps i + 1..i + _STEP_BLOCK from x_i, block by block; steps 0
+    # and 1 are 1 and c1.  Without the full matrix, hi and lo collect the
+    # max and min of every block, which np.max and np.min then reduce with
+    # NaN kept.
+    if nodes is None:
+        z[0], z[1] = 1.0, x1[0]
+    else:
+        for p, node in enumerate(nodes):
+            if node < 2:
+                z[p] = x1[0] if node else 1.0
+        buf = np.empty((_STEP_BLOCK, rows))
+        hi, lo = [1.0, np.max(x1[0])], [1.0, np.min(x1[0])]
     x = x1
     for i in range(1, n, _STEP_BLOCK):
         m = min(_STEP_BLOCK, n - i)
-        out = z[:, i + 1 : i + 1 + m]
-        np.multiply(row0[0][:, :m], x[0][:, None], out=out)
+        out = z[i + 1 : i + 1 + m] if nodes is None else buf[:m]
+        np.multiply(row0[0, :m], x[0], out=out)
         for b in range(1, d):
-            out += row0[b][:, :m] * x[b][:, None]
+            out += np.multiply(row0[b, :m], x[b], out=tmp[:m])
+        if nodes is not None:
+            hi.append(np.max(out))
+            lo.append(np.min(out))
+            for p, node in enumerate(nodes):
+                if i < node <= i + m:
+                    z[p] = out[node - i - 1]
         x2 = S[:, 0] * x[0]
         for b in range(1, d):
             x2 += S[:, b] * x[b]
         x = x2
-    return z
+    if nodes is None:
+        return z, _abs_max(z)
+    return z, np.maximum(np.max(hi), -np.min(lo))
 
 
 def _newton_levels(dc: np.ndarray, h: int):
@@ -453,16 +517,20 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, z, 
         z[block, h + 1 :] = np.fft.irfft(np.fft.rfft(r, size) * g_hat, size)[:, : n - h]
 
 
-def require_bounded(z) -> None:
-    """Raise StepSizeError unless max|z| <= 1 + BOUND_TOL.
+def _abs_max(z):
+    """max|z| of a real array as max(max z, -min z), which allocates no copy
+    of ``z``; NaN if any entry is NaN."""
+    return np.maximum(np.max(z), -np.min(z))
+
+
+def require_bounded(peak) -> None:
+    """Raise StepSizeError unless peak = max|z| <= 1 + BOUND_TOL.
 
     For a positive-definite kernel |z| <= 1 is a theorem, so a larger value
     means the discrete scheme went unstable on too coarse a grid.  Call
-    only where the kernel is known to be positive definite.  ``z`` is real,
-    so max|z| = max(max z, -min z), which unlike np.abs(z) allocates no
-    copy of the whole solve.
+    only where the kernel is known to be positive definite, with the peak
+    of ``_solve_nodes``, which covers every node, requested or not.
     """
-    peak = float(np.maximum(np.max(z), -np.min(z)))
     if not peak <= 1.0 + BOUND_TOL:  # NaN fails too
         raise StepSizeError(
             f"max|z| = {peak:.3e} exceeds 1 for a positive-definite kernel; "
@@ -470,54 +538,83 @@ def require_bounded(z) -> None:
         )
 
 
-def relaxation_values(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0) -> np.ndarray:
-    """Matrix z[j, i] = z(lambdas[j], t_i); the array core of the solver API.
+def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, nodes=None):
+    """(z, peak): z[k, j] = z(lambdas[j], t_(nodes[k])) and peak = max|z|.
 
-    Row j solves the relaxation of ``dilate(kernel, dilation[j])`` at
-    coupling lambdas[j]; a scalar dilation applies to every row.  Each
-    row has the bits it would have if solved alone, and rows with
-    lam = 0 are exactly 1.  Power laws with beta < 0, alone or summed
-    with Heat kernels, are solved for all rows at once by Laplace
-    inversion on parabolic contours, row j with its own constants
-    (lam a0, lam c/beta); this needs a0 >= 0, since with a0 < 0 the
-    transform has a pole s > 0 that the contour would miss, and such
-    kernels raise DomainError, as does any other combination with such a
-    power law.  Exponential polynomials (see ``_exp_poly_terms``) are
-    solved for all rows at once by a short recurrence per row on
-    closed-form weights.  Every other kernel is marched by FFT division
-    once per distinct dilation, with that dilation's weights computed a
-    single time for all its rows.
+    The array core of the solver API.  z is time-major, one row per entry
+    of ``nodes`` (node indices, in any order), or per node of the grid if
+    ``nodes`` is None; peak is taken over every node of every row, whether
+    requested or not, and is NaN if any node is.  Row j solves the
+    relaxation of ``dilate(kernel, dilation[j])`` at coupling lambdas[j];
+    a scalar dilation applies to every row.  Each row has the bits it
+    would have if solved alone, and rows with lam = 0 are exactly 1.
+
+    Power laws with beta < 0, alone or summed with Heat kernels, are solved
+    for all rows at once by Laplace inversion on parabolic contours, row j
+    with its own constants (lam a0, lam c/beta); this needs a0 >= 0, since
+    with a0 < 0 the transform has a pole s > 0 that the contour would
+    miss, and such kernels raise DomainError, as does any other
+    combination with such a power law.  Exponential polynomials (see
+    ``_exp_poly_terms``) are solved for all rows at once by a short
+    recurrence per row on closed-form weights, which keeps only the
+    requested nodes.  Every other kernel is marched by FFT division once
+    per distinct dilation, with that dilation's weights computed a single
+    time for all its rows.  The contour and FFT paths solve every node and
+    then gather the requested ones.
+
+    Raises DomainError for a lam that is negative or not finite, and
+    StepSizeError if any node is not finite.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas < 0):
-        raise DomainError("lambda must be nonnegative")
+    if not np.all((lambdas >= 0.0) & (lambdas < np.inf)):  # NaN fails too
+        raise DomainError("lambda must be finite and nonnegative")
     try:
         dilation = np.broadcast_to(np.asarray(dilation, dtype=float), lambdas.shape)
     except ValueError:
         raise DomainError("need one dilation per lambda, or a scalar") from None
     if not np.all(dilation > 0):
         raise DomainError("dilation factor T must be positive")
+    if nodes is not None and not all(0 <= i <= grid.n_steps for i in nodes):
+        raise DomainError("node index outside the time grid")
     Ts, which = np.unique(dilation, return_inverse=True)
     kernels = [kernel if T == 1.0 else dilate(kernel, float(T)) for T in Ts]
     constants = _power_law_constants(kernel)
-    if constants is not None:
-        a0, cA = np.array([_power_law_constants(k)[1:] for k in kernels]).reshape(-1, 2).T
-        p = lambdas * a0[which]
-        if np.any(p < 0.0):
-            raise DomainError(
-                f"{kernel.description}: a0 < 0 gives the transform of z a pole "
-                "s > 0, which the beta < 0 path cannot represent"
-            )
-        z = _contour_values(constants[0], p, lambdas * cA[which], grid)
-    elif _exp_poly_terms(kernel) is not None:
-        z = _recurrence_values([_exp_poly_terms(k) for k in kernels], lambdas, which, grid)
+    if constants is None and _exp_poly_terms(kernel) is not None:
+        terms_list = [_exp_poly_terms(k) for k in kernels]
+        z, peak = _recurrence_values(terms_list, lambdas, which, grid, nodes)
     else:
-        z = np.empty((len(lambdas), grid.n_steps + 1))
-        z[:, 0] = 1.0
-        for j, k in enumerate(kernels):
-            _solve_matrix(k, lambdas, grid, z, np.flatnonzero(which == j))
-    z[lambdas == 0.0] = 1.0
-    return z
+        if constants is not None:
+            a0, cA = np.array([_power_law_constants(k)[1:] for k in kernels]).reshape(-1, 2).T
+            p = lambdas * a0[which]
+            if np.any(p < 0.0):
+                raise DomainError(
+                    f"{kernel.description}: a0 < 0 gives the transform of z a pole "
+                    "s > 0, which the beta < 0 path cannot represent"
+                )
+            z = _contour_values(constants[0], p, lambdas * cA[which], grid)
+        else:
+            z = np.empty((len(lambdas), grid.n_steps + 1))
+            z[:, 0] = 1.0
+            for j, k in enumerate(kernels):
+                _solve_matrix(k, lambdas, grid, z, np.flatnonzero(which == j))
+        z[lambdas == 0.0] = 1.0
+        peak = _abs_max(z) if len(z) else 0.0
+        z = z.T if nodes is None else z[:, nodes].T
+    if not np.isfinite(peak):
+        raise StepSizeError(
+            f"max|z| = {peak:.3e}: the solve is not finite; refine the time grid"
+        )
+    return z, peak
+
+
+def relaxation_values(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0) -> np.ndarray:
+    """Matrix z[j, i] = z(lambdas[j], t_i) of ``dilate(kernel, dilation[j])``.
+
+    ``_solve_nodes`` with every node; see there for the solver paths, the
+    dilation and the errors.  The matrix is the transpose of a time-major
+    array, so its rows are strided views.
+    """
+    return _solve_nodes(kernel, lambdas, grid, dilation)[0].T
 
 
 def solve_relaxation(kernel: MemoryKernel, lam: float, grid: TimeGrid) -> ScalarRelaxation:

@@ -1,6 +1,7 @@
 """Fourier-side evolution, norms, synthesis, and limit profiles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from memdiff.errors import DomainError, HypothesisViolation
-from memdiff.kernels import Cosine, Exponential, Heat, NegExponential
+from memdiff.asymptotics import ScalingFunction, converge_to_limit
+from memdiff.errors import DomainError, HypothesisViolation, StepSizeError
+from memdiff.kernels import Cosine, Exponential, Heat, NegExponential, PowerLaw, Wave, fractional
 from memdiff.specfun import gamma, mittag_leffler
 from memdiff.spectral import (
     BoxFunction,
     Gaussian,
     ModeGrid,
     SpectralField,
+    _mode_factors,
     evaluate_at,
     evolve,
     hs_norm,
@@ -23,7 +26,7 @@ from memdiff.spectral import (
     synthesize,
     unique_lambdas,
 )
-from memdiff.volterra import TimeGrid
+from memdiff.volterra import TimeGrid, relaxation_values
 
 
 def test_mode_grid_includes_zero_and_endpoints():
@@ -121,6 +124,68 @@ def test_evolve_rejects_off_grid_time():
     tg = TimeGrid(1.0, 100)
     with pytest.raises(DomainError):
         evolve(Heat(1.0), Gaussian(), g, [0.0055], tg)
+
+
+@pytest.mark.parametrize(
+    "grid", [ModeGrid(1, 16, 6.0, radial=True), ModeGrid(2, 10, 4.0), ModeGrid(3, 6, 3.0)],
+    ids=["1d-radial", "2d", "3d"],
+)
+@pytest.mark.parametrize(
+    "kernel",
+    [Exponential(mu=1.0, c=1.0), Cosine(), PowerLaw(beta=0.5, c=1.0), fractional(-0.4)],
+    ids=["recurrence", "recurrence-pair", "fft", "contour"],
+)
+def test_mode_factors_equal_the_gather_of_the_full_solve(kernel, grid):
+    # The recurrence fills steps 2 + 64 b onward in blocks of 64, so the
+    # nodes straddle block edges; n = 203 is not a multiple of 64, and a
+    # node may repeat or come out of order.
+    tg = TimeGrid(2.03, 203)
+    nodes = [0, 1, 2, 64, 65, 66, 128, 129, 130, 203, 65]
+    lam_scale, dilation = [1.0, 0.3, 2.0], [1.0, 10.0, 100.0]
+    factors = _mode_factors(kernel, grid, tg, tg.dt * np.array(nodes), lam_scale, dilation)
+    lambdas, inverse = unique_lambdas(grid)
+    for per_t, ls, T in zip(factors, lam_scale, dilation):
+        z = relaxation_values(kernel, ls * lambdas, tg, T)
+        for factor, i in zip(per_t, nodes):
+            assert np.array_equal(factor, z[:, i][inverse])
+
+
+def test_mode_factors_bound_check_sees_unrequested_nodes():
+    # z = 1 at t = 0, the only node asked for, but this kernel is not
+    # positive definite and z grows past 1 later on the grid.
+    kernel = Exponential(mu=0.2, c=-2.0, a0=1.0)
+    with pytest.raises(StepSizeError, match="exceeds 1"):
+        _mode_factors(kernel, ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400), [0.0])
+
+
+def test_mode_factors_report_a_nan_peak():
+    # The Wave march diverges to NaN past lam c dt^2 ~ 25; a running max
+    # that dropped NaN would hand back NaN factors.
+    # A lam_scale of inf makes lam = inf * 0 = NaN at xi = 0, refused.
+    grid = ModeGrid(1, 64, 200.0, radial=True)
+    with np.errstate(all="ignore"):
+        with pytest.raises(StepSizeError, match=r"max\|z\| = nan"):
+            _mode_factors(Wave(c=1.0), grid, TimeGrid(50.0, 1000), [0.0])
+        with pytest.raises(DomainError, match="finite"):
+            _mode_factors(Exponential(1.0, 1.0), grid, TimeGrid(1.0, 100), [1.0], lam_scale=1e309)
+
+
+def test_study_holds_no_full_solve_matrix():
+    # A 2-D N=128 study at the default 2000 steps per unit time: the
+    # (rows x n+1) solve matrix would be 3 x 1621 x 4001 doubles, 156 MB;
+    # the recurrence keeps a few 64-step blocks and the requested nodes.
+    kernel = Exponential(mu=1.0, c=1.0)
+    grid = ModeGrid(2, 128, 8.0)
+    T_list = [1e2, 1e3, 1e4]
+    full = len(T_list) * len(unique_lambdas(grid)[0]) * 4001 * 8
+    tracemalloc.start()
+    try:
+        converge_to_limit(kernel, Gaussian(), ScalingFunction(kernel=kernel, beta=0.0),
+                          T_list, [1.0, 2.0], 0.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 4
 
 
 def test_cosine_kernel_closed_form():

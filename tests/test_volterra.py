@@ -35,6 +35,7 @@ from memdiff.volterra import (
     _convolution_weights,
     _exp_poly_terms,
     _memory_modes,
+    _solve_nodes,
     decay_envelope_check,
     kernel_convergence_test,
     relaxation_values,
@@ -285,7 +286,8 @@ def _recurrence_weights(kernel, grid):
     wR[0] and wL[0] are given; a mode (rho, KR, KL, f) adds (KR, KL)
     (rho^r - 1) to cell r, or (f r, f r) for a t-term (rho = 1).
     """
-    wR0, wL0, (rho, KR, KL, f) = _memory_modes(_exp_poly_terms(kernel), grid.dt)
+    (wR0,), (wL0,), modes = _memory_modes([_exp_poly_terms(kernel)], grid.dt)
+    rho, KR, KL, f = modes[..., 0]
     r = np.arange(grid.n_steps)[:, None]
     t_term = rho == 1.0
     grow = np.where(t_term, f * r, rho**r - 1.0)
@@ -360,7 +362,7 @@ def test_exp_poly_terms_choose_the_recurrence_path(kernel, states):
     if states is None:
         assert terms is None
     else:
-        assert _memory_modes(terms, 0.01)[2].shape == (4, states)
+        assert _memory_modes([terms], 0.01)[2][..., 0].shape == (4, states)
 
 
 def test_fft_path_rows_keep_their_bits():
@@ -499,6 +501,43 @@ def test_relaxation_values_rejects_bad_dilation():
         relaxation_values(Heat(1.0), [1.0, 2.0], grid, [1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
         relaxation_values(fractional(-0.5), [1.0, 2.0], grid, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "kernel", [Exponential(mu=1.0, c=1.0), PowerLaw(beta=0.5), fractional(-0.4)],
+    ids=["recurrence", "fft", "contour"],
+)
+def test_relaxation_values_refuses_non_finite_lambda(kernel, bad):
+    # Every path returned a non-finite row for such a lambda, with no error.
+    with pytest.raises(DomainError, match="finite"):
+        relaxation_values(kernel, [1.0, bad], TimeGrid(1.0, 10))
+
+
+@pytest.mark.parametrize("node", [-1, 11])
+@pytest.mark.parametrize(
+    "kernel", [Exponential(mu=1.0, c=1.0), PowerLaw(beta=0.5), fractional(-0.4)],
+    ids=["recurrence", "fft", "contour"],
+)
+def test_solve_nodes_refuses_a_node_off_the_grid(kernel, node):
+    # The recurrence would leave such a row unfilled, and numpy would read
+    # -1 as the last node.
+    with pytest.raises(DomainError, match="node"):
+        _solve_nodes(kernel, [1.0], TimeGrid(1.0, 10), nodes=[0, node])
+
+
+@pytest.mark.parametrize(
+    "kernel, lams, grid, dilation",
+    [(Wave(c=1.0), [1e4, 3e4], TimeGrid(50.0, 1000), 1.0),
+     (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3)],
+    ids=["wave-recurrence", "logmodified-fft"],
+)
+def test_non_finite_solve_raises(kernel, lams, grid, dilation):
+    # The march diverges for Wave at lam c dt^2 = 25 and 75, and the FFT
+    # division overflows for the dilated LogModified: both came back as NaN
+    # rows with only a RuntimeWarning.
+    with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="not finite"):
+        relaxation_values(kernel, lams, grid, dilation)
 
 
 def test_relaxation_values_shape_and_content():
