@@ -3,13 +3,17 @@
 A kernel is the pair of an instantaneous coefficient ``a0 >= 0`` and a
 fading-memory part ``a(t)``.  The object that drives all asymptotics is the
 integrated kernel ``A(t) = a0 + int_0^t a(s) ds``; every family supplies
-``A`` in closed form together with the first two antiderivatives of ``A``,
-which the Volterra solver consumes as exact cell moments, and the transform
-of ``a``.  ``LogModified`` takes its antiderivatives and transform from fixed
-rules exact to rounding: Gauss-Legendre per cell, trapezoid on a rotated ray.
-Heat, Wave, Exponential, NegExponential and Cosine also list the terms of
-A = sum g t^m e^(s t), from which their cell moments, and the solver's
-weights, are formed without differencing antiderivatives.
+``A`` in closed form, the transform of ``a``, and one cell rule, ``_hat``:
+the weights of ``A`` against the two hat functions of a cell, which is all
+the Volterra solver uses of the kernel.  The antiderivatives, the cell
+moments and the solver's Toeplitz weights all derive from that rule.
+Heat, Wave, Exponential, NegExponential and Cosine list the terms of
+A = sum g t^m e^(s t), whose hat weights are closed-form with no
+differencing; sums, scalings and dilations combine their parts' rules, so
+they stay as exact.  ``LogModified`` takes its weights and transform from
+fixed rules exact to rounding: Gauss-Legendre per cell, trapezoid on a
+rotated ray.  Power laws and sampled kernels difference closed-form
+antiderivatives.
 """
 
 from __future__ import annotations
@@ -58,30 +62,27 @@ def _phi(z):
     )
 
 
-def _hat_moments(terms, t0, h):
-    """(int A(s) (s - t0) ds, int A(s) (t1 - s) ds) / h over [t0, t1 = t0 + h]
-    for A = sum g t^m e^(s t).
+def _differenced_hat(antiderivatives, t0, h):
+    """Hat weights of [t0, t0 + h] from the differences of closed-form
+    antiderivatives, ``antiderivatives(t) = (int_0^t A, int_0^t s A(s) ds)``.
 
-    Terms (g, s, m) have m in {0, 1}, and s = 0 when m = 1.  A term
-    g e^(s t) gives g h e^(s t0) (phi_L, phi_R)(s h), and g t gives
-    g h (t0/2 + h/3, t0/2 + h/6): sums of positive parts, so only the terms'
-    own signs can cancel.  Conjugate pairs of complex terms give real sums.
+    The differences cancel on short cells and far from t = 0, so only
+    kernels without an exact cell rule (power laws, sampled kernels) use it.
     """
-    mL = mR = 0.0
-    for g, s, m in terms:
-        if m:
-            mL = mL + g * h * (t0 / 2.0 + h / 3.0)
-            mR = mR + g * h * (t0 / 2.0 + h / 6.0)
-        else:
-            pR, pL = _phi(s * h)
-            e = g * h * np.exp(s * t0)
-            mL = mL + e * pL
-            mR = mR + e * pR
-    return np.real(mL), np.real(mR)
+    t0 = np.asarray(t0, dtype=float)
+    t1 = t0 + h
+    (i0, j0), (i1, j1) = antiderivatives(t0), antiderivatives(t1)
+    m0, m1 = i1 - i0, j1 - j0
+    return (m1 - t0 * m0) / h, (t1 * m0 - m1) / h
 
 
 class MemoryKernel:
-    """Base class: subclasses provide a0, a(t), A(t) and moments."""
+    """Base class: subclasses provide a0, a(t), A(t) and ``_hat``.
+
+    ``_hat`` is the kernel's one cell rule, the weights of A against the
+    two hat functions of a cell.  The antiderivatives, the cell moments and
+    the Volterra solver's Toeplitz weights all derive from it.
+    """
 
     a0: float = 0.0
     beta_nominal: float | None = None
@@ -97,14 +98,6 @@ class MemoryKernel:
         """A(t) = a0 + int_0^t a(s) ds."""
         raise NotImplementedError
 
-    def integral_A(self, t):
-        """int_0^t A(s) ds."""
-        raise NotImplementedError
-
-    def integral_tA(self, t):
-        """int_0^t s A(s) ds."""
-        raise NotImplementedError
-
     def laplace(self, s):
         """Laplace transform of a at s; DomainError outside the half plane."""
         raise HypothesisViolation(f"{self.description} has no Laplace transform, so its "
@@ -116,21 +109,38 @@ class MemoryKernel:
 
     # -- quadrature support ----------------------------------------------
 
+    def _hat(self, t0, h):
+        """(wL, wR) = (int A(s) (s - t0) ds, int A(s) (t0 + h - s) ds) / h
+        over the cell [t0, t0 + h], elementwise, for h > 0."""
+        raise NotImplementedError
+
+    def _moments(self, t0, h):
+        """(int A, int s A(s) ds) over [t0, t0 + h]: m0 = wL + wR and
+        m1 = t0 m0 + h wL.  An empty cell, h = 0, has zero moments; its
+        weights may be 0/0."""
+        h = np.asarray(h, dtype=float)
+        empty = h == 0.0
+        wL, wR = self._hat(t0, np.where(empty, 1.0, h))
+        m0 = wL + wR
+        return np.where(empty, 0.0, m0)[()], np.where(empty, 0.0, t0 * m0 + h * wL)[()]
+
+    def integral_A(self, t):
+        """int_0^t A(s) ds."""
+        return self._moments(0.0, t)[0]
+
+    def integral_tA(self, t):
+        """int_0^t s A(s) ds."""
+        return self._moments(0.0, t)[1]
+
     def quad_moments(self, t0: float, t1: float):
         """(int_{t0}^{t1} A, int_{t0}^{t1} s A(s) ds)."""
         if not 0.0 <= t0 < t1:
             raise DomainError("need 0 <= t0 < t1")
-        return (
-            self.integral_A(t1) - self.integral_A(t0),
-            self.integral_tA(t1) - self.integral_tA(t0),
-        )
+        return self._moments(t0, t1 - t0)
 
     def moment_cells(self, dt: float, n: int):
         """Vectorized cell moments (m0[r], m1[r]) over [r*dt, (r+1)*dt]."""
-        edges = dt * np.arange(n + 1)
-        i1 = self.integral_A(edges)
-        i2 = self.integral_tA(edges)
-        return np.diff(i1), np.diff(i2)
+        return self._moments(dt * np.arange(n), dt)
 
     def __add__(self, other):
         if not isinstance(other, MemoryKernel):
@@ -142,24 +152,29 @@ class _ExpPolyKernel(MemoryKernel):
     """Family with A(t) = sum g t^m e^(s t) over the terms (g, s, m) of
     ``exp_terms``, m in {0, 1}, s = 0 when m = 1.
 
-    Cell moments come from the terms in closed form: differences of
+    Its hat weights come from the terms in closed form: differences of
     antiderivatives would cancel on short cells and far from t = 0.
     """
 
     def exp_terms(self):
         raise NotImplementedError
 
-    def quad_moments(self, t0: float, t1: float):
-        if not 0.0 <= t0 < t1:
-            raise DomainError("need 0 <= t0 < t1")
-        return self._cell_moments(t0, t1 - t0)
-
-    def moment_cells(self, dt: float, n: int):
-        return self._cell_moments(dt * np.arange(n), dt)
-
-    def _cell_moments(self, t0, h):
-        mL, mR = _hat_moments(self.exp_terms(), t0, h)
-        return mL + mR, t0 * (mL + mR) + h * mL
+    def _hat(self, t0, h):
+        # A term g e^(s t) gives g h e^(s t0) (phi_L, phi_R)(s h), and g t
+        # gives g h (t0/2 + h/3, t0/2 + h/6): sums of positive parts, so only
+        # the terms' own signs can cancel.  Conjugate pairs of complex terms
+        # give real sums.
+        wL = wR = 0.0
+        for g, s, m in self.exp_terms():
+            if m:
+                wL = wL + g * h * (t0 / 2.0 + h / 3.0)
+                wR = wR + g * h * (t0 / 2.0 + h / 6.0)
+            else:
+                pR, pL = _phi(s * h)
+                e = g * h * np.exp(s * t0)
+                wL = wL + e * pL
+                wR = wR + e * pR
+        return np.real(wL), np.real(wR)
 
 
 @dataclass
@@ -182,12 +197,6 @@ class Heat(_ExpPolyKernel):
 
     def primitive(self, t):
         return self.a0 * np.ones_like(np.asarray(t, dtype=float))
-
-    def integral_A(self, t):
-        return self.a0 * np.asarray(t, dtype=float)
-
-    def integral_tA(self, t):
-        return self.a0 * np.asarray(t, dtype=float) ** 2 / 2.0
 
     def laplace(self, s):
         return np.zeros_like(np.asarray(s, dtype=complex))
@@ -217,14 +226,6 @@ class Wave(_ExpPolyKernel):
 
     def primitive(self, t):
         return self.a0 + self.c * np.asarray(t, dtype=float)
-
-    def integral_A(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.a0 * t + self.c * t**2 / 2.0
-
-    def integral_tA(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.a0 * t**2 / 2.0 + self.c * t**3 / 3.0
 
     def laplace(self, s):
         s = np.asarray(s, dtype=complex)
@@ -271,15 +272,16 @@ class PowerLaw(MemoryKernel):
         with np.errstate(divide="ignore"):
             return self.a0 + (self.c / self.beta) * t**self.beta
 
-    def integral_A(self, t):
-        t = np.asarray(t, dtype=float)
+    def _hat(self, t0, h):
+        # a0 adds a0 h / 2 to each weight; the t^beta part is differenced.
         b = self.beta
-        return self.a0 * t + self.c / (b * (b + 1.0)) * t ** (b + 1.0)
 
-    def integral_tA(self, t):
-        t = np.asarray(t, dtype=float)
-        b = self.beta
-        return self.a0 * t**2 / 2.0 + self.c / (b * (b + 2.0)) * t ** (b + 2.0)
+        def antiderivatives(t):
+            p = t ** (b + 1.0)
+            return self.c / (b * (b + 1.0)) * p, self.c / (b * (b + 2.0)) * p * t
+
+        wL, wR = _differenced_hat(antiderivatives, t0, h)
+        return wL + self.a0 * h / 2.0, wR + self.a0 * h / 2.0
 
     def laplace(self, s):
         # For beta in (0,1) this is the classical transform of c t^{beta-1};
@@ -332,17 +334,6 @@ class Exponential(_ExpPolyKernel):
         t = np.asarray(t, dtype=float)
         return self.a0 + (self.c / self.mu) * (1.0 - np.exp(-self.mu * t))
 
-    def integral_A(self, t):
-        t = np.asarray(t, dtype=float)
-        mu = self.mu
-        return (self.a0 + self.c / mu) * t - (self.c / mu**2) * (1.0 - np.exp(-mu * t))
-
-    def integral_tA(self, t):
-        t = np.asarray(t, dtype=float)
-        mu = self.mu
-        boundary = (1.0 - (1.0 + mu * t) * np.exp(-mu * t)) / mu**2
-        return (self.a0 + self.c / mu) * t**2 / 2.0 - (self.c / mu) * boundary
-
     def laplace(self, s):
         s = np.asarray(s, dtype=complex)
         if np.any(s.real <= -self.mu):
@@ -369,13 +360,6 @@ class NegExponential(_ExpPolyKernel):
     def primitive(self, t):
         return np.exp(-np.asarray(t, dtype=float))
 
-    def integral_A(self, t):
-        return 1.0 - np.exp(-np.asarray(t, dtype=float))
-
-    def integral_tA(self, t):
-        t = np.asarray(t, dtype=float)
-        return 1.0 - (1.0 + t) * np.exp(-t)
-
     def laplace(self, s):
         s = np.asarray(s, dtype=complex)
         if np.any(s.real <= -1.0):
@@ -401,13 +385,6 @@ class Cosine(_ExpPolyKernel):
 
     def primitive(self, t):
         return np.sin(np.asarray(t, dtype=float))
-
-    def integral_A(self, t):
-        return 1.0 - np.cos(np.asarray(t, dtype=float))
-
-    def integral_tA(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.sin(t) - t * np.cos(t)
 
     def laplace(self, s):
         s = np.asarray(s, dtype=complex)
@@ -441,22 +418,18 @@ class LogModified(MemoryKernel):
         t = np.asarray(t, dtype=float)
         return t * np.log(np.e + t) ** self.m
 
-    def _moment(self, t, p):
-        """int_0^t s^(p-1) A(s) ds by Gauss-Legendre in v = log(1 + s/e) per cell."""
-        t = np.asarray(t, dtype=float)
-        nodes, inv = np.unique(np.append(t, 0.0), return_inverse=True)
-        v = np.log1p(nodes / np.e)
-        vg = v[:-1] + _GL_U[:, None] * np.diff(v)
-        sg = np.e * np.expm1(vg)
-        cells = np.diff(v) * (_GL_W @ (sg**p * (1.0 + vg) ** self.m * (np.e + sg)))
-        cum = np.concatenate([[0.0], np.cumsum(cells)])
-        return cum[inv[:-1].reshape(t.shape)] - cum[inv[-1]]
-
-    def integral_A(self, t):
-        return self._moment(t, 1)
-
-    def integral_tA(self, t):
-        return self._moment(t, 2)
+    def _hat(self, t0, h):
+        # Gauss-Legendre in v = log(1 + s/e), on which A(s) = s (1 + v)^m and
+        # ds = (e + s) dv.  The cell spans dv = log1p(h / (e + t0)), and at
+        # v0 + u dv the distance s - t0 = (e + t0) expm1(u dv) is formed
+        # without differencing nearby values.
+        t0 = np.asarray(t0, dtype=float)
+        et0 = np.e + t0
+        dv = np.log1p(h / et0)
+        udv = np.multiply.outer(_GL_U, dv)
+        d = et0 * np.expm1(udv)
+        f = (t0 + d) * (np.log(et0) + udv) ** self.m * (et0 + d) * (dv / h)
+        return np.tensordot(_GL_W, f * d, axes=1), np.tensordot(_GL_W, f * (h - d), axes=1)
 
     def laplace(self, s):
         # a, kept complex, is analytic in Re t > -e: rotate onto the ray.
@@ -485,11 +458,9 @@ class SumKernel(MemoryKernel):
     def primitive(self, t):
         return self.left.primitive(t) + self.right.primitive(t)
 
-    def integral_A(self, t):
-        return self.left.integral_A(t) + self.right.integral_A(t)
-
-    def integral_tA(self, t):
-        return self.left.integral_tA(t) + self.right.integral_tA(t)
+    def _hat(self, t0, h):
+        (lL, lR), (rL, rR) = self.left._hat(t0, h), self.right._hat(t0, h)
+        return lL + rL, lR + rR
 
     def laplace(self, s):
         return self.left.laplace(s) + self.right.laplace(s)
@@ -505,7 +476,7 @@ class SumKernel(MemoryKernel):
 class TimeDilated(MemoryKernel):
     """Kernel with integrated part A_T(t) = A(T t) for a base kernel.
 
-    Moments follow from the base antiderivatives by substitution, so the
+    Hat weights follow from the base kernel's by substitution, so the
     rescaled relaxation equation can be solved without loss of accuracy.
     """
 
@@ -524,11 +495,10 @@ class TimeDilated(MemoryKernel):
     def primitive(self, t):
         return self.base.primitive(self.T * np.asarray(t, dtype=float))
 
-    def integral_A(self, t):
-        return self.base.integral_A(self.T * np.asarray(t, dtype=float)) / self.T
-
-    def integral_tA(self, t):
-        return self.base.integral_tA(self.T * np.asarray(t, dtype=float)) / self.T**2
+    def _hat(self, t0, h):
+        # s -> T s maps the cell onto [T t0, T (t0 + h)] and scales by 1/T.
+        wL, wR = self.base._hat(self.T * t0, self.T * h)
+        return wL / self.T, wR / self.T
 
     def laplace(self, s):
         # a_T(t) = T a(T t), so its transform is that of a at s / T.
@@ -545,8 +515,12 @@ class SampledKernel(MemoryKernel):
     def __init__(self, dt: float, values):
         self.dt = float(dt)
         self.values = np.asarray(values, dtype=float)
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError("sample spacing dt must be positive and finite")
         if self.values.ndim != 1 or len(self.values) < 2:
             raise DomainError("need at least two samples of A")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("samples of A must be finite")
         self.a0 = float(self.values[0])
         self.beta_nominal = None
         self.description = "sampled kernel"
@@ -554,38 +528,26 @@ class SampledKernel(MemoryKernel):
         nodes = self.dt * np.arange(len(self.values))
         mids = 0.5 * (self.values[1:] + self.values[:-1])
         self._i1 = np.concatenate([[0.0], np.cumsum(mids * self.dt)])
-        cell_i2 = np.empty(len(self.values) - 1)
-        t0 = nodes[:-1]
         a, b = self.values[:-1], self.values[1:]
         # int_{t0}^{t0+dt} s * linear(s) ds with linear(t0)=a, linear(t0+dt)=b
-        cell_i2 = (
-            t0 * mids * self.dt + self.dt**2 * (a / 6.0 + b / 3.0)
-        )
+        cell_i2 = nodes[:-1] * mids * self.dt + self.dt**2 * (a / 6.0 + b / 3.0)
         self._i2 = np.concatenate([[0.0], np.cumsum(cell_i2)])
         self._nodes = nodes
 
     def primitive(self, t):
         return np.interp(np.asarray(t, dtype=float), self._nodes, self.values)
 
-    def integral_A(self, t):
-        # Exact antiderivative of the interpolant between nodes.
-        t = np.asarray(t, dtype=float)
-        idx = np.clip((t / self.dt).astype(int), 0, len(self.values) - 2)
-        t0 = self._nodes[idx]
-        h = t - t0
-        a = self.values[idx]
-        slope = (self.values[idx + 1] - a) / self.dt
-        return self._i1[idx] + a * h + slope * h**2 / 2.0
+    def _hat(self, t0, h):
+        def antiderivatives(t):
+            # The nodes' values plus the part of the sample cell [tl, t].
+            idx = np.clip((t / self.dt).astype(int), 0, len(self.values) - 2)
+            tl, a = self._nodes[idx], self.values[idx]
+            slope = (self.values[idx + 1] - a) / self.dt
+            d = t - tl
+            return (self._i1[idx] + a * d + slope * d**2 / 2.0,
+                    self._i2[idx] + a * (t**2 - tl**2) / 2.0 + slope * d**2 * (tl / 2.0 + d / 3.0))
 
-    def integral_tA(self, t):
-        # s*(a + slope*(s-t0)) integrated from t0 to t.
-        t = np.asarray(t, dtype=float)
-        idx = np.clip((t / self.dt).astype(int), 0, len(self.values) - 2)
-        t0 = self._nodes[idx]
-        a = self.values[idx]
-        slope = (self.values[idx + 1] - a) / self.dt
-        h = t - t0
-        return self._i2[idx] + a * (t**2 - t0**2) / 2.0 + slope * h**2 * (t0 / 2.0 + h / 3.0)
+        return _differenced_hat(antiderivatives, t0, h)
 
 
 class ScaledKernel(MemoryKernel):
@@ -606,11 +568,9 @@ class ScaledKernel(MemoryKernel):
     def primitive(self, t):
         return self.factor * self.base.primitive(t)
 
-    def integral_A(self, t):
-        return self.factor * self.base.integral_A(t)
-
-    def integral_tA(self, t):
-        return self.factor * self.base.integral_tA(t)
+    def _hat(self, t0, h):
+        wL, wR = self.base._hat(t0, h)
+        return self.factor * wL, self.factor * wR
 
     def laplace(self, s):
         return self.factor * self.base.laplace(s)

@@ -8,10 +8,11 @@ Volterra equation
 where ``A`` is the integrated kernel and ``*`` is convolution on [0, t].
 Except for the power laws with beta < 0 (last paragraph), the unknown is
 represented as piecewise linear on a uniform grid and the convolution is
-computed exactly against that interpolant using closed-form cell moments
-of ``A``.  Because only ``A`` enters -- never the possibly singular
-density ``a`` -- the scheme is uniformly second order across the kernel
-catalog, including weakly singular memories.
+computed exactly against that interpolant, from the weights of ``A``
+against the two hat functions of each cell (the kernel's cell rule).
+Because only ``A`` enters -- never the possibly singular density ``a`` --
+the scheme is uniformly second order across the kernel catalog,
+including weakly singular memories.
 
 The quadrature weights are Toeplitz on uniform grids, so the whole march is
 a lower-triangular Toeplitz system: its solution is the power series of a
@@ -68,6 +69,7 @@ result.  A non-finite node raises StepSizeError on every path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,8 +114,13 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.t_end <= 0 or self.n_steps < 1:
-            raise DomainError("need t_end > 0 and n_steps >= 1")
+        try:
+            n_steps = operator.index(self.n_steps)
+        except TypeError:
+            raise DomainError("n_steps must be an integer") from None
+        if not (0.0 < self.t_end < math.inf and n_steps >= 1):  # NaN fails too
+            raise DomainError("need a finite t_end > 0 and n_steps >= 1")
+        object.__setattr__(self, "n_steps", n_steps)
 
     @property
     def dt(self) -> float:
@@ -148,14 +155,10 @@ def _convolution_weights(kernel: MemoryKernel, grid: TimeGrid):
     """Toeplitz weights of the exact convolution with a piecewise-linear z.
 
     Cell r of the sigma-integral int_0^{t_i} A(sigma) z(t_i - sigma) dsigma
-    contributes ``wR[r]`` to z_{i-r} and ``wL[r]`` to z_{i-r-1}.
+    contributes ``wR[r]`` to z_{i-r} and ``wL[r]`` to z_{i-r-1}: the hat
+    weights of the cell [r dt, (r + 1) dt], which the kernel gives as they are.
     """
-    dt = grid.dt
-    m0, m1 = kernel.moment_cells(dt, grid.n_steps)
-    r = np.arange(grid.n_steps)
-    wR = ((r + 1) * dt * m0 - m1) / dt
-    wL = (m1 - r * dt * m0) / dt
-    return wL, wR
+    return kernel._hat(grid.dt * np.arange(grid.n_steps), grid.dt)
 
 
 def _terms(kernel: MemoryKernel):
@@ -266,10 +269,11 @@ def _memory_modes(terms_list, dt: float):
     which the march takes the real part.  A t-term g t adds g dt^2 r / 2 to
     both weights, a state U(i) = U(i-1) + z_i + z_(i-1) with
     f = g dt^2 / 2.  Constant parts, s = 0, need no state: they only enter
-    wR[0] and wL[0], the ``_hat_moments`` of the first cell, summed term by
-    term in the same order.  phi(s dt) of the real rates of every
-    polynomial is one call and of the complex rates another, since a real
-    rate taken through complex arithmetic would get other bits.
+    wR[0] and wL[0], the hat weights of the first cell, summed term by
+    term in the same order as ``_ExpPolyKernel._hat``.  phi(s dt) of the
+    real rates of every polynomial is one call and of the complex rates
+    another, since a real rate taken through complex arithmetic would get
+    other bits.
     """
     layout = terms_list[0]
     rates = {}

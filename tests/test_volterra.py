@@ -22,7 +22,6 @@ from memdiff.kernels import (
     ScaledKernel,
     TimeDilated,
     Wave,
-    _hat_moments,
     dilate,
     fractional,
     scale,
@@ -58,13 +57,7 @@ def _march(kernel, lambdas, grid):
     """
     lambdas = np.asarray(lambdas, dtype=float)
     n = grid.n_steps
-    terms = _exp_poly_terms(kernel)
-    if terms is None:
-        wL, wR = _convolution_weights(kernel, grid)
-    else:
-        # Differenced cell moments of sums, scalings and dilations lose
-        # digits (7e-8 in z on ORACLE_GRID); these moments are closed-form.
-        wL, wR = _hat_moments(terms, grid.dt * np.arange(n), grid.dt)
+    wL, wR = _convolution_weights(kernel, grid)
     diag = 1.0 + lambdas * wR[0]
     c = wR[1:] + wL[:-1]  # c[m-1] multiplies z_{i-m}
     z = np.empty((len(lambdas), n + 1))
@@ -153,6 +146,13 @@ def test_time_grid_basics():
         g.index_of(0.7)
     with pytest.raises(DomainError):
         TimeGrid(-1.0, 4)
+    # A NaN t_end reached the solver, and 10.5 steps put the last node
+    # past t_end.
+    for t_end, n_steps in ((math.nan, 10), (math.inf, 10), (1.0, 10.5), (1.0, 0)):
+        with pytest.raises(DomainError):
+            TimeGrid(t_end, n_steps)
+    g = TimeGrid(1.0, np.int64(10))
+    assert g.n_steps == 10 and type(g.n_steps) is int
 
 
 def test_heat_kernel_is_exponential_decay():
@@ -363,6 +363,26 @@ def test_exp_poly_terms_choose_the_recurrence_path(kernel, states):
         assert terms is None
     else:
         assert _memory_modes([terms], 0.01)[2][..., 0].shape == (4, states)
+
+
+@pytest.mark.parametrize("T", [1.0, 7.5])
+def test_logmodified_weights_match_mpmath(T):
+    # Gauss-Legendre on each cell's own hat integrands; the differenced
+    # cumulative sums were 3.1e-10 off on far cells.
+    grid = TimeGrid(10.0, 2000)
+    wL, wR = _convolution_weights(dilate(LogModified(m=1.0), T), grid)
+    with mpmath.workdps(30):
+        dt = mpmath.mpf(grid.dt)
+
+        def A(s):
+            return T * s * mpmath.log(mpmath.e + T * s)
+
+        for r in (0, 1, 10, 100, 1000, 1999):
+            t0, t1 = r * dt, (r + 1) * dt
+            refL = mpmath.quad(lambda s: A(s) * (s - t0), [t0, t1]) / dt
+            refR = mpmath.quad(lambda s: A(s) * (t1 - s), [t0, t1]) / dt
+            assert abs(wL[r] - refL) <= 1e-14 * abs(refL)
+            assert abs(wR[r] - refR) <= 1e-14 * abs(refR)
 
 
 def test_fft_path_rows_keep_their_bits():
@@ -638,6 +658,9 @@ def test_kernel_convergence_accepts_sampled_arrays():
     A = np.asarray(k.primitive(grid.nodes), dtype=float)
     rep = kernel_convergence_test([A], k, 2.0, grid)
     assert rep.sup_distance[0] < 1e-10
+    A[3] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        kernel_convergence_test([A], k, 2.0, grid)
 
 
 @given(st.floats(min_value=0.01, max_value=50.0))
