@@ -12,8 +12,9 @@ A = sum g t^m e^(s t), whose hat weights are closed-form with no
 differencing; sums, scalings and dilations combine their parts' rules, so
 they stay as exact.  ``LogModified`` takes its weights and transform from
 fixed rules exact to rounding: Gauss-Legendre per cell, trapezoid on a
-rotated ray.  Power laws and sampled kernels difference closed-form
-antiderivatives.
+rotated ray.  Power laws sum a Taylor series of positive terms on each
+cell no wider than its start, and integrate wider cells from their end;
+sampled kernels difference the antiderivatives of their interpolant.
 """
 
 from __future__ import annotations
@@ -62,18 +63,16 @@ def _phi(z):
     )
 
 
-def _differenced_hat(antiderivatives, t0, h):
-    """Hat weights of [t0, t0 + h] from the differences of closed-form
-    antiderivatives, ``antiderivatives(t) = (int_0^t A, int_0^t s A(s) ds)``.
-
-    The differences cancel on short cells and far from t = 0, so only
-    kernels without an exact cell rule (power laws, sampled kernels) use it.
-    """
-    t0 = np.asarray(t0, dtype=float)
-    t1 = t0 + h
-    (i0, j0), (i1, j1) = antiderivatives(t0), antiderivatives(t1)
-    m0, m1 = i1 - i0, j1 - j0
-    return (m1 - t0 * m0) / h, (t1 * m0 - m1) / h
+def _power_series(k, u):
+    """int_0^u e^(k v) expm1(v) dv / u^2 by Horner's rule on its Taylor
+    series, sum over n = 2..27 of ((k + 1)^(n-1) - k^(n-1)) / n! u^(n-2).
+    It is summed only for u <= log 2, and k <= 2, so the first omitted term
+    is below 1e-20 of the sum."""
+    y = np.zeros_like(u)
+    for n in range(27, 1, -1):
+        y *= u
+        y += ((k + 1.0) ** (n - 1) - k ** (n - 1)) / math.factorial(n)
+    return y
 
 
 class MemoryKernel:
@@ -273,15 +272,32 @@ class PowerLaw(MemoryKernel):
             return self.a0 + (self.c / self.beta) * t**self.beta
 
     def _hat(self, t0, h):
-        # a0 adds a0 h / 2 to each weight; the t^beta part is differenced.
-        b = self.beta
-
-        def antiderivatives(t):
-            p = t ** (b + 1.0)
-            return self.c / (b * (b + 1.0)) * p, self.c / (b * (b + 2.0)) * p * t
-
-        wL, wR = _differenced_hat(antiderivatives, t0, h)
-        return wL + self.a0 * h / 2.0, wR + self.a0 * h / 2.0
+        # With k = beta + 1 and u = log1p(h / t0), a cell with h <= t0 has
+        # int s^beta ds = t0^k expm1(k u) / k and int s^beta (s - t0) ds =
+        # t0^(k+1) u^2 P(u), where u^2 P(u) = int_0^u e^(k v) expm1(v) dv is
+        # a Taylor series of positive terms: far cells do not cancel.  A
+        # wider cell, t1 = t0 + h >= 2 t0 (the origin's too), takes the same
+        # integrals from t1: t1^k (-expm1(-k u)) / k and
+        # t1^(k+1) (-expm1(-(k+1) u)) / (k+1) - t0 m0, which lose at most a
+        # few bits there.  a0 adds a0 h / 2 to each weight.
+        k = self.beta + 1.0
+        t0, h = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(h, dtype=float))
+        with np.errstate(divide="ignore"):
+            u = np.log1p(h / t0)
+        m0, j = np.empty(t0.shape), np.empty(t0.shape)
+        near = h <= t0
+        a, v = t0[near], u[near]
+        p = a**k
+        m0[near] = p * np.expm1(k * v) / k
+        j[near] = p * a * v * v * _power_series(k, v)
+        wide = ~near
+        a, v, t1 = t0[wide], u[wide], (t0 + h)[wide]
+        p = t1**k
+        m0[wide] = -p * np.expm1(-k * v) / k
+        j[wide] = -p * t1 * np.expm1(-(k + 1.0) * v) / (k + 1.0) - a * m0[wide]
+        wL = j / h
+        f, half = self.c / self.beta, self.a0 * h / 2.0
+        return f * wL + half, f * (m0 - wL) + half
 
     def laplace(self, s):
         # For beta in (0,1) this is the classical transform of c t^{beta-1};
@@ -547,7 +563,12 @@ class SampledKernel(MemoryKernel):
             return (self._i1[idx] + a * d + slope * d**2 / 2.0,
                     self._i2[idx] + a * (t**2 - tl**2) / 2.0 + slope * d**2 * (tl / 2.0 + d / 3.0))
 
-        return _differenced_hat(antiderivatives, t0, h)
+        # Differences of the antiderivatives at the cell's edges.
+        t0 = np.asarray(t0, dtype=float)
+        t1 = t0 + h
+        (i0, j0), (i1, j1) = antiderivatives(t0), antiderivatives(t1)
+        m0, m1 = i1 - i0, j1 - j0
+        return (m1 - t0 * m0) / h, (t1 * m0 - m1) / h
 
 
 class ScaledKernel(MemoryKernel):

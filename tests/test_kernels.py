@@ -117,6 +117,31 @@ def test_moments_are_exact_on_short_and_far_cells(kernel, A):
             assert abs(got[r] - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize(
+    "kernel, T",
+    [(PowerLaw(beta=0.5), 1.0), (PowerLaw(beta=0.5), 3.0), (PowerLaw(beta=1.0, c=2.0, a0=0.3), 1.0),
+     (fractional(-0.5), 1.0), (fractional(-0.9), 1.0)],
+    ids=["beta_0.5", "beta_0.5_dilated", "beta_1_with_a0", "fractional_-0.5", "fractional_-0.9"],
+)
+def test_powerlaw_moments_match_mpmath_on_any_cell(kernel, T):
+    # Cells of every width relative to t0: the Taylor series serves
+    # h <= t0, the other side takes the integrals from t1.  A series summed
+    # past its range was 20% off on (1e-4, 1).
+    kernel_T = dilate(kernel, T) if T != 1.0 else kernel
+    cells = [(1e-4, 1.0), (0.01, 1.0), (1e-300, 1.0), (2.0, 1e6), (0.0, 7.0),
+             (1.0, 2.0), (1.0, 2.0 + 1e-9), (1.0, 2.0 - 1e-9), (5.0, 5.001), (1e3, 1e3 + 1e-6)]
+    with mpmath.workdps(30):
+        b, c, a0 = (mpmath.mpf(v) for v in (kernel.beta, kernel.c, kernel.a0))
+        for t0, t1 in cells:
+            got = quad_moments(kernel_T, t0, t1)
+            s0, s1 = mpmath.mpf(t0), mpmath.mpf(t1)
+            f = c / b * mpmath.mpf(T) ** b
+            ref = (f * (s1 ** (b + 1) - s0 ** (b + 1)) / (b + 1) + a0 * (s1 - s0),
+                   f * (s1 ** (b + 2) - s0 ** (b + 2)) / (b + 2) + a0 * (s1**2 - s0**2) / 2)
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 1e-14 * abs(r), (t0, t1)
+
+
 def test_laplace_closed_forms_against_quadrature():
     s = 0.7 + 0.9j
     for kernel in (Exponential(mu=2.0, c=3.0), Cosine(), NegExponential(),

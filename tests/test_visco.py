@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from memdiff.errors import DomainError, HypothesisViolation, StepSizeError
 from memdiff.kernels import Exponential, Heat, Wave, dilate
+from memdiff import spectral, visco
 from memdiff.spectral import Gaussian, ModeGrid, evolve, unique_lambdas
 from memdiff.visco import (
     PROJECTOR_TOL,
@@ -280,24 +281,64 @@ def test_visco_rate_decreasing_exponential_pair():
     assert not rep.degenerate_mass
 
 
-def test_visco_rate_matches_a_loop_over_t_bitwise():
+def test_visco_rate_matches_a_loop_over_t_bitwise(monkeypatch):
     # One solve per kernel for every t gives the bits of one per t.
+    seen = []
+
+    def spy(*args):
+        seen.append(spectral._mode_factors(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(visco, "_mode_factors", spy)
     pair = ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5))
-    v0 = VectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8))
+    t_list = [5.0, 20.0, 80.0]
+    visco_asymptotics(pair, VectorGaussian(), t_list, -2.0, GRID, n_steps=500)
+    lams, inverse = unique_lambdas(GRID)
+    tg = TimeGrid(1.0, 500)
+    for kernel, factors in zip((pair.beta_kernel, pair.shear), seen, strict=True):
+        for t, (f,) in zip(t_list, factors, strict=True):
+            z = relaxation_values(dilate(kernel, t), lams * t, tg)[:, -1][inverse]
+            assert np.array_equal(f, z)
+
+
+class _GaussianSum:
+    """v0_hat(xi) = sum of V exp(-width^2 |xi|^2 / 2 - i xi . shift) over
+    its terms (V, width, shift), V complex: no product of a vector and one
+    scalar field, and complex at xi = 0 when some V is."""
+
+    def __init__(self, *terms):
+        self.terms = terms
+
+    def field(self, grid):
+        comps, lam = grid.components(), grid.xi_squared()
+        return VectorSpectralField(grid, sum(
+            np.asarray(V, dtype=complex)[:, None, None, None]
+            * np.exp(-0.5 * width**2 * lam - 1j * sum(c * x for c, x in zip(comps, shift)))
+            for V, width, shift in self.terms))
+
+
+@pytest.mark.parametrize("v0", [
+    VectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8)),
+    _GaussianSum(((1.0, 0.5, -2.0), 0.8, (0.0, 0.0, 0.0)), ((-0.3, 1.0, 0.2), 1.4, (0.0, 0.0, 0.0))),
+    _GaussianSum(((1.0 + 0.5j, -0.2j, 0.3), 1.0, (0.4, -0.7, 0.2)), ((0.0, 1.0, 0.0), 0.6, (0.0, 0.0, 0.0))),
+], ids=["vector_gaussian", "sum_of_two", "complex_at_zero"])
+def test_visco_rate_matches_the_vector_field_assembly(v0):
+    # The scalar per-mode residuals against 3-vector fields: project the
+    # datum, build the Stokes field, take the componentwise Hs norms.
+    pair = ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5))
     t_list = [5.0, 20.0, 80.0]
     rep = visco_asymptotics(pair, v0, t_list, -2.0, GRID, n_steps=500)
     lams, inverse = unique_lambdas(GRID)
     base = v0.field(GRID)
     tg = TimeGrid(1.0, 500)
-    rows = []
-    for t in t_list:
+    for t, (t_row, r, dist) in zip(t_list, rep.rows, strict=True):
         z1 = relaxation_values(dilate(pair.beta_kernel, t), lams * t, tg)[:, -1][inverse]
         z = relaxation_values(dilate(pair.shear, t), lams * t, tg)[:, -1][inverse]
         v_hat = project_P(base).values * z1[None] + project_Q(base).values * z[None]
         w = stokes_fundamental(rep.A, rep.B, GRID, t, base.mass_vector)
-        dist = vector_hs_norm(VectorSpectralField(GRID, v_hat - w.values), -2.0)
-        rows.append((t, t**0.75 * dist, dist))
-    assert rep.rows == rows
+        ref = vector_hs_norm(VectorSpectralField(GRID, v_hat - w.values), -2.0)
+        assert t_row == t and r == t**0.75 * dist
+        assert abs(dist - ref) <= 1e-14 * ref
 
 
 def test_visco_rate_flags_degenerate_mass():
@@ -305,6 +346,17 @@ def test_visco_rate_flags_degenerate_mass():
     v0 = VectorGaussian(mass_vector=(0.0, 0.0, 0.0))
     rep = visco_asymptotics(pair, v0, [2.0], -2.0, GRID)
     assert rep.degenerate_mass
+
+
+def test_visco_rate_scales_a_tiny_mass_linearly():
+    # Only a zero mass vector is degenerate: np.allclose(V0, 0) flagged
+    # 1e-9, whose distances are 1e-9 of those at mass 1.
+    pair = ViscoKernelPair(Exponential(mu=1.0, c=1.0), Heat(0.5))
+    unit = visco_asymptotics(pair, VectorGaussian(mass_vector=(1.0, 0.0, 0.0)), [2.0, 8.0], -2.0, GRID)
+    tiny = visco_asymptotics(pair, VectorGaussian(mass_vector=(1e-9, 0.0, 0.0)), [2.0, 8.0], -2.0, GRID)
+    assert not tiny.degenerate_mass
+    for (_, _, d_unit), (_, _, d_tiny) in zip(unit.rows, tiny.rows, strict=True):
+        assert d_tiny == pytest.approx(1e-9 * d_unit, rel=1e-13)
 
 
 def test_visco_rate_refuses_infinite_viscosity():
