@@ -49,6 +49,8 @@ CONVERGENCE_HEADER = ["T", "t", "distance_hs", "reference_norm"]
 
 #: Cell types written as floats by ``_column_text``.
 _REAL = (float, np.floating)
+#: CSV rows joined into one string per write by ``_write_table``.
+_CSV_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -182,31 +184,45 @@ class ConvergenceReport:
         _write_csv(path, meta_lines, CONVERGENCE_HEADER, zip(*self.rows))
 
 
-def _column_text(column) -> list:
-    """The CSV cells of one column.
+def _column_text(column, end="") -> list:
+    """The CSV cells of one column, each followed by ``end``.
 
     A real floating value is written as ``repr(float(v))``, the shortest
     string that reads back to the same float64, so numpy scalars are plain
     numbers too; any other value (an int, a string) by ``str``.  Float
     columns are converted to Python floats once, and each distinct bit
-    pattern is formatted once: the distinct values are found on the int64
-    view, which keeps -0.0 apart from 0.0.
+    pattern is formatted (and given its ``end``) once: the distinct values
+    are found on the int64 view, which keeps -0.0 apart from 0.0.
     """
     if not (isinstance(column, np.ndarray) and column.dtype.kind == "f"):
         if not all(isinstance(v, _REAL) for v in column):
-            return [repr(float(v)) if isinstance(v, _REAL) else str(v) for v in column]
+            return [(repr(float(v)) if isinstance(v, _REAL) else str(v)) + end for v in column]
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    text = np.array([repr(v) + end for v in distinct.view(np.float64).tolist()], dtype=object)
     return text[inverse].tolist()
 
 
 def _write_table(fh, meta_lines, header, columns):
-    """Stream a CSV to the text file ``fh``; see ``_write_csv``."""
+    """Stream a CSV to the text file ``fh``; see ``_write_csv``.
+
+    Each cell carries its separator ("," or the row's CRLF), so a chunk of
+    ``_CSV_CHUNK`` rows is one interleaved list of cells and one join.
+    """
     fh.writelines(line + "\n" for line in meta_lines)
     fh.write(",".join(header) + "\r\n")
-    cells = [_column_text(column) for column in columns]
-    fh.writelines(row + "\r\n" for row in map(",".join, zip(*cells, strict=True)))
+    columns = list(columns)
+    width = len(columns)
+    cells = [_column_text(col, "," if k < width - 1 else "\r\n") for k, col in enumerate(columns)]
+    if len({len(col) for col in cells}) > 1:
+        raise ValueError("CSV columns differ in length")
+    rows = len(cells[0]) if cells else 0
+    for start in range(0, rows, _CSV_CHUNK):
+        chunk = slice(start, start + _CSV_CHUNK)
+        parts = [None] * (width * min(_CSV_CHUNK, rows - start))
+        for k in range(width):
+            parts[k::width] = cells[k][chunk]
+        fh.write("".join(parts))
 
 
 def _write_csv(path, meta_lines, header, columns):
@@ -216,7 +232,7 @@ def _write_csv(path, meta_lines, header, columns):
     entry, and columns of unequal length raise ValueError; no columns
     writes the header alone.  Cells are formatted by
     ``_column_text``, so floats are exact, and rows end in CRLF.  Rows are
-    streamed to the file, never built into one string.
+    streamed to the file a chunk at a time, never built into one string.
     """
     with open(path, "w", newline="") as fh:
         _write_table(fh, meta_lines, header, columns)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,22 +73,32 @@ class ModeGrid:
         return (self.modes_per_axis + 1,) * self.n
 
     def xi_squared(self) -> np.ndarray:
-        """|xi|^2 over the grid (radial: r^2)."""
-        ax = self.axis
-        if self.radial:
-            return ax**2
-        sq = ax**2
-        out = sq
-        for _ in range(self.n - 1):
-            out = out[..., None] + sq
-        return out
+        """|xi|^2 over the grid (radial: r^2); read-only, built once per grid."""
+        return self._xi_squared
 
     def components(self):
-        """Broadcastable xi-component arrays (full grids only)."""
+        """xi-component arrays over the grid (full grids only); read-only,
+        built once per grid."""
         if self.radial:
             raise DomainError("component arrays are undefined on radial grids")
-        ax = self.axis
-        return np.meshgrid(*([ax] * self.n), indexing="ij")
+        return self._components
+
+    @cached_property
+    def _xi_squared(self) -> np.ndarray:
+        sq = self.axis**2
+        out = sq
+        if not self.radial:
+            for _ in range(self.n - 1):
+                out = out[..., None] + sq
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _components(self):
+        comps = tuple(np.meshgrid(*([self.axis] * self.n), indexing="ij"))
+        for c in comps:
+            c.flags.writeable = False
+        return comps
 
     def zero_index(self):
         if self.radial:

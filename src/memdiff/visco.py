@@ -101,7 +101,7 @@ def _split(grid: ModeGrid, v: np.ndarray):
     """
     comps = grid.components()
     center = grid.zero_index()
-    safe = grid.xi_squared()
+    safe = grid.xi_squared().copy()
     safe[center] = 1.0
     c = sum(comps[d] * v[d] for d in range(3)) / safe
     p_vals = np.stack([comps[d] * c for d in range(3)])

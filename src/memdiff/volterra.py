@@ -54,16 +54,18 @@ dilation t -> T t changes c only, so rows of every coupling and every
 dilation of a kernel are solved in one call, each with its own (p, q).
 
 All three paths sit behind one core, ``_solve_nodes``, which returns z
-time-major at the requested node indices only, together with max|z| over
-every node of every row.  A study needs z at a few times but for every
-|xi|^2 and dilation, so the recurrence keeps only those nodes: it fills
-each 64-step block into a reused scratch array, copies the requested
-nodes out and folds the block's max|z| into a running peak, so the bound
-check of positive-definite callers still sees every node while no
-(rows x n+1) matrix is held.  The contour and FFT paths still solve every
-node, then gather.  ``relaxation_values`` is the core with every node
-requested, for which the recurrence writes its blocks straight into the
-result.  A non-finite node raises StepSizeError on every path.
+time-major at the requested node indices only, together with a peak
+max|z|.  A study needs z at a few times but for every |xi|^2 and
+dilation, so no path holds a (rows x n+1) matrix.  The recurrence fills
+each 64-step block, and the FFT division each block of 32 rows, into a
+reused scratch array, copies the requested nodes out and folds the
+block's max|z| into a running peak, so the bound check of
+positive-definite callers still sees every node.  The contour path
+evaluates only the requested nodes, and only the bands that hold one; its
+peak covers those nodes, which suffices since it is exact to 1.2e-12.
+``relaxation_values`` is the core with every node requested, for which
+the recurrence writes its blocks straight into the result.  A non-finite
+node raises StepSizeError on every path.
 """
 
 from __future__ import annotations
@@ -221,34 +223,41 @@ def _exp_poly_terms(kernel: MemoryKernel):
     return out
 
 
-def _contour_values(beta: float, p: np.ndarray, q: np.ndarray, grid: TimeGrid):
+def _contour_values(beta: float, p: np.ndarray, q: np.ndarray, grid: TimeGrid, nodes: np.ndarray):
     """Solver path for A = a0 + (c/beta) t^beta with beta < 0 (A singular at 0).
 
     Row j solves z + lam_j A_j * z = 1 with its own constants, given as
     p[j] = lam_j a0_j >= 0 and q[j] = lam_j c_j / beta_j > 0; every row
-    shares beta.  The transform of z is 1/(s + p + q Gamma(1+beta)
+    shares beta.  Returns z time-major at the node indices ``nodes`` only,
+    one row per entry.  The transform of z is 1/(s + p + q Gamma(1+beta)
     s^(-beta)), whose only singularities lie on the cut (-inf, 0], so z(t)
     is its Bromwich integral on a parabola around the cut, by the
     trapezoid rule (Weideman & Trefethen, Math. Comp. 76 (2007)).  One
     parabola serves a whole band of times (t_hi/4, t_hi] (Lopez-Fernandez
     & Palencia, Appl. Numer. Math. 51 (2004)): walking down from t_n,
     t_hi is the largest node not yet taken, so the bands are the nodes i
-    in (top // 4, top].
+    in (top // 4, top].  A band that holds no requested node is skipped,
+    and a band's transform values serve only its requested nodes, so the
+    work and memory follow the nodes asked for, not n.  Each node is an
+    independent sum over the parabola, so it gets the same bits whichever
+    other nodes are requested.
     """
-    z = np.empty((len(p), grid.n_steps + 1))
-    z[:, 0] = 1.0
+    z = np.empty((len(nodes), len(p)))
+    z[nodes == 0] = 1.0
     qg = q[:, None] * math.gamma(1.0 + beta)
     top = grid.n_steps
     while top:
         bottom = top // 4
-        s, w = _parabola(_BAND_MU / (top * grid.dt), _BAND_H, _BAND_NODES)
-        zhat = 1.0 / (s + p[:, None] + qg * s**-beta)
-        t = grid.dt * np.arange(bottom + 1, top + 1)
-        # Re(zhat * w e^(st)) as one real dot over interleaved (re, im)
-        # pairs per row and node; einsum, not a matmul, so a row's bits do
-        # not depend on the batch size.
-        wt = np.conj(w * np.exp(t[:, None] * s))
-        z[:, bottom + 1 : top + 1] = np.einsum("jk,ik->ji", zhat.view(float), wt.view(float))
+        band = np.flatnonzero((nodes > bottom) & (nodes <= top))
+        if len(band):
+            s, w = _parabola(_BAND_MU / (top * grid.dt), _BAND_H, _BAND_NODES)
+            zhat = 1.0 / (s + p[:, None] + qg * s**-beta)
+            t = grid.dt * nodes[band]
+            # Re(zhat * w e^(st)) as one real dot over interleaved (re, im)
+            # pairs per node and row; einsum, not a matmul, so a value's
+            # bits depend neither on the batch size nor on the other nodes.
+            wt = np.conj(w * np.exp(t[:, None] * s))
+            z[band] = np.einsum("jk,ik->ij", zhat.view(float), wt.view(float))
         top = bottom
     return z
 
@@ -462,15 +471,20 @@ def _series_inverse(lam: np.ndarray, dc: np.ndarray, levels) -> np.ndarray:
     return g
 
 
-def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, z, rows):
-    """Fill z[rows, 1:] for lambdas[rows] by inverting the Toeplitz symbol.
+def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, nodes, z, rows):
+    """Fill z[:, rows] at the node indices ``nodes`` for lambdas[rows] by
+    inverting the Toeplitz symbol; return max|z| over every node of them.
 
     Step i of the march reads z_i + lam * sum_{m<i} c_m z_{i-m} =
     1 - lam * wL[i-1], with c[0] = wR[0] and c[m] = wR[m] + wL[m-1] for
     m >= 1.  So the series of z_1..z_n is (1 - lam*wL) / S with the symbol
     S(x) = 1 + lam * sum_m c_m x^m, divided in O(n log n) per lambda, in
     blocks of ``_ROW_BLOCK`` rows.  Rows never mix, so a lambda gets the
-    same bits whatever batch it is solved in.
+    same bits whatever batch it is solved in.  Each block is solved at
+    every node into one reused (_ROW_BLOCK, n + 1) scratch array, rows
+    with lam = 0 are set to exactly 1 there, the block's max|z| is folded
+    into the peak (NaN kept) and the requested nodes are copied out, so
+    no (rows x n+1) matrix is held.
 
     Numerator and symbol are both multiplied by (1 - x) first.  The c_m
     follow A, which grows for kernels such as power laws; their differences
@@ -509,16 +523,24 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, z, 
     one_hat = np.fft.rfft([1.0, -1.0][:n], size)
     dc_hat = np.fft.rfft(dc, size)
     dwL_hat = np.fft.rfft(dwL[:h], size)
+    buf = np.empty((min(_ROW_BLOCK, len(rows)), n + 1))
+    buf[:, 0] = 1.0
+    peak = 0.0
     for start in range(0, len(rows), _ROW_BLOCK):
         block = rows[start : start + _ROW_BLOCK]
         lam = lambdas[block, None]
+        zb = buf[: len(block)]
         g_hat = np.fft.rfft(_series_inverse(lam, dc, levels), size)
         # rhs = e0 - lam*dwL, and F(e0) = 1; past h only -lam*dwL is left.
         q0 = np.fft.irfft((1.0 - lam * dwL_hat) * g_hat, size)[:, :h]
         sq0 = np.fft.irfft((one_hat + lam * dc_hat) * np.fft.rfft(q0, size), size)
         r = -lam * dwL[h:] - sq0[:, h:n]
-        z[block, 1 : h + 1] = q0
-        z[block, h + 1 :] = np.fft.irfft(np.fft.rfft(r, size) * g_hat, size)[:, : n - h]
+        zb[:, 1 : h + 1] = q0
+        zb[:, h + 1 :] = np.fft.irfft(np.fft.rfft(r, size) * g_hat, size)[:, : n - h]
+        zb[lam[:, 0] == 0.0] = 1.0
+        peak = np.maximum(peak, _abs_max(zb))
+        z[:, block] = zb[:, nodes].T
+    return peak
 
 
 def _abs_max(z):
@@ -533,7 +555,12 @@ def require_bounded(peak) -> None:
     For a positive-definite kernel |z| <= 1 is a theorem, so a larger value
     means the discrete scheme went unstable on too coarse a grid.  Call
     only where the kernel is known to be positive definite, with the peak
-    of ``_solve_nodes``, which covers every node, requested or not.
+    of ``_solve_nodes``.  On the recurrence and FFT paths that peak covers
+    every node, requested or not.  On the contour path (power laws with
+    beta < 0) it covers only the evaluated nodes: that path is no march
+    but the exact solution to 1.2e-12 at each node, so for a
+    positive-definite kernel |z| <= 1 holds at every node, and an
+    unrequested node has no instability to show.
     """
     if not peak <= 1.0 + BOUND_TOL:  # NaN fails too
         raise StepSizeError(
@@ -547,11 +574,16 @@ def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, no
 
     The array core of the solver API.  z is time-major, one row per entry
     of ``nodes`` (node indices, in any order), or per node of the grid if
-    ``nodes`` is None; peak is taken over every node of every row, whether
-    requested or not, and is NaN if any node is.  Row j solves the
-    relaxation of ``dilate(kernel, dilation[j])`` at coupling lambdas[j];
-    a scalar dilation applies to every row.  Each row has the bits it
-    would have if solved alone, and rows with lam = 0 are exactly 1.
+    ``nodes`` is None; no path holds the values at other nodes.  peak is
+    NaN if any node it covers is.  On the recurrence and FFT paths it
+    covers every node of every row, requested or not; on the contour path
+    only the requested nodes, since it evaluates no others.  That path is
+    exact to 1.2e-12 at each node, so ``require_bounded`` loses nothing
+    (see there).
+    Row j solves the relaxation of ``dilate(kernel, dilation[j])`` at
+    coupling lambdas[j]; a scalar dilation applies to every row.  Each row
+    has the bits it would have if solved alone, at whichever nodes are
+    requested, and rows with lam = 0 are exactly 1.
 
     Power laws with beta < 0, alone or summed with Heat kernels, are solved
     for all rows at once by Laplace inversion on parabolic contours, row j
@@ -560,11 +592,12 @@ def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, no
     miss, and such kernels raise DomainError, as does any other
     combination with such a power law.  Exponential polynomials (see
     ``_exp_poly_terms``) are solved for all rows at once by a short
-    recurrence per row on closed-form weights, which keeps only the
-    requested nodes.  Every other kernel is marched by FFT division once
-    per distinct dilation, with that dilation's weights computed a single
-    time for all its rows.  The contour and FFT paths solve every node and
-    then gather the requested ones.
+    recurrence per row on closed-form weights.  Every other kernel is
+    marched by FFT division once per distinct dilation, with that
+    dilation's weights computed a single time for all its rows, in blocks
+    of ``_ROW_BLOCK`` rows.  The recurrence and the FFT division keep only
+    the requested nodes of each block; the contour path evaluates no
+    others.
 
     Raises DomainError for a lam that is negative or not finite, and
     StepSizeError if any node is not finite.
@@ -583,27 +616,27 @@ def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, no
     Ts, which = np.unique(dilation, return_inverse=True)
     kernels = [kernel if T == 1.0 else dilate(kernel, float(T)) for T in Ts]
     constants = _power_law_constants(kernel)
-    if constants is None and _exp_poly_terms(kernel) is not None:
+    index = np.arange(grid.n_steps + 1) if nodes is None else np.asarray(nodes, dtype=np.intp)
+    if constants is not None:
+        a0, cA = np.array([_power_law_constants(k)[1:] for k in kernels]).reshape(-1, 2).T
+        p = lambdas * a0[which]
+        if np.any(p < 0.0):
+            raise DomainError(
+                f"{kernel.description}: a0 < 0 gives the transform of z a pole "
+                "s > 0, which the beta < 0 path cannot represent"
+            )
+        z = _contour_values(constants[0], p, lambdas * cA[which], grid, index)
+        z[:, lambdas == 0.0] = 1.0
+        peak = _abs_max(z) if z.size else 0.0
+    elif _exp_poly_terms(kernel) is not None:
         terms_list = [_exp_poly_terms(k) for k in kernels]
         z, peak = _recurrence_values(terms_list, lambdas, which, grid, nodes)
     else:
-        if constants is not None:
-            a0, cA = np.array([_power_law_constants(k)[1:] for k in kernels]).reshape(-1, 2).T
-            p = lambdas * a0[which]
-            if np.any(p < 0.0):
-                raise DomainError(
-                    f"{kernel.description}: a0 < 0 gives the transform of z a pole "
-                    "s > 0, which the beta < 0 path cannot represent"
-                )
-            z = _contour_values(constants[0], p, lambdas * cA[which], grid)
-        else:
-            z = np.empty((len(lambdas), grid.n_steps + 1))
-            z[:, 0] = 1.0
-            for j, k in enumerate(kernels):
-                _solve_matrix(k, lambdas, grid, z, np.flatnonzero(which == j))
-        z[lambdas == 0.0] = 1.0
-        peak = _abs_max(z) if len(z) else 0.0
-        z = z.T if nodes is None else z[:, nodes].T
+        z = np.empty((len(index), len(lambdas)))
+        peak = 0.0
+        for j, k in enumerate(kernels):
+            rows = np.flatnonzero(which == j)
+            peak = np.maximum(peak, _solve_matrix(k, lambdas, grid, index, z, rows))
     if not np.isfinite(peak):
         raise StepSizeError(
             f"max|z| = {peak:.3e}: the solve is not finite; refine the time grid"

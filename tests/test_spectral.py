@@ -150,10 +150,15 @@ def test_mode_factors_equal_the_gather_of_the_full_solve(kernel, grid):
             assert np.array_equal(factor, z[:, i][inverse])
 
 
-def test_mode_factors_bound_check_sees_unrequested_nodes():
-    # z = 1 at t = 0, the only node asked for, but this kernel is not
+@pytest.mark.parametrize(
+    "kernel",
+    [Exponential(mu=0.2, c=-2.0, a0=1.0),
+     PowerLaw(beta=0.5, c=0.01) + Exponential(mu=0.2, c=-2.0, a0=1.0)],
+    ids=["recurrence", "fft"],
+)
+def test_mode_factors_bound_check_sees_unrequested_nodes(kernel):
+    # z = 1 at t = 0, the only node asked for, but these kernels are not
     # positive definite and z grows past 1 later on the grid.
-    kernel = Exponential(mu=0.2, c=-2.0, a0=1.0)
     with pytest.raises(StepSizeError, match="exceeds 1"):
         _mode_factors(kernel, ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400), [0.0])
 
@@ -170,18 +175,25 @@ def test_mode_factors_report_a_nan_peak():
             _mode_factors(Exponential(1.0, 1.0), grid, TimeGrid(1.0, 100), [1.0], lam_scale=1e309)
 
 
-def test_study_holds_no_full_solve_matrix():
+@pytest.mark.parametrize(
+    "kernel, beta, s",
+    [(Exponential(mu=1.0, c=1.0), 0.0, 0.0), (fractional(-0.4), -0.4, -1.5),
+     (PowerLaw(beta=0.5), 0.5, -1.5)],
+    ids=["recurrence", "contour", "fft"],
+)
+def test_study_holds_no_full_solve_matrix(kernel, beta, s):
     # A 2-D N=128 study at the default 2000 steps per unit time: the
-    # (rows x n+1) solve matrix would be 3 x 1621 x 4001 doubles, 156 MB;
-    # the recurrence keeps a few 64-step blocks and the requested nodes.
-    kernel = Exponential(mu=1.0, c=1.0)
+    # (rows x n+1) solve matrix would be 3 x 1621 x 4001 doubles, 156 MB.
+    # The recurrence keeps a few 64-step blocks, the FFT division one
+    # 32-row block and the contour path the transform values of one band,
+    # each with the requested nodes.
     grid = ModeGrid(2, 128, 8.0)
     T_list = [1e2, 1e3, 1e4]
     full = len(T_list) * len(unique_lambdas(grid)[0]) * 4001 * 8
     tracemalloc.start()
     try:
-        converge_to_limit(kernel, Gaussian(), ScalingFunction(kernel=kernel, beta=0.0),
-                          T_list, [1.0, 2.0], 0.0, grid)
+        converge_to_limit(kernel, Gaussian(), ScalingFunction(kernel=kernel, beta=beta),
+                          T_list, [1.0, 2.0], s, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -101,6 +101,40 @@ def test_zero_mode_convention():
     assert np.allclose(q.values[idx], 0.0)
 
 
+def test_mode_grid_arrays_are_built_once_and_read_only():
+    # The arrays are shared by every caller of the grid, so _split, which
+    # sets the centre of its divisor |xi|^2 to 1, must work on a copy.
+    grid = ModeGrid(n=3, modes_per_axis=8, xi_max=3.0)
+    lam, comps = grid.xi_squared(), grid.components()
+    assert lam is grid.xi_squared() and comps is grid.components()
+    for a in (lam, *comps):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = 1.0
+    ax = grid.axis
+    ref_comps = np.meshgrid(ax, ax, ax, indexing="ij")
+    ref_lam = ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax**2
+    assert np.array_equal(lam, ref_lam) and all(map(np.array_equal, comps, ref_comps))
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
+    center = grid.zero_index()
+    safe = ref_lam.copy()
+    safe[center] = 1.0
+    c = sum(ref_comps[d] * v[d] for d in range(3)) / safe
+    p = np.stack([ref_comps[d] * c for d in range(3)])
+    p[(slice(None),) + center] = v[(slice(None),) + center]
+    for _ in range(2):
+        got = visco._split(grid, v)
+        assert all(map(np.array_equal, got, (c, p, v - p)))
+    assert lam[center] == 0.0
+    pair = ViscoKernelPair(Exponential(mu=1.0, c=1.0), Heat(0.5))
+    v0 = VectorGaussian(mass_vector=(1.0, -0.5, 2.0))
+    fresh = visco_asymptotics(pair, v0, [2.0, 8.0], -2.0, ModeGrid(3, 8, 3.0), n_steps=400)
+    for _ in range(2):
+        rep = visco_asymptotics(pair, v0, [2.0, 8.0], -2.0, grid, n_steps=400)
+        assert rep.rows == fresh.rows
+
+
 def test_vector_gaussian_mass_vector():
     v0 = VectorGaussian(width=1.0, mass_vector=(1.0, -2.0, 0.5))
     f = v0.field(GRID)

@@ -569,17 +569,19 @@ def test_solve_nodes_refuses_a_node_off_the_grid(kernel, node):
 
 
 @pytest.mark.parametrize(
-    "kernel, lams, grid, dilation",
-    [(Wave(c=1.0), [1e4, 3e4], TimeGrid(50.0, 1000), 1.0),
-     (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3)],
-    ids=["wave-recurrence", "logmodified-fft"],
+    "kernel, lams, grid, dilation, nodes",
+    [(Wave(c=1.0), [1e4, 3e4], TimeGrid(50.0, 1000), 1.0, None),
+     (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, None),
+     (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, [0])],
+    ids=["wave-recurrence", "logmodified-fft", "logmodified-fft-node-0"],
 )
-def test_non_finite_solve_raises(kernel, lams, grid, dilation):
+def test_non_finite_solve_raises(kernel, lams, grid, dilation, nodes):
     # The march diverges for Wave at lam c dt^2 = 25 and 75, and the FFT
     # division overflows for the dilated LogModified: both came back as NaN
-    # rows with only a RuntimeWarning.
+    # rows with only a RuntimeWarning.  Node 0 is 1, so asked for it alone
+    # the solve must still see the NaN of the nodes it does not return.
     with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="not finite"):
-        relaxation_values(kernel, lams, grid, dilation)
+        _solve_nodes(kernel, lams, grid, dilation, nodes)
 
 
 def test_relaxation_values_shape_and_content():
