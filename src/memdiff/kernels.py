@@ -63,13 +63,38 @@ def _phi(z):
     )
 
 
+def _series_terms(u_hi):
+    """Last index N of the sum in ``_power_series`` for u <= u_hi: the first
+    omitted term, below 3^N u^(N-1) / (N+1)! for k <= 2, is then below 1e-20
+    of the sum, which is at least its first term, 1/2."""
+    n = 2
+    while 3.0**n * u_hi ** (n - 1) / math.factorial(n + 1) >= 0.5e-20:
+        n += 1
+    return n
+
+
+#: Bands of ``_power_series``: a cell with u <= _SERIES_U[j] needs the
+#: terms n <= _SERIES_N[j] = 27, 16, 11, 7.
+_SERIES_U = (math.log(2.0), 1.0 / 8.0, 1.0 / 64.0, 1.0 / 4096.0)
+_SERIES_N = tuple(map(_series_terms, _SERIES_U))
+
+
 def _power_series(k, u):
     """int_0^u e^(k v) expm1(v) dv / u^2 by Horner's rule on its Taylor
-    series, sum over n = 2..27 of ((k + 1)^(n-1) - k^(n-1)) / n! u^(n-2).
-    It is summed only for u <= log 2, and k <= 2, so the first omitted term
-    is below 1e-20 of the sum."""
+    series, sum over n = 2..N of ((k + 1)^(n-1) - k^(n-1)) / n! u^(n-2),
+    for a 1-D array u <= log 2 and k <= 2.  Each cell sums up to the N of
+    its band (``_SERIES_N``), which keeps the first omitted term below
+    1e-20 of the sum.  Horner's rule starts at the top term, so the terms
+    above a band's N run only on the cells above that band."""
     y = np.zeros_like(u)
-    for n in range(27, 1, -1):
+    for lo, N, top in zip(_SERIES_U[1:], _SERIES_N[1:], _SERIES_N):
+        cells = np.flatnonzero(u > lo)
+        v, s = u[cells], y[cells]
+        for n in range(top, N, -1):
+            s *= v
+            s += ((k + 1.0) ** (n - 1) - k ** (n - 1)) / math.factorial(n)
+        y[cells] = s
+    for n in range(_SERIES_N[-1], 1, -1):
         y *= u
         y += ((k + 1.0) ** (n - 1) - k ** (n - 1)) / math.factorial(n)
     return y

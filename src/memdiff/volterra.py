@@ -56,10 +56,13 @@ dilation of a kernel are solved in one call, each with its own (p, q).
 All three paths sit behind one core, ``_solve_nodes``, which returns z
 time-major at the requested node indices only, together with a peak
 max|z|.  A study needs z at a few times but for every |xi|^2 and
-dilation, so no path holds a (rows x n+1) matrix.  The recurrence fills
-each 64-step block, and the FFT division each block of 32 rows, into a
-reused scratch array, copies the requested nodes out and folds the
-block's max|z| into a running peak, so the bound check of
+dilation, so no path holds a (rows x n+1) matrix.  The recurrence
+evaluates the requested nodes from the state at the start of their
+64-step block, and evaluates a block in full only for the rows whose
+bound on |z| over it could raise the running peak; the FFT division
+fills each block of 32 rows into a reused scratch array, copies the
+requested nodes out and folds the block's max|z| into the peak.  Either
+way the peak is exact over every node, so the bound check of
 positive-definite callers still sees every node.  The contour path
 evaluates only the requested nodes, and only the bands that hold one; its
 peak covers those nodes, which suffices since it is exact to 1.2e-12.
@@ -343,11 +346,18 @@ def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid:
     The powers and the blocks are time-major, (step, row), so each
     multiply-add runs over one contiguous vector of all rows.  With every
     node requested, the blocks are written straight into the time-major
-    result; otherwise each block is filled into one reused (_STEP_BLOCK,
-    rows) scratch array, the requested nodes are copied out of it, and its
-    max|z| is folded into a running peak.  Peak memory is then a few
-    blocks, not rows x (n + 1) values, and the bound check still sees every
-    node.
+    result.  Otherwise a requested node is computed on its own by its
+    block's multiply-adds, so it keeps its bits, and the running peak,
+    which starts at max(1, |z_1|), takes in a block only for the rows
+    where it could grow.  Over a block z = row0 . x, with x the block's
+    starting state, so with R[b] = max_k |row0[b, k]| every |z| in it is
+    at most sum_b R[b] |x[b]|; the factor 1 + 1e-12 covers the rounding of
+    that sum and of the block.  Rows whose bound lies strictly below the
+    peak are skipped.  The rest, NaN and inf bounds included (an inf bound
+    stays live even after an inf peak), are gathered into one reused
+    scratch array and evaluated there.  So the peak stays exact over every
+    node of every row, a decaying row is evaluated in few blocks, and
+    memory is a few blocks, not rows x (n + 1) values.
     """
     n = grid.n_steps
     rows = len(lambdas)
@@ -402,37 +412,50 @@ def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid:
             S2 += S[:, b, None] * S[b]
         S, k = S2, 2 * k
     # z at steps i + 1..i + _STEP_BLOCK from x_i, block by block; steps 0
-    # and 1 are 1 and c1.  Without the full matrix, hi and lo collect the
-    # max and min of every block, which np.max and np.min then reduce with
-    # NaN kept.
+    # and 1 are 1 and c1.
+    x = x1
     if nodes is None:
         z[0], z[1] = 1.0, x1[0]
     else:
         for p, node in enumerate(nodes):
             if node < 2:
                 z[p] = x1[0] if node else 1.0
-        buf = np.empty((_STEP_BLOCK, rows))
-        hi, lo = [1.0, np.max(x1[0])], [1.0, np.min(x1[0])]
-    x = x1
+        # R[b] = max_k |row0[b, k]|, NaN kept, with no (d, 64, rows) temporary.
+        R = np.maximum(row0.max(axis=1), -row0.min(axis=1))
+        slack = 1.0 + 1e-12
+        peak = np.maximum(1.0, _abs_max(x1[0]))
+        flat = np.empty(_STEP_BLOCK * rows)
     for i in range(1, n, _STEP_BLOCK):
         m = min(_STEP_BLOCK, n - i)
-        out = z[i + 1 : i + 1 + m] if nodes is None else buf[:m]
-        np.multiply(row0[0, :m], x[0], out=out)
-        for b in range(1, d):
-            out += np.multiply(row0[b, :m], x[b], out=tmp[:m])
-        if nodes is not None:
-            hi.append(np.max(out))
-            lo.append(np.min(out))
+        if nodes is None:
+            out = z[i + 1 : i + 1 + m]
+            np.multiply(row0[0, :m], x[0], out=out)
+            for b in range(1, d):
+                out += np.multiply(row0[b, :m], x[b], out=tmp[:m])
+        else:
+            # A NaN or inf bound fails the test, so its row stays live.
+            live = np.flatnonzero(~((R * np.abs(x)).sum(axis=0) * slack < peak))
+            if len(live):
+                # mode="clip" lets take write into out unbuffered.
+                out = flat[: m * len(live)].reshape(m, len(live))
+                g = tmp.reshape(-1)[: out.size].reshape(out.shape)
+                np.take(row0[0, :m], live, axis=1, out=out, mode="clip")
+                out *= x[0, live]
+                for b in range(1, d):
+                    np.take(row0[b, :m], live, axis=1, out=g, mode="clip")
+                    out += np.multiply(g, x[b, live], out=g)
+                peak = np.maximum(peak, _abs_max(out))
             for p, node in enumerate(nodes):
                 if i < node <= i + m:
-                    z[p] = out[node - i - 1]
+                    k = node - i - 1
+                    np.multiply(row0[0, k], x[0], out=z[p])
+                    for b in range(1, d):
+                        z[p] += row0[b, k] * x[b]
         x2 = S[:, 0] * x[0]
         for b in range(1, d):
             x2 += S[:, b] * x[b]
         x = x2
-    if nodes is None:
-        return z, _abs_max(z)
-    return z, np.maximum(np.max(hi), -np.min(lo))
+    return z, _abs_max(z) if nodes is None else peak
 
 
 def _newton_levels(dc: np.ndarray, h: int):
@@ -555,11 +578,12 @@ def require_bounded(peak) -> None:
     For a positive-definite kernel |z| <= 1 is a theorem, so a larger value
     means the discrete scheme went unstable on too coarse a grid.  Call
     only where the kernel is known to be positive definite, with the peak
-    of ``_solve_nodes``.  On the recurrence and FFT paths that peak covers
-    every node, requested or not.  On the contour path (power laws with
-    beta < 0) it covers only the evaluated nodes: that path is no march
-    but the exact solution to 1.2e-12 at each node, so for a
-    positive-definite kernel |z| <= 1 holds at every node, and an
+    of ``_solve_nodes``.  On the recurrence and FFT paths that peak is
+    exact over every node, requested or not, even where the recurrence
+    skips the blocks of a row that cannot raise it.  On the contour path
+    (power laws with beta < 0) it covers only the evaluated nodes: that
+    path is no march but the exact solution to 1.2e-12 at each node, so
+    for a positive-definite kernel |z| <= 1 holds at every node, and an
     unrequested node has no instability to show.
     """
     if not peak <= 1.0 + BOUND_TOL:  # NaN fails too
@@ -576,10 +600,12 @@ def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, no
     of ``nodes`` (node indices, in any order), or per node of the grid if
     ``nodes`` is None; no path holds the values at other nodes.  peak is
     NaN if any node it covers is.  On the recurrence and FFT paths it
-    covers every node of every row, requested or not; on the contour path
-    only the requested nodes, since it evaluates no others.  That path is
-    exact to 1.2e-12 at each node, so ``require_bounded`` loses nothing
-    (see there).
+    covers every node of every row, requested or not; the recurrence
+    evaluates a 64-step block only for the rows whose bound could raise
+    the peak, and the others cannot, so the peak is still exact.  On the
+    contour path it covers only the requested nodes, since that path
+    evaluates no others; it is exact to 1.2e-12 at each node, so
+    ``require_bounded`` loses nothing (see there).
     Row j solves the relaxation of ``dilate(kernel, dilation[j])`` at
     coupling lambdas[j]; a scalar dilation applies to every row.  Each row
     has the bits it would have if solved alone, at whichever nodes are
@@ -599,7 +625,8 @@ def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, no
     the requested nodes of each block; the contour path evaluates no
     others.
 
-    Raises DomainError for a lam that is negative or not finite, and
+    Raises DomainError for a lam that is negative or not finite and for a
+    node index that is not an integer or lies off the grid, and
     StepSizeError if any node is not finite.
     """
     lambdas = np.asarray(lambdas, dtype=float)
@@ -611,8 +638,13 @@ def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, no
         raise DomainError("need one dilation per lambda, or a scalar") from None
     if not np.all(dilation > 0):
         raise DomainError("dilation factor T must be positive")
-    if nodes is not None and not all(0 <= i <= grid.n_steps for i in nodes):
-        raise DomainError("node index outside the time grid")
+    if nodes is not None:
+        try:
+            nodes = [operator.index(i) for i in nodes]
+        except TypeError:
+            raise DomainError("node indices must be integers") from None
+        if not all(0 <= i <= grid.n_steps for i in nodes):
+            raise DomainError("node index outside the time grid")
     Ts, which = np.unique(dilation, return_inverse=True)
     kernels = [kernel if T == 1.0 else dilate(kernel, float(T)) for T in Ts]
     constants = _power_law_constants(kernel)

@@ -26,7 +26,7 @@ from memdiff.spectral import (
     synthesize,
     unique_lambdas,
 )
-from memdiff.volterra import TimeGrid, relaxation_values
+from memdiff.volterra import BOUND_TOL, TimeGrid, relaxation_values
 
 
 def test_mode_grid_includes_zero_and_endpoints():
@@ -161,6 +161,17 @@ def test_mode_factors_bound_check_sees_unrequested_nodes(kernel):
     # positive definite and z grows past 1 later on the grid.
     with pytest.raises(StepSizeError, match="exceeds 1"):
         _mode_factors(kernel, ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400), [0.0])
+
+
+def test_mode_factors_bound_check_sees_a_late_first_excess():
+    # |z| stays within 1 through node 321 and first exceeds it at node 326,
+    # in the sixth 64-step block, where the recurrence must not skip it.
+    kernel = Exponential(mu=0.1, c=-0.2, a0=1.0)
+    grid, tg = ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400)
+    z = relaxation_values(kernel, unique_lambdas(grid)[0], tg)
+    assert np.max(np.abs(z[:, :322])) <= 1.0 < np.max(np.abs(z)) - BOUND_TOL
+    with pytest.raises(StepSizeError, match="exceeds 1"):
+        _mode_factors(kernel, grid, tg, [0.0])
 
 
 def test_mode_factors_report_a_nan_peak():

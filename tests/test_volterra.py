@@ -31,6 +31,7 @@ from memdiff.volterra import (
     _ROW_BLOCK,
     BOUND_TOL,
     TimeGrid,
+    _abs_max,
     _convolution_weights,
     _exp_poly_terms,
     _memory_modes,
@@ -568,18 +569,81 @@ def test_solve_nodes_refuses_a_node_off_the_grid(kernel, node):
         _solve_nodes(kernel, [1.0], TimeGrid(1.0, 10), nodes=[0, node])
 
 
+@pytest.mark.parametrize("node", [2.5, np.float64(2.0)])
+@pytest.mark.parametrize(
+    "kernel", [Exponential(mu=1.0, c=1.0), PowerLaw(beta=0.5), fractional(-0.4)],
+    ids=["recurrence", "fft", "contour"],
+)
+def test_solve_nodes_refuses_a_non_integer_node(kernel, node):
+    # The recurrence raised a bare IndexError for 2.5; the FFT and contour
+    # paths returned node 2.
+    with pytest.raises(DomainError, match="node"):
+        _solve_nodes(kernel, [1.0], TimeGrid(1.0, 10), nodes=[0, node])
+
+
+@pytest.mark.parametrize(
+    "kernel, lams, dilation, n",
+    [(Exponential(mu=1.0, c=1.0), np.geomspace(1e-3, 1e4, 40), 1.0, 1000),
+     (Cosine(), np.geomspace(1e-3, 1e4, 40), 1.0, 1000),
+     (Wave(c=1.0), np.geomspace(1e-3, 1e2, 40), 1.0, 1000),
+     (Exponential(mu=1.0, c=1.0) + Cosine() + Wave(c=0.5) + Heat(0.3),
+      np.geomspace(1e-3, 1e2, 40), 1.0, 1000),
+     (Exponential(mu=1.0, c=1.0), np.repeat(np.geomspace(1e-2, 1e3, 10), 3),
+      np.tile([1.0, 10.0, 100.0], 10), 1000),
+     (Heat(1.0) + Cosine(), [0.0, 0.5, 0.0, 50.0], 1.0, 203),
+     (Exponential(mu=0.2, c=-2.0, a0=1.0), [0.0, 0.01, 0.1, 1.0, 10.0], 1.0, 1000),
+     (Exponential(mu=0.1, c=-0.2, a0=1.0) + Cosine(), [0.3, 1.0, 3.0], [1.0, 10.0, 1.0], 203)],
+    ids=["real-rate", "complex-pair", "t-term", "mixed-sum", "mixed-dilations", "lambda-0",
+         "growing", "growing-mixed"],
+)
+def test_requested_nodes_equal_the_full_solve_bitwise(kernel, lams, dilation, n):
+    # The recurrence evaluates a 64-step block of a requested-node solve
+    # only for the rows whose bound could raise the running peak, so the
+    # peak must still be exact over every node and z must keep its bits.
+    # Steps 1 + 64 b end the blocks; n = 203 ends in a short block.
+    grid = TimeGrid(20.0, n)
+    nodes = [0, 1, 2, 65, 66, 130, n - 1, n, 66]
+    full = _solve_nodes(kernel, lams, grid, dilation)[0]
+    z, peak = _solve_nodes(kernel, lams, grid, dilation, nodes)
+    assert np.array_equal(z, full[nodes])
+    assert np.array_equal(peak, _abs_max(full))
+
+
+def test_recurrence_skips_blocks_below_the_running_peak(monkeypatch):
+    # max|z| is 2.9 at lam = 0.01 and 2.8e12 at lam = 10 for this kernel,
+    # which is not positive definite.  Once the lam = 10 row has raised the
+    # peak past anything the other row can reach, only it is evaluated; a
+    # bound compared with 1 instead would keep both rows live throughout.
+    live = []
+
+    def recording(a):
+        live.append(np.shape(a)[-1])
+        return _abs_max(a)
+
+    monkeypatch.setattr("memdiff.volterra._abs_max", recording)
+    _solve_nodes(Exponential(mu=0.2, c=-2.0, a0=1.0), [0.01, 10.0], TimeGrid(20.0, 1000), nodes=[0])
+    # One call on z at step 1, then one per evaluated block with its live
+    # rows: the lam = 10 row raises the peak in each of the 16 blocks.
+    assert len(live) == 17 and live[1:].count(2) <= 2
+
+
 @pytest.mark.parametrize(
     "kernel, lams, grid, dilation, nodes",
     [(Wave(c=1.0), [1e4, 3e4], TimeGrid(50.0, 1000), 1.0, None),
      (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, None),
-     (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, [0])],
-    ids=["wave-recurrence", "logmodified-fft", "logmodified-fft-node-0"],
+     (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, [0]),
+     (Exponential(mu=1.0, c=5.0, a0=-1.0), [14.647973968236519], TimeGrid(20.0, 100), 1.0, [0])],
+    ids=["wave-recurrence", "logmodified-fft", "logmodified-fft-node-0", "recurrence-node-0"],
 )
 def test_non_finite_solve_raises(kernel, lams, grid, dilation, nodes):
     # The march diverges for Wave at lam c dt^2 = 25 and 75, and the FFT
     # division overflows for the dilated LogModified: both came back as NaN
     # rows with only a RuntimeWarning.  Node 0 is 1, so asked for it alone
     # the solve must still see the NaN of the nodes it does not return.
+    # In the last case 1 + lam wR[0] = 1e-12, so z alternates in sign and
+    # grows 1e12-fold per step: the powers of the step map, and with them
+    # the bound of the recurrence's first block, are NaN, and that block
+    # must still be evaluated.
     with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="not finite"):
         _solve_nodes(kernel, lams, grid, dilation, nodes)
 
