@@ -55,12 +55,11 @@ _CSV_CHUNK = 4096
 
 @dataclass(frozen=True)
 class ScalingFunction:
-    """The rescaling map k and its variants.
+    """The rescaling map k(t) = C * sqrt(t A(t) Gamma(1+beta)).
 
-    variant "canonical": k(t) = C * sqrt(t A(t) Gamma(1+beta)) with C = 1;
-    variant "rescaled": same with C != 1 (asymptotically equivalent
-    scalings, Prop-2.2-style).  ``exponent_override`` replaces k by the
-    pure power t^exponent -- a diagnostic scaling used by the
+    C = 1 is the canonical scaling; any other C > 0 gives an
+    asymptotically equivalent one (Prop-2.2-style).  ``exponent_override``
+    replaces k by C t^exponent -- a diagnostic scaling used by the
     trivial-limit detector; any exponent other than (1+beta)/2 must fail
     to produce a nontrivial limit.
     """
@@ -68,16 +67,11 @@ class ScalingFunction:
     kernel: MemoryKernel
     beta: float
     C: float = 1.0
-    variant: str = "canonical"
     exponent_override: float | None = None
 
     def __post_init__(self):
         if not -1.0 < self.beta <= 1.0:
             raise DomainError("beta must lie in (-1, 1]")
-        if self.variant not in ("canonical", "rescaled"):
-            raise DomainError("variant must be 'canonical' or 'rescaled'")
-        if self.variant == "canonical" and self.C != 1.0:
-            raise DomainError("canonical variant requires C = 1")
         if self.C <= 0:
             raise DomainError("C must be positive")
 

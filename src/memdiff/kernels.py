@@ -7,14 +7,15 @@ integrated kernel ``A(t) = a0 + int_0^t a(s) ds``; every family supplies
 the weights of ``A`` against the two hat functions of a cell, which is all
 the Volterra solver uses of the kernel.  The antiderivatives, the cell
 moments and the solver's Toeplitz weights all derive from that rule.
-Heat, Wave, Exponential, NegExponential and Cosine list the terms of
-A = sum g t^m e^(s t), whose hat weights are closed-form with no
-differencing; sums, scalings and dilations combine their parts' rules, so
-they stay as exact.  ``LogModified`` takes its weights and transform from
-fixed rules exact to rounding: Gauss-Legendre per cell, trapezoid on a
-rotated ray.  Power laws sum a Taylor series of positive terms on each
-cell no wider than its start, and integrate wider cells from their end;
-sampled kernels difference the antiderivatives of their interpolant.
+Heat, Wave, Exponential, NegExponential and Cosine state only the terms
+of A = sum g t^m e^(s t), from which A, a, its transform, its total mass
+and closed-form hat weights with no differencing all derive; sums,
+scalings and dilations combine their parts' rules, so they stay as exact.
+``LogModified`` takes its weights and transform from fixed rules exact to
+rounding: Gauss-Legendre per cell, trapezoid on a rotated ray.  Power
+laws sum a Taylor series of positive terms on each cell no wider than its
+start, and integrate wider cells from their end; sampled kernels
+difference the antiderivatives of their interpolant.
 """
 
 from __future__ import annotations
@@ -176,18 +177,60 @@ class _ExpPolyKernel(MemoryKernel):
     """Family with A(t) = sum g t^m e^(s t) over the terms (g, s, m) of
     ``exp_terms``, m in {0, 1}, s = 0 when m = 1.
 
-    Its hat weights come from the terms in closed form: differences of
-    antiderivatives would cancel on short cells and far from t = 0.
+    A family states only its terms; A, a, the transform of a, the total
+    mass and the hat weights all derive from them.  The hat weights are
+    closed-form: differences of antiderivatives would cancel on short
+    cells and far from t = 0.  Conjugate pairs of complex terms give real
+    values.
     """
 
     def exp_terms(self):
         raise NotImplementedError
 
+    def primitive(self, t):
+        # A constant term is g, where g e^(0 t) would be NaN at t = inf.
+        t = np.asarray(t, dtype=float)
+        A = np.zeros_like(t)
+        for g, s, m in self.exp_terms():
+            A = A + g * (t if m else np.exp(s * t) if s else 1.0)
+        return np.real(A)
+
+    def a(self, t):
+        # A constant term of A adds nothing to a.
+        t = np.asarray(t, dtype=float)
+        a = np.zeros_like(t)
+        for g, s, m in self.exp_terms():
+            if m or s:
+                a = a + (g if m else g * s * np.exp(s * t))
+        return np.real(a)
+
+    def laplace(self, p):
+        # g t transforms to g / p and g s e^(s t) to g s / (p - s); as the
+        # t-terms have s = 0, each term needs Re p > Re s.
+        p = np.asarray(p, dtype=complex)
+        out = np.zeros_like(p)
+        for g, s, m in self.exp_terms():
+            if m or s:
+                if np.any(p.real <= np.real(s)):
+                    raise DomainError(f"Laplace transform of {self.description} "
+                                      f"needs Re p > {np.real(s)}")
+                out = out + (g / p if m else g * s / (p - s))
+        return out
+
+    def total_mass(self):
+        # A(inf): inf with a t-term, None if a rate s != 0 has Re s >= 0,
+        # else the sum of the constant terms.
+        terms = self.exp_terms()
+        if any(m for _, _, m in terms):
+            return math.inf
+        if any(s and np.real(s) >= 0 for _, s, _ in terms):
+            return None
+        return sum((g for g, s, _ in terms if not s), 0.0).real
+
     def _hat(self, t0, h):
         # A term g e^(s t) gives g h e^(s t0) (phi_L, phi_R)(s h), and g t
         # gives g h (t0/2 + h/3, t0/2 + h/6): sums of positive parts, so only
-        # the terms' own signs can cancel.  Conjugate pairs of complex terms
-        # give real sums.
+        # the terms' own signs can cancel.
         wL = wR = 0.0
         for g, s, m in self.exp_terms():
             if m:
@@ -216,18 +259,6 @@ class Heat(_ExpPolyKernel):
     def exp_terms(self):
         return [(self.a0, 0.0, 0)]
 
-    def a(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def primitive(self, t):
-        return self.a0 * np.ones_like(np.asarray(t, dtype=float))
-
-    def laplace(self, s):
-        return np.zeros_like(np.asarray(s, dtype=complex))
-
-    def total_mass(self):
-        return self.a0
-
 
 @dataclass
 class Wave(_ExpPolyKernel):
@@ -244,21 +275,6 @@ class Wave(_ExpPolyKernel):
 
     def exp_terms(self):
         return [(self.a0, 0.0, 0), (self.c, 0.0, 1)]
-
-    def a(self, t):
-        return self.c * np.ones_like(np.asarray(t, dtype=float))
-
-    def primitive(self, t):
-        return self.a0 + self.c * np.asarray(t, dtype=float)
-
-    def laplace(self, s):
-        s = np.asarray(s, dtype=complex)
-        if np.any(s.real <= 0):
-            raise DomainError("Laplace transform of a constant needs Re s > 0")
-        return self.c / s
-
-    def total_mass(self):
-        return math.inf
 
 
 @dataclass
@@ -368,22 +384,6 @@ class Exponential(_ExpPolyKernel):
     def exp_terms(self):
         return [(self.a0 + self.c / self.mu, 0.0, 0), (-self.c / self.mu, -self.mu, 0)]
 
-    def a(self, t):
-        return self.c * np.exp(-self.mu * np.asarray(t, dtype=float))
-
-    def primitive(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.a0 + (self.c / self.mu) * (1.0 - np.exp(-self.mu * t))
-
-    def laplace(self, s):
-        s = np.asarray(s, dtype=complex)
-        if np.any(s.real <= -self.mu):
-            raise DomainError("Exponential Laplace transform needs Re s > -mu")
-        return self.c / (s + self.mu)
-
-    def total_mass(self):
-        return self.a0 + self.c / self.mu
-
 
 class NegExponential(_ExpPolyKernel):
     """a(t) = -e^{-t} with a0 = 1, so A(t) = e^{-t}."""
@@ -395,21 +395,6 @@ class NegExponential(_ExpPolyKernel):
     def exp_terms(self):
         return [(1.0, -1.0, 0)]
 
-    def a(self, t):
-        return -np.exp(-np.asarray(t, dtype=float))
-
-    def primitive(self, t):
-        return np.exp(-np.asarray(t, dtype=float))
-
-    def laplace(self, s):
-        s = np.asarray(s, dtype=complex)
-        if np.any(s.real <= -1.0):
-            raise DomainError("NegExponential Laplace transform needs Re s > -1")
-        return -1.0 / (s + 1.0)
-
-    def total_mass(self):
-        return 0.0
-
 
 class Cosine(_ExpPolyKernel):
     """a(t) = cos t with a0 = 0, so A(t) = sin t; not regularly varying."""
@@ -420,21 +405,6 @@ class Cosine(_ExpPolyKernel):
 
     def exp_terms(self):
         return [(-0.5j, 1j, 0), (0.5j, -1j, 0)]
-
-    def a(self, t):
-        return np.cos(np.asarray(t, dtype=float))
-
-    def primitive(self, t):
-        return np.sin(np.asarray(t, dtype=float))
-
-    def laplace(self, s):
-        s = np.asarray(s, dtype=complex)
-        if np.any(np.abs(s**2 + 1.0) == 0.0):
-            raise DomainError("poles of the cosine transform at s = +/- i")
-        return s / (s**2 + 1.0)
-
-    def total_mass(self):
-        return None  # int_0^inf cos does not converge
 
 
 @dataclass

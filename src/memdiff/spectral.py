@@ -13,6 +13,7 @@ H^s norm carry a (2*pi)^{-n} factor.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,12 +46,18 @@ class ModeGrid:
     radial: bool = False
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
+        try:
+            n, modes = operator.index(self.n), operator.index(self.modes_per_axis)
+        except TypeError:
+            raise DomainError("dimension and modes_per_axis must be integers") from None
+        if n not in (1, 2, 3):
             raise DomainError("dimension must be 1, 2 or 3")
-        if self.modes_per_axis < 2 or self.modes_per_axis % 2:
+        if modes < 2 or modes % 2:
             raise DomainError("modes_per_axis must be a positive even integer")
-        if self.xi_max <= 0:
-            raise DomainError("xi_max must be positive")
+        if not 0.0 < self.xi_max < math.inf:  # NaN fails too
+            raise DomainError("xi_max must be positive and finite")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "modes_per_axis", modes)
 
     @property
     def dxi(self) -> float:

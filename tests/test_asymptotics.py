@@ -75,9 +75,7 @@ def test_scaling_function_validation():
     with pytest.raises(DomainError):
         ScalingFunction(kernel=Heat(1.0), beta=-1.0)
     with pytest.raises(DomainError):
-        ScalingFunction(kernel=Heat(1.0), beta=0.0, C=2.0)  # canonical needs C=1
-    with pytest.raises(DomainError):
-        ScalingFunction(kernel=Heat(1.0), beta=0.0, variant="rescaled", C=-1.0)
+        ScalingFunction(kernel=Heat(1.0), beta=0.0, C=-1.0)
 
 
 def test_scaling_index_consistency():
@@ -334,9 +332,9 @@ def test_rate_refuses_wave():
 def test_scaling_equivalence_identity_and_dilation():
     kernel = Exponential(mu=1.0, c=1.0)
     sf1 = ScalingFunction(kernel=kernel, beta=0.0)
-    same = ScalingFunction(kernel=kernel, beta=0.0, variant="rescaled", C=1.0)
+    same = ScalingFunction(kernel=kernel, beta=0.0, C=1.0)
     assert scaling_equivalence_check(sf1, same, kernel, Gaussian(), 100.0, 1.0, GRID_1D)
-    doubled = ScalingFunction(kernel=kernel, beta=0.0, variant="rescaled", C=2.0)
+    doubled = ScalingFunction(kernel=kernel, beta=0.0, C=2.0)
     assert scaling_equivalence_check(sf1, doubled, kernel, Gaussian(), 100.0, 1.0, GRID_1D)
 
 

@@ -158,6 +158,52 @@ def test_laplace_closed_forms_against_quadrature():
         assert abs(val - (re + 1j * im)) < 1e-6
 
 
+def _exponential_forms(mu, c, a0):
+    mu, c, a0 = (mpmath.mpf(v) for v in (mu, c, a0))
+    return (lambda t: c * mpmath.exp(-mu * t), lambda t: a0 + c / mu * (1 - mpmath.exp(-mu * t)),
+            lambda p: c / (p + mu), float(a0 + c / mu), float(-mu))
+
+
+@pytest.mark.parametrize(
+    "kernel, forms",
+    [(Heat(a0=2.5), (lambda t: 0, lambda t: 2.5, lambda p: 0, 2.5, None)),
+     (Wave(c=1.5), (lambda t: 1.5, lambda t: 1.5 * t, lambda p: 1.5 / p, math.inf, 0.0)),
+     (Wave(c=1.5, a0=0.25),
+      (lambda t: 1.5, lambda t: 0.25 + 1.5 * t, lambda p: 1.5 / p, math.inf, 0.0)),
+     (Exponential(mu=2.0, c=3.0), _exponential_forms(2.0, 3.0, 0.0)),
+     (Exponential(mu=0.2, c=-2.0, a0=1.0), _exponential_forms(0.2, -2.0, 1.0)),
+     (Exponential(mu=3.0, c=1.7, a0=0.3), _exponential_forms(3.0, 1.7, 0.3)),
+     (NegExponential(),
+      (lambda t: -mpmath.exp(-t), lambda t: mpmath.exp(-t), lambda p: -1 / (p + 1), 0.0, -1.0)),
+     (Cosine(), (mpmath.cos, mpmath.sin, lambda p: p / (p**2 + 1), None, 0.0))],
+    ids=["heat", "wave", "wave-a0", "exponential", "exponential-negative-c", "exponential-a0",
+         "negexponential", "cosine"],
+)
+def test_exp_poly_methods_match_closed_forms(kernel, forms):
+    # a, A, the transform of a and the total mass all derive from the terms
+    # of A; each must be the family's textbook closed form, evaluated to 30
+    # digits, and the transform must be refused left of its abscissa.
+    a, A, lap, mass, abscissa = forms
+
+    def close(got, ref):
+        return got == ref or abs(got - complex(ref)) <= 1e-13 * max(1.0, abs(complex(ref)))
+
+    t = np.array([0.0, 1e-3, 0.3, 1.0, 4.0, 50.0])
+    p = np.array([0.7 + 0.9j, 1e-8 + 0.5j, 3.0, 1e-8 + 30.0j])
+    with mpmath.workdps(30):
+        for ti, got_a, got_A in zip(t, kernel.a(t), kernel.primitive(t)):
+            assert close(got_a, a(mpmath.mpf(ti))) and close(got_A, A(mpmath.mpf(ti))), ti
+        for pi, got in zip(p, kernel.laplace(p)):
+            assert close(got, lap(mpmath.mpc(pi))), pi
+    assert close(kernel.total_mass(), mass)
+    if abscissa is None:
+        assert np.all(kernel.laplace(np.array([-5.0, -5.0 + 1j])) == 0.0)
+    else:
+        for pi in (abscissa, abscissa + 1j, abscissa - 0.5):
+            with pytest.raises(DomainError):
+                kernel.laplace(pi)
+
+
 def _logmodified_laplace_mp(m, s):
     # 30-digit transform of a along the ray t = r e^{-i arg s}, on which
     # e^{-s t} = e^{-|s| r} is real.

@@ -43,6 +43,17 @@ def test_mode_grid_validation():
         ModeGrid(n=1, modes_per_axis=7, xi_max=1.0)
     with pytest.raises(DomainError):
         ModeGrid(n=1, modes_per_axis=8, xi_max=0.0)
+    g = ModeGrid(np.int64(1), np.int32(8), 4.0)  # numpy integers are integers
+    assert type(g.modes_per_axis) is int and hs_norm(Gaussian().field(g), 0.0) > 0.0
+
+
+@pytest.mark.parametrize("n, modes, xi_max", [(1, 64.0, 8.0), (2.0, 8, 4.0), (1, 64, math.nan),
+                                              (1, 64, math.inf)])
+def test_mode_grid_refuses_non_integer_counts_and_non_finite_xi_max(n, modes, xi_max):
+    # Float counts failed later with numpy's TypeError; a NaN or infinite
+    # xi_max gave a NaN norm with no error.
+    with pytest.raises(DomainError):
+        ModeGrid(n, modes, xi_max)
 
 
 def test_unique_lambdas_dedup_and_inverse():
