@@ -101,6 +101,24 @@ class ModeGrid:
         return out
 
     @cached_property
+    def _unique_lambdas(self):
+        N = self.modes_per_axis
+        if self.radial:
+            total = np.arange(N + 1) ** 2
+        else:
+            jsq = np.arange(-N // 2, N // 2 + 1) ** 2
+            total = jsq
+            for _ in range(self.n - 1):
+                total = total[..., None] + jsq
+        present = np.zeros(int(total.max()) + 1, dtype=bool)
+        present[total] = True
+        rank = np.cumsum(present) - 1
+        out = self.dxi**2 * np.flatnonzero(present).astype(float), rank[total]
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    @cached_property
     def _components(self):
         comps = tuple(np.meshgrid(*([self.axis] * self.n), indexing="ij"))
         for c in comps:
@@ -209,25 +227,15 @@ class BoxFunction(InitialData):
 
 
 def unique_lambdas(grid: ModeGrid):
-    """Distinct |xi|^2 lattice values and the inverse map onto the grid.
+    """Distinct |xi|^2 lattice values and the inverse map onto the grid;
+    read-only, built once per grid.
 
     Modes are bucketed by the integer |j|^2 of their lattice index, so
     equality is exact and 3-D grids collapse to O(N^2) distinct radii.
     The buckets are ranked by a cumulative count instead of a sort, so
     the cost is linear in the grid size.
     """
-    N = grid.modes_per_axis
-    if grid.radial:
-        total = np.arange(N + 1) ** 2
-    else:
-        jsq = np.arange(-N // 2, N // 2 + 1) ** 2
-        total = jsq
-        for _ in range(grid.n - 1):
-            total = total[..., None] + jsq
-    present = np.zeros(int(total.max()) + 1, dtype=bool)
-    present[total] = True
-    rank = np.cumsum(present) - 1
-    return grid.dxi**2 * np.flatnonzero(present).astype(float), rank[total]
+    return grid._unique_lambdas
 
 
 def _mode_factors(

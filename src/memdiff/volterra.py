@@ -58,14 +58,16 @@ time-major at the requested node indices only, together with a peak
 max|z|.  A study needs z at a few times but for every |xi|^2 and
 dilation, so no path holds a (rows x n+1) matrix.  The recurrence
 evaluates the requested nodes from the state at the start of their
-64-step block, and evaluates a block in full only for the rows whose
-bound on |z| over it could raise the running peak; the FFT division
-fills each block of 32 rows into a reused scratch array, copies the
-requested nodes out and folds the block's max|z| into the peak.  Either
-way the peak is exact over every node, so the bound check of
-positive-definite callers still sees every node.  The contour path
-evaluates only the requested nodes, and only the bands that hold one; its
-peak covers those nodes, which suffices since it is exact to 1.2e-12.
+64-step block, bounds |z| over each block from the squarings S^(2^m) of
+its step map alone, and tabulates and evaluates a block in full only for
+the rows whose bound could raise the running peak, so it holds no
+64-step table over all rows; the FFT division fills each block of 32
+rows into a reused scratch array, copies the requested nodes out and
+folds the block's max|z| into the peak.  Either way the peak is exact
+over every node, so the bound check of positive-definite callers still
+sees every node.  The contour path evaluates only the requested nodes,
+and only the bands that hold one; its peak covers those nodes, which
+suffices since it is exact to 1.2e-12.
 ``relaxation_values`` is the core with every node requested, for which
 the recurrence writes its blocks straight into the result.  A non-finite
 node raises StepSizeError on every path.
@@ -285,12 +287,14 @@ def _memory_modes(terms_list, dt: float):
     term in the same order as ``_ExpPolyKernel._hat``.  phi(s dt) of the
     real rates of every polynomial is one call and of the complex rates
     another, since a real rate taken through complex arithmetic would get
-    other bits.
+    other bits; a group with no rate makes no call.
     """
     layout = terms_list[0]
     rates = {}
     for pair in (False, True):
         cols = [l for l, (_, s, m) in enumerate(layout) if not m and (np.imag(s) != 0.0) == pair]
+        if not cols:
+            continue
         kind = complex if pair else float
         gdt = np.array([[terms[l][0] * dt for terms in terms_list] for l in cols], dtype=kind)
         sdt = np.array([[terms[l][1] * dt for terms in terms_list] for l in cols], dtype=kind)
@@ -313,6 +317,109 @@ def _memory_modes(terms_list, dt: float):
             modes.append((rho, gdt * pR, gdt * pL, f))
     modes = np.array(modes, dtype=complex).reshape(-1, 4, len(terms_list))
     return wR0, wL0, modes.transpose(1, 0, 2)
+
+
+def _square(P):
+    """P P for a stack P of (d, d) matrices on its last axis, each entry
+    summed from b = 0 up; every power of the step map is formed by it."""
+    P2 = P[:, 0, None] * P[0]
+    for b in range(1, len(P)):
+        P2 += P[:, b, None] * P[b]
+    return P2
+
+
+def _squarings(S):
+    """S^(2^m) for m = 0, 1, 2, ..., each the ``_square`` of the last."""
+    while True:
+        yield S
+        S = _square(S)
+
+
+def _times(v, P, out, tmp):
+    """out[c] = sum_b v[b] P[b, c] per row, each product added in turn from
+    b = 0 up: row 0 of a power times a power of S, the op order of every
+    entry of the power table.  v and out are (d, k, rows), P is (d, d,
+    rows) and tmp is (k, rows) scratch."""
+    for c in range(len(P)):
+        o = np.multiply(v[0], P[0, c], out=out[c])
+        for b in range(1, len(P)):
+            o += np.multiply(v[b], P[b, c], out=tmp)
+    return out
+
+
+def _power_table(S):
+    """(row0, S^_STEP_BLOCK) by doubling: row0[:, k] is row 0 of S^(k + 1),
+    (d, _STEP_BLOCK, rows), and row0[:, k:2k] = row0[:, :k] S^k.  So
+    row0[:, k] is S[0] times S^(2^m) for each set bit m of k, in
+    increasing order, by which ``_block_bound`` forms a single column with
+    the same bits."""
+    d, _, rows = S.shape
+    row0 = np.empty((d, _STEP_BLOCK, rows))
+    tmp = np.empty((_STEP_BLOCK // 2, rows))
+    row0[:, 0] = S[0]
+    for m, P in enumerate(_squarings(S)):
+        k = 1 << m
+        if k == _STEP_BLOCK:
+            return row0, P
+        _times(row0[:, :k], P, row0[:, k : 2 * k], tmp[:k])
+
+
+def _step_map(terms_list, lambdas: np.ndarray, which: np.ndarray, dt: float):
+    """(S, x1): the step map of ``_recurrence_values``, (d, d, rows), and
+    the state at step 1, (d, rows), of each row; see there for the rows."""
+    rows = len(lambdas)
+    wR0, wL0, modes = _memory_modes(terms_list, dt)
+    wR0, wL0 = wR0[which], wL0[which]
+    rho, KR, KL, f = modes[:, :, which]
+    D0 = 1.0 + lambdas * wR0
+    if np.any(D0 <= 0.0):
+        raise StepSizeError(
+            "implicit coefficient 1 + lambda*w <= 0; refine the time grid"
+        )
+    # State k enters the step as Re(e_k M_k(i)), e_k = -lam f_k / D0.  With
+    # Y_k(i) = e_k (rho_k M_k(i) + KL_k z_i), the part of e_k M_k(i+1) known
+    # before z_(i+1), a step is
+    #   z_(i+1) = c2 z_i + sum_k Re Y_k(i-1),   Y_k(i) = rho_k Y_k(i-1) + gain_k z_i,
+    # that is x_(i+1) = S x_i for x_i = (z_i, Y(i-1)) and x_1 = (c1, Y(0)),
+    # where a column of complex rates is two real states, Re Y and Im Y.
+    e = -lambdas * f / D0
+    c1 = (1.0 - lambdas * wL0) / D0
+    Y, gain = e * KL, e * (rho * KR + KL)
+    pairs = [np.any(np.imag(col) != 0.0) for col in zip(rho, KR, KL, f)]
+    d = 1 + len(pairs) + sum(pairs)
+    S = np.zeros((d, d, rows))
+    x1 = np.empty((d, rows))
+    S[0, 0] = c1 + sum(np.real(e * KR))
+    x1[0] = c1
+    j = 1
+    for k, pair in enumerate(pairs):
+        S[0, j], S[j, 0], S[j, j], x1[j] = 1.0, gain[k].real, rho[k].real, Y[k].real
+        if pair:
+            S[j + 1, 0], x1[j + 1] = gain[k].imag, Y[k].imag
+            S[j, j + 1], S[j + 1, j], S[j + 1, j + 1] = -rho[k].imag, rho[k].imag, rho[k].real
+        j += 1 + pair
+    return S, x1
+
+
+def _block_bound(S, offsets):
+    """(U, cols, S^_STEP_BLOCK) from the squarings S^(2^m) alone, with no
+    power table.  U[b] >= max_k |row0[b, k]| over the table of
+    ``_power_table``: it starts at |S[0]| and takes U <- max(U, U |S^(2^m)|)
+    for m = 0..5, the chains of the table in absolute values, so it covers
+    every entry, up to the rounding of those chains.  cols[k] = row0[:, k]
+    for each in-block offset k in ``offsets``, formed by the table's own
+    chain, so with its bits.  U and the columns are (d, rows)."""
+    # Kept (d, 1, rows) so that ``_times`` serves them as one-step tables.
+    U = np.abs(S[0, :, None])
+    cols = dict.fromkeys(offsets, S[0, :, None])
+    tmp = np.empty((1, S.shape[-1]))
+    for m, P in enumerate(_squarings(S)):
+        if 1 << m == _STEP_BLOCK:
+            return U[:, 0], {k: col[:, 0] for k, col in cols.items()}, P
+        U = np.maximum(U, _times(U, np.abs(P), np.empty_like(U), tmp))
+        for k in cols:
+            if k >> m & 1:
+                cols[k] = _times(cols[k], P, np.empty_like(U), tmp)
 
 
 def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid: TimeGrid, nodes):
@@ -345,86 +452,50 @@ def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid:
 
     The powers and the blocks are time-major, (step, row), so each
     multiply-add runs over one contiguous vector of all rows.  With every
-    node requested, the blocks are written straight into the time-major
-    result.  Otherwise a requested node is computed on its own by its
-    block's multiply-adds, so it keeps its bits, and the running peak,
-    which starts at max(1, |z_1|), takes in a block only for the rows
-    where it could grow.  Over a block z = row0 . x, with x the block's
-    starting state, so with R[b] = max_k |row0[b, k]| every |z| in it is
-    at most sum_b R[b] |x[b]|; the factor 1 + 1e-12 covers the rounding of
-    that sum and of the block.  Rows whose bound lies strictly below the
-    peak are skipped.  The rest, NaN and inf bounds included (an inf bound
-    stays live even after an inf peak), are gathered into one reused
-    scratch array and evaluated there.  So the peak stays exact over every
-    node of every row, a decaying row is evaluated in few blocks, and
-    memory is a few blocks, not rows x (n + 1) values.
+    node requested, the table of row 0 of S^1..S^_STEP_BLOCK
+    (``_power_table``) is built for all rows and the blocks are written
+    straight into the time-major result.  Otherwise no table is built for
+    all rows: ``_block_bound`` forms, from the squarings S^(2^m) alone,
+    the table's columns at the requested in-block offsets, with their
+    bits, and a bound U[b] >= max_k |row0[b, k]|.  Over a block
+    z = row0 . x, with x the block's starting state, so every |z| in it is
+    at most sum_b U[b] |x[b]|; the factor 1 + 1e-12 covers the rounding of
+    that sum and of the block.  The running peak, which starts at
+    max(1, |z_1|), takes in a block only the rows whose bound is not
+    strictly below it, NaN and inf bounds included (an inf bound stays
+    live even after an inf peak); rows with lam = 0 are exactly 1 and
+    take no part.  The live rows are evaluated from a power table of
+    their own, kept while later live rows fall inside it, in one reused
+    scratch array.  (A bound from powers of |S^_STEP_BLOCK| over the
+    whole horizon would be cheaper, but powers of absolute values grow on
+    oscillating rows, which it would keep live.)  So the peak stays exact
+    over every node of every row, a decaying row is evaluated in few
+    blocks, and memory is a few vectors per row plus the table of the
+    live rows, not rows x (n + 1) values or 64 steps of every row.
     """
     n = grid.n_steps
     rows = len(lambdas)
     z = np.empty((n + 1 if nodes is None else len(nodes), rows))
     if not rows:
         return z, 0.0
-    wR0, wL0, modes = _memory_modes(terms_list, grid.dt)
-    wR0, wL0 = wR0[which], wL0[which]
-    rho, KR, KL, f = modes[:, :, which]
-    D0 = 1.0 + lambdas * wR0
-    if np.any(D0 <= 0.0):
-        raise StepSizeError(
-            "implicit coefficient 1 + lambda*w <= 0; refine the time grid"
-        )
-    # State k enters the step as Re(e_k M_k(i)), e_k = -lam f_k / D0.  With
-    # Y_k(i) = e_k (rho_k M_k(i) + KL_k z_i), the part of e_k M_k(i+1) known
-    # before z_(i+1), a step is
-    #   z_(i+1) = c2 z_i + sum_k Re Y_k(i-1),   Y_k(i) = rho_k Y_k(i-1) + gain_k z_i,
-    # that is x_(i+1) = S x_i for x_i = (z_i, Y(i-1)) and x_1 = (c1, Y(0)),
-    # where a column of complex rates is two real states, Re Y and Im Y.
-    e = -lambdas * f / D0
-    c1 = (1.0 - lambdas * wL0) / D0
-    Y, gain = e * KL, e * (rho * KR + KL)
-    pairs = [np.any(np.imag(col) != 0.0) for col in zip(rho, KR, KL, f)]
-    d = 1 + len(pairs) + sum(pairs)
-    S = np.zeros((d, d, rows))
-    x1 = np.empty((d, rows))
-    S[0, 0] = c1 + sum(np.real(e * KR))
-    x1[0] = c1
-    j = 1
-    for k, pair in enumerate(pairs):
-        S[0, j], S[j, 0], S[j, j], x1[j] = 1.0, gain[k].real, rho[k].real, Y[k].real
-        if pair:
-            S[j + 1, 0], x1[j + 1] = gain[k].imag, Y[k].imag
-            S[j, j + 1], S[j + 1, j], S[j + 1, j + 1] = -rho[k].imag, rho[k].imag, rho[k].real
-        j += 1 + pair
-    # Powers S^j, j = 1.._STEP_BLOCK, by doubling: row 0 of each, which maps
-    # a state to a later z, and S^_STEP_BLOCK in full, which maps it to the
-    # next block's state.
-    row0 = np.empty((d, _STEP_BLOCK, rows))
-    tmp = np.empty((_STEP_BLOCK, rows))
-    row0[:, 0] = S[0]
-    k = 1
-    while k < _STEP_BLOCK:
-        for c in range(d):
-            out = row0[c, k : 2 * k]
-            np.multiply(row0[0, :k], S[0, c], out=out)
-            for b in range(1, d):
-                out += np.multiply(row0[b, :k], S[b, c], out=tmp[:k])
-        S2 = S[:, 0, None] * S[0]
-        for b in range(1, d):
-            S2 += S[:, b, None] * S[b]
-        S, k = S2, 2 * k
+    S, x1 = _step_map(terms_list, lambdas, which, grid.dt)
+    d = len(S)
     # z at steps i + 1..i + _STEP_BLOCK from x_i, block by block; steps 0
     # and 1 are 1 and c1.
     x = x1
     if nodes is None:
+        row0, S64 = _power_table(S)
+        tmp = np.empty((_STEP_BLOCK, rows))
         z[0], z[1] = 1.0, x1[0]
     else:
         for p, node in enumerate(nodes):
             if node < 2:
                 z[p] = x1[0] if node else 1.0
-        # R[b] = max_k |row0[b, k]|, NaN kept, with no (d, 64, rows) temporary.
-        R = np.maximum(row0.max(axis=1), -row0.min(axis=1))
+        U, cols, S64 = _block_bound(S, {(node - 2) % _STEP_BLOCK for node in nodes if node >= 2})
         slack = 1.0 + 1e-12
         peak = np.maximum(1.0, _abs_max(x1[0]))
-        flat = np.empty(_STEP_BLOCK * rows)
+        solved = lambdas != 0.0
+        tabled = np.empty(0, dtype=np.intp)
     for i in range(1, n, _STEP_BLOCK):
         m = min(_STEP_BLOCK, n - i)
         if nodes is None:
@@ -434,27 +505,32 @@ def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid:
                 out += np.multiply(row0[b, :m], x[b], out=tmp[:m])
         else:
             # A NaN or inf bound fails the test, so its row stays live.
-            live = np.flatnonzero(~((R * np.abs(x)).sum(axis=0) * slack < peak))
+            live = np.flatnonzero(~((U * np.abs(x)).sum(axis=0) * slack < peak) & solved)
             if len(live):
+                at = np.searchsorted(tabled, live)
+                if not (len(tabled) and np.array_equal(tabled.take(at, mode="clip"), live)):
+                    tabled, at = live, np.arange(len(live))
+                    table = _power_table(S[:, :, live])[0]
+                    scratch = np.empty((2, _STEP_BLOCK * len(live)))
+                out, g = scratch[:, : m * len(live)].reshape(2, m, len(live))
                 # mode="clip" lets take write into out unbuffered.
-                out = flat[: m * len(live)].reshape(m, len(live))
-                g = tmp.reshape(-1)[: out.size].reshape(out.shape)
-                np.take(row0[0, :m], live, axis=1, out=out, mode="clip")
+                np.take(table[0, :m], at, axis=1, out=out, mode="clip")
                 out *= x[0, live]
                 for b in range(1, d):
-                    np.take(row0[b, :m], live, axis=1, out=g, mode="clip")
+                    np.take(table[b, :m], at, axis=1, out=g, mode="clip")
                     out += np.multiply(g, x[b, live], out=g)
                 peak = np.maximum(peak, _abs_max(out))
             for p, node in enumerate(nodes):
                 if i < node <= i + m:
-                    k = node - i - 1
-                    np.multiply(row0[0, k], x[0], out=z[p])
+                    col = cols[node - i - 1]
+                    np.multiply(col[0], x[0], out=z[p])
                     for b in range(1, d):
-                        z[p] += row0[b, k] * x[b]
-        x2 = S[:, 0] * x[0]
+                        z[p] += col[b] * x[b]
+        x2 = S64[:, 0] * x[0]
         for b in range(1, d):
-            x2 += S[:, b] * x[b]
+            x2 += S64[:, b] * x[b]
         x = x2
+    z[:, lambdas == 0.0] = 1.0
     return z, _abs_max(z) if nodes is None else peak
 
 
@@ -580,7 +656,9 @@ def require_bounded(peak) -> None:
     only where the kernel is known to be positive definite, with the peak
     of ``_solve_nodes``.  On the recurrence and FFT paths that peak is
     exact over every node, requested or not, even where the recurrence
-    skips the blocks of a row that cannot raise it.  On the contour path
+    skips the blocks of a row that cannot raise it: its bound per block,
+    from the squarings of the row's step map, covers every step of the
+    block, and a NaN or inf bound keeps the block.  On the contour path
     (power laws with beta < 0) it covers only the evaluated nodes: that
     path is no march but the exact solution to 1.2e-12 at each node, so
     for a positive-definite kernel |z| <= 1 holds at every node, and an
@@ -601,11 +679,12 @@ def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, no
     ``nodes`` is None; no path holds the values at other nodes.  peak is
     NaN if any node it covers is.  On the recurrence and FFT paths it
     covers every node of every row, requested or not; the recurrence
-    evaluates a 64-step block only for the rows whose bound could raise
-    the peak, and the others cannot, so the peak is still exact.  On the
-    contour path it covers only the requested nodes, since that path
-    evaluates no others; it is exact to 1.2e-12 at each node, so
-    ``require_bounded`` loses nothing (see there).
+    evaluates a 64-step block only for the rows whose bound, from the
+    squarings of their step map, could raise the peak, and the others
+    cannot, so the peak is still exact.  On the contour path it covers
+    only the requested nodes, since that path evaluates no others; it is
+    exact to 1.2e-12 at each node, so ``require_bounded`` loses nothing
+    (see there).
     Row j solves the relaxation of ``dilate(kernel, dilation[j])`` at
     coupling lambdas[j]; a scalar dilation applies to every row.  Each row
     has the bits it would have if solved alone, at whichever nodes are

@@ -13,6 +13,7 @@ from memdiff.asymptotics import ScalingFunction, converge_to_limit
 from memdiff.errors import DomainError, HypothesisViolation, StepSizeError
 from memdiff.kernels import Cosine, Exponential, Heat, NegExponential, PowerLaw, Wave, fractional
 from memdiff.specfun import gamma, mittag_leffler
+from memdiff import spectral
 from memdiff.spectral import (
     BoxFunction,
     Gaussian,
@@ -72,6 +73,27 @@ def test_unique_lambdas_dedup_and_inverse():
     assert np.array_equal(lams, g.dxi**2 * ref.astype(float))
     assert np.array_equal(inverse, ref_inverse.reshape(g.shape))
     assert np.allclose(lams[inverse], g.xi_squared())
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [ModeGrid(2, 8, 4.0), ModeGrid(3, 6, 2.0), ModeGrid(1, 16, 3.0, radial=True)],
+    ids=["2d", "3d", "radial"],
+)
+def test_unique_lambdas_are_built_once_and_read_only(grid):
+    # A study reads them more than once (its solve and its limit profile),
+    # so they are built once per grid and shared, read-only, like xi_squared.
+    lams, inverse = unique_lambdas(grid)
+    again = unique_lambdas(grid)
+    assert again[0] is lams and again[1] is inverse
+    for a in (lams, inverse):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1
+    # The same arrays as a fresh build: the exact |xi|^2 lattice values.
+    fresh = ModeGrid(grid.n, grid.modes_per_axis, grid.xi_max, grid.radial)
+    assert all(np.array_equal(a, b) for a, b in zip(unique_lambdas(fresh), (lams, inverse)))
+    assert np.allclose(lams[inverse], grid.xi_squared())
 
 
 def test_initial_data_mass_at_zero_mode():
@@ -220,6 +242,30 @@ def test_study_holds_no_full_solve_matrix(kernel, beta, s):
     finally:
         tracemalloc.stop()
     assert peak < full / 4
+
+
+def test_recurrence_study_holds_no_64_step_table_over_all_rows(monkeypatch):
+    # The only rows whose bound can raise max|z| here are lam = 0, which
+    # are exactly 1, so no 64-step block is evaluated: the solve must stay
+    # below one (64, rows) array of doubles.
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = solve_nodes(*args, **kwargs)
+            peaks.append((len(args[1]), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    solve_nodes = spectral._solve_nodes
+    monkeypatch.setattr(spectral, "_solve_nodes", traced)
+    kernel = Exponential(mu=1.0, c=1.0, a0=0.2)
+    converge_to_limit(kernel, Gaussian(), ScalingFunction(kernel=kernel, beta=0.0),
+                      [1e2, 1e3, 1e4], [1.0], 0.0, ModeGrid(2, 256, 6.0), n_steps=500)
+    ((rows, peak),) = peaks
+    assert peak < 64 * 8 * rows
 
 
 def test_cosine_kernel_closed_form():

@@ -29,13 +29,17 @@ from memdiff.kernels import (
 from memdiff.specfun import mittag_leffler
 from memdiff.volterra import (
     _ROW_BLOCK,
+    _STEP_BLOCK,
     BOUND_TOL,
     TimeGrid,
     _abs_max,
+    _block_bound,
     _convolution_weights,
     _exp_poly_terms,
     _memory_modes,
+    _power_table,
     _solve_nodes,
+    _step_map,
     decay_envelope_check,
     kernel_convergence_test,
     relaxation_values,
@@ -582,31 +586,89 @@ def test_solve_nodes_refuses_a_non_integer_node(kernel, node):
 
 
 @pytest.mark.parametrize(
-    "kernel, lams, dilation, n",
-    [(Exponential(mu=1.0, c=1.0), np.geomspace(1e-3, 1e4, 40), 1.0, 1000),
-     (Cosine(), np.geomspace(1e-3, 1e4, 40), 1.0, 1000),
-     (Wave(c=1.0), np.geomspace(1e-3, 1e2, 40), 1.0, 1000),
+    "kernel, lams, dilation, n, tables",
+    [(Exponential(mu=1.0, c=1.0), np.geomspace(1e-3, 1e4, 40), 1.0, 1000, None),
+     (Cosine(), np.geomspace(1e-3, 1e4, 40), 1.0, 1000, None),
+     (Wave(c=1.0), np.geomspace(1e-3, 1e2, 40), 1.0, 1000, None),
      (Exponential(mu=1.0, c=1.0) + Cosine() + Wave(c=0.5) + Heat(0.3),
-      np.geomspace(1e-3, 1e2, 40), 1.0, 1000),
+      np.geomspace(1e-3, 1e2, 40), 1.0, 1000, None),
      (Exponential(mu=1.0, c=1.0), np.repeat(np.geomspace(1e-2, 1e3, 10), 3),
-      np.tile([1.0, 10.0, 100.0], 10), 1000),
-     (Heat(1.0) + Cosine(), [0.0, 0.5, 0.0, 50.0], 1.0, 203),
-     (Exponential(mu=0.2, c=-2.0, a0=1.0), [0.0, 0.01, 0.1, 1.0, 10.0], 1.0, 1000),
-     (Exponential(mu=0.1, c=-0.2, a0=1.0) + Cosine(), [0.3, 1.0, 3.0], [1.0, 10.0, 1.0], 203)],
+      np.tile([1.0, 10.0, 100.0], 10), 1000, None),
+     (Heat(1.0) + Cosine(), [0.0, 0.5, 0.0, 50.0], 1.0, 203, None),
+     (Exponential(mu=0.2, c=-2.0, a0=1.0), [0.0, 0.01, 0.1, 1.0, 10.0], 1.0, 1000, None),
+     (Exponential(mu=0.1, c=-0.2, a0=1.0) + Cosine(), [0.3, 1.0, 3.0], [1.0, 10.0, 1.0], 203, None),
+     (Exponential(mu=0.1, c=-0.2, a0=1.0) + Cosine(), [0.3, 0.0, 1.0, 0.0, 3.0, 0.0], 1.0, 1000, [1, 2, 3])],
     ids=["real-rate", "complex-pair", "t-term", "mixed-sum", "mixed-dilations", "lambda-0",
-         "growing", "growing-mixed"],
+         "growing", "growing-mixed", "late-live-rows"],
 )
-def test_requested_nodes_equal_the_full_solve_bitwise(kernel, lams, dilation, n):
+def test_requested_nodes_equal_the_full_solve_bitwise(kernel, lams, dilation, n, tables, monkeypatch):
     # The recurrence evaluates a 64-step block of a requested-node solve
-    # only for the rows whose bound could raise the running peak, so the
-    # peak must still be exact over every node and z must keep its bits.
-    # Steps 1 + 64 b end the blocks; n = 203 ends in a short block.
+    # only for the rows whose bound could raise the running peak, from a
+    # power table of those rows alone, so the peak must still be exact over
+    # every node and z must keep its bits.  Steps 1 + 64 b end the blocks;
+    # n = 203 ends in a short block.  In the last case the rows lam = 1
+    # and 3 turn live only after the first block, between lam = 0 rows,
+    # so the table of live rows is built again as it grows.
+    built, power_table = [], _power_table
+
+    def recording(S):
+        built.append(S.shape[-1])
+        return power_table(S)
+
+    monkeypatch.setattr("memdiff.volterra._power_table", recording)
     grid = TimeGrid(20.0, n)
     nodes = [0, 1, 2, 65, 66, 130, n - 1, n, 66]
     full = _solve_nodes(kernel, lams, grid, dilation)[0]
+    del built[:]
     z, peak = _solve_nodes(kernel, lams, grid, dilation, nodes)
     assert np.array_equal(z, full[nodes])
     assert np.array_equal(peak, _abs_max(full))
+    if tables is not None:
+        assert built == tables
+
+
+EXP_POLY_FAMILIES = [
+    Heat(1.0), Wave(c=1.0), Exponential(mu=0.2, c=-2.0, a0=1.0), NegExponential(), Cosine(),
+    Exponential(mu=1.0, c=1.0) + Cosine() + Wave(c=0.5) + Heat(0.3),
+]
+
+
+@pytest.mark.parametrize("kernel", EXP_POLY_FAMILIES, ids=lambda k: k.description)
+def test_block_bound_covers_the_power_table(kernel):
+    # A requested-node solve builds no power table over all rows: from the
+    # squarings alone it bounds every entry of row 0 of S^1..S^64, and it
+    # forms the table's columns at the requested offsets and S^64, which
+    # must keep the bits of the table's.  Wave and Exponential(c < 0) grow,
+    # Cosine is a complex pair (d = 3); lam runs over 7 decades and every
+    # row is solved at three dilations (at 30, 1 + lam wR[0] <= 0 for the
+    # growing Exponential).
+    Ts = [1.0, 3.0, 10.0]
+    lams = np.geomspace(1e-3, 1e4, 30)
+    terms_list = [_exp_poly_terms(dilate(kernel, T)) for T in Ts]
+    which = np.repeat(np.arange(len(Ts)), len(lams))
+    with np.errstate(all="ignore"):
+        S, _ = _step_map(terms_list, np.tile(lams, len(Ts)), which, 20.0 / 1000)
+        row0, S64 = _power_table(S)
+        U, cols, S64_alone = _block_bound(S, range(_STEP_BLOCK))
+        R = np.max(np.abs(row0), axis=1)
+    # NaN compares false, so a NaN entry of the table needs a NaN or inf U.
+    assert np.all((U >= R * (1.0 - 1e-12)) | ~(U < np.inf))
+    assert np.array_equal(S64_alone, S64, equal_nan=True)
+    assert sorted(cols) == list(range(_STEP_BLOCK))
+    for k, col in cols.items():
+        assert np.array_equal(col, row0[:, k], equal_nan=True)
+
+
+@pytest.mark.parametrize("kernel", EXP_POLY_FAMILIES, ids=lambda k: k.description)
+def test_lambda_zero_rows_are_exactly_one_on_both_paths(kernel):
+    # Rows with lam = 0 take no part in the recurrence's bound scan; they
+    # are set to 1, between rows of other lam and dilations.
+    grid = TimeGrid(20.0, 500)
+    lams, dilation = [0.0, 1.0, 0.0, 10.0, 0.0], [1.0, 1.0, 10.0, 1.0, 100.0]
+    full = relaxation_values(kernel, lams, grid, dilation)
+    z, _ = _solve_nodes(kernel, lams, grid, dilation, [0, 1, 2, 250, 500])
+    assert np.all(full[[0, 2, 4]] == 1.0)
+    assert np.all(z[:, [0, 2, 4]] == 1.0)
 
 
 def test_recurrence_skips_blocks_below_the_running_peak(monkeypatch):
