@@ -47,7 +47,7 @@ STEPS_PER_UNIT_TIME = 2000
 #: Column names of a ConvergenceReport row.
 CONVERGENCE_HEADER = ["T", "t", "distance_hs", "reference_norm"]
 
-#: Cell types written as floats by ``_column_text``.
+#: Cell types written as floats by ``_cell_text``.
 _REAL = (float, np.floating)
 #: CSV rows joined into one string per write by ``_write_table``.
 _CSV_CHUNK = 4096
@@ -178,54 +178,82 @@ class ConvergenceReport:
         _write_csv(path, meta_lines, CONVERGENCE_HEADER, zip(*self.rows))
 
 
-def _column_text(column, end="") -> list:
-    """The CSV cells of one column, each followed by ``end``.
+@dataclass(frozen=True)
+class _Factored:
+    """A CSV column given by its structure: row i holds ``values[codes[i]]``.
+
+    A caller that knows how a column repeats (the t and xi columns of a
+    solve) passes it so, and the writer neither builds nor sorts the
+    full column.  ``values`` need not be distinct.
+    """
+
+    values: object
+    codes: np.ndarray
+
+
+def _cell_text(v) -> str:
+    """The CSV text of one cell: ``repr(float(v))`` for a real, else ``str(v)``."""
+    return repr(float(v)) if isinstance(v, _REAL) else str(v)
+
+
+def _column_words(column):
+    """(words, codes) of one CSV column: the text of its distinct cells, and
+    the index in ``words`` of each row's cell.
 
     A real floating value is written as ``repr(float(v))``, the shortest
     string that reads back to the same float64, so numpy scalars are plain
-    numbers too; any other value (an int, a string) by ``str``.  Float
-    columns are converted to Python floats once, and each distinct bit
-    pattern is formatted (and given its ``end``) once: the distinct values
-    are found on the int64 view, which keeps -0.0 apart from 0.0.
+    numbers too; any other value (an int, a string) by ``str``.  A float
+    column is factored on its int64 view, which keeps -0.0 apart from 0.0,
+    so each distinct bit pattern is formatted once; a ``_Factored`` column
+    formats each of its values once.
     """
+    if isinstance(column, _Factored):
+        return [_cell_text(v) for v in column.values], column.codes
     if not (isinstance(column, np.ndarray) and column.dtype.kind == "f"):
         if not all(isinstance(v, _REAL) for v in column):
-            return [(repr(float(v)) if isinstance(v, _REAL) else str(v)) + end for v in column]
+            return [_cell_text(v) for v in column], np.arange(len(column))
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([repr(v) + end for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
+    distinct, codes = np.unique(bits, return_inverse=True)
+    return [repr(v) for v in distinct.view(np.float64).tolist()], codes
 
 
 def _write_table(fh, meta_lines, header, columns):
     """Stream a CSV to the text file ``fh``; see ``_write_csv``.
 
-    Each cell carries its separator ("," or the row's CRLF), so a chunk of
-    ``_CSV_CHUNK`` rows is one interleaved list of cells and one join.
+    All columns share one vocabulary: the words of column k, each followed
+    by its separator ("," or the row's CRLF), from ``offsets[k]`` on.  A
+    chunk of ``_CSV_CHUNK`` rows is then one block of vocabulary indices,
+    one gather, one join and one write.
     """
     fh.writelines(line + "\n" for line in meta_lines)
     fh.write(",".join(header) + "\r\n")
-    columns = list(columns)
-    width = len(columns)
-    cells = [_column_text(col, "," if k < width - 1 else "\r\n") for k, col in enumerate(columns)]
-    if len({len(col) for col in cells}) > 1:
+    factored = [_column_words(col) for col in columns]
+    if len({len(codes) for _, codes in factored}) > 1:
         raise ValueError("CSV columns differ in length")
-    rows = len(cells[0]) if cells else 0
+    width = len(factored)
+    vocab, offsets = [], []
+    for k, (words, _) in enumerate(factored):
+        end = "," if k < width - 1 else "\r\n"
+        offsets.append(len(vocab))
+        vocab.extend(word + end for word in words)
+    vocab = np.array(vocab, dtype=object)
+    rows = len(factored[0][1]) if factored else 0
     for start in range(0, rows, _CSV_CHUNK):
-        chunk = slice(start, start + _CSV_CHUNK)
-        parts = [None] * (width * min(_CSV_CHUNK, rows - start))
-        for k in range(width):
-            parts[k::width] = cells[k][chunk]
-        fh.write("".join(parts))
+        stop = min(start + _CSV_CHUNK, rows)
+        block = np.empty((stop - start, width), dtype=np.intp)
+        for k, (_, codes) in enumerate(factored):
+            np.add(codes[start:stop], offsets[k], out=block[:, k])
+        fh.write("".join(vocab[block.ravel()].tolist()))
 
 
 def _write_csv(path, meta_lines, header, columns):
     """Write a CSV: '#' metadata lines, the header row, then the data rows.
 
-    ``columns`` holds one equal-length sequence (or 1-D array) per header
-    entry, and columns of unequal length raise ValueError; no columns
-    writes the header alone.  Cells are formatted by
-    ``_column_text``, so floats are exact, and rows end in CRLF.  Rows are
+    ``columns`` holds one entry per header entry: an equal-length sequence
+    (or 1-D array) of cells, or a ``_Factored`` column of values and
+    per-row codes.  Columns of unequal length raise ValueError; no
+    columns writes the header alone.  Cells are formatted by
+    ``_column_words``, so floats are exact, and rows end in CRLF.  Rows are
     streamed to the file a chunk at a time, never built into one string.
     """
     with open(path, "w", newline="") as fh:

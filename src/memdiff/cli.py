@@ -13,10 +13,13 @@ rejected with exit code 2.
 
 Outputs are CSV with '#'-prefixed metadata lines (version, config hash,
 kernel, beta estimate) before the header row; identical configs produce
-byte-identical files.  Each command builds one array or sequence per
-header entry and hands the columns to one writer
-(``asymptotics._write_csv``, or ``_write_table`` for the ``ml`` table on
-stdout), which writes every float as its shortest round-trip repr.
+byte-identical files.  Each command hands one column per header entry
+to one writer (``asymptotics._write_csv``, or ``_write_table`` for the
+``ml`` table on stdout), which writes every float as its shortest
+round-trip repr.  A column is an array or sequence of cells, or, for the
+t and xi columns of ``solve``, an ``asymptotics._Factored`` pair of
+the values and each row's index into them, so the grid's repeats are
+never built out.
 Refusals (violated hypotheses) exit 3 with the reason on stderr.  Any
 other library error raised by the run, such as a time that is not a node
 of the time grid or a grid too coarse for the kernel, and an output file
@@ -346,12 +349,14 @@ def _cmd_solve(cfg: RunConfig) -> int:
     grid = build_grid(cfg)
     t_list = cfg.get("experiment", "t_list")
     fields = spectral.evolve(kernel, build_initial(cfg), grid, t_list, build_time_grid(cfg))
-    # One row per time and mode, modes in C order within each time.
-    coords = np.meshgrid(*[grid.axis] * len(grid.shape), indexing="ij")
+    # One row per time and mode, modes in C order within each time; the t
+    # and xi columns go to the writer as their values and each row's index.
     u_hat = np.concatenate([f.values.ravel() for f in fields])
-    columns = [np.repeat(t_list, coords[0].size),
-               *(np.tile(c.ravel(), len(t_list)) for c in coords), u_hat.real, u_hat.imag]
-    header = ["t"] + [f"xi{d+1}" for d in range(len(coords))] + ["re_u_hat", "im_u_hat"]
+    index = np.indices(grid.shape).reshape(len(grid.shape), -1)
+    columns = [asymptotics._Factored(t_list, np.repeat(np.arange(len(t_list)), index.shape[1])),
+               *(asymptotics._Factored(grid.axis, np.tile(i, len(t_list))) for i in index),
+               u_hat.real, u_hat.imag]
+    header = ["t"] + [f"xi{d+1}" for d in range(len(index))] + ["re_u_hat", "im_u_hat"]
     return _write_output(cfg, _metadata_lines(cfg, kernel), header, columns)
 
 

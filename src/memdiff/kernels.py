@@ -39,8 +39,21 @@ RV_CONVERGENCE_TOL = 0.02
 _RAY_X, _RAY_H = np.linspace(-45.0, 6.0, 400, retstep=True)
 _RAY_R, _RAY_W = np.exp(_RAY_X), _RAY_H * np.exp(_RAY_X - np.exp(_RAY_X))
 # Gauss-Legendre on [0, 1]; 10 points would miss the cell [0, 1e5] by 7e-5.
-_GL_U, _GL_W = np.polynomial.legendre.leggauss(20)
-_GL_U, _GL_W = (_GL_U + 1.0) / 2.0, _GL_W / 2.0
+# The positive nodes of the 20-point rule on [-1, 1] and their weights, as
+# numpy.polynomial.legendre.leggauss(20) gives them (the rule is symmetric),
+# tabulated so that importing memdiff does not load numpy.polynomial.
+_GL_X = np.array([
+    0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+    0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+    0.9639719272779138, 0.993128599185095,
+])
+_GL_V = np.array([
+    0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+    0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+    0.040601429800386446, 0.017614007139150893,
+])
+_GL_U = (np.concatenate([-_GL_X[::-1], _GL_X]) + 1.0) / 2.0
+_GL_W = np.concatenate([_GL_V[::-1], _GL_V]) / 2.0
 # Taylor coefficients of phi_R and phi_L, highest power first: 1/(k+2)! and
 # (k+1)/(k+2)! for k < 18, so the first omitted term is below 1e-17 at |z| < 1.
 _PHI_R = np.array([1.0 / math.factorial(k + 2) for k in range(17, -1, -1)])

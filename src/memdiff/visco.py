@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import DomainError, HypothesisViolation
 from .kernels import MemoryKernel, require_positive_definite, scale
@@ -31,6 +30,9 @@ PROJECTOR_TOL = 1e-14
 _ERF_POTENTIAL_SERIES = np.array(
     [(-1.0) ** n / (math.factorial(n) * (2 * n + 1)) for n in range(14)]
 )
+#: Taylor coefficients of F' and F'': the series differentiated term by term.
+_ERF_POTENTIAL_D1 = np.arange(1, 14) * _ERF_POTENTIAL_SERIES[1:]
+_ERF_POTENTIAL_D2 = np.arange(1, 13) * _ERF_POTENTIAL_D1[1:]
 
 
 @dataclass
@@ -169,8 +171,9 @@ def stokes_gradient_part_real(x, t: float) -> np.ndarray:
     s2 = 4.0 * t
     u = float(x @ x) / s2
     if u < 0.5:
-        d1 = polyval(u, polyder(_ERF_POTENTIAL_SERIES))
-        d2 = polyval(u, polyder(_ERF_POTENTIAL_SERIES, 2))
+        # np.polyval takes the highest power first.
+        d1 = np.polyval(_ERF_POTENTIAL_D1[::-1], u)
+        d2 = np.polyval(_ERF_POTENTIAL_D2[::-1], u)
     else:
         v = math.sqrt(u)
         g = math.exp(-u)

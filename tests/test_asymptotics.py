@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from memdiff.asymptotics import (
     RV_GRID,
     ConvergenceReport,
-    _column_text,
+    _column_words,
     _write_csv,
     ScalingFunction,
     converge_to_limit,
@@ -365,17 +365,20 @@ def test_write_csv_formats_each_column_exactly(tmp_path):
     floats = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 0.1, -0.0, 0.0])
     ints = np.arange(len(floats)) - 3
     words = ["a"] * len(floats)
+    # Mixed int and float cells keep str for the ints.
+    mixed = ((10, 2.5, np.float64(3.0), "x") * 3)[:len(floats)]
+    mixed_words = (["10", "2.5", "3.0", "x"] * 3)[:len(floats)]
     path = tmp_path / "columns.csv"
-    _write_csv(path, ["# note: columns"], ["x", "n", "x_tuple", "n_list", "word"],
-               [floats, ints, tuple(floats.tolist()), ints.tolist(), words])
-    expected = "# note: columns\nx,n,x_tuple,n_list,word\r\n" + "".join(
-        f"{x!r},{n},{x!r},{n},a\r\n" for x, n in zip(floats.tolist(), ints.tolist()))
+    _write_csv(path, ["# note: columns"], ["x", "n", "x_tuple", "n_list", "word", "mixed"],
+               [floats, ints, tuple(floats.tolist()), ints.tolist(), words, mixed])
+    expected = "# note: columns\nx,n,x_tuple,n_list,word,mixed\r\n" + "".join(
+        f"{x!r},{n},{x!r},{n},a,{m}\r\n"
+        for x, n, m in zip(floats.tolist(), ints.tolist(), mixed_words))
     assert path.read_bytes() == expected.encode()
     lines = path.read_text().splitlines()
     assert [line.split(",")[0] for line in lines[2:]] == [
         "-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+308", "0.1", "-0.0", "0.0"]
-    # Mixed int and float cells keep str for the ints.
-    assert _column_text((10, 2.5, np.float64(3.0), "x")) == ["10", "2.5", "3.0", "x"]
+    assert [line.split(",")[-1] for line in lines[2:]] == mixed_words
     with pytest.raises(ValueError):
         _write_csv(tmp_path / "short.csv", [], ["x", "n"], [floats, ints[:-1]])
 
@@ -390,4 +393,5 @@ def test_empty_report_writes_header_only(tmp_path):
 @settings(max_examples=200, deadline=None)
 def test_column_text_is_repr_of_every_bit_pattern(bits):
     values = np.array(bits + bits[::-1], dtype=np.int64).view(np.float64)
-    assert _column_text(values) == [repr(float(x)) for x in values.tolist()]
+    words, codes = _column_words(values)
+    assert [words[c] for c in codes] == [repr(float(x)) for x in values.tolist()]

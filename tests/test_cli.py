@@ -363,6 +363,15 @@ _ORACLE_CASES = {
         kernel="family = fractional\nbeta = -0.4", initial="type = gaussian",
         grid="dimension = 3\nmodes_per_axis = 32\nxi_max = 6.0\nradial = true", time=_TIME,
         experiment="t_list = 0.5, 1.0")),
+    "solve_3d_full": ("solve", spectral, "evolve", "t,xi1,xi2,xi3,re_u_hat,im_u_hat", _config(
+        kernel=_EXPONENTIAL, initial="type = gaussian\nwidth = 0.8",
+        grid="dimension = 3\nmodes_per_axis = 8\nxi_max = 5.0", time=_TIME,
+        experiment="t_list = 0.5, 1.0")),
+    # Times that repeat, are out of order and hold a negative zero.
+    "solve_t_unsorted": ("solve", spectral, "evolve", "t,xi1,xi2,xi3,re_u_hat,im_u_hat", _config(
+        kernel=_EXPONENTIAL, initial="type = box\nhalf_width = 1.5",
+        grid="dimension = 3\nmodes_per_axis = 4\nxi_max = 5.0", time=_TIME,
+        experiment="t_list = 1.0, -0.0, 0.5, 1.0")),
     "converge": ("converge", asymptotics, "converge_to_limit", "T,t,distance_hs,reference_norm",
                  _config(kernel="family = exponential\nmu = 1.0\nc = 1.0",
                          initial="type = gaussian",

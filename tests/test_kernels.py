@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate
 
 import memdiff
+from memdiff import kernels
 from memdiff.errors import DomainError, HypothesisViolation, NotEventuallyPositiveError
 from memdiff.kernels import (
     PD_BOUNDARY_SHIFT,
@@ -140,6 +141,13 @@ def test_powerlaw_moments_match_mpmath_on_any_cell(kernel, T):
                    f * (s1 ** (b + 2) - s0 ** (b + 2)) / (b + 2) + a0 * (s1**2 - s0**2) / 2)
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-14 * abs(r), (t0, t1)
+
+
+def test_gauss_legendre_rule_is_leggauss_20_on_the_unit_interval():
+    # The tabulated rule is numpy's, mapped to [0, 1], to the last bit.
+    x, w = np.polynomial.legendre.leggauss(20)
+    for got, ref in ((kernels._GL_U, (x + 1.0) / 2.0), (kernels._GL_W, w / 2.0)):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_laplace_closed_forms_against_quadrature():

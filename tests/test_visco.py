@@ -307,6 +307,19 @@ def test_stokes_gradient_part_is_the_exact_hessian(t):
         assert np.max(np.abs(stokes_gradient_part_real(np.array(p), t) - ref)) < 1e-13
 
 
+def test_stokes_gradient_series_is_numpy_polynomial_bitwise():
+    # The tabulated derivatives of the erf potential, evaluated by np.polyval,
+    # give the bits of numpy.polynomial's polyval(u, polyder(series, m)).
+    from numpy.polynomial.polynomial import polyder, polyval
+
+    for m, coef in ((1, visco._ERF_POTENTIAL_D1), (2, visco._ERF_POTENTIAL_D2)):
+        ref = polyder(visco._ERF_POTENTIAL_SERIES, m)
+        assert np.array_equal(coef.view(np.int64), ref.view(np.int64))
+        for u in np.linspace(0.0, 0.5, 201)[:-1]:
+            got, want = np.polyval(coef[::-1], u), polyval(u, ref)
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
 def test_visco_rate_decreasing_exponential_pair():
     pair = ViscoKernelPair(Exponential(mu=1.0, c=1.0), Exponential(mu=1.0, c=0.5))
     v0 = VectorGaussian(mass_vector=(1.0, 0.0, 0.0))
