@@ -81,10 +81,11 @@ class ScalingFunction:
         return (1.0 + self.beta) / 2.0
 
     def k(self, t):
+        """k(t) for finite t > 0: a float for a scalar, else an array."""
         scalar = np.isscalar(t)
         ta = np.asarray(t, dtype=float)
-        if np.any(ta <= 0):
-            raise DomainError("scaling function needs t > 0")
+        if not np.all((ta > 0.0) & (ta < np.inf)):  # NaN fails too
+            raise DomainError("scaling function needs a finite t > 0")
         if self.exponent_override is not None:
             out = self.C * ta**self.exponent_override
         else:
@@ -112,7 +113,7 @@ def _rescaled_fields(kernel, u0, sf, T_list, t_list, grid: ModeGrid, n_steps):
     if np.any(t_list <= 0):
         raise DomainError("rescaled times must be positive")
     T_list = [float(T) for T in T_list]
-    kT = [sf.k(T) for T in T_list]
+    kT = sf.k(np.array(T_list)).tolist()
     tg = _dilated_time_grid(float(np.max(t_list)), n_steps)
     lam_scale = [T / k**2 for T, k in zip(T_list, kT)]
     factors = _mode_factors(kernel, grid, tg, t_list, lam_scale, T_list)
@@ -325,14 +326,13 @@ def converge_to_limit(
     profiles = {
         float(t): limit_profile(sf.beta, grid, float(t), U0) for t in t_list
     }
+    # The reference norm ||U0 w(., t)||_{H^s} depends on t alone.
+    ref_norms = {t: hs_norm(prof, s) for t, prof in profiles.items()}
     all_fields = _rescaled_fields(kernel, u0, sf, T_list, t_list, grid, n_steps)
     for T, fields in zip(T_list, all_fields):
-        for t, f in zip(t_list, fields):
-            prof = profiles[float(t)]
-            diff = SpectralField(grid, f.values - prof.values)
-            report.rows.append(
-                (float(T), float(t), hs_norm(diff, s), hs_norm(prof, s))
-            )
+        for t, f in zip(map(float, t_list), fields):
+            diff = SpectralField(grid, f.values - profiles[t].values)
+            report.rows.append((float(T), t, hs_norm(diff, s), ref_norms[t]))
     return report
 
 

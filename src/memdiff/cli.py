@@ -350,12 +350,15 @@ def _cmd_solve(cfg: RunConfig) -> int:
     t_list = cfg.get("experiment", "t_list")
     fields = spectral.evolve(kernel, build_initial(cfg), grid, t_list, build_time_grid(cfg))
     # One row per time and mode, modes in C order within each time; the t
-    # and xi columns go to the writer as their values and each row's index.
+    # and xi columns go to the writer as their values and each row's index,
+    # and so does a real solve's imaginary column: +0.0 on every row.
     u_hat = np.concatenate([f.values.ravel() for f in fields])
     index = np.indices(grid.shape).reshape(len(grid.shape), -1)
+    im_u_hat = (u_hat.imag if np.iscomplexobj(u_hat)
+                else asymptotics._Factored((0.0,), np.broadcast_to(np.intp(0), u_hat.shape)))
     columns = [asymptotics._Factored(t_list, np.repeat(np.arange(len(t_list)), index.shape[1])),
                *(asymptotics._Factored(grid.axis, np.tile(i, len(t_list))) for i in index),
-               u_hat.real, u_hat.imag]
+               u_hat.real, im_u_hat]
     header = ["t"] + [f"xi{d+1}" for d in range(len(index))] + ["re_u_hat", "im_u_hat"]
     return _write_output(cfg, _metadata_lines(cfg, kernel), header, columns)
 

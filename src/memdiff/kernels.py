@@ -20,7 +20,9 @@ difference the antiderivatives of their interpolant.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,25 +58,48 @@ _GL_U = (np.concatenate([-_GL_X[::-1], _GL_X]) + 1.0) / 2.0
 _GL_W = np.concatenate([_GL_V[::-1], _GL_V]) / 2.0
 # Taylor coefficients of phi_R and phi_L, highest power first: 1/(k+2)! and
 # (k+1)/(k+2)! for k < 18, so the first omitted term is below 1e-17 at |z| < 1.
-_PHI_R = np.array([1.0 / math.factorial(k + 2) for k in range(17, -1, -1)])
-_PHI_L = _PHI_R * np.arange(18, 0, -1)
+_PHI_R = tuple(1.0 / math.factorial(k + 2) for k in range(17, -1, -1))
+_PHI_L = tuple(r * (18 - i) for i, r in enumerate(_PHI_R))
 
 
 def _phi(z):
     """(phi_R(z), phi_L(z)) = int_0^1 ((1 - u), u) e^(z u) du, elementwise.
 
     The closed forms (e^z - 1 - z)/z^2 and (z e^z - e^z + 1)/z^2 cancel for
-    small z, so |z| < 1 takes the Taylor series; z may be complex.
+    small z, so |z| < 1 takes the Taylor series by Horner's rule; z may be
+    complex.  ``_phi_part`` states the rule once, for a scalar or an array.
+    A real scalar takes Python arithmetic and gives floats with the bits of
+    the array rule; the solver passes a handful, one per rate and dilation.
+    Anything else is split by |z| < 1 and gives two arrays of its shape, a
+    complex scalar 0-d arrays: Python's complex products and quotients have
+    other bits than numpy's, and a product with a 0-d array is numpy's.
     """
+    if isinstance(z, float):
+        return _phi_part(z, abs(z) < 1.0)
     z = np.asarray(z)
     small = np.abs(z) < 1.0
-    zs = np.where(small, z, 0.0)
-    zb = np.where(small, 1.0, z)
-    em1 = np.expm1(zb)
-    return (
-        np.where(small, np.polyval(_PHI_R, zs), (em1 - zb) / zb**2),
-        np.where(small, np.polyval(_PHI_L, zs), (zb * em1 + zb - em1) / zb**2),
-    )
+    out = np.empty((2,) + z.shape, dtype=np.result_type(z, float))
+    out[:, small] = _phi_part(z[small], True)
+    out[:, ~small] = _phi_part(z[~small], False)
+    return out[0, ...], out[1, ...]
+
+
+def _phi_part(z, small: bool):
+    """``_phi`` of a real scalar z, or of an array z whose entries all have
+    |z| < 1 if ``small`` and |z| >= 1 if not.  e^z - 1 is numpy's ``expm1``
+    for a scalar too, which has the bits of its array rule (``math.expm1``
+    has not)."""
+    if small:
+        pR = pL = 0.0
+        for r, l in zip(_PHI_R, _PHI_L):
+            pR = pR * z + r
+            pL = pL * z + l
+        return pR, pL
+    em1 = np.expm1(z)
+    if isinstance(em1, np.generic):
+        em1 = em1.item()
+    z2 = z * z
+    return (em1 - z) / z2, (z * em1 + z - em1) / z2
 
 
 def _series_terms(u_hi):
@@ -676,18 +701,32 @@ class PositiveDefiniteReport:
     omega_at_min: float
 
 
+@functools.lru_cache(maxsize=16)
+def _pd_frequencies(omega_max: float, n_samples: int) -> np.ndarray:
+    """The frequencies of ``check_positive_definite``: 0, then n_samples - 1
+    log-spaced from 1e-4 to omega_max; read-only, built once per
+    (omega_max, n_samples)."""
+    omegas = np.concatenate([[0.0], np.logspace(-4, math.log10(omega_max), n_samples - 1)])
+    omegas.flags.writeable = False
+    return omegas
+
+
 def check_positive_definite(
     kernel: MemoryKernel, omega_max: float = 100.0, n_samples: int = 400
 ) -> PositiveDefiniteReport:
     """Sample a0 + Re a~(h + i w) on a log-spaced frequency grid.
 
-    ``h`` approximates the boundary limit from the right half plane.
+    ``h`` approximates the boundary limit from the right half plane.  An
+    ``omega_max`` that is not finite and positive, or an ``n_samples``
+    that is not an integer >= 2, raises DomainError.
     """
-    if omega_max <= 0 or n_samples < 2:
-        raise DomainError("need omega_max > 0 and n_samples >= 2")
-    omegas = np.concatenate(
-        [[0.0], np.logspace(-4, math.log10(omega_max), n_samples - 1)]
-    )
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise DomainError("n_samples must be an integer >= 2") from None
+    if not (0.0 < omega_max < math.inf and n_samples >= 2):  # NaN fails too
+        raise DomainError("need a finite omega_max > 0 and n_samples >= 2")
+    omegas = _pd_frequencies(float(omega_max), n_samples)
     vals = kernel.a0 + np.real(kernel.laplace(PD_BOUNDARY_SHIFT + 1j * omegas))
     i = int(np.argmin(vals))
     return PositiveDefiniteReport(

@@ -131,15 +131,20 @@ class ModeGrid:
         return (self.modes_per_axis // 2,) * self.n
 
     def trapezoid_weights(self) -> np.ndarray:
-        """Product trapezoid weights (without the dxi^n factor)."""
-        N = self.modes_per_axis
-        w1 = np.ones(N + 1)
+        """Product trapezoid weights (without the dxi^n factor): the outer
+        product of the 1-D weights (1/2, 1, ..., 1, 1/2), or those weights
+        alone on a radial grid; read-only, built once per grid."""
+        return self._trapezoid_weights
+
+    @cached_property
+    def _trapezoid_weights(self) -> np.ndarray:
+        w1 = np.ones(self.modes_per_axis + 1)
         w1[0] = w1[-1] = 0.5
-        if self.radial:
-            return w1
         out = w1
-        for _ in range(self.n - 1):
-            out = np.multiply.outer(out, w1)
+        if not self.radial:
+            for _ in range(self.n - 1):
+                out = np.multiply.outer(out, w1)
+        out.flags.writeable = False
         return out
 
 

@@ -284,39 +284,37 @@ def _memory_modes(terms_list, dt: float):
     both weights, a state U(i) = U(i-1) + z_i + z_(i-1) with
     f = g dt^2 / 2.  Constant parts, s = 0, need no state: they only enter
     wR[0] and wL[0], the hat weights of the first cell, summed term by
-    term in the same order as ``_ExpPolyKernel._hat``.  phi(s dt) of the
-    real rates of every polynomial is one call and of the complex rates
-    another, since a real rate taken through complex arithmetic would get
-    other bits; a group with no rate makes no call.
+    term in the same order as ``_ExpPolyKernel._hat``.  These are a few
+    scalars per term and polynomial, so they are formed one rate at a
+    time: phi(s dt) is one call of ``_phi`` per rate, and e^(s dt) and
+    expm1(s dt) are numpy's.  A real rate stays real, since taken through
+    complex arithmetic it would get other bits, and takes Python
+    arithmetic with the bits of numpy's array rules.  For a complex rate
+    ``_phi`` gives 0-d arrays, so g dt phi is numpy's product too.
     """
-    layout = terms_list[0]
-    rates = {}
-    for pair in (False, True):
-        cols = [l for l, (_, s, m) in enumerate(layout) if not m and (np.imag(s) != 0.0) == pair]
-        if not cols:
-            continue
-        kind = complex if pair else float
-        gdt = np.array([[terms[l][0] * dt for terms in terms_list] for l in cols], dtype=kind)
-        sdt = np.array([[terms[l][1] * dt for terms in terms_list] for l in cols], dtype=kind)
-        rates.update(zip(cols, zip(gdt, *_phi(sdt), np.exp(sdt), np.expm1(sdt))))
-    one = np.ones(len(terms_list))
-    wL0 = wR0 = 0.0
-    modes = []
-    for l, (_, s, m) in enumerate(layout):
-        if m:
-            g = np.array([terms[l][0] for terms in terms_list])
-            wL0 = wL0 + g * dt * (dt / 3.0)
-            wR0 = wR0 + g * dt * (dt / 6.0)
-            modes.append((one, one, one, g * dt**2 / 2.0))
-            continue
-        gdt, pR, pL, rho, f = rates[l]
-        wL0 = wL0 + np.real(gdt * pL)
-        wR0 = wR0 + np.real(gdt * pR)
-        if s != 0.0 and np.imag(s) >= 0.0:
-            gdt = gdt if np.imag(s) == 0.0 else 2.0 * gdt
-            modes.append((rho, gdt * pR, gdt * pL, f))
-    modes = np.array(modes, dtype=complex).reshape(-1, 4, len(terms_list))
-    return wR0, wL0, modes.transpose(1, 0, 2)
+    wR0, wL0, modes = [], [], []
+    for terms in terms_list:
+        wL = wR = 0.0
+        columns = []
+        for g, s, m in terms:
+            if m:
+                wL = wL + g * dt * (dt / 3.0)
+                wR = wR + g * dt * (dt / 6.0)
+                columns.append((1.0, 1.0, 1.0, g * dt**2 / 2.0))
+                continue
+            pair = np.imag(s) != 0.0
+            gdt, sdt = (complex(g * dt), complex(s * dt)) if pair else ((g * dt).real, (s * dt).real)
+            pR, pL = _phi(sdt)
+            wL = wL + (gdt * pL).real
+            wR = wR + (gdt * pR).real
+            if s != 0.0 and np.imag(s) >= 0.0:
+                gdt = 2.0 * gdt if pair else gdt
+                columns.append((np.exp(sdt), gdt * pR, gdt * pL, np.expm1(sdt)))
+        wR0.append(wR)
+        wL0.append(wL)
+        modes.append(columns)
+    modes = np.array(modes, dtype=complex).reshape(len(terms_list), len(modes[0]), 4)
+    return np.array(wR0), np.array(wL0), modes.transpose(2, 1, 0)
 
 
 def _square(P):

@@ -78,6 +78,30 @@ def test_scaling_function_validation():
         ScalingFunction(kernel=Heat(1.0), beta=0.0, C=-1.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), math.inf, 0.0, -1.0])
+def test_scaling_k_refuses_t_that_is_not_finite_and_positive(t):
+    sf = ScalingFunction(Exponential(mu=1.0, c=1.0), 0.0)
+    with pytest.raises(DomainError, match="finite t > 0"):
+        sf.k(t)
+    with pytest.raises(DomainError, match="finite t > 0"):
+        sf.k(np.array([1.0, t]))
+
+
+@pytest.mark.parametrize(
+    "kernel, beta",
+    [(Exponential(mu=1.3, c=0.7, a0=0.2), 0.0), (fractional(-0.4), -0.4), (Wave(c=2.0), 1.0)],
+    ids=lambda k: getattr(k, "description", k),
+)
+@pytest.mark.parametrize("override", [None, 0.37])
+def test_scaling_k_of_a_float_has_the_bits_of_the_array_rule(kernel, beta, override):
+    sf = ScalingFunction(kernel, beta, C=1.1, exponent_override=override)
+    Ts = np.geomspace(1e-2, 1e6, 97)
+    got = [sf.k(float(T)) for T in Ts]
+    assert all(type(k) is float for k in got)
+    assert np.array_equal(got, [sf.k(np.array([T]))[0] for T in Ts])
+    assert np.array_equal(got, sf.k(Ts))
+
+
 def test_scaling_index_consistency():
     # rv index of the derived scaling function equals (1+beta)/2.
     for kernel, beta in ((Heat(1.0), 0.0), (Wave(c=1.0), 1.0),

@@ -415,6 +415,54 @@ def test_dilation_keeps_the_positive_definiteness_verdict(kernel):
             == check_positive_definite(kernel).passed)
 
 
+@pytest.mark.parametrize(
+    "omega_max, n_samples",
+    [(float("nan"), 400), (math.inf, 400), (0.0, 400), (-1.0, 400), (100.0, 2.5), (100.0, 1),
+     (100.0, None)],
+)
+def test_positive_definite_check_refuses_a_grid_it_cannot_use(omega_max, n_samples):
+    with pytest.raises(DomainError):
+        check_positive_definite(Exponential(mu=1.0, c=1.0), omega_max, n_samples)
+
+
+def test_positive_definite_frequencies_are_built_once_and_read_only():
+    omegas = kernels._pd_frequencies(50.0, 300)
+    assert omegas is kernels._pd_frequencies(50.0, 300)
+    assert not omegas.flags.writeable
+    assert np.array_equal(omegas, np.concatenate([[0.0], np.logspace(-4, math.log10(50.0), 299)]))
+    # numpy integers are integers; the report reads the shared grid.
+    rep = check_positive_definite(Exponential(mu=1.0, c=-2.0, a0=1.0), 50.0, np.int64(300))
+    assert rep.omega_at_min in omegas and not rep.passed
+
+
+def test_phi_rule_matches_mpmath_on_scalars_and_arrays():
+    # phi_R(z) = (e^z - 1 - z) / z^2 and phi_L(z) = (z e^z - e^z + 1) / z^2,
+    # by the series for |z| < 1 and the closed form with expm1 beyond.  A
+    # real scalar gives floats, a complex one 0-d arrays; both have the bits
+    # of an array that holds them.
+    def exact(z):
+        with mpmath.workdps(40):
+            z = mpmath.mpmathify(z)
+            e = mpmath.exp(z)
+            return complex((e - 1 - z) / z**2), complex((z * e - e + 1) / z**2)
+
+    reals = [1e-9, -0.3, 0.999, -1.0, 1.5, -40.0]
+    for zs in (reals, [0.5j, -0.2 + 0.9j, 2.0 - 1.0j, 3j]):
+        arr = np.array(zs).reshape(2, -1)
+        pR, pL = kernels._phi(arr)
+        assert pR.shape == pL.shape == arr.shape and pR.dtype == arr.dtype
+        for z, aR, aL in zip(zs, pR.ravel(), pL.ravel()):
+            got = kernels._phi(z)
+            if zs is reals:
+                assert all(type(v) is float for v in got)
+            else:
+                assert all(isinstance(v, np.ndarray) and v.shape == () for v in got)
+            assert got == kernels._phi(np.asarray(z))
+            for g, a, ref in zip(got, (aR, aL), exact(z)):
+                assert abs(g - ref) <= 4e-16 * abs(ref) and g == a
+    assert [a.shape for a in kernels._phi(np.empty(0))] == [(0,), (0,)]
+
+
 def test_kernel_without_transform_is_refused_by_name():
     sampled = SampledKernel(0.1, 1.0 + 0.1 * np.arange(11))
     for kernel in (sampled, dilate(sampled, 2.0), scale(sampled, 2.0)):

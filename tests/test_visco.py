@@ -105,9 +105,10 @@ def test_mode_grid_arrays_are_built_once_and_read_only():
     # The arrays are shared by every caller of the grid, so _split, which
     # sets the centre of its divisor |xi|^2 to 1, must work on a copy.
     grid = ModeGrid(n=3, modes_per_axis=8, xi_max=3.0)
-    lam, comps = grid.xi_squared(), grid.components()
+    lam, comps, weights = grid.xi_squared(), grid.components(), grid.trapezoid_weights()
     assert lam is grid.xi_squared() and comps is grid.components()
-    for a in (lam, *comps):
+    assert weights is grid.trapezoid_weights()
+    for a in (lam, *comps, weights):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0, 0] = 1.0
@@ -115,6 +116,8 @@ def test_mode_grid_arrays_are_built_once_and_read_only():
     ref_comps = np.meshgrid(ax, ax, ax, indexing="ij")
     ref_lam = ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax**2
     assert np.array_equal(lam, ref_lam) and all(map(np.array_equal, comps, ref_comps))
+    w1 = np.array([0.5] + [1.0] * (len(ax) - 2) + [0.5])
+    assert np.array_equal(weights, np.multiply.outer(np.multiply.outer(w1, w1), w1))
     rng = np.random.default_rng(3)
     v = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
     center = grid.zero_index()
