@@ -384,8 +384,8 @@ def leading_order_rate(
             "rate statement does not apply"
         )
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
-    if np.any(t_list <= 0):
-        raise DomainError("t_list must be positive")
+    if not np.all((t_list > 0.0) & (t_list < np.inf)):  # NaN fails too
+        raise DomainError("t_list must be finite and positive")
     U0 = u0.mass
     lam2 = grid.xi_squared()
     base = u0.field(grid).values

@@ -244,24 +244,32 @@ def unique_lambdas(grid: ModeGrid):
 
 
 def _mode_factors(
-    kernel: MemoryKernel, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0, dilation=1.0
+    kernel, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0, dilation=1.0
 ):
-    """Grid arrays z(lam_scale[d] * |xi|^2, t) of ``dilate(kernel, dilation[d])``.
+    """Grid arrays z(lam_scale[d] * |xi|^2, t) of ``dilate(kernel[d], dilation[d])``.
 
     The core of the representation formula u_hat = z * u0_hat: one solve
-    over the distinct |xi|^2 of the grid for every dilation d at once,
-    which keeps only the nodes of ``times``, then a gather onto the modes.
-    ``lam_scale`` and ``dilation`` are broadcast against each other; the
+    over the distinct |xi|^2 of the grid for every d at once, which keeps
+    only the nodes of ``times``, then a gather onto the modes.  ``kernel``
+    is a MemoryKernel, the same for every d, or a tuple of them, one per
+    d; it is broadcast against ``lam_scale`` and ``dilation``, and each d
+    names the pair (kernel[d], dilation[d]) of ``_solve_nodes``.  The
     result is indexed [d][k] for the k-th entry of ``times``.  Callers
-    must have checked that the kernel is positive definite, since |z|
+    must have checked that every kernel is positive definite, since |z|
     above 1 at any node of the solve is then refused as a too coarse time
     grid.
     """
     indices = [time_grid.index_of(float(t)) for t in np.atleast_1d(times)]
-    lam_scale, dilation = np.broadcast_arrays(np.atleast_1d(lam_scale), np.atleast_1d(dilation))
+    kernels = kernel if isinstance(kernel, tuple) else (kernel,)
+    lam_scale, dilation, member = np.broadcast_arrays(
+        np.atleast_1d(lam_scale), np.atleast_1d(dilation), np.arange(len(kernels))
+    )
     lambdas, inverse = unique_lambdas(grid)
     rows = (lam_scale[:, None] * lambdas).ravel()
-    z, peak = _solve_nodes(kernel, rows, time_grid, np.repeat(dilation, len(lambdas)), indices)
+    z, peak = _solve_nodes(
+        kernels, rows, time_grid, np.repeat(dilation, len(lambdas)), indices,
+        np.repeat(member, len(lambdas)),
+    )
     require_bounded(peak)
     z = z.reshape(len(indices), len(dilation), len(lambdas))
     return [[zk[d][inverse] for zk in z] for d in range(len(dilation))]

@@ -94,18 +94,22 @@ class VectorGaussian:
         return VectorSpectralField(grid, vals.astype(complex))
 
 
-def _split(grid: ModeGrid, v: np.ndarray):
+def _split(grid: ModeGrid, v: np.ndarray, part: bool = False):
     """One projection pass over 3-vector mode values v: (c, P v, Q v).
 
     c = xi . v / |xi|^2 per mode (0 at xi = 0), so P v = xi c, and
     Q v = v - P v.  Convention at xi = 0: P passes the value, Q vanishes
-    (P + Q = I).
+    (P + Q = I).  With ``part``, v is the real or imaginary part of a
+    complex field, and c is taken as xi . v times 1/|xi|^2, as numpy
+    divides a complex number by a real one: the split is linear, so each
+    part then gets the bits of the complex split's.
     """
     comps = grid.components()
     center = grid.zero_index()
     safe = grid.xi_squared().copy()
     safe[center] = 1.0
-    c = sum(comps[d] * v[d] for d in range(3)) / safe
+    c = sum(comps[d] * v[d] for d in range(3))
+    c = c * (1.0 / safe) if part else c / safe
     p_vals = np.stack([comps[d] * c for d in range(3)])
     idx = (slice(None),) + center
     p_vals[idx] = v[idx]
@@ -132,12 +136,11 @@ def evolve_visco(
     """Fields v_hat(., t) = z1 P v0_hat + z Q v0_hat at requested times.
 
     z1 is the relaxation of the gradient-part kernel, z of the shear
-    kernel.
+    kernel, both from one solve.
     """
     pair.validate()
     _, p0, q0 = _split(grid, v0.field(grid).values)
-    z1 = _mode_factors(pair.beta_kernel, grid, time_grid, times)[0]
-    z = _mode_factors(pair.shear, grid, time_grid, times)[0]
+    z1, z = _mode_factors((pair.beta_kernel, pair.shear), grid, time_grid, times)
     return [
         VectorSpectralField(grid, p0 * f1[None] + q0 * f[None])
         for f1, f in zip(z1, z)
@@ -146,8 +149,8 @@ def evolve_visco(
 
 def stokes_fundamental(A: float, B: float, grid: ModeGrid, t: float, V0) -> VectorSpectralField:
     """W_hat(xi, t) V0 = e^{-B |xi|^2 t} P V0 + e^{-A |xi|^2 t} Q V0."""
-    if A <= 0 or B <= 0 or t <= 0:
-        raise DomainError("need A, B, t > 0")
+    if not all(0.0 < x < math.inf for x in (A, B, t)):  # NaN fails too
+        raise DomainError("need finite A, B, t > 0")
     V0 = np.asarray(V0, dtype=float)
     const = np.broadcast_to(V0[:, None, None, None], (3,) + grid.shape).astype(complex)
     _, p, q = _split(grid, const)
@@ -238,27 +241,35 @@ def visco_asymptotics(
                 f"effective {name} viscosity {val} is not finite and positive"
             )
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
-    if np.any(t_list <= 0):
-        raise DomainError("t_list must be positive")
+    if not np.all((t_list > 0.0) & (t_list < np.inf)):  # NaN fails too
+        raise DomainError("t_list must be finite and positive")
     base = v0.field(grid)
     V0 = base.mass_vector
     zero = grid.zero_index()
     v_zero = base.values[(slice(None),) + zero]
-    c, _, q0 = _split(grid, base.values)
-    c_V, _, q_V = _split(grid, np.broadcast_to(V0[:, None, None, None], base.values.shape))
     lam = grid.xi_squared()
     weight = grid.trapezoid_weights() * (1.0 + lam) ** s * (grid.dxi / (2.0 * math.pi)) ** 3
     weight_p = weight * lam
     # V0 is real, so the imaginary parts of the datum only scale by f1, f:
-    # their sums are formed once and the residuals per t stay real.
-    imag_p = weight_p * c.imag**2
-    imag_q = weight * np.sum(q0.imag**2, axis=0)
-    c, q0 = c.real.copy(), q0.real.copy()
+    # their sums are formed once and the residuals per t stay real.  The
+    # parts are split one at a time as real arrays, each about a quarter of
+    # the cost of one complex split, and what a split leaves unused is
+    # freed at once, so the two hold less memory than one complex split.
+    part = np.iscomplexobj(base.values)
+    c, q0 = _split(grid, base.values.imag, part)[::2]
+    imag_p = weight_p * c**2
+    imag_q = weight * np.sum(q0**2, axis=0)
+    del c, q0
+    c, q0 = _split(grid, base.values.real, part)[::2]
+    c_V, q_V = _split(grid, np.broadcast_to(V0[:, None, None, None], base.values.shape))[::2]
     report = ViscoRateReport(s=s, A=float(A), B=float(B), degenerate_mass=not V0.any())
     tg = TimeGrid(1.0, n_steps)
-    # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t.
-    z1 = _mode_factors(pair.beta_kernel, grid, tg, [1.0], t_list, t_list)
-    z = _mode_factors(pair.shear, grid, tg, [1.0], t_list, t_list)
+    # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t, for
+    # both kernels in one solve.
+    m = len(t_list)
+    ts = np.concatenate([t_list, t_list])
+    factors = _mode_factors((pair.beta_kernel,) * m + (pair.shear,) * m, grid, tg, [1.0], ts, ts)
+    z1, z = factors[:m], factors[m:]
     for t, (f1,), (f,) in zip(map(float, t_list), z1, z):
         r_p = f1 * c - np.exp(-B * lam * t) * c_V
         r_q = f * q0 - np.exp(-A * lam * t) * q_V

@@ -28,9 +28,10 @@ found follows the kernel's structure, in three paths:
   Wave and Exponential one, Cosine two.  The recurrence is linear with
   constant coefficients, so a block of 64 steps follows from one state
   by the powers of a small matrix per row, in a few vectorised
-  operations that serve the rows of every coupling and every dilation
-  at once.  Powers and blocks are stored time-major, (step, row), so
-  each operation runs over one contiguous vector of all rows.
+  operations that serve the rows of every coupling, every dilation and
+  every kernel of one column layout at once.  Powers and blocks are
+  stored time-major, (step, row), so each operation runs over one
+  contiguous vector of all rows.
 * Power laws with beta < 0, alone or with Heat kernels: Laplace inversion
   on contours, below.
 * Every other kernel (power laws with beta in (0, 1], LogModified, sampled
@@ -51,12 +52,19 @@ trapezoid rule with one parabola per band (t_hi/4, t_hi] of node times.
 That gives the exact solution to about 1e-12 at every node, at the cost
 of 25 transform values per row and band and a 25-term sum per node.  A
 dilation t -> T t changes c only, so rows of every coupling and every
-dilation of a kernel are solved in one call, each with its own (p, q).
+dilation of every kernel with this beta are solved in one call, each
+with its own (p, q).
 
-All three paths sit behind one core, ``_solve_nodes``, which returns z
-time-major at the requested node indices only, together with a peak
-max|z|.  A study needs z at a few times but for every |xi|^2 and
-dilation, so no path holds a (rows x n+1) matrix.  The recurrence
+All three paths sit behind one core, ``_solve_nodes``.  Each of its rows
+names a pair (kernel, dilation) and a coupling lam; the distinct pairs
+are dilated once each and grouped by path, and each group is one call
+of its path: one per beta on the contour path, one per column layout on
+the recurrence, one per pair on the FFT division.  So a study of two
+kernels, as the viscoelastic one is, makes one solve.  Rows never mix,
+so each has the bits it would have alone.  The core returns z time-major
+at the requested node indices only, together with a peak max|z|, the
+maximum over the groups.  A study needs z at a few times but for every
+|xi|^2 and dilation, so no path holds a (rows x n+1) matrix.  The recurrence
 evaluates the requested nodes from the state at the start of their
 64-step block, bounds |z| over each block from the squarings S^(2^m) of
 its step map alone, and tabulates and evaluates a block in full only for
@@ -269,8 +277,9 @@ def _contour_values(beta: float, p: np.ndarray, q: np.ndarray, grid: TimeGrid, n
 
 def _memory_modes(terms_list, dt: float):
     """(wR[0], wL[0], modes) of exponential polynomials, for the recurrence
-    path.  The term lists of ``terms_list`` share one layout (the dilations
-    of a kernel do), and each output holds one entry per polynomial, on its
+    path.  The term lists of ``terms_list`` share one layout, ``_layout``
+    (the dilations of a kernel do, and ``_solve_nodes`` groups the other
+    kernels by it), and each output holds one entry per polynomial, on its
     last axis: ``modes`` is (4, columns, polynomials), with one column
     (rho, KR, KL, f) per real rate s != 0, per conjugate pair of rates and
     per t-term.
@@ -669,12 +678,45 @@ def require_bounded(peak) -> None:
         )
 
 
-def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, nodes=None):
+def _layout(terms):
+    """The state columns that ``_memory_modes`` gives these terms, as one
+    flag per column: whether it holds a conjugate pair of rates."""
+    columns = [(s, m) for g, s, m in terms if m or s != 0.0 and np.imag(s) >= 0.0]
+    return tuple(bool(not m and np.imag(s) != 0.0) for s, m in columns)
+
+
+def _path(kernel: MemoryKernel):
+    """(path, share): the solver path of the kernel and of its dilations,
+    and what their rows must share to go through one call of it: beta on
+    the contour path, the column layout on the recurrence.  Raises the
+    DomainError of ``_power_law_constants`` for a kernel with no path."""
+    constants = _power_law_constants(kernel)
+    if constants is not None:
+        return "contour", constants[0]
+    terms = _exp_poly_terms(kernel)
+    if terms is not None:
+        return "recurrence", _layout(terms)
+    return "fft", None
+
+
+def _solve_nodes(kernel, lambdas, grid: TimeGrid, dilation=1.0, nodes=None, member=0):
     """(z, peak): z[k, j] = z(lambdas[j], t_(nodes[k])) and peak = max|z|.
 
-    The array core of the solver API.  z is time-major, one row per entry
-    of ``nodes`` (node indices, in any order), or per node of the grid if
-    ``nodes`` is None; no path holds the values at other nodes.  peak is
+    The array core of the solver API.  Row j solves the relaxation of
+    ``dilate(kernels[member[j]], dilation[j])`` at coupling lambdas[j],
+    where ``kernel`` is a MemoryKernel or a tuple ``kernels`` of them (one
+    kernel is the tuple of itself); a scalar dilation or member applies to
+    every row.  So a row names a pair (kernel, dilation), and each
+    distinct pair is dilated once.  The pairs are grouped by solver path,
+    and each group is one call of its path: one per beta on the contour
+    path, one per column layout (``_layout``) on the recurrence, one per
+    pair on the FFT division.  Each row has the bits it would have if
+    solved alone, at whichever nodes are requested, and rows with lam = 0
+    are exactly 1.
+
+    z is time-major, one row per entry of ``nodes`` (node indices, in any
+    order), or per node of the grid if ``nodes`` is None; no path holds
+    the values at other nodes.  peak is the maximum of the groups' peaks,
     NaN if any node it covers is.  On the recurrence and FFT paths it
     covers every node of every row, requested or not; the recurrence
     evaluates a 64-step block only for the rows whose bound, from the
@@ -683,38 +725,39 @@ def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, no
     only the requested nodes, since that path evaluates no others; it is
     exact to 1.2e-12 at each node, so ``require_bounded`` loses nothing
     (see there).
-    Row j solves the relaxation of ``dilate(kernel, dilation[j])`` at
-    coupling lambdas[j]; a scalar dilation applies to every row.  Each row
-    has the bits it would have if solved alone, at whichever nodes are
-    requested, and rows with lam = 0 are exactly 1.
 
     Power laws with beta < 0, alone or summed with Heat kernels, are solved
-    for all rows at once by Laplace inversion on parabolic contours, row j
-    with its own constants (lam a0, lam c/beta); this needs a0 >= 0, since
-    with a0 < 0 the transform has a pole s > 0 that the contour would
-    miss, and such kernels raise DomainError, as does any other
-    combination with such a power law.  Exponential polynomials (see
-    ``_exp_poly_terms``) are solved for all rows at once by a short
-    recurrence per row on closed-form weights.  Every other kernel is
-    marched by FFT division once per distinct dilation, with that
-    dilation's weights computed a single time for all its rows, in blocks
-    of ``_ROW_BLOCK`` rows.  The recurrence and the FFT division keep only
-    the requested nodes of each block; the contour path evaluates no
-    others.
+    for all rows of a beta at once by Laplace inversion on parabolic
+    contours, row j with its own constants (lam a0, lam c/beta); this needs
+    a0 >= 0, since with a0 < 0 the transform has a pole s > 0 that the
+    contour would miss, and such kernels raise DomainError, as does any
+    other combination with such a power law.  Exponential polynomials (see
+    ``_exp_poly_terms``) are solved for all rows of a layout at once by a
+    short recurrence per row on closed-form weights.  Every other kernel
+    is marched by FFT division once per pair, with that pair's weights
+    computed a single time for all its rows, in blocks of ``_ROW_BLOCK``
+    rows.  The recurrence and the FFT division keep only the requested
+    nodes of each block; the contour path evaluates no others.
 
-    Raises DomainError for a lam that is negative or not finite and for a
-    node index that is not an integer or lies off the grid, and
-    StepSizeError if any node is not finite.
+    Raises DomainError for a lam that is negative or not finite, for a
+    member that does not index the tuple and for a node index that is not
+    an integer or lies off the grid, and StepSizeError if any node is not
+    finite.
     """
+    kernels = kernel if isinstance(kernel, tuple) else (kernel,)
     lambdas = np.asarray(lambdas, dtype=float)
     if not np.all((lambdas >= 0.0) & (lambdas < np.inf)):  # NaN fails too
         raise DomainError("lambda must be finite and nonnegative")
     try:
         dilation = np.broadcast_to(np.asarray(dilation, dtype=float), lambdas.shape)
+        if len(kernels) > 1:
+            member = np.broadcast_to(np.asarray(member, dtype=np.intp), lambdas.shape)
     except ValueError:
-        raise DomainError("need one dilation per lambda, or a scalar") from None
+        raise DomainError("need one dilation and member per lambda, or a scalar") from None
     if not np.all(dilation > 0):
         raise DomainError("dilation factor T must be positive")
+    if len(kernels) > 1 and not np.all((member >= 0) & (member < len(kernels))):
+        raise DomainError("member must index the tuple of kernels")
     if nodes is not None:
         try:
             nodes = [operator.index(i) for i in nodes]
@@ -722,30 +765,57 @@ def _solve_nodes(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0, no
             raise DomainError("node indices must be integers") from None
         if not all(0 <= i <= grid.n_steps for i in nodes):
             raise DomainError("node index outside the time grid")
+    paths = {}
+    for k in kernels:
+        if id(k) not in paths:
+            paths[id(k)] = _path(k)
     Ts, which = np.unique(dilation, return_inverse=True)
-    kernels = [kernel if T == 1.0 else dilate(kernel, float(T)) for T in Ts]
-    constants = _power_law_constants(kernel)
-    index = np.arange(grid.n_steps + 1) if nodes is None else np.asarray(nodes, dtype=np.intp)
-    if constants is not None:
-        a0, cA = np.array([_power_law_constants(k)[1:] for k in kernels]).reshape(-1, 2).T
-        p = lambdas * a0[which]
-        if np.any(p < 0.0):
-            raise DomainError(
-                f"{kernel.description}: a0 < 0 gives the transform of z a pole "
-                "s > 0, which the beta < 0 path cannot represent"
-            )
-        z = _contour_values(constants[0], p, lambdas * cA[which], grid, index)
-        z[:, lambdas == 0.0] = 1.0
-        peak = _abs_max(z) if z.size else 0.0
-    elif _exp_poly_terms(kernel) is not None:
-        terms_list = [_exp_poly_terms(k) for k in kernels]
-        z, peak = _recurrence_values(terms_list, lambdas, which, grid, nodes)
+    if len(kernels) > 1:
+        keys, which = np.unique(member * len(Ts) + which, return_inverse=True)
+        pairs = [(kernels[key // len(Ts)], Ts[key % len(Ts)]) for key in keys.tolist()]
     else:
-        z = np.empty((len(index), len(lambdas)))
-        peak = 0.0
-        for j, k in enumerate(kernels):
-            rows = np.flatnonzero(which == j)
-            peak = np.maximum(peak, _solve_matrix(k, lambdas, grid, index, z, rows))
+        pairs = [(kernels[0], T) for T in Ts]
+    groups = {}
+    for j, (k, _) in enumerate(pairs):
+        path, share = paths[id(k)]
+        groups.setdefault((path, j if path == "fft" else share), []).append(j)
+    dilated = [k if T == 1.0 else dilate(k, float(T)) for k, T in pairs]
+    index = np.arange(grid.n_steps + 1) if nodes is None else np.asarray(nodes, dtype=np.intp)
+    z = None if len(groups) == 1 else np.empty((len(index), len(lambdas)))
+    peak = 0.0
+    for (path, share), members in groups.items():
+        # Row j of the group solves the pair members[at[j]].
+        if len(groups) == 1:
+            lam, at = lambdas, which
+        else:
+            at = np.full(len(pairs), -1)
+            at[members] = np.arange(len(members))
+            at = at[which]
+            rows = np.flatnonzero(at >= 0)
+            lam, at = lambdas[rows], at[rows]
+        if path == "contour":
+            a0, cA = np.array([_power_law_constants(dilated[j])[1:] for j in members]).T
+            p = lam * a0[at]
+            if np.any(p < 0.0):
+                kernel = pairs[members[at[np.argmax(p < 0.0)]]][0]
+                raise DomainError(
+                    f"{kernel.description}: a0 < 0 gives the transform of z a pole "
+                    "s > 0, which the beta < 0 path cannot represent"
+                )
+            zg = _contour_values(share, p, lam * cA[at], grid, index)
+            zg[:, lam == 0.0] = 1.0
+            pg = _abs_max(zg) if zg.size else 0.0
+        elif path == "recurrence":
+            terms_list = [_exp_poly_terms(dilated[j]) for j in members]
+            zg, pg = _recurrence_values(terms_list, lam, at, grid, nodes)
+        else:
+            zg = np.empty((len(index), len(lam)))
+            pg = _solve_matrix(dilated[members[0]], lam, grid, index, zg, np.arange(len(lam)))
+        peak = np.maximum(peak, pg)
+        if z is None:
+            z = zg
+        else:
+            z[:, rows] = zg
     if not np.isfinite(peak):
         raise StepSizeError(
             f"max|z| = {peak:.3e}: the solve is not finite; refine the time grid"

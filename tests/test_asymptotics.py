@@ -342,6 +342,14 @@ def test_rate_matches_a_loop_over_t_bitwise():
     assert rep.rows == rows
 
 
+def test_rate_refuses_t_that_is_not_finite_and_positive():
+    # NaN and inf reached the solver, which refused them as a lambda, after
+    # a RuntimeWarning from numpy.
+    for t_list in ([5.0, np.nan], [np.inf], [-np.inf, 5.0], [0.0]):
+        with pytest.raises(DomainError, match="t_list must be finite and positive"):
+            leading_order_rate(Exponential(mu=1.0, c=1.0), Gaussian(), t_list, 0.0, GRID_1D)
+
+
 def test_rate_refuses_negexponential():
     with pytest.raises(HypothesisViolation, match="A_infinity"):
         leading_order_rate(NegExponential(), Gaussian(), [5.0], 0.0, GRID_1D)

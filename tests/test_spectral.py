@@ -196,6 +196,19 @@ def test_mode_factors_bound_check_sees_unrequested_nodes(kernel):
         _mode_factors(kernel, ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400), [0.0])
 
 
+def test_mode_factors_refuse_a_kernel_tuple_with_one_non_positive_definite_member():
+    # The positive-definite member alone passes the bound check; in one
+    # solve with a member that is not, the peak is the max over both.
+    good, bad = Exponential(mu=1.0, c=1.0), Exponential(mu=0.2, c=-2.0, a0=1.0)
+    grid, tg = ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400)
+    ((z_good,),) = _mode_factors(good, grid, tg, [20.0])
+    (z_first,), (z_second,) = _mode_factors((good, good), grid, tg, [20.0])
+    assert np.array_equal(z_first, z_good) and np.array_equal(z_second, z_good)
+    for kernels in ((good, bad), (bad, good)):
+        with pytest.raises(StepSizeError, match="exceeds 1"):
+            _mode_factors(kernels, grid, tg, [0.0])
+
+
 def test_mode_factors_bound_check_sees_a_late_first_excess():
     # |z| stays within 1 through node 321 and first exceeds it at node 326,
     # in the sixth 64-step block, where the recurrence must not skip it.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from memdiff.errors import DomainError, HypothesisViolation, StepSizeError
 from memdiff.kernels import Exponential, Heat, Wave, dilate
-from memdiff import spectral, visco
+from memdiff import spectral, visco, volterra
 from memdiff.spectral import Gaussian, ModeGrid, evolve, unique_lambdas
 from memdiff.visco import (
     PROJECTOR_TOL,
@@ -136,6 +136,19 @@ def test_mode_grid_arrays_are_built_once_and_read_only():
     for _ in range(2):
         rep = visco_asymptotics(pair, v0, [2.0, 8.0], -2.0, grid, n_steps=400)
         assert rep.rows == fresh.rows
+
+
+def test_split_of_each_part_has_the_bits_of_the_complex_split():
+    # numpy divides a complex number by a real one as a product with its
+    # reciprocal, so a real part divided by |xi|^2 gets other bits.
+    grid = ModeGrid(n=3, modes_per_axis=8, xi_max=3.0)
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
+    whole = visco._split(grid, v)
+    for part in (np.real, np.imag):
+        got = visco._split(grid, part(v), True)
+        assert all(map(np.array_equal, got, map(part, whole)))
+    assert not np.array_equal(visco._split(grid, v.real)[0], whole[0].real)
 
 
 def test_vector_gaussian_mass_vector():
@@ -332,23 +345,73 @@ def test_visco_rate_decreasing_exponential_pair():
 
 
 def test_visco_rate_matches_a_loop_over_t_bitwise(monkeypatch):
-    # One solve per kernel for every t gives the bits of one per t.
+    # One solve for both kernels and every t gives the bits of one per
+    # kernel and t.
     seen = []
 
-    def spy(*args):
-        seen.append(spectral._mode_factors(*args))
-        return seen[-1]
+    def spy(kernels, *args):
+        seen.append((kernels, spectral._mode_factors(kernels, *args)))
+        return seen[-1][1]
 
     monkeypatch.setattr(visco, "_mode_factors", spy)
     pair = ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5))
     t_list = [5.0, 20.0, 80.0]
     visco_asymptotics(pair, VectorGaussian(), t_list, -2.0, GRID, n_steps=500)
+    ((kernels, factors),) = seen
+    assert kernels == (pair.beta_kernel,) * 3 + (pair.shear,) * 3
     lams, inverse = unique_lambdas(GRID)
     tg = TimeGrid(1.0, 500)
-    for kernel, factors in zip((pair.beta_kernel, pair.shear), seen, strict=True):
-        for t, (f,) in zip(t_list, factors, strict=True):
-            z = relaxation_values(dilate(kernel, t), lams * t, tg)[:, -1][inverse]
-            assert np.array_equal(f, z)
+    for kernel, t, (f,) in zip(kernels, t_list * 2, factors, strict=True):
+        z = relaxation_values(dilate(kernel, t), lams * t, tg)[:, -1][inverse]
+        assert np.array_equal(f, z)
+
+
+@pytest.mark.parametrize(
+    "pair, layouts",
+    [(ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5)), 1),
+     (ViscoKernelPair(Exponential(mu=1.0, c=1.0), Exponential(mu=1.0, c=0.5)), 2)],
+    ids=["one-layout", "two-layouts"],
+)
+def test_visco_entry_points_make_one_solve(pair, layouts, monkeypatch):
+    # Both relaxations, at every t, go through one _solve_nodes call; the
+    # gradient-part kernel of two Exponentials has two state columns, the
+    # shear kernel one, so that call makes two recurrence calls.
+    solves, recurrences = [], []
+    solve_nodes, recurrence_values = spectral._solve_nodes, volterra._recurrence_values
+
+    def solve_spy(*args):
+        solves.append(args)
+        return solve_nodes(*args)
+
+    def recurrence_spy(*args):
+        recurrences.append(args)
+        return recurrence_values(*args)
+
+    monkeypatch.setattr(spectral, "_solve_nodes", solve_spy)
+    monkeypatch.setattr(volterra, "_recurrence_values", recurrence_spy)
+    v0 = VectorGaussian(mass_vector=(1.0, -0.5, 2.0))
+    visco_asymptotics(pair, v0, [2.0, 8.0, 32.0], -2.0, GRID, n_steps=400)
+    assert len(solves) == 1 and len(recurrences) == layouts
+    evolve_visco(pair, v0, GRID, [0.5, 1.0], TimeGrid(1.0, 100))
+    assert len(solves) == 2 and len(recurrences) == 2 * layouts
+
+
+def test_visco_rate_refuses_t_that_is_not_finite_and_positive():
+    # NaN and inf reached the solver, which refused them as a lambda, after
+    # a RuntimeWarning from numpy.
+    pair = ViscoKernelPair(Exponential(mu=1.0, c=1.0), Heat(0.5))
+    for t_list in ([2.0, np.nan], [np.inf], [-np.inf, 2.0], [0.0]):
+        with pytest.raises(DomainError, match="t_list must be finite and positive"):
+            visco_asymptotics(pair, VectorGaussian(), t_list, -2.0, GRID)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("which", ["A", "B", "t"])
+def test_stokes_fundamental_refuses_values_that_are_not_finite_and_positive(which, bad):
+    # NaN and inf passed the check and gave a non-finite field.
+    args = {"A": 1.0, "B": 2.0, "t": 0.5, which: bad}
+    with pytest.raises(DomainError, match="finite"):
+        stokes_fundamental(args["A"], args["B"], GRID, args["t"], (1.0, 0.0, 0.0))
 
 
 class _GaussianSum:

@@ -26,6 +26,7 @@ from memdiff.kernels import (
     fractional,
     scale,
 )
+from memdiff import volterra
 from memdiff.specfun import mittag_leffler
 from memdiff.volterra import (
     _ROW_BLOCK,
@@ -708,6 +709,103 @@ def test_non_finite_solve_raises(kernel, lams, grid, dilation, nodes):
     # must still be evaluated.
     with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="not finite"):
         _solve_nodes(kernel, lams, grid, dilation, nodes)
+
+
+def _count_calls(monkeypatch, name):
+    """Record the calls of a solver path of ``memdiff.volterra``."""
+    calls, path = [], getattr(volterra, name)
+
+    def recording(*args):
+        calls.append(args)
+        return path(*args)
+
+    monkeypatch.setattr(volterra, name, recording)
+    return calls
+
+
+def _assert_rows_solved_alone(kernels, lams, dilation, member, grid, nodes):
+    # Every row of one multi-kernel call keeps the bits of its (kernel,
+    # dilation) pair solved alone, and the peak is the max of theirs.
+    z, peak = _solve_nodes(kernels, lams, grid, dilation, nodes, member)
+    peaks = []
+    for j, (lam, T, m) in enumerate(zip(lams, dilation, member)):
+        alone, p = _solve_nodes(kernels[m], [lam], grid, T, nodes)
+        assert np.array_equal(z[:, j], alone[:, 0])
+        peaks.append(p)
+    assert peak == max(peaks)
+
+
+MULTI_NODES = [0, 1, 2, 65, 130, 199, 200]
+
+
+def test_multi_kernel_recurrence_rows_of_two_layouts(monkeypatch):
+    # Exponential and Exponential + Heat have one real column, Cosine a
+    # conjugate pair: two recurrence calls, one per layout.
+    calls = _count_calls(monkeypatch, "_recurrence_values")
+    kernels = (Exponential(mu=1.0, c=1.0), Cosine(), Exponential(mu=0.5, c=2.0) + Heat(0.3))
+    lams = [0.0, 0.5, 3.0, 0.5, 40.0, 2.0, 0.5]
+    dilation = [1.0, 10.0, 1.0, 1.0, 3.0, 10.0, 10.0]
+    member = [0, 1, 2, 2, 0, 1, 0]
+    _assert_rows_solved_alone(kernels, lams, dilation, member, TimeGrid(20.0, 200), MULTI_NODES)
+    assert len(calls) == 2 + len(lams)
+    assert sorted(len(args[1]) for args in calls[:2]) == [2, 5]
+
+
+def test_multi_kernel_contour_rows_of_two_betas(monkeypatch):
+    # fractional(-0.4) and PowerLaw(-0.4, a0 = 0.2) share beta, so one
+    # contour call serves both; fractional(-0.7) + Heat takes a second.
+    calls = _count_calls(monkeypatch, "_contour_values")
+    kernels = (fractional(-0.4), fractional(-0.7) + Heat(0.1), PowerLaw(beta=-0.4, c=-2.0, a0=0.2))
+    lams = [1.0, 0.0, 30.0, 1.0, 5.0, 100.0]
+    dilation = [1.0, 1.0, 10.0, 10.0, 1.0, 3.0]
+    member = [0, 1, 2, 1, 0, 2]
+    _assert_rows_solved_alone(kernels, lams, dilation, member, TimeGrid(2.0, 200), MULTI_NODES)
+    assert len(calls) == 2 + len(lams)
+    assert sorted(len(args[1]) for args in calls[:2]) == [2, 4]
+
+
+def test_multi_kernel_fft_rows(monkeypatch):
+    # The FFT division is one call per distinct (kernel, dilation) pair.
+    calls = _count_calls(monkeypatch, "_solve_matrix")
+    kernels = (PowerLaw(beta=0.5), PowerLaw(beta=0.3, c=2.0) + Heat(0.1))
+    lams = [1.0, 0.0, 30.0, 1.0, 5.0]
+    dilation = [1.0, 1.0, 10.0, 10.0, 1.0]
+    member = [0, 1, 1, 0, 0]
+    _assert_rows_solved_alone(kernels, lams, dilation, member, TimeGrid(2.0, 200), MULTI_NODES)
+    assert len(calls) == 4 + len(lams)
+
+
+def test_multi_kernel_call_mixing_paths():
+    # The growing Exponential, not positive definite, sets the peak.
+    kernels = (Exponential(mu=1.0, c=1.0), fractional(-0.4), PowerLaw(beta=0.5), Cosine(),
+               Exponential(mu=0.2, c=-2.0, a0=1.0))
+    lams = [1.0, 2.0, 3.0, 4.0, 0.0, 20.0, 0.5, 8.0, 0.01]
+    dilation = [1.0, 1.0, 1.0, 1.0, 10.0, 10.0, 3.0, 3.0, 1.0]
+    member = [0, 1, 2, 3, 0, 1, 2, 3, 4]
+    grid = TimeGrid(2.0, 200)
+    _assert_rows_solved_alone(kernels, lams, dilation, member, grid, MULTI_NODES)
+    full = _solve_nodes(kernels, lams, grid, dilation, member=member)[0]
+    for j, (lam, T, m) in enumerate(zip(lams, dilation, member)):
+        assert np.array_equal(full[:, j], relaxation_values(kernels[m], [lam], grid, T)[0])
+    with pytest.raises(DomainError, match="member"):
+        _solve_nodes(kernels, lams, grid, dilation, member=[0, 1, 2, 3, 5, 0, 1, 2, 3])
+
+
+def test_multi_kernel_peak_keeps_nan_from_any_group():
+    # Wave, alone on the recurrence or with a power law on the FFT path,
+    # diverges to NaN at lam c dt^2 = 25 (see test_non_finite_solve_raises);
+    # the growing Exponential has a finite peak of 2.7e32.  A max over the
+    # groups by Python's max would keep NaN in one order and drop it in the
+    # other.
+    grid = TimeGrid(50.0, 1000)
+    growing, wave = Exponential(mu=0.2, c=-2.0, a0=1.0), Wave(c=1.0)
+    fft_wave = PowerLaw(beta=0.5) + wave
+    with np.errstate(all="ignore"):
+        for kernels in ((growing, wave), (growing, fft_wave), (fft_wave, growing)):
+            lams = [10.0 if k is growing else 1e4 for k in kernels]
+            for order in ([0, 1], [1, 0]):
+                with pytest.raises(StepSizeError, match=r"max\|z\| = nan"):
+                    _solve_nodes(kernels, np.take(lams, order), grid, nodes=[0], member=order)
 
 
 def test_relaxation_values_shape_and_content():
