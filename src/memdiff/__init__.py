@@ -14,6 +14,7 @@ from .errors import (
     HypothesisViolation,
     MemdiffError,
     NotEventuallyPositiveError,
+    PrecisionLossError,
     StepSizeError,
 )
 from .specfun import erfc, gamma, mittag_leffler

@@ -29,6 +29,12 @@ class StepSizeError(MemdiffError, RuntimeError):
     bound |z| <= 1.  Refine the time grid."""
 
 
+class PrecisionLossError(MemdiffError, RuntimeError):
+    """A solved row grew so far that rounding at its largest values swamps
+    the smaller values asked for.  Refining the time grid does not cure
+    it: the row's own growth sets the lost precision."""
+
+
 class ConfigError(MemdiffError, ValueError):
     """One or more problems in a run configuration.  ``problems`` is the
     full list of (line_number, message) pairs."""

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,13 @@ class ModeGrid:
     dxi = 2*xi_max/modes_per_axis (so modes_per_axis+1 nodes per axis and
     xi = 0 on the lattice).  Radial grids cover r in [0, xi_max] with
     modes_per_axis+1 nodes, for radially symmetric data.
+
+    The read-only arrays of a grid (|xi|^2, the components, the trapezoid
+    weights and ``unique_lambdas``) depend only on its fields, so they are
+    built once per spec and shared by every equal grid; at most 4 specs
+    are retained, least recently used first out.  The components are
+    views of ``axis``, so a spec holds three full arrays: about 6.6 MB for
+    a 3-D N=64 grid and 6.5 MB for a 2-D N=512 grid.
     """
 
     n: int
@@ -80,50 +88,15 @@ class ModeGrid:
         return (self.modes_per_axis + 1,) * self.n
 
     def xi_squared(self) -> np.ndarray:
-        """|xi|^2 over the grid (radial: r^2); read-only, built once per grid."""
-        return self._xi_squared
+        """|xi|^2 over the grid (radial: r^2); read-only, built once per spec."""
+        return _lattice(self).xi_squared
 
     def components(self):
-        """xi-component arrays over the grid (full grids only); read-only,
-        built once per grid."""
+        """xi-component arrays over the grid (full grids only): read-only
+        views of ``axis`` broadcast to the grid, built once per spec."""
         if self.radial:
             raise DomainError("component arrays are undefined on radial grids")
-        return self._components
-
-    @cached_property
-    def _xi_squared(self) -> np.ndarray:
-        sq = self.axis**2
-        out = sq
-        if not self.radial:
-            for _ in range(self.n - 1):
-                out = out[..., None] + sq
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def _unique_lambdas(self):
-        N = self.modes_per_axis
-        if self.radial:
-            total = np.arange(N + 1) ** 2
-        else:
-            jsq = np.arange(-N // 2, N // 2 + 1) ** 2
-            total = jsq
-            for _ in range(self.n - 1):
-                total = total[..., None] + jsq
-        present = np.zeros(int(total.max()) + 1, dtype=bool)
-        present[total] = True
-        rank = np.cumsum(present) - 1
-        out = self.dxi**2 * np.flatnonzero(present).astype(float), rank[total]
-        for a in out:
-            a.flags.writeable = False
-        return out
-
-    @cached_property
-    def _components(self):
-        comps = tuple(np.meshgrid(*([self.axis] * self.n), indexing="ij"))
-        for c in comps:
-            c.flags.writeable = False
-        return comps
+        return _lattice(self).components
 
     def zero_index(self):
         if self.radial:
@@ -133,19 +106,46 @@ class ModeGrid:
     def trapezoid_weights(self) -> np.ndarray:
         """Product trapezoid weights (without the dxi^n factor): the outer
         product of the 1-D weights (1/2, 1, ..., 1, 1/2), or those weights
-        alone on a radial grid; read-only, built once per grid."""
-        return self._trapezoid_weights
+        alone on a radial grid; read-only, built once per spec."""
+        return _lattice(self).trapezoid_weights
 
-    @cached_property
-    def _trapezoid_weights(self) -> np.ndarray:
-        w1 = np.ones(self.modes_per_axis + 1)
-        w1[0] = w1[-1] = 0.5
-        out = w1
-        if not self.radial:
-            for _ in range(self.n - 1):
-                out = np.multiply.outer(out, w1)
-        out.flags.writeable = False
-        return out
+
+_Lattice = namedtuple("_Lattice", "xi_squared unique_lambdas components trapezoid_weights")
+
+
+@lru_cache(maxsize=4)
+def _lattice(grid: ModeGrid) -> _Lattice:
+    """The read-only arrays of a grid spec, built once and shared by every
+    equal grid; see ``ModeGrid``."""
+    N, axis = grid.modes_per_axis, grid.axis
+    sq = axis**2
+    xi_squared = sq
+    if grid.radial:
+        total = np.arange(N + 1) ** 2
+    else:
+        jsq = np.arange(-N // 2, N // 2 + 1) ** 2
+        total = jsq
+        for _ in range(grid.n - 1):
+            xi_squared = xi_squared[..., None] + sq
+            total = total[..., None] + jsq
+    present = np.zeros(int(total.max()) + 1, dtype=bool)
+    present[total] = True
+    rank = np.cumsum(present) - 1
+    unique = grid.dxi**2 * np.flatnonzero(present).astype(float), rank[total]
+    w1 = np.ones(N + 1)
+    w1[0] = w1[-1] = 0.5
+    weights = w1
+    components = None
+    if not grid.radial:
+        for _ in range(grid.n - 1):
+            weights = np.multiply.outer(weights, w1)
+        components = tuple(
+            np.broadcast_to(axis.reshape((-1,) + (1,) * (grid.n - 1 - d)), grid.shape)
+            for d in range(grid.n)
+        )
+    for a in (xi_squared, *unique, weights):
+        a.flags.writeable = False
+    return _Lattice(xi_squared, unique, components, weights)
 
 
 @dataclass
@@ -233,14 +233,14 @@ class BoxFunction(InitialData):
 
 def unique_lambdas(grid: ModeGrid):
     """Distinct |xi|^2 lattice values and the inverse map onto the grid;
-    read-only, built once per grid.
+    read-only, built once per spec.
 
     Modes are bucketed by the integer |j|^2 of their lattice index, so
     equality is exact and 3-D grids collapse to O(N^2) distinct radii.
     The buckets are ranked by a cumulative count instead of a sort, so
     the cost is linear in the grid size.
     """
-    return grid._unique_lambdas
+    return _lattice(grid).unique_lambdas
 
 
 def _mode_factors(

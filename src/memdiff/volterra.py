@@ -78,7 +78,9 @@ and only the bands that hold one; its peak covers those nodes, which
 suffices since it is exact to 1.2e-12.
 ``relaxation_values`` is the core with every node requested, for which
 the recurrence writes its blocks straight into the result.  A non-finite
-node raises StepSizeError on every path.
+node raises StepSizeError on every path.  The FFT division's rounding
+scales with a row's max|z|, so a growing row whose requested nodes it
+would swamp raises PrecisionLossError instead of returning them.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, StepSizeError
+from .errors import DomainError, PrecisionLossError, StepSizeError
 from .kernels import (
     Heat,
     MemoryKernel,
@@ -106,6 +108,10 @@ from .specfun import _parabola
 
 #: Permitted overshoot of |z| above 1 for positive-definite kernels.
 BOUND_TOL = 1e-6
+#: Relative precision the FFT division must keep at each requested node
+#: i >= 1: a row whose max|z| * n * eps exceeds it times max(1, |z_i|) is
+#: refused, since its rounding, at the scale of max|z|, swamps z_i.
+PRECISION_TOL = 1e-6
 #: Slack added to the decay envelope comparison.
 ENVELOPE_TOL = 1e-9
 #: Lambda rows per block of the series inversion; bounds the temporaries.
@@ -590,7 +596,12 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, nod
     every node into one reused (_ROW_BLOCK, n + 1) scratch array, rows
     with lam = 0 are set to exactly 1 there, the block's max|z| is folded
     into the peak (NaN kept) and the requested nodes are copied out, so
-    no (rows x n+1) matrix is held.
+    no (rows x n+1) matrix is held.  A finite row whose rounding, about
+    max|z| * n * eps, exceeds ``PRECISION_TOL`` * max(1, |z_i|) at a
+    requested node i >= 1 raises PrecisionLossError: a row that grows
+    (kernels that are not positive definite) cannot keep its small values
+    there, and a finer grid does not help.  Node 0 is exact, and a row
+    with max|z| <= 1 + BOUND_TOL never trips the rule.
 
     Numerator and symbol are both multiplied by (1 - x) first.  The c_m
     follow A, which grows for kernels such as power laws; their differences
@@ -644,8 +655,19 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, nod
         zb[:, 1 : h + 1] = q0
         zb[:, h + 1 :] = np.fft.irfft(np.fft.rfft(r, size) * g_hat, size)[:, : n - h]
         zb[lam[:, 0] == 0.0] = 1.0
-        peak = np.maximum(peak, _abs_max(zb))
-        z[:, block] = zb[:, nodes].T
+        row_peak = np.maximum(zb.max(axis=1), -zb.min(axis=1))
+        peak = np.maximum(peak, row_peak.max())
+        zn = zb[:, nodes]
+        least = np.min(np.abs(zn), axis=1, initial=np.inf, where=nodes > 0)
+        rounding = row_peak * (n * np.finfo(float).eps)
+        lost = (row_peak < np.inf) & (rounding > PRECISION_TOL * np.maximum(1.0, least))
+        if np.any(lost):
+            j = np.argmax(lost)
+            raise PrecisionLossError(
+                f"lambda = {lam[j, 0]:.6g}: rounding at max|z| = {row_peak[j]:.3e} over {n} "
+                f"steps swamps |z| = {least[j]:.3e} at a requested node"
+            )
+        z[:, block] = zn.T
     return peak
 
 
@@ -741,8 +763,9 @@ def _solve_nodes(kernel, lambdas, grid: TimeGrid, dilation=1.0, nodes=None, memb
 
     Raises DomainError for a lam that is negative or not finite, for a
     member that does not index the tuple and for a node index that is not
-    an integer or lies off the grid, and StepSizeError if any node is not
-    finite.
+    an integer or lies off the grid, StepSizeError if any node is not
+    finite, and PrecisionLossError for an FFT-path row that grew past the
+    precision of its requested nodes (see ``_solve_matrix``).
     """
     kernels = kernel if isinstance(kernel, tuple) else (kernel,)
     lambdas = np.asarray(lambdas, dtype=float)

@@ -494,6 +494,39 @@ def test_rv_index_estimates():
         assert abs(est.beta - expected) < 0.02
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [Exponential(mu=1.0, c=1.0), Heat(2.0), Wave(c=1.0), Cosine(), NegExponential(),
+     PowerLaw(beta=0.5, c=1.0), fractional(-0.5), LogModified(m=1.0),
+     Exponential(mu=1.0, c=1.0) + PowerLaw(beta=0.3, c=1.0),
+     dilate(Cosine(), 3.0), scale(Cosine(), 2.0)],
+    ids=lambda k: k.description,
+)
+def test_rv_index_estimate_reads_only_the_tail(kernel):
+    # A is evaluated once, at the tail t and 2t alone.  Those values are the
+    # bits of A over the whole grid, so the estimate, which reads no other,
+    # keeps the bits it had when A was evaluated at all 72 points of t and 2t.
+    calls = []
+
+    class Recording:
+        def primitive(self, t):
+            calls.append(np.array(t))
+            return kernel.primitive(t)
+
+    est = rv_index_estimate(Recording(), RV_GRID)
+    tail = RV_GRID[36:]
+    assert len(calls) == 1 and np.array_equal(calls[0], np.concatenate([tail, 2.0 * tail]))
+    a1, a2 = kernel.primitive(RV_GRID)[36:], kernel.primitive(2.0 * RV_GRID)[36:]
+    assert np.array_equal(kernel.primitive(calls[0]), np.concatenate([a1, a2]))
+    valid = (a1 > 0.0) & (a2 > 0.0)
+    ratios = np.full(36, np.nan)
+    ratios[valid] = np.log2(a2[valid] / a1[valid])
+    assert np.array_equal(est.ratios, ratios, equal_nan=True)
+    assert np.array_equal(est.beta, ratios[-1], equal_nan=True)
+    with pytest.raises(DomainError):
+        rv_index_estimate(Recording(), RV_GRID[:7])
+
+
 def test_rv_log_modified_converges_to_one():
     # The logarithmic factor is slowly varying, so the doubling-ratio
     # estimate carries an O(1/log t) bias that shrinks as the grid grows.

@@ -96,6 +96,84 @@ def test_unique_lambdas_are_built_once_and_read_only(grid):
     assert np.allclose(lams[inverse], grid.xi_squared())
 
 
+def _fresh_arrays(grid):
+    """xi^2, unique_lambdas, components and trapezoid weights of a grid,
+    built here from its axis and lattice indices, apart from the library."""
+    ax, N, n = grid.axis, grid.modes_per_axis, grid.n
+    j = np.arange(N + 1) if grid.radial else np.arange(-N // 2, N // 2 + 1)
+    w1 = np.array([0.5] + [1.0] * (N - 1) + [0.5])
+    if grid.radial:
+        n = 1
+    comps = np.meshgrid(*[ax] * n, indexing="ij")
+    j2 = sum(c**2 for c in np.meshgrid(*[j] * n, indexing="ij"))
+    values, inverse = np.unique(j2, return_inverse=True)
+    lam2 = ax**2
+    for _ in range(n - 1):
+        lam2 = lam2[..., None] + ax**2
+    weights = w1
+    for _ in range(n - 1):
+        weights = np.multiply.outer(weights, w1)
+    out = [lam2, grid.dxi**2 * values.astype(float), inverse.reshape(j2.shape), weights]
+    return out if grid.radial else out + list(comps)
+
+
+def _grid_arrays(grid):
+    out = [grid.xi_squared(), *unique_lambdas(grid), grid.trapezoid_weights()]
+    return out if grid.radial else out + list(grid.components())
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_equal_grids_share_their_arrays():
+    # The arrays depend only on the spec (n, N, xi_max, radial), so every
+    # equal grid reuses the arrays of the first, whatever the types of its
+    # fields.
+    grid = ModeGrid(2, 8, 4)
+    arrays = _grid_arrays(grid)
+    for equal in (ModeGrid(2, 8, 4.0), ModeGrid(np.int64(2), np.int64(8), np.float64(4.0))):
+        assert equal == grid
+        assert all(a is b for a, b in zip(_grid_arrays(equal), arrays, strict=True))
+    assert all(map(_same_bits, arrays, _fresh_arrays(grid)))
+    # Radial and full grids of one (n, N, xi_max) are different specs.
+    for n in (1, 2):
+        full, radial = ModeGrid(n, 8, 4.0), ModeGrid(n, 8, 4.0, radial=True)
+        assert not any(a is b for a in _grid_arrays(full) for b in _grid_arrays(radial))
+        assert not np.array_equal(full.xi_squared(), radial.xi_squared())
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [ModeGrid(1, 8, 2.0), ModeGrid(2, 8, 4.0), ModeGrid(3, 6, 2.0),
+     ModeGrid(1, 16, 3.0, radial=True), ModeGrid(3, 16, 3.0, radial=True)],
+    ids=["1d", "2d", "3d", "radial", "radial-3d"],
+)
+def test_every_grid_array_is_read_only(grid):
+    # Equal grids share them, so no caller may write into one; the
+    # components are views of the axis, and writing into them fails too.
+    for a in _grid_arrays(grid):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1
+        with pytest.raises(ValueError):
+            a[...] = 0
+    assert all(map(_same_bits, _grid_arrays(grid), _fresh_arrays(grid)))
+
+
+def test_an_evicted_grid_spec_is_rebuilt_with_the_same_bits():
+    # At most 4 specs are retained; past that the least recently used is
+    # dropped and built again when asked for, with the same values.
+    grid = ModeGrid(3, 10, 2.5)
+    first = _grid_arrays(grid)
+    for xi_max in (1.0, 2.0, 3.0, 4.0):
+        _grid_arrays(ModeGrid(3, 10, xi_max))
+    again = _grid_arrays(ModeGrid(3, 10, 2.5))
+    assert not any(a is b for a, b in zip(again, first))
+    assert all(map(_same_bits, again, _fresh_arrays(grid)))
+    assert all(map(_same_bits, again, first))
+
+
 def test_initial_data_mass_at_zero_mode():
     g = ModeGrid(n=1, modes_per_axis=32, xi_max=8.0)
     for u0 in (Gaussian(width=1.3, mass=2.5), BoxFunction(half_width=0.7, mass=2.5)):

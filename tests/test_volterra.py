@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from memdiff.errors import DomainError, StepSizeError
+from memdiff.errors import DomainError, PrecisionLossError, StepSizeError
 from memdiff.kernels import (
     Cosine,
     Exponential,
@@ -284,6 +284,33 @@ def test_toeplitz_inversion_is_pointwise_accurate_on_growing_rows(grid):
     ref = _march(kernel, lams, grid)
     z = relaxation_values(kernel, lams, grid)
     assert np.max(np.abs(z - ref) / np.abs(ref)) <= 1e-6
+
+
+def test_fft_division_refuses_rows_that_outgrow_their_precision():
+    # The mix is not positive definite, so it takes the FFT division, and
+    # its rows grow to |z| ~ 3e28 on this grid.  FFT rounding at that scale
+    # swamps their smaller values: they were returned 0.31 (lam = 100, node
+    # 4012) and 1.0 (lam = 1000, node 16) relative off the march, with no
+    # error.
+    kernel = PowerLaw(beta=0.5, c=0.01) + Exponential(mu=0.2, c=-2.0, a0=1.0)
+    grid = TimeGrid(40.0, 8000)
+    for lams in ([100.0, 1000.0], [1000.0], [0.0, 100.0]):
+        with pytest.raises(PrecisionLossError, match="swamps"):
+            relaxation_values(kernel, lams, grid)
+    with pytest.raises(PrecisionLossError):
+        _solve_nodes(kernel, [100.0], grid, nodes=[8000, 4012])
+    # The last node is the row's largest, which rounding cannot swamp, and
+    # node 0 is exact; a solve that asks for them alone keeps the peak for
+    # the bound check of positive-definite callers.
+    z, peak = _solve_nodes(kernel, [100.0, 1000.0], grid, nodes=[0, 8000])
+    assert np.all(z[0] == 1.0) and np.all(np.abs(z[1]) > 1e27) and 1e28 < peak < np.inf
+    # Rows that grow less keep their precision and are returned.
+    grid = TimeGrid(10.0, 500)
+    lams = [1.0, 10.0, 100.0]
+    ref = _march(kernel, lams, grid)
+    z = relaxation_values(kernel, lams, grid)
+    assert np.max(np.abs(ref)) > 1e5
+    assert np.max(np.abs(z - ref) / np.abs(ref)) <= 1e-11
 
 
 def _recurrence_weights(kernel, grid):
