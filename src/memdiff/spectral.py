@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .kernels import MemoryKernel, require_positive_definite
 from .specfun import mittag_leffler
-from .volterra import TimeGrid, _solve_nodes, require_bounded
+from .volterra import TimeGrid, _solve_nodes
 
 #: Tolerated imaginary residue after synthesis of a Hermitian field.
 SYNTH_IMAG_TOL = 1e-10
@@ -43,9 +43,12 @@ class ModeGrid:
     The read-only arrays of a grid (|xi|^2, the components, the trapezoid
     weights and ``unique_lambdas``) depend only on its fields, so they are
     built once per spec and shared by every equal grid; at most 4 specs
-    are retained, least recently used first out.  The components are
-    views of ``axis``, so a spec holds three full arrays: about 6.6 MB for
-    a 3-D N=64 grid and 6.5 MB for a 2-D N=512 grid.
+    are retained, least recently used first out.  That serves a process
+    which builds equal grids more than once, such as a sweep that builds
+    its grid per call; one that builds each grid once gains nothing.  The
+    components are views of ``axis``, so a spec holds three full arrays,
+    kept after its grids are dropped: about 6.6 MB for a 3-D N=64 grid,
+    6.5 MB for a 2-D N=512 grid and 51 MB for a 3-D N=128 grid.
     """
 
     n: int
@@ -66,6 +69,7 @@ class ModeGrid:
             raise DomainError("xi_max must be positive and finite")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "modes_per_axis", modes)
+        object.__setattr__(self, "xi_max", float(self.xi_max))
 
     @property
     def dxi(self) -> float:
@@ -266,11 +270,10 @@ def _mode_factors(
     )
     lambdas, inverse = unique_lambdas(grid)
     rows = (lam_scale[:, None] * lambdas).ravel()
-    z, peak = _solve_nodes(
+    z, _ = _solve_nodes(
         kernels, rows, time_grid, np.repeat(dilation, len(lambdas)), indices,
-        np.repeat(member, len(lambdas)),
+        np.repeat(member, len(lambdas)), bounded=True,
     )
-    require_bounded(peak)
     z = z.reshape(len(indices), len(dilation), len(lambdas))
     return [[zk[d][inverse] for zk in z] for d in range(len(dilation))]
 

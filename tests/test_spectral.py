@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from memdiff.asymptotics import ScalingFunction, converge_to_limit
-from memdiff.errors import DomainError, HypothesisViolation, StepSizeError
+from memdiff.errors import DomainError, HypothesisViolation, PrecisionLossError, StepSizeError
 from memdiff.kernels import Cosine, Exponential, Heat, NegExponential, PowerLaw, Wave, fractional
 from memdiff.specfun import gamma, mittag_leffler
 from memdiff import spectral
@@ -27,7 +27,7 @@ from memdiff.spectral import (
     synthesize,
     unique_lambdas,
 )
-from memdiff.volterra import BOUND_TOL, TimeGrid, relaxation_values
+from memdiff.volterra import BOUND_TOL, TimeGrid, _solve_nodes, relaxation_values
 
 
 def test_mode_grid_includes_zero_and_endpoints():
@@ -129,11 +129,15 @@ def _same_bits(a, b):
 def test_equal_grids_share_their_arrays():
     # The arrays depend only on the spec (n, N, xi_max, radial), so every
     # equal grid reuses the arrays of the first, whatever the types of its
-    # fields.
+    # fields; a 0-d array xi_max is stored as a float, so it hashes too.
     grid = ModeGrid(2, 8, 4)
     arrays = _grid_arrays(grid)
-    for equal in (ModeGrid(2, 8, 4.0), ModeGrid(np.int64(2), np.int64(8), np.float64(4.0))):
-        assert equal == grid
+    for equal in (
+        ModeGrid(2, 8, 4.0),
+        ModeGrid(np.int64(2), np.int64(8), np.float64(4.0)),
+        ModeGrid(2, 8, np.array(4.0)),
+    ):
+        assert equal == grid and type(equal.xi_max) is float
         assert all(a is b for a, b in zip(_grid_arrays(equal), arrays, strict=True))
     assert all(map(_same_bits, arrays, _fresh_arrays(grid)))
     # Radial and full grids of one (n, N, xi_max) are different specs.
@@ -272,6 +276,18 @@ def test_mode_factors_bound_check_sees_unrequested_nodes(kernel):
     # positive definite and z grows past 1 later on the grid.
     with pytest.raises(StepSizeError, match="exceeds 1"):
         _mode_factors(kernel, ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400), [0.0])
+
+
+def test_mode_factors_report_a_coarse_grid_before_lost_precision():
+    # Alone, this solve refuses node 501 (t = 10.02) for lost precision.  Its
+    # rows grow to |z| ~ 2.6e13, and for a kernel that must be positive
+    # definite that means too coarse a time grid, which is reported first.
+    kernel = PowerLaw(beta=0.5, c=0.01) + Exponential(mu=0.2, c=-2.0, a0=1.0)
+    grid, tg = ModeGrid(1, 8, 16.0, radial=True), TimeGrid(20.0, 1000)
+    with pytest.raises(PrecisionLossError):
+        _solve_nodes(kernel, unique_lambdas(grid)[0], tg, nodes=[0, 501])
+    with pytest.raises(StepSizeError, match="exceeds 1"):
+        _mode_factors(kernel, grid, tg, [0.0, tg.dt * 501])
 
 
 def test_mode_factors_refuse_a_kernel_tuple_with_one_non_positive_definite_member():

@@ -379,9 +379,9 @@ def test_visco_entry_points_make_one_solve(pair, layouts, monkeypatch):
     solves, recurrences = [], []
     solve_nodes, recurrence_values = spectral._solve_nodes, volterra._recurrence_values
 
-    def solve_spy(*args):
+    def solve_spy(*args, **kwargs):
         solves.append(args)
-        return solve_nodes(*args)
+        return solve_nodes(*args, **kwargs)
 
     def recurrence_spy(*args):
         recurrences.append(args)

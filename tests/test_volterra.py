@@ -313,6 +313,24 @@ def test_fft_division_refuses_rows_that_outgrow_their_precision():
     assert np.max(np.abs(z - ref) / np.abs(ref)) <= 1e-11
 
 
+def test_fft_division_scales_its_rounding_by_the_half_that_holds_a_node():
+    # These rows peak at |z| = 1.1e7 and 1.9e12, but only at 2.0e3 and
+    # 4.9e5 over nodes 1..500, the first Karp-Markstein half, whose
+    # rounding follows that smaller scale.  They are returned, 6.6e-13 and
+    # 4.5e-10 relative off the march.
+    kernel = PowerLaw(beta=0.5, c=0.01) + Exponential(mu=0.2, c=-2.0, a0=1.0)
+    grid = TimeGrid(20.0, 1000)
+    lams = [1.0, 10.0]
+    ref = _march(kernel, lams, grid)
+    z = relaxation_values(kernel, lams, grid)
+    assert np.max(np.abs(ref)) > 1e12
+    assert np.max(np.abs(z - ref) / np.abs(ref)) <= 1e-9
+    # At lam = 100 the first half reaches 6.8e5 and the row 2.4e13, which
+    # swamps |z| = 7.0e5 at node 501, the first of the second half.
+    with pytest.raises(PrecisionLossError, match="node 501"):
+        relaxation_values(kernel, [100.0], grid)
+
+
 def _recurrence_weights(kernel, grid):
     """(wL, wR) that the recurrence path marches, rebuilt from its modes.
 
