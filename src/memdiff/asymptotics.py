@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DomainError, HypothesisViolation, NotEventuallyPositiveError
 from .kernels import (
     MemoryKernel,
+    dilate,
     require_positive_definite,
     rv_index_estimate,
 )
@@ -116,7 +117,7 @@ def _rescaled_fields(kernel, u0, sf, T_list, t_list, grid: ModeGrid, n_steps):
     kT = sf.k(np.array(T_list)).tolist()
     tg = _dilated_time_grid(float(np.max(t_list)), n_steps)
     lam_scale = [T / k**2 for T, k in zip(T_list, kT)]
-    factors = _mode_factors(kernel, grid, tg, t_list, lam_scale, T_list)
+    factors = _mode_factors([dilate(kernel, T) for T in T_list], grid, tg, t_list, lam_scale)
     out = []
     for k, per_t in zip(kT, factors):
         if grid.radial:
@@ -337,11 +338,15 @@ def converge_to_limit(
 
 
 def relaxation_at_time(kernel: MemoryKernel, lambdas, t: float, n_steps: int = 2000):
-    """z(lam, t) for one time via the dilation identity (cheap for large t)."""
+    """z(lam, t) for one time via the dilation identity (cheap for large t),
+    in the shape of ``lambdas``."""
     if t <= 0:
         raise DomainError("t must be positive")
     lambdas = np.asarray(lambdas, dtype=float)
-    return _solve_nodes(kernel, lambdas * t, TimeGrid(1.0, n_steps), t, [n_steps])[0][0]
+    grid = TimeGrid(1.0, n_steps)
+    (z,), _ = _solve_nodes([dilate(kernel, t)], [lambdas.ravel() * t], grid, [n_steps])
+    # [()] makes a 0-d result a scalar and leaves any other array as it is.
+    return z[0].reshape(lambdas.shape)[()]
 
 
 @dataclass
@@ -391,7 +396,8 @@ def leading_order_rate(
     base = u0.field(grid).values
     out = RateReport(s=s, A_infinity=float(A_inf))
     # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t.
-    factors = _mode_factors(kernel, grid, TimeGrid(1.0, n_steps), [1.0], t_list, t_list)
+    dilated = [dilate(kernel, t) for t in map(float, t_list)]
+    factors = _mode_factors(dilated, grid, TimeGrid(1.0, n_steps), [1.0], t_list)
     for t, (factor,) in zip(map(float, t_list), factors):
         u_hat = base * factor
         w_hat = U0 * np.exp(-A_inf * lam2 * t)

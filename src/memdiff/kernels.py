@@ -282,6 +282,14 @@ class _ExpPolyKernel(MemoryKernel):
         return np.real(wL), np.real(wR)
 
 
+def _require_finite(family: str, **params):
+    """DomainError naming the first parameter of a family that is NaN or
+    infinite; the range checks of the families let NaN through."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{family} needs a finite {name}")
+
+
 @dataclass
 class Heat(_ExpPolyKernel):
     """a = 0: the plain heat equation with diffusivity a0."""
@@ -290,6 +298,7 @@ class Heat(_ExpPolyKernel):
     beta_nominal: float | None = 0.0
 
     def __post_init__(self):
+        _require_finite("Heat kernel", a0=self.a0)
         if self.a0 <= 0:
             raise DomainError("Heat kernel needs a0 > 0")
         self.description = f"heat(a0={self.a0})"
@@ -307,6 +316,7 @@ class Wave(_ExpPolyKernel):
     beta_nominal: float | None = 1.0
 
     def __post_init__(self):
+        _require_finite("Wave kernel", c=self.c, a0=self.a0)
         if self.c <= 0:
             raise DomainError("Wave kernel needs c > 0")
         self.description = f"wave(c={self.c}, a0={self.a0})"
@@ -331,6 +341,7 @@ class PowerLaw(MemoryKernel):
     def __post_init__(self):
         if not -1.0 < self.beta <= 1.0 or self.beta == 0.0:
             raise DomainError("PowerLaw needs beta in (-1, 0) or (0, 1]")
+        _require_finite("PowerLaw", c=self.c, a0=self.a0)
         if self.c == 0.0:
             raise DomainError("PowerLaw needs c != 0")
         if self.beta > 0 and self.c < 0:
@@ -411,6 +422,7 @@ class Exponential(_ExpPolyKernel):
     beta_nominal: float | None = 0.0
 
     def __post_init__(self):
+        _require_finite("Exponential kernel", mu=self.mu, c=self.c, a0=self.a0)
         if self.mu <= 0:
             raise DomainError("Exponential kernel needs mu > 0")
         if self.c == 0.0:
@@ -454,6 +466,7 @@ class LogModified(MemoryKernel):
     beta_nominal: float | None = 1.0
 
     def __post_init__(self):
+        _require_finite("LogModified", m=self.m)
         if self.a0 != 0.0:
             raise DomainError("LogModified is defined with a0 = 0")
         self.description = f"logmodified(m={self.m})"
@@ -530,8 +543,8 @@ class TimeDilated(MemoryKernel):
     """
 
     def __init__(self, base: MemoryKernel, T: float):
-        if T <= 0:
-            raise DomainError("dilation factor T must be positive")
+        if not 0.0 < T < math.inf:  # NaN fails too
+            raise DomainError("dilation factor T must be positive and finite")
         self.base = base
         self.T = float(T)
         self.a0 = base.a0
@@ -608,8 +621,8 @@ class ScaledKernel(MemoryKernel):
     """Kernel multiplied by a positive constant factor."""
 
     def __init__(self, base: MemoryKernel, factor: float):
-        if factor <= 0:
-            raise DomainError("scale factor must be positive")
+        if not 0.0 < factor < math.inf:  # NaN fails too
+            raise DomainError("scale factor must be positive and finite")
         self.base = base
         self.factor = float(factor)
         self.a0 = factor * base.a0
@@ -636,8 +649,8 @@ class ScaledKernel(MemoryKernel):
 
 def scale(kernel: MemoryKernel, factor: float) -> MemoryKernel:
     """factor * kernel, staying inside the family when possible."""
-    if factor <= 0:
-        raise DomainError("scale factor must be positive")
+    if not 0.0 < factor < math.inf:  # NaN fails too
+        raise DomainError("scale factor must be positive and finite")
     if isinstance(kernel, Heat):
         return Heat(a0=factor * kernel.a0)
     if isinstance(kernel, Wave):
@@ -656,11 +669,12 @@ def dilate(kernel: MemoryKernel, T: float) -> MemoryKernel:
 
     Time dilation underlies the rescaling identity z(lam, T*tau) =
     w(tau) with w solving the relaxation equation for the dilated kernel
-    and coupling lam*T; catalog families dilate within the family.
+    and coupling lam*T; catalog families dilate within the family, and
+    T = 1 gives the kernel itself.
     """
-    if T <= 0:
-        raise DomainError("dilation factor T must be positive")
-    if isinstance(kernel, Heat):
+    if not 0.0 < T < math.inf:  # NaN fails too
+        raise DomainError("dilation factor T must be positive and finite")
+    if T == 1.0 or isinstance(kernel, Heat):
         return kernel
     if isinstance(kernel, Wave):
         return Wave(c=kernel.c * T, a0=kernel.a0)

@@ -247,35 +247,24 @@ def unique_lambdas(grid: ModeGrid):
     return _lattice(grid).unique_lambdas
 
 
-def _mode_factors(
-    kernel, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0, dilation=1.0
-):
-    """Grid arrays z(lam_scale[d] * |xi|^2, t) of ``dilate(kernel[d], dilation[d])``.
+def _mode_factors(kernels, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0):
+    """Grid arrays z(lam_scale[m] * |xi|^2, t) of each of ``kernels``.
 
     The core of the representation formula u_hat = z * u0_hat: one solve
-    over the distinct |xi|^2 of the grid for every d at once, which keeps
-    only the nodes of ``times``, then a gather onto the modes.  ``kernel``
-    is a MemoryKernel, the same for every d, or a tuple of them, one per
-    d; it is broadcast against ``lam_scale`` and ``dilation``, and each d
-    names the pair (kernel[d], dilation[d]) of ``_solve_nodes``.  The
-    result is indexed [d][k] for the k-th entry of ``times``.  Callers
-    must have checked that every kernel is positive definite, since |z|
-    above 1 at any node of the solve is then refused as a too coarse time
-    grid.
+    over the distinct |xi|^2 of the grid for every kernel at once, which
+    keeps only the nodes of ``times``, then a gather onto the modes.
+    ``kernels`` is a sequence of MemoryKernels, already dilated where a
+    caller needs a dilation, and ``lam_scale`` a scalar or one coupling
+    scale per kernel.  The result is indexed [m][k] for the k-th entry of
+    ``times``.  Callers must have checked that every kernel is positive
+    definite, since |z| above 1 at any node of the solve is then refused
+    as a too coarse time grid.
     """
     indices = [time_grid.index_of(float(t)) for t in np.atleast_1d(times)]
-    kernels = kernel if isinstance(kernel, tuple) else (kernel,)
-    lam_scale, dilation, member = np.broadcast_arrays(
-        np.atleast_1d(lam_scale), np.atleast_1d(dilation), np.arange(len(kernels))
-    )
     lambdas, inverse = unique_lambdas(grid)
-    rows = (lam_scale[:, None] * lambdas).ravel()
-    z, _ = _solve_nodes(
-        kernels, rows, time_grid, np.repeat(dilation, len(lambdas)), indices,
-        np.repeat(member, len(lambdas)), bounded=True,
-    )
-    z = z.reshape(len(indices), len(dilation), len(lambdas))
-    return [[zk[d][inverse] for zk in z] for d in range(len(dilation))]
+    scaled = [s * lambdas for s in np.broadcast_to(lam_scale, len(kernels))]
+    zs, _ = _solve_nodes(kernels, scaled, time_grid, indices, bounded=True)
+    return [[zk[inverse] for zk in z] for z in zs]
 
 
 def evolve(
@@ -291,7 +280,7 @@ def evolve(
     the existence hypothesis of the representation formula.
     """
     require_positive_definite(kernel)
-    factors = _mode_factors(kernel, grid, time_grid, times)[0]
+    factors = _mode_factors([kernel], grid, time_grid, times)[0]
     base = u0.field(grid).values
     return [SpectralField(grid, base * factor) for factor in factors]
 

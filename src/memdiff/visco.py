@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, HypothesisViolation
-from .kernels import MemoryKernel, require_positive_definite, scale
+from .kernels import MemoryKernel, dilate, require_positive_definite, scale
 from .spectral import InitialData, ModeGrid, SpectralField, _mode_factors, hs_norm
 from .volterra import TimeGrid
 from . import spectral
@@ -140,7 +140,7 @@ def evolve_visco(
     """
     pair.validate()
     _, p0, q0 = _split(grid, v0.field(grid).values)
-    z1, z = _mode_factors((pair.beta_kernel, pair.shear), grid, time_grid, times)
+    z1, z = _mode_factors([pair.beta_kernel, pair.shear], grid, time_grid, times)
     return [
         VectorSpectralField(grid, p0 * f1[None] + q0 * f[None])
         for f1, f in zip(z1, z)
@@ -266,11 +266,11 @@ def visco_asymptotics(
     tg = TimeGrid(1.0, n_steps)
     # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t, for
     # both kernels in one solve.
-    m = len(t_list)
-    ts = np.concatenate([t_list, t_list])
-    factors = _mode_factors((pair.beta_kernel,) * m + (pair.shear,) * m, grid, tg, [1.0], ts, ts)
-    z1, z = factors[:m], factors[m:]
-    for t, (f1,), (f,) in zip(map(float, t_list), z1, z):
+    ts = list(map(float, t_list))
+    dilated = [dilate(kernel, t) for kernel in (pair.beta_kernel, pair.shear) for t in ts]
+    factors = _mode_factors(dilated, grid, tg, [1.0], ts * 2)
+    z1, z = factors[: len(ts)], factors[len(ts) :]
+    for t, (f1,), (f,) in zip(ts, z1, z):
         r_p = f1 * c - np.exp(-B * lam * t) * c_V
         r_q = f * q0 - np.exp(-A * lam * t) * q_V
         r_0 = f1[zero] * v_zero - V0

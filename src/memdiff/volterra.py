@@ -55,33 +55,36 @@ dilation t -> T t changes c only, so rows of every coupling and every
 dilation of every kernel with this beta are solved in one call, each
 with its own (p, q).
 
-All three paths sit behind one core, ``_solve_nodes``.  Each of its rows
-names a pair (kernel, dilation) and a coupling lam; the distinct pairs
-are dilated once each and grouped by path, and each group is one call
-of its path: one per beta on the contour path, one per column layout on
-the recurrence, one per pair on the FFT division.  So a study of two
-kernels, as the viscoelastic one is, makes one solve.  Rows never mix,
-so each has the bits it would have alone.  The core returns z time-major
-at the requested node indices only, together with a peak max|z|, the
-maximum over the groups.  A study needs z at a few times but for every
-|xi|^2 and dilation, so no path holds a (rows x n+1) matrix.  The recurrence
-evaluates the requested nodes from the state at the start of their
-64-step block, bounds |z| over each block from the squarings S^(2^m) of
-its step map alone, and tabulates and evaluates a block in full only for
-the rows whose bound could raise the running peak, so it holds no
-64-step table over all rows; the FFT division fills each block of 32
-rows into a reused scratch array, copies the requested nodes out and
-folds the block's max|z| into the peak.  Either way the peak is exact
-over every node, so the bound check of positive-definite callers still
-sees every node.  The contour path evaluates only the requested nodes,
-and only the bands that hold one; its peak covers those nodes, which
-suffices since it is exact to 1.2e-12.
-``relaxation_values`` is the core with every node requested, for which
-the recurrence writes its blocks straight into the result.  A non-finite
-node raises StepSizeError on every path.  The FFT division's rounding
-scales with a row's max|z| over each half of it, so a growing row whose
-requested nodes it would swamp raises PrecisionLossError instead of
-returning them.
+All three paths sit behind one core, ``_solve_nodes``, which takes
+kernels and their couplings: an array of lam per kernel.  A dilation
+names a kernel, so callers pass each kernel dilated as they need it.
+The kernels are grouped by path, and each group is one call of its path:
+one per beta on the contour path, one per column layout on the
+recurrence, one per kernel on the FFT division.  So a study of two
+kernels at several dilations, as the viscoelastic one is, makes one
+solve.  Rows never mix, so each has the bits it would have alone.  Each
+path returns its own z and peak, and the core returns z time-major at
+the requested node indices only, one array per kernel, together with a
+peak max|z|, the maximum over the groups.  A study needs z at a few
+times but for every |xi|^2 and dilation, so no path holds a
+(rows x n+1) matrix.  The recurrence evaluates the requested nodes from
+the state at the start of their 64-step block, bounds |z| over each
+block from the squarings S^(2^m) of its step map alone, and tabulates
+and evaluates a block in full only for the rows whose bound could raise
+the running peak, so it holds no 64-step table over all rows; the FFT
+division fills each block of 32 rows into a reused scratch array,
+copies the requested nodes out and folds the block's max|z| into the
+peak.  Either way the peak is exact over every node, so the bound check
+of positive-definite callers still sees every node.  The contour path
+evaluates only the requested nodes, and only the bands that hold one;
+its peak covers those nodes, which suffices since it is exact to
+1.2e-12.  ``relaxation_values`` is the core with every node requested,
+for which the recurrence writes its blocks straight into the result; it
+alone takes a dilation per row, and dilates the kernel once per
+distinct factor.  A non-finite node raises StepSizeError on every path.
+The FFT division's rounding scales with a row's max|z| over each half
+of it, so a growing row whose requested nodes it would swamp raises
+PrecisionLossError instead of returning them.
 """
 
 from __future__ import annotations
@@ -206,7 +209,9 @@ def _power_law_constants(kernel: MemoryKernel):
     Qualify: power laws with beta < 0, and sums, scalings and dilations of
     Heat kernels and power laws that share one beta < 0; their constants
     add.  None when the kernel has no beta < 0 power-law part.  A beta < 0
-    power law combined with anything else has no solver path: DomainError.
+    power law combined with anything else has no solver path, and neither
+    has a0 < 0, since the transform of z then has a pole s > 0 that the
+    contour would miss: DomainError.
     """
     terms = _terms(kernel)
     betas = {leaf.beta for _, leaf in terms if isinstance(leaf, PowerLaw) and leaf.beta < 0}
@@ -221,6 +226,11 @@ def _power_law_constants(kernel: MemoryKernel):
             "combined with Heat kernels and power laws of the same beta"
         )
     a0 = sum(f * leaf.a0 for f, leaf in terms)
+    if a0 < 0.0:
+        raise DomainError(
+            f"{kernel.description}: a0 < 0 gives the transform of z a pole "
+            "s > 0, which the beta < 0 path cannot represent"
+        )
     cA = sum(f * leaf.c / leaf.beta for f, leaf in terms if isinstance(leaf, PowerLaw))
     return betas.pop(), a0, cA
 
@@ -249,11 +259,13 @@ def _contour_values(beta: float, p: np.ndarray, q: np.ndarray, grid: TimeGrid, n
 
     Row j solves z + lam_j A_j * z = 1 with its own constants, given as
     p[j] = lam_j a0_j >= 0 and q[j] = lam_j c_j / beta_j > 0; every row
-    shares beta.  Returns z time-major at the node indices ``nodes`` only,
-    one row per entry.  The transform of z is 1/(s + p + q Gamma(1+beta)
-    s^(-beta)), whose only singularities lie on the cut (-inf, 0], so z(t)
-    is its Bromwich integral on a parabola around the cut, by the
-    trapezoid rule (Weideman & Trefethen, Math. Comp. 76 (2007)).  One
+    shares beta.  Returns (z, peak): z time-major at the node indices
+    ``nodes`` only, one row per entry, with the rows p = q = 0 (lam = 0)
+    exactly 1, and peak = max|z| over them.  The transform of z is
+    1/(s + p + q Gamma(1+beta) s^(-beta)), whose only singularities lie
+    on the cut (-inf, 0], so z(t) is its Bromwich integral on a parabola
+    around the cut, by the trapezoid rule (Weideman & Trefethen, Math.
+    Comp. 76 (2007)).  One
     parabola serves a whole band of times (t_hi/4, t_hi] (Lopez-Fernandez
     & Palencia, Appl. Numer. Math. 51 (2004)): walking down from t_n,
     t_hi is the largest node not yet taken, so the bands are the nodes i
@@ -280,14 +292,15 @@ def _contour_values(beta: float, p: np.ndarray, q: np.ndarray, grid: TimeGrid, n
             wt = np.conj(w * np.exp(t[:, None] * s))
             z[band] = np.einsum("jk,ik->ij", zhat.view(float), wt.view(float))
         top = bottom
-    return z
+    z[:, (p == 0.0) & (q == 0.0)] = 1.0
+    return z, _abs_max(z) if z.size else 0.0
 
 
 def _memory_modes(terms_list, dt: float):
     """(wR[0], wL[0], modes) of exponential polynomials, for the recurrence
     path.  The term lists of ``terms_list`` share one layout, ``_layout``
-    (the dilations of a kernel do, and ``_solve_nodes`` groups the other
-    kernels by it), and each output holds one entry per polynomial, on its
+    (``_solve_nodes`` groups the kernels by it; the dilations of a kernel
+    share it), and each output holds one entry per polynomial, on its
     last axis: ``modes`` is (4, columns, polynomials), with one column
     (rho, KR, KL, f) per real rate s != 0, per conjugate pair of rates and
     per t-term.
@@ -585,10 +598,10 @@ def _series_inverse(lam: np.ndarray, dc: np.ndarray, levels) -> np.ndarray:
     return g
 
 
-def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, nodes, z, rows):
-    """Fill z[:, rows] at the node indices ``nodes`` for lambdas[rows] by
-    inverting the Toeplitz symbol; return (peak, lost): max|z| over every
-    node of them, and None or the message of a row that lost precision.
+def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, nodes):
+    """(z, peak, lost) by inverting the Toeplitz symbol: z time-major at the
+    node indices ``nodes``, one row per entry, peak = max|z| over every
+    node, and None or the message of a row that lost precision.
 
     Step i of the march reads z_i + lam * sum_{m<i} c_m z_{i-m} =
     1 - lam * wL[i-1], with c[0] = wR[0] and c[m] = wR[m] + wL[m-1] for
@@ -632,7 +645,7 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, nod
     """
     n = grid.n_steps
     wL, wR = _convolution_weights(kernel, grid)
-    if np.any(1.0 + lambdas[rows] * wR[0] <= 0.0):
+    if np.any(1.0 + lambdas * wR[0] <= 0.0):
         raise StepSizeError(
             "implicit coefficient 1 + lambda*w <= 0; refine the time grid"
         )
@@ -646,13 +659,13 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, nod
     one_hat = np.fft.rfft([1.0, -1.0][:n], size)
     dc_hat = np.fft.rfft(dc, size)
     dwL_hat = np.fft.rfft(dwL[:h], size)
-    buf = np.empty((min(_ROW_BLOCK, len(rows)), n + 1))
+    z = np.empty((len(nodes), len(lambdas)))
+    buf = np.empty((min(_ROW_BLOCK, len(lambdas)), n + 1))
     buf[:, 0] = 1.0
     peak, lost = 0.0, None
-    for start in range(0, len(rows), _ROW_BLOCK):
-        block = rows[start : start + _ROW_BLOCK]
-        lam = lambdas[block, None]
-        zb = buf[: len(block)]
+    for start in range(0, len(lambdas), _ROW_BLOCK):
+        lam = lambdas[start : start + _ROW_BLOCK, None]
+        zb = buf[: len(lam)]
         g_hat = np.fft.rfft(_series_inverse(lam, dc, levels), size)
         # rhs = e0 - lam*dwL, and F(e0) = 1; past h only -lam*dwL is left.
         q0 = np.fft.irfft((1.0 - lam * dwL_hat) * g_hat, size)[:, :h]
@@ -677,8 +690,8 @@ def _solve_matrix(kernel: MemoryKernel, lambdas: np.ndarray, grid: TimeGrid, nod
                 f"lambda = {lam[j, 0]:.6g}: rounding at |z| = {scale[j, k]:.3e} over {n} "
                 f"steps swamps |z| = {abs(zn[j, k]):.3e} at node {nodes[k]}"
             )
-        z[:, block] = zn.T
-    return peak, lost
+        z[:, start : start + _ROW_BLOCK] = zn.T
+    return z, peak, lost
 
 
 def _abs_max(z):
@@ -718,35 +731,33 @@ def _layout(terms):
 
 
 def _path(kernel: MemoryKernel):
-    """(path, share): the solver path of the kernel and of its dilations,
-    and what their rows must share to go through one call of it: beta on
-    the contour path, the column layout on the recurrence.  Raises the
-    DomainError of ``_power_law_constants`` for a kernel with no path."""
+    """(path, share, data): the solver path of the kernel, what kernels
+    must share to go through one call of it (beta on the contour path, the
+    column layout on the recurrence, nothing on the FFT division) and what
+    the path takes of the kernel: (a0, c/beta), the terms or None.  Raises
+    the DomainError of ``_power_law_constants`` for a kernel with no path."""
     constants = _power_law_constants(kernel)
     if constants is not None:
-        return "contour", constants[0]
+        return "contour", constants[0], constants[1:]
     terms = _exp_poly_terms(kernel)
     if terms is not None:
-        return "recurrence", _layout(terms)
-    return "fft", None
+        return "recurrence", _layout(terms), terms
+    return "fft", None, None
 
 
-def _solve_nodes(
-    kernel, lambdas, grid: TimeGrid, dilation=1.0, nodes=None, member=0, bounded=False
-):
-    """(z, peak): z[k, j] = z(lambdas[j], t_(nodes[k])) and peak = max|z|.
+def _solve_nodes(kernels, lambdas, grid: TimeGrid, nodes=None, bounded=False):
+    """(zs, peak): zs[m][k, j] = z(lambdas[m][j], t_(nodes[k])) of
+    ``kernels[m]``, and peak = max|z|.
 
-    The array core of the solver API.  Row j solves the relaxation of
-    ``dilate(kernels[member[j]], dilation[j])`` at coupling lambdas[j],
-    where ``kernel`` is a MemoryKernel or a tuple ``kernels`` of them (one
-    kernel is the tuple of itself); a scalar dilation or member applies to
-    every row.  So a row names a pair (kernel, dilation), and each
-    distinct pair is dilated once.  The pairs are grouped by solver path,
-    and each group is one call of its path: one per beta on the contour
-    path, one per column layout (``_layout``) on the recurrence, one per
-    pair on the FFT division.  Each row has the bits it would have if
-    solved alone, at whichever nodes are requested, and rows with lam = 0
-    are exactly 1.
+    The array core of the solver API: the relaxations of a sequence of
+    kernels, each at its own couplings.  A caller that needs a kernel at
+    several dilations passes each dilated kernel.  The kernels are grouped
+    by solver path, and each group is one call of its path: one per beta
+    on the contour path, one per column layout (``_layout``) on the
+    recurrence, one per kernel on the FFT division; each path returns its
+    own z and peak, and zs[m] is a view of its group's z.  Each row has
+    the bits it would have if solved alone, at whichever nodes are
+    requested, and rows with lam = 0 are exactly 1.
 
     z is time-major, one row per entry of ``nodes`` (node indices, in any
     order), or per node of the grid if ``nodes`` is None; no path holds
@@ -763,41 +774,32 @@ def _solve_nodes(
 
     Power laws with beta < 0, alone or summed with Heat kernels, are solved
     for all rows of a beta at once by Laplace inversion on parabolic
-    contours, row j with its own constants (lam a0, lam c/beta); this needs
-    a0 >= 0, since with a0 < 0 the transform has a pole s > 0 that the
-    contour would miss, and such kernels raise DomainError, as does any
-    other combination with such a power law.  Exponential polynomials (see
+    contours, row j with its own constants (lam a0, lam c/beta); a0 < 0
+    and any other combination with such a power law raise the DomainError
+    of ``_power_law_constants``.  Exponential polynomials (see
     ``_exp_poly_terms``) are solved for all rows of a layout at once by a
     short recurrence per row on closed-form weights.  Every other kernel
-    is marched by FFT division once per pair, with that pair's weights
-    computed a single time for all its rows, in blocks of ``_ROW_BLOCK``
-    rows.  The recurrence and the FFT division keep only the requested
-    nodes of each block; the contour path evaluates no others.
+    is marched by FFT division, with its weights computed a single time
+    for all its rows, in blocks of ``_ROW_BLOCK`` rows.  The recurrence and
+    the FFT division keep only the requested nodes of each block; the
+    contour path evaluates no others.
 
     Raises DomainError for a lam that is negative or not finite, for a
-    member that does not index the tuple and for a node index that is not
-    an integer or lies off the grid, StepSizeError if any node is not
-    finite or, with ``bounded``, the peak exceeds 1 + BOUND_TOL, and
-    PrecisionLossError for an FFT-path row that grew past the precision of
-    its requested nodes (see ``_solve_matrix``).  The StepSizeErrors come
-    first, since they know the peak over every node: a row that loses
-    precision has a peak far above 1, which for a positive-definite kernel
-    means too coarse a time grid, not a growing solution.
+    count of lambda arrays that is not one per kernel and for a node index
+    that is not an integer or lies off the grid, StepSizeError if any node
+    is not finite or, with ``bounded``, the peak exceeds 1 + BOUND_TOL,
+    and PrecisionLossError for an FFT-path row that grew past the
+    precision of its requested nodes (see ``_solve_matrix``).  The
+    StepSizeErrors come first, since they know the peak over every node:
+    a row that loses precision has a peak far above 1, which for a
+    positive-definite kernel means too coarse a time grid, not a growing
+    solution.
     """
-    kernels = kernel if isinstance(kernel, tuple) else (kernel,)
-    lambdas = np.asarray(lambdas, dtype=float)
-    if not np.all((lambdas >= 0.0) & (lambdas < np.inf)):  # NaN fails too
+    lambdas = [np.asarray(lam, dtype=float) for lam in lambdas]
+    if len(lambdas) != len(kernels):
+        raise DomainError("need one array of lambdas per kernel")
+    if not all(np.all((lam >= 0.0) & (lam < np.inf)) for lam in lambdas):  # NaN fails too
         raise DomainError("lambda must be finite and nonnegative")
-    try:
-        dilation = np.broadcast_to(np.asarray(dilation, dtype=float), lambdas.shape)
-        if len(kernels) > 1:
-            member = np.broadcast_to(np.asarray(member, dtype=np.intp), lambdas.shape)
-    except ValueError:
-        raise DomainError("need one dilation and member per lambda, or a scalar") from None
-    if not np.all(dilation > 0):
-        raise DomainError("dilation factor T must be positive")
-    if len(kernels) > 1 and not np.all((member >= 0) & (member < len(kernels))):
-        raise DomainError("member must index the tuple of kernels")
     if nodes is not None:
         try:
             nodes = [operator.index(i) for i in nodes]
@@ -805,58 +807,29 @@ def _solve_nodes(
             raise DomainError("node indices must be integers") from None
         if not all(0 <= i <= grid.n_steps for i in nodes):
             raise DomainError("node index outside the time grid")
-    paths = {}
-    for k in kernels:
-        if id(k) not in paths:
-            paths[id(k)] = _path(k)
-    Ts, which = np.unique(dilation, return_inverse=True)
-    if len(kernels) > 1:
-        keys, which = np.unique(member * len(Ts) + which, return_inverse=True)
-        pairs = [(kernels[key // len(Ts)], Ts[key % len(Ts)]) for key in keys.tolist()]
-    else:
-        pairs = [(kernels[0], T) for T in Ts]
+    paths = [_path(kernel) for kernel in kernels]
     groups = {}
-    for j, (k, _) in enumerate(pairs):
-        path, share = paths[id(k)]
-        groups.setdefault((path, j if path == "fft" else share), []).append(j)
-    dilated = [k if T == 1.0 else dilate(k, float(T)) for k, T in pairs]
+    for m, (path, share, _) in enumerate(paths):
+        groups.setdefault((path, m if path == "fft" else share), []).append(m)
     index = np.arange(grid.n_steps + 1) if nodes is None else np.asarray(nodes, dtype=np.intp)
-    z = None if len(groups) == 1 else np.empty((len(index), len(lambdas)))
+    zs = [None] * len(kernels)
     peak, lost = 0.0, None
     for (path, share), members in groups.items():
-        # Row j of the group solves the pair members[at[j]].
-        if len(groups) == 1:
-            lam, at = lambdas, which
-        else:
-            at = np.full(len(pairs), -1)
-            at[members] = np.arange(len(members))
-            at = at[which]
-            rows = np.flatnonzero(at >= 0)
-            lam, at = lambdas[rows], at[rows]
+        lam = [lambdas[m] for m in members]
+        data = [paths[m][2] for m in members]
         if path == "contour":
-            a0, cA = np.array([_power_law_constants(dilated[j])[1:] for j in members]).T
-            p = lam * a0[at]
-            if np.any(p < 0.0):
-                kernel = pairs[members[at[np.argmax(p < 0.0)]]][0]
-                raise DomainError(
-                    f"{kernel.description}: a0 < 0 gives the transform of z a pole "
-                    "s > 0, which the beta < 0 path cannot represent"
-                )
-            zg = _contour_values(share, p, lam * cA[at], grid, index)
-            zg[:, lam == 0.0] = 1.0
-            pg = _abs_max(zg) if zg.size else 0.0
+            p = np.concatenate([l * a0 for l, (a0, _) in zip(lam, data)])
+            q = np.concatenate([l * cA for l, (_, cA) in zip(lam, data)])
+            zg, pg = _contour_values(share, p, q, grid, index)
         elif path == "recurrence":
-            terms_list = [_exp_poly_terms(dilated[j]) for j in members]
-            zg, pg = _recurrence_values(terms_list, lam, at, grid, nodes)
+            which = np.repeat(np.arange(len(lam)), [len(l) for l in lam])
+            zg, pg = _recurrence_values(data, np.concatenate(lam), which, grid, nodes)
         else:
-            zg = np.empty((len(index), len(lam)))
-            pg, lost_g = _solve_matrix(dilated[members[0]], lam, grid, index, zg, np.arange(len(lam)))
+            zg, pg, lost_g = _solve_matrix(kernels[members[0]], lam[0], grid, index)
             lost = lost or lost_g
         peak = np.maximum(peak, pg)
-        if z is None:
-            z = zg
-        else:
-            z[:, rows] = zg
+        for m, z in zip(members, np.split(zg, np.cumsum([len(l) for l in lam])[:-1], axis=1)):
+            zs[m] = z
     if not np.isfinite(peak):
         raise StepSizeError(
             f"max|z| = {peak:.3e}: the solve is not finite; refine the time grid"
@@ -865,17 +838,34 @@ def _solve_nodes(
         require_bounded(peak)
     if lost:
         raise PrecisionLossError(lost)
-    return z, peak
+    return zs, peak
 
 
 def relaxation_values(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0) -> np.ndarray:
     """Matrix z[j, i] = z(lambdas[j], t_i) of ``dilate(kernel, dilation[j])``.
 
-    ``_solve_nodes`` with every node; see there for the solver paths, the
-    dilation and the errors.  The matrix is the transpose of a time-major
-    array, so its rows are strided views.
+    ``lambdas`` is 1-D, and ``dilation`` a scalar or one factor per lam.
+    ``_solve_nodes`` with every node, for each distinct dilation of the
+    kernel; see there for the solver paths and the errors.  The matrix is
+    the transpose of a time-major array, so its rows are strided views.
     """
-    return _solve_nodes(kernel, lambdas, grid, dilation)[0].T
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.ndim != 1:
+        raise DomainError("lambdas must be one-dimensional")
+    try:
+        dilation = np.broadcast_to(np.asarray(dilation, dtype=float), lambdas.shape)
+    except ValueError:
+        raise DomainError("need one dilation per lambda, or a scalar") from None
+    Ts, which, counts = np.unique(dilation, return_inverse=True, return_counts=True)
+    rows = np.split(np.argsort(which, kind="stable"), np.cumsum(counts))[:-1]
+    kernels = [dilate(kernel, T) for T in Ts.tolist()]
+    zs, _ = _solve_nodes(kernels, [lambdas[r] for r in rows], grid)
+    if len(zs) == 1:
+        return zs[0].T
+    z = np.empty((grid.n_steps + 1, len(lambdas)))
+    for r, zk in zip(rows, zs):
+        z[:, r] = zk
+    return z.T
 
 
 def solve_relaxation(kernel: MemoryKernel, lam: float, grid: TimeGrid) -> ScalarRelaxation:

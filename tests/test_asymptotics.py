@@ -297,6 +297,19 @@ def test_relaxation_at_time_fractional_oracle():
     assert abs(val - ref) < 1e-6
 
 
+def test_relaxation_at_time_keeps_the_shape_of_lambdas():
+    # A scalar lam raised TypeError: len() of unsized object.
+    kernel = Exponential(mu=1.0, c=1.0)
+    lams = np.array([[0.5, 2.0], [1.0, 4.0]])
+    flat = relaxation_at_time(kernel, lams.ravel(), 3.0)
+    assert np.array_equal(relaxation_at_time(kernel, lams, 3.0), flat.reshape(2, 2))
+    z = relaxation_at_time(kernel, 2.0, 3.0)
+    assert np.ndim(z) == 0 and z == flat[1]
+    for t in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            relaxation_at_time(kernel, lams, t)
+
+
 def test_rate_heat_is_pure_data_spreading():
     # For the plain heat kernel u IS the comparison flow, so the residual
     # reduces to the initial-data spreading term e^{-lam t}(u0_hat - U0),

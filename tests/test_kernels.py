@@ -330,6 +330,27 @@ def test_dilation_composes():
     assert np.allclose(k.primitive(t), ref.primitive(t))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: dilate(Exponential(), math.nan), lambda: dilate(LogModified(), math.inf),
+     lambda: kernels.TimeDilated(LogModified(), math.nan), lambda: scale(Heat(), math.inf),
+     lambda: scale(LogModified(), math.nan), lambda: kernels.ScaledKernel(LogModified(), math.inf),
+     lambda: Heat(a0=math.nan), lambda: Wave(c=math.nan), lambda: Exponential(mu=math.nan),
+     lambda: Exponential(mu=math.inf), lambda: PowerLaw(beta=0.5, c=math.nan),
+     lambda: PowerLaw(beta=0.5, a0=math.nan), lambda: LogModified(m=math.inf)],
+    ids=["dilate-nan", "dilate-inf", "TimeDilated-nan", "scale-inf", "scale-nan",
+         "ScaledKernel-inf", "heat-a0", "wave-c", "exponential-mu-nan", "exponential-mu-inf",
+         "powerlaw-c", "powerlaw-a0", "logmodified-m"],
+)
+def test_non_finite_factors_and_parameters_are_refused(make):
+    # Each was accepted, giving kernels such as exponential(mu=nan, c=nan,
+    # a0=0.0) or dilated(T=inf, ...), whose solves are not finite.
+    with pytest.raises(DomainError, match="finite"):
+        make()
+    # A negative a0 stays a valid kernel; only the beta < 0 path refuses it.
+    assert Exponential(mu=1.0, c=1.0, a0=-0.5).a0 == PowerLaw(beta=0.5, a0=-0.5).a0 == -0.5
+
+
 def test_dilated_density_is_derivative_of_dilated_primitive():
     # a_T(t) = T a(T t); LogModified dilates to a TimeDilated wrapper.
     kernel = LogModified(m=1.0)

@@ -11,7 +11,7 @@ from scipy import integrate
 
 from memdiff.asymptotics import ScalingFunction, converge_to_limit
 from memdiff.errors import DomainError, HypothesisViolation, PrecisionLossError, StepSizeError
-from memdiff.kernels import Cosine, Exponential, Heat, NegExponential, PowerLaw, Wave, fractional
+from memdiff.kernels import Cosine, Exponential, Heat, NegExponential, PowerLaw, Wave, dilate, fractional
 from memdiff.specfun import gamma, mittag_leffler
 from memdiff import spectral
 from memdiff.spectral import (
@@ -257,7 +257,8 @@ def test_mode_factors_equal_the_gather_of_the_full_solve(kernel, grid):
     tg = TimeGrid(2.03, 203)
     nodes = [0, 1, 2, 64, 65, 66, 128, 129, 130, 203, 65]
     lam_scale, dilation = [1.0, 0.3, 2.0], [1.0, 10.0, 100.0]
-    factors = _mode_factors(kernel, grid, tg, tg.dt * np.array(nodes), lam_scale, dilation)
+    kernels = [dilate(kernel, T) for T in dilation]
+    factors = _mode_factors(kernels, grid, tg, tg.dt * np.array(nodes), lam_scale)
     lambdas, inverse = unique_lambdas(grid)
     for per_t, ls, T in zip(factors, lam_scale, dilation):
         z = relaxation_values(kernel, ls * lambdas, tg, T)
@@ -275,7 +276,7 @@ def test_mode_factors_bound_check_sees_unrequested_nodes(kernel):
     # z = 1 at t = 0, the only node asked for, but these kernels are not
     # positive definite and z grows past 1 later on the grid.
     with pytest.raises(StepSizeError, match="exceeds 1"):
-        _mode_factors(kernel, ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400), [0.0])
+        _mode_factors([kernel], ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400), [0.0])
 
 
 def test_mode_factors_report_a_coarse_grid_before_lost_precision():
@@ -285,9 +286,9 @@ def test_mode_factors_report_a_coarse_grid_before_lost_precision():
     kernel = PowerLaw(beta=0.5, c=0.01) + Exponential(mu=0.2, c=-2.0, a0=1.0)
     grid, tg = ModeGrid(1, 8, 16.0, radial=True), TimeGrid(20.0, 1000)
     with pytest.raises(PrecisionLossError):
-        _solve_nodes(kernel, unique_lambdas(grid)[0], tg, nodes=[0, 501])
+        _solve_nodes([kernel], [unique_lambdas(grid)[0]], tg, nodes=[0, 501])
     with pytest.raises(StepSizeError, match="exceeds 1"):
-        _mode_factors(kernel, grid, tg, [0.0, tg.dt * 501])
+        _mode_factors([kernel], grid, tg, [0.0, tg.dt * 501])
 
 
 def test_mode_factors_refuse_a_kernel_tuple_with_one_non_positive_definite_member():
@@ -295,10 +296,10 @@ def test_mode_factors_refuse_a_kernel_tuple_with_one_non_positive_definite_membe
     # solve with a member that is not, the peak is the max over both.
     good, bad = Exponential(mu=1.0, c=1.0), Exponential(mu=0.2, c=-2.0, a0=1.0)
     grid, tg = ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400)
-    ((z_good,),) = _mode_factors(good, grid, tg, [20.0])
-    (z_first,), (z_second,) = _mode_factors((good, good), grid, tg, [20.0])
+    ((z_good,),) = _mode_factors([good], grid, tg, [20.0])
+    (z_first,), (z_second,) = _mode_factors([good, good], grid, tg, [20.0])
     assert np.array_equal(z_first, z_good) and np.array_equal(z_second, z_good)
-    for kernels in ((good, bad), (bad, good)):
+    for kernels in ([good, bad], [bad, good]):
         with pytest.raises(StepSizeError, match="exceeds 1"):
             _mode_factors(kernels, grid, tg, [0.0])
 
@@ -311,7 +312,7 @@ def test_mode_factors_bound_check_sees_a_late_first_excess():
     z = relaxation_values(kernel, unique_lambdas(grid)[0], tg)
     assert np.max(np.abs(z[:, :322])) <= 1.0 < np.max(np.abs(z)) - BOUND_TOL
     with pytest.raises(StepSizeError, match="exceeds 1"):
-        _mode_factors(kernel, grid, tg, [0.0])
+        _mode_factors([kernel], grid, tg, [0.0])
 
 
 def test_mode_factors_report_a_nan_peak():
@@ -321,9 +322,9 @@ def test_mode_factors_report_a_nan_peak():
     grid = ModeGrid(1, 64, 200.0, radial=True)
     with np.errstate(all="ignore"):
         with pytest.raises(StepSizeError, match=r"max\|z\| = nan"):
-            _mode_factors(Wave(c=1.0), grid, TimeGrid(50.0, 1000), [0.0])
+            _mode_factors([Wave(c=1.0)], grid, TimeGrid(50.0, 1000), [0.0])
         with pytest.raises(DomainError, match="finite"):
-            _mode_factors(Exponential(1.0, 1.0), grid, TimeGrid(1.0, 100), [1.0], lam_scale=1e309)
+            _mode_factors([Exponential(1.0, 1.0)], grid, TimeGrid(1.0, 100), [1.0], lam_scale=1e309)
 
 
 @pytest.mark.parametrize(
@@ -361,7 +362,7 @@ def test_recurrence_study_holds_no_64_step_table_over_all_rows(monkeypatch):
         tracemalloc.start()
         try:
             out = solve_nodes(*args, **kwargs)
-            peaks.append((len(args[1]), tracemalloc.get_traced_memory()[1]))
+            peaks.append((sum(map(len, args[1])), tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
         return out

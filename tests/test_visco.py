@@ -358,10 +358,15 @@ def test_visco_rate_matches_a_loop_over_t_bitwise(monkeypatch):
     t_list = [5.0, 20.0, 80.0]
     visco_asymptotics(pair, VectorGaussian(), t_list, -2.0, GRID, n_steps=500)
     ((kernels, factors),) = seen
-    assert kernels == (pair.beta_kernel,) * 3 + (pair.shear,) * 3
+    # The sum kernel compares by identity, so the dilations are compared by
+    # their descriptions, which name every parameter.
+    assert [k.description for k in kernels] == [
+        dilate(k, t).description for k in (pair.beta_kernel, pair.shear) for t in t_list
+    ]
     lams, inverse = unique_lambdas(GRID)
     tg = TimeGrid(1.0, 500)
-    for kernel, t, (f,) in zip(kernels, t_list * 2, factors, strict=True):
+    for kernel, t, (f,) in zip((pair.beta_kernel,) * 3 + (pair.shear,) * 3, t_list * 2, factors,
+                               strict=True):
         z = relaxation_values(dilate(kernel, t), lams * t, tg)[:, -1][inverse]
         assert np.array_equal(f, z)
 

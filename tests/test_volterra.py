@@ -298,11 +298,11 @@ def test_fft_division_refuses_rows_that_outgrow_their_precision():
         with pytest.raises(PrecisionLossError, match="swamps"):
             relaxation_values(kernel, lams, grid)
     with pytest.raises(PrecisionLossError):
-        _solve_nodes(kernel, [100.0], grid, nodes=[8000, 4012])
+        _solve_nodes([kernel], [[100.0]], grid, nodes=[8000, 4012])
     # The last node is the row's largest, which rounding cannot swamp, and
     # node 0 is exact; a solve that asks for them alone keeps the peak for
     # the bound check of positive-definite callers.
-    z, peak = _solve_nodes(kernel, [100.0, 1000.0], grid, nodes=[0, 8000])
+    (z,), peak = _solve_nodes([kernel], [[100.0, 1000.0]], grid, nodes=[0, 8000])
     assert np.all(z[0] == 1.0) and np.all(np.abs(z[1]) > 1e27) and 1e28 < peak < np.inf
     # Rows that grow less keep their precision and are returned.
     grid = TimeGrid(10.0, 500)
@@ -557,6 +557,9 @@ def test_singular_path_refuses_negative_a0():
     kernel = PowerLaw(beta=-0.5, c=-1.0, a0=-2.0)
     with pytest.raises(DomainError, match=re.escape(kernel.description)):
         relaxation_values(kernel, [1.0], TimeGrid(50.0, 2000))
+    # The refusal is the kernel's, so a solve at lam = 0 alone gets it too.
+    with pytest.raises(DomainError, match="a0 < 0"):
+        relaxation_values(kernel, [0.0], TimeGrid(50.0, 2000))
 
 
 def test_sum_with_singular_power_law_takes_singular_path():
@@ -616,7 +619,7 @@ def test_solve_nodes_refuses_a_node_off_the_grid(kernel, node):
     # The recurrence would leave such a row unfilled, and numpy would read
     # -1 as the last node.
     with pytest.raises(DomainError, match="node"):
-        _solve_nodes(kernel, [1.0], TimeGrid(1.0, 10), nodes=[0, node])
+        _solve_nodes([kernel], [[1.0]], TimeGrid(1.0, 10), nodes=[0, node])
 
 
 @pytest.mark.parametrize("node", [2.5, np.float64(2.0)])
@@ -628,7 +631,19 @@ def test_solve_nodes_refuses_a_non_integer_node(kernel, node):
     # The recurrence raised a bare IndexError for 2.5; the FFT and contour
     # paths returned node 2.
     with pytest.raises(DomainError, match="node"):
-        _solve_nodes(kernel, [1.0], TimeGrid(1.0, 10), nodes=[0, node])
+        _solve_nodes([kernel], [[1.0]], TimeGrid(1.0, 10), nodes=[0, node])
+
+
+def _dilated_pairs(kernels, lams, dilation, member=0):
+    """Row j names the pair (kernels[member[j]], dilation[j]), where a
+    scalar dilation or member serves every row: (pairs, kernels, lambdas)
+    with the distinct pairs in sorted order, each as a dilated kernel for
+    ``_solve_nodes`` with the block of lam it serves."""
+    lams = np.asarray(lams, dtype=float)
+    dilation, member = np.broadcast_to(dilation, lams.shape), np.broadcast_to(member, lams.shape)
+    pairs = sorted(set(zip(member.tolist(), dilation.tolist())))
+    blocks = [lams[(member == m) & (dilation == T)] for m, T in pairs]
+    return pairs, [dilate(kernels[m], T) for m, T in pairs], blocks
 
 
 @pytest.mark.parametrize(
@@ -664,11 +679,13 @@ def test_requested_nodes_equal_the_full_solve_bitwise(kernel, lams, dilation, n,
     monkeypatch.setattr("memdiff.volterra._power_table", recording)
     grid = TimeGrid(20.0, n)
     nodes = [0, 1, 2, 65, 66, 130, n - 1, n, 66]
-    full = _solve_nodes(kernel, lams, grid, dilation)[0]
+    _, kernels, blocks = _dilated_pairs([kernel], lams, dilation)
+    full = _solve_nodes(kernels, blocks, grid)[0]
     del built[:]
-    z, peak = _solve_nodes(kernel, lams, grid, dilation, nodes)
-    assert np.array_equal(z, full[nodes])
-    assert np.array_equal(peak, _abs_max(full))
+    z, peak = _solve_nodes(kernels, blocks, grid, nodes)
+    for zk, fk in zip(z, full, strict=True):
+        assert np.array_equal(zk, fk[nodes])
+    assert np.array_equal(peak, max(_abs_max(fk) for fk in full))
     if tables is not None:
         assert built == tables
 
@@ -712,9 +729,12 @@ def test_lambda_zero_rows_are_exactly_one_on_both_paths(kernel):
     grid = TimeGrid(20.0, 500)
     lams, dilation = [0.0, 1.0, 0.0, 10.0, 0.0], [1.0, 1.0, 10.0, 1.0, 100.0]
     full = relaxation_values(kernel, lams, grid, dilation)
-    z, _ = _solve_nodes(kernel, lams, grid, dilation, [0, 1, 2, 250, 500])
+    _, kernels, blocks = _dilated_pairs([kernel], lams, dilation)
+    z, _ = _solve_nodes(kernels, blocks, grid, [0, 1, 2, 250, 500])
     assert np.all(full[[0, 2, 4]] == 1.0)
-    assert np.all(z[:, [0, 2, 4]] == 1.0)
+    assert [list(block) for block in blocks] == [[0.0, 1.0, 10.0], [0.0], [0.0]]
+    for zk, block in zip(z, blocks):
+        assert np.all(zk[:, block == 0.0] == 1.0)
 
 
 def test_recurrence_skips_blocks_below_the_running_peak(monkeypatch):
@@ -729,7 +749,7 @@ def test_recurrence_skips_blocks_below_the_running_peak(monkeypatch):
         return _abs_max(a)
 
     monkeypatch.setattr("memdiff.volterra._abs_max", recording)
-    _solve_nodes(Exponential(mu=0.2, c=-2.0, a0=1.0), [0.01, 10.0], TimeGrid(20.0, 1000), nodes=[0])
+    _solve_nodes([Exponential(mu=0.2, c=-2.0, a0=1.0)], [[0.01, 10.0]], TimeGrid(20.0, 1000), nodes=[0])
     # One call on z at step 1, then one per evaluated block with its live
     # rows: the lam = 10 row raises the peak in each of the 16 blocks.
     assert len(live) == 17 and live[1:].count(2) <= 2
@@ -753,7 +773,7 @@ def test_non_finite_solve_raises(kernel, lams, grid, dilation, nodes):
     # the bound of the recurrence's first block, are NaN, and that block
     # must still be evaluated.
     with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="not finite"):
-        _solve_nodes(kernel, lams, grid, dilation, nodes)
+        _solve_nodes([dilate(kernel, dilation)], [lams], grid, nodes)
 
 
 def _count_calls(monkeypatch, name):
@@ -771,13 +791,15 @@ def _count_calls(monkeypatch, name):
 def _assert_rows_solved_alone(kernels, lams, dilation, member, grid, nodes):
     # Every row of one multi-kernel call keeps the bits of its (kernel,
     # dilation) pair solved alone, and the peak is the max of theirs.
-    z, peak = _solve_nodes(kernels, lams, grid, dilation, nodes, member)
+    _, dilated, blocks = _dilated_pairs(kernels, lams, dilation, member)
+    z, peak = _solve_nodes(dilated, blocks, grid, nodes)
     peaks = []
-    for j, (lam, T, m) in enumerate(zip(lams, dilation, member)):
-        alone, p = _solve_nodes(kernels[m], [lam], grid, T, nodes)
-        assert np.array_equal(z[:, j], alone[:, 0])
-        peaks.append(p)
-    assert peak == max(peaks)
+    for kernel, block, zk in zip(dilated, blocks, z, strict=True):
+        for j, lam in enumerate(block):
+            (alone,), p = _solve_nodes([kernel], [[lam]], grid, nodes)
+            assert np.array_equal(zk[:, j], alone[:, 0])
+            peaks.append(p)
+    assert len(peaks) == len(lams) and peak == max(peaks)
 
 
 MULTI_NODES = [0, 1, 2, 65, 130, 199, 200]
@@ -829,11 +851,13 @@ def test_multi_kernel_call_mixing_paths():
     member = [0, 1, 2, 3, 0, 1, 2, 3, 4]
     grid = TimeGrid(2.0, 200)
     _assert_rows_solved_alone(kernels, lams, dilation, member, grid, MULTI_NODES)
-    full = _solve_nodes(kernels, lams, grid, dilation, member=member)[0]
-    for j, (lam, T, m) in enumerate(zip(lams, dilation, member)):
-        assert np.array_equal(full[:, j], relaxation_values(kernels[m], [lam], grid, T)[0])
-    with pytest.raises(DomainError, match="member"):
-        _solve_nodes(kernels, lams, grid, dilation, member=[0, 1, 2, 3, 5, 0, 1, 2, 3])
+    pairs, dilated, blocks = _dilated_pairs(kernels, lams, dilation, member)
+    full = _solve_nodes(dilated, blocks, grid)[0]
+    for (m, T), block, zk in zip(pairs, blocks, full, strict=True):
+        for j, lam in enumerate(block):
+            assert np.array_equal(zk[:, j], relaxation_values(kernels[m], [lam], grid, T)[0])
+    with pytest.raises(DomainError, match="per kernel"):
+        _solve_nodes(dilated, blocks[:-1], grid)
 
 
 def test_multi_kernel_peak_keeps_nan_from_any_group():
@@ -850,7 +874,15 @@ def test_multi_kernel_peak_keeps_nan_from_any_group():
             lams = [10.0 if k is growing else 1e4 for k in kernels]
             for order in ([0, 1], [1, 0]):
                 with pytest.raises(StepSizeError, match=r"max\|z\| = nan"):
-                    _solve_nodes(kernels, np.take(lams, order), grid, nodes=[0], member=order)
+                    _solve_nodes([kernels[m] for m in order], [[lams[m]] for m in order], grid, nodes=[0])
+
+
+@pytest.mark.parametrize("lams", [1.0, [[1.0, 2.0]]], ids=["scalar", "2-d"])
+def test_relaxation_values_refuses_lambdas_that_are_not_1d(lams):
+    # A scalar raised TypeError: len() of unsized object, and a 2-D array a
+    # numpy ValueError.
+    with pytest.raises(DomainError, match="one-dimensional"):
+        relaxation_values(Heat(1.0), lams, TimeGrid(1.0, 10))
 
 
 def test_relaxation_values_shape_and_content():
