@@ -33,6 +33,7 @@ from .spectral import (
     ModeGrid,
     SpectralField,
     _mode_factors,
+    _require_finite_exponent,
     hs_norm,
     limit_profile,
 )
@@ -317,6 +318,7 @@ def converge_to_limit(
     positivity of A, regular variation, index range, index consistency
     with the scaling function, and the Sobolev-exponent branch.
     """
+    _require_finite_exponent(s)
     est = _validate_harness_kernel(kernel, sf, s, grid.n)
     T_list = np.atleast_1d(np.asarray(T_list, dtype=float))
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
@@ -375,6 +377,7 @@ def leading_order_rate(
     r(t) = t^{n/4} * ||u_hat(., t) - U0 exp(-A_inf |xi|^2 t)||_{Hs}; on the
     beta = 0 branch r decreases toward 0 along a geometric time list.
     """
+    _require_finite_exponent(s)
     require_positive_definite(kernel)
     A_inf = kernel.total_mass()
     if A_inf is None or not np.isfinite(A_inf) or A_inf <= 0:

@@ -247,23 +247,31 @@ def unique_lambdas(grid: ModeGrid):
     return _lattice(grid).unique_lambdas
 
 
-def _mode_factors(kernels, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0):
-    """Grid arrays z(lam_scale[m] * |xi|^2, t) of each of ``kernels``.
+def _shell_factors(kernels, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0):
+    """Shell arrays z(lam_scale[m] * lam, t) of each of ``kernels``, over the
+    distinct |xi|^2 values lam of ``unique_lambdas(grid)``.
 
     The core of the representation formula u_hat = z * u0_hat: one solve
-    over the distinct |xi|^2 of the grid for every kernel at once, which
-    keeps only the nodes of ``times``, then a gather onto the modes.
-    ``kernels`` is a sequence of MemoryKernels, already dilated where a
-    caller needs a dilation, and ``lam_scale`` a scalar or one coupling
-    scale per kernel.  The result is indexed [m][k] for the k-th entry of
-    ``times``.  Callers must have checked that every kernel is positive
-    definite, since |z| above 1 at any node of the solve is then refused
-    as a too coarse time grid.
+    over the shells of the grid for every kernel at once, which keeps only
+    the nodes of ``times``.  ``kernels`` is a sequence of MemoryKernels,
+    already dilated where a caller needs a dilation, and ``lam_scale`` a
+    scalar or one coupling scale per kernel.  The result is indexed [m][k]
+    for the k-th entry of ``times``.  Callers must have checked that every
+    kernel is positive definite, since |z| above 1 at any node of the
+    solve is then refused as a too coarse time grid.
     """
     indices = [time_grid.index_of(float(t)) for t in np.atleast_1d(times)]
-    lambdas, inverse = unique_lambdas(grid)
+    lambdas = unique_lambdas(grid)[0]
     scaled = [s * lambdas for s in np.broadcast_to(lam_scale, len(kernels))]
-    zs, _ = _solve_nodes(kernels, scaled, time_grid, indices, bounded=True)
+    return _solve_nodes(kernels, scaled, time_grid, indices, bounded=True)[0]
+
+
+def _mode_factors(kernels, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0):
+    """Grid arrays z(lam_scale[m] * |xi|^2, t) of each of ``kernels``: the
+    shell arrays of ``_shell_factors`` gathered onto the modes, indexed
+    [m][k] the same way."""
+    inverse = unique_lambdas(grid)[1]
+    zs = _shell_factors(kernels, grid, time_grid, times, lam_scale)
     return [[zk[inverse] for zk in z] for z in zs]
 
 
@@ -285,8 +293,15 @@ def evolve(
     return [SpectralField(grid, base * factor) for factor in factors]
 
 
+def _require_finite_exponent(s: float):
+    """DomainError unless the Sobolev exponent s is finite (NaN fails too)."""
+    if not math.isfinite(s):
+        raise DomainError(f"Sobolev exponent s must be finite (got s = {s})")
+
+
 def hs_norm(field_: SpectralField, s: float) -> float:
     """((2 pi)^{-n} integral (1+|xi|^2)^s |u_hat|^2 d xi)^{1/2} by trapezoid."""
+    _require_finite_exponent(s)
     grid = field_.grid
     weight = (1.0 + grid.xi_squared()) ** s * np.abs(field_.values) ** 2
     if grid.radial:

@@ -363,6 +363,18 @@ def test_rate_refuses_t_that_is_not_finite_and_positive():
             leading_order_rate(Exponential(mu=1.0, c=1.0), Gaussian(), t_list, 0.0, GRID_1D)
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+def test_studies_refuse_a_sobolev_exponent_that_is_not_finite(s):
+    # Both returned rows with no error: NaN distances for s = NaN, inf for
+    # s = inf and 0.0 for s = -inf.
+    kernel = Exponential(mu=1.0, c=1.0)
+    sf = ScalingFunction(kernel=kernel, beta=0.0)
+    with pytest.raises(DomainError, match="Sobolev exponent s must be finite"):
+        converge_to_limit(kernel, Gaussian(), sf, [10.0, 100.0], [1.0], s, GRID_1D)
+    with pytest.raises(DomainError, match="Sobolev exponent s must be finite"):
+        leading_order_rate(kernel, Gaussian(), [5.0], s, GRID_1D)
+
+
 def test_rate_refuses_negexponential():
     with pytest.raises(HypothesisViolation, match="A_infinity"):
         leading_order_rate(NegExponential(), Gaussian(), [5.0], 0.0, GRID_1D)

@@ -441,6 +441,16 @@ def test_hs_norm_zero_field():
     assert hs_norm(SpectralField(g, np.zeros(17)), 1.0) == 0.0
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("radial", [False, True], ids=["full", "radial"])
+def test_hs_norm_refuses_a_sobolev_exponent_that_is_not_finite(s, radial):
+    # The weight (1 + |xi|^2)^s made the norm NaN, inf or the xi = 0 term
+    # alone, with no error.
+    g = ModeGrid(n=1, modes_per_axis=16, xi_max=4.0, radial=radial)
+    with pytest.raises(DomainError, match="Sobolev exponent s must be finite"):
+        hs_norm(Gaussian().field(g), s)
+
+
 def test_hs_norm_radial_matches_full_in_3d():
     gf = ModeGrid(n=3, modes_per_axis=32, xi_max=6.0)
     gr = ModeGrid(n=3, modes_per_axis=256, xi_max=6.0, radial=True)

@@ -350,10 +350,10 @@ def test_visco_rate_matches_a_loop_over_t_bitwise(monkeypatch):
     seen = []
 
     def spy(kernels, *args):
-        seen.append((kernels, spectral._mode_factors(kernels, *args)))
+        seen.append((kernels, spectral._shell_factors(kernels, *args)))
         return seen[-1][1]
 
-    monkeypatch.setattr(visco, "_mode_factors", spy)
+    monkeypatch.setattr(visco, "_shell_factors", spy)
     pair = ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5))
     t_list = [5.0, 20.0, 80.0]
     visco_asymptotics(pair, VectorGaussian(), t_list, -2.0, GRID, n_steps=500)
@@ -363,11 +363,11 @@ def test_visco_rate_matches_a_loop_over_t_bitwise(monkeypatch):
     assert [k.description for k in kernels] == [
         dilate(k, t).description for k in (pair.beta_kernel, pair.shear) for t in t_list
     ]
-    lams, inverse = unique_lambdas(GRID)
+    lams = unique_lambdas(GRID)[0]
     tg = TimeGrid(1.0, 500)
     for kernel, t, (f,) in zip((pair.beta_kernel,) * 3 + (pair.shear,) * 3, t_list * 2, factors,
                                strict=True):
-        z = relaxation_values(dilate(kernel, t), lams * t, tg)[:, -1][inverse]
+        z = relaxation_values(dilate(kernel, t), lams * t, tg)[:, -1]
         assert np.array_equal(f, z)
 
 
@@ -410,6 +410,17 @@ def test_visco_rate_refuses_t_that_is_not_finite_and_positive():
             visco_asymptotics(pair, VectorGaussian(), t_list, -2.0, GRID)
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+def test_visco_rate_and_vector_norm_refuse_a_sobolev_exponent_that_is_not_finite(s):
+    # The rate study returned NaN distances for s = NaN and inf, and 0.0
+    # for s = -inf, with no error.
+    pair = ViscoKernelPair(Exponential(mu=1.0, c=1.0), Heat(0.5))
+    with pytest.raises(DomainError, match="Sobolev exponent s must be finite"):
+        visco_asymptotics(pair, VectorGaussian(), [2.0], s, GRID)
+    with pytest.raises(DomainError, match="Sobolev exponent s must be finite"):
+        vector_hs_norm(_random_field(), s)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("which", ["A", "B", "t"])
 def test_stokes_fundamental_refuses_values_that_are_not_finite_and_positive(which, bad):
@@ -435,26 +446,40 @@ class _GaussianSum:
             for V, width, shift in self.terms))
 
 
-@pytest.mark.parametrize("v0", [
-    VectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8)),
-    _GaussianSum(((1.0, 0.5, -2.0), 0.8, (0.0, 0.0, 0.0)), ((-0.3, 1.0, 0.2), 1.4, (0.0, 0.0, 0.0))),
-    _GaussianSum(((1.0 + 0.5j, -0.2j, 0.3), 1.0, (0.4, -0.7, 0.2)), ((0.0, 1.0, 0.0), 0.6, (0.0, 0.0, 0.0))),
-], ids=["vector_gaussian", "sum_of_two", "complex_at_zero"])
-def test_visco_rate_matches_the_vector_field_assembly(v0):
-    # The scalar per-mode residuals against 3-vector fields: project the
-    # datum, build the Stokes field, take the componentwise Hs norms.
+_ASSEMBLY_DATA = {
+    "vector_gaussian": VectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8)),
+    "sum_of_two": _GaussianSum(((1.0, 0.5, -2.0), 0.8, (0.0, 0.0, 0.0)),
+                               ((-0.3, 1.0, 0.2), 1.4, (0.0, 0.0, 0.0))),
+    "complex_at_zero": _GaussianSum(((1.0 + 0.5j, -0.2j, 0.3), 1.0, (0.4, -0.7, 0.2)),
+                                    ((0.0, 1.0, 0.0), 0.6, (0.0, 0.0, 0.0))),
+    "zero_mass": _GaussianSum(((1.0, 0.5, -2.0), 0.8, (0.0, 0.0, 0.0)),
+                              ((-1.0, -0.5, 2.0), 1.4, (0.0, 0.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("v0, grid", [
+    pytest.param(v0, grid, id=name + suffix)
+    for suffix, grid in (("", GRID), ("-non_dyadic", ModeGrid(3, 10, 3.0)))
+    for name, v0 in _ASSEMBLY_DATA.items()
+])
+def test_visco_rate_matches_the_vector_field_assembly(v0, grid):
+    # The per-shell sums against 3-vector fields: project the datum, build
+    # the Stokes field, take the componentwise Hs norms.  On the non-dyadic
+    # grid |xi|^2 differs from its shell value in the last bit at some
+    # modes; the zero-mass datum has no Stokes target, so every shell's
+    # coefficient against it is 0.
     pair = ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5))
     t_list = [5.0, 20.0, 80.0]
-    rep = visco_asymptotics(pair, v0, t_list, -2.0, GRID, n_steps=500)
-    lams, inverse = unique_lambdas(GRID)
-    base = v0.field(GRID)
+    rep = visco_asymptotics(pair, v0, t_list, -2.0, grid, n_steps=500)
+    lams, inverse = unique_lambdas(grid)
+    base = v0.field(grid)
     tg = TimeGrid(1.0, 500)
     for t, (t_row, r, dist) in zip(t_list, rep.rows, strict=True):
         z1 = relaxation_values(dilate(pair.beta_kernel, t), lams * t, tg)[:, -1][inverse]
         z = relaxation_values(dilate(pair.shear, t), lams * t, tg)[:, -1][inverse]
         v_hat = project_P(base).values * z1[None] + project_Q(base).values * z[None]
-        w = stokes_fundamental(rep.A, rep.B, GRID, t, base.mass_vector)
-        ref = vector_hs_norm(VectorSpectralField(GRID, v_hat - w.values), -2.0)
+        w = stokes_fundamental(rep.A, rep.B, grid, t, base.mass_vector)
+        ref = vector_hs_norm(VectorSpectralField(grid, v_hat - w.values), -2.0)
         assert t_row == t and r == t**0.75 * dist
         assert abs(dist - ref) <= 1e-14 * ref
 
