@@ -35,7 +35,6 @@ from .kernels import (
     fractional,
     laplace_a,
     primitive_A,
-    quad_moments,
     require_positive_definite,
     rv_index_estimate,
     scale,
@@ -47,7 +46,6 @@ from .volterra import (
     kernel_convergence_test,
     relaxation_values,
     solve_relaxation,
-    solve_relaxation_batch,
 )
 from .spectral import (
     BoxFunction,
@@ -72,7 +70,6 @@ from .asymptotics import (
     rescale_field,
     rescaled_values,
     scaling_equivalence_check,
-    scaling_k,
 )
 from .visco import (
     VectorGaussian,

@@ -40,7 +40,9 @@ from .spectral import (
 from .specfun import gamma as gamma_fn
 from .volterra import TimeGrid, _solve_nodes
 
-#: Permitted |beta_estimate - beta_nominal| before the harness refuses.
+#: Slack on a regular-variation index: how far its estimate may lie from
+#: the scaling function's beta, or above 1, and how far a beta may lie
+#: from 0 and still take the beta = 0 branch.
 BETA_MISMATCH_TOL = 0.05
 #: Default geometric grid for the regular-variation estimate.
 RV_GRID = np.geomspace(1e-2, 1e5, 72)
@@ -74,8 +76,10 @@ class ScalingFunction:
     def __post_init__(self):
         if not -1.0 < self.beta <= 1.0:
             raise DomainError("beta must lie in (-1, 1]")
-        if self.C <= 0:
-            raise DomainError("C must be positive")
+        if not 0.0 < self.C < math.inf:  # NaN fails too
+            raise DomainError("C must be positive and finite")
+        if self.exponent_override is not None and not math.isfinite(self.exponent_override):
+            raise DomainError("exponent_override must be finite")
 
     @property
     def alpha(self) -> float:
@@ -96,11 +100,6 @@ class ScalingFunction:
                 raise DomainError("integrated kernel is not positive at t")
             out = self.C * np.sqrt(ta * A * gamma_fn(1.0 + self.beta))
         return float(out) if scalar else out
-
-
-def scaling_k(sf: ScalingFunction, t):
-    """Value of the scaling function at t."""
-    return sf.k(t)
 
 
 def _dilated_time_grid(t_max: float, n_steps: int | None) -> TimeGrid:
@@ -426,8 +425,6 @@ def scaling_equivalence_check(
     rescaled by k at mode xi / C; both sides are formed from the
     representation formula on matched modes and compared in sup norm.
     """
-    if sf2.C <= 0:
-        raise DomainError("C must be positive")
     C = sf2.C / sf1.C
     f2 = rescale_field(kernel, u0, sf2, T, t, grid, n_steps)
     shrunk = ModeGrid(grid.n, grid.modes_per_axis, grid.xi_max / C, grid.radial)

@@ -5,12 +5,12 @@ fading-memory part ``a(t)``.  The object that drives all asymptotics is the
 integrated kernel ``A(t) = a0 + int_0^t a(s) ds``; every family supplies
 ``A`` in closed form, the transform of ``a``, and one cell rule, ``_hat``:
 the weights of ``A`` against the two hat functions of a cell, which is all
-the Volterra solver uses of the kernel.  The antiderivatives, the cell
-moments and the solver's Toeplitz weights all derive from that rule.
-Heat, Wave, Exponential, NegExponential and Cosine state only the terms
-of A = sum g t^m e^(s t), from which A, a, its transform, its total mass
-and closed-form hat weights with no differencing all derive; sums,
-scalings and dilations combine their parts' rules, so they stay as exact.
+the Volterra solver uses of the kernel: its Toeplitz weights are that rule
+on the cells of a grid.  Heat, Wave, Exponential, NegExponential and
+Cosine state only the terms of A = sum g t^m e^(s t), from which A, a,
+its transform, its total mass and closed-form hat weights with no
+differencing all derive; sums, scalings and dilations combine their
+parts' rules, so they stay as exact.
 ``LogModified`` takes its weights and transform from fixed rules exact to
 rounding: Gauss-Legendre per cell, trapezoid on a rotated ray.  Power
 laws sum a Taylor series of positive terms on each cell no wider than its
@@ -143,12 +143,11 @@ class MemoryKernel:
     """Base class: subclasses provide a0, a(t), A(t) and ``_hat``.
 
     ``_hat`` is the kernel's one cell rule, the weights of A against the
-    two hat functions of a cell.  The antiderivatives, the cell moments and
-    the Volterra solver's Toeplitz weights all derive from it.
+    two hat functions of a cell, from which the Volterra solver builds its
+    Toeplitz weights.
     """
 
     a0: float = 0.0
-    beta_nominal: float | None = None
     description: str = "memory kernel"
 
     # -- pointwise values -------------------------------------------------
@@ -177,33 +176,14 @@ class MemoryKernel:
         over the cell [t0, t0 + h], elementwise, for h > 0."""
         raise NotImplementedError
 
-    def _moments(self, t0, h):
-        """(int A, int s A(s) ds) over [t0, t0 + h]: m0 = wL + wR and
-        m1 = t0 m0 + h wL.  An empty cell, h = 0, has zero moments; its
-        weights may be 0/0."""
-        h = np.asarray(h, dtype=float)
-        empty = h == 0.0
-        wL, wR = self._hat(t0, np.where(empty, 1.0, h))
-        m0 = wL + wR
-        return np.where(empty, 0.0, m0)[()], np.where(empty, 0.0, t0 * m0 + h * wL)[()]
-
-    def integral_A(self, t):
-        """int_0^t A(s) ds."""
-        return self._moments(0.0, t)[0]
-
-    def integral_tA(self, t):
-        """int_0^t s A(s) ds."""
-        return self._moments(0.0, t)[1]
-
-    def quad_moments(self, t0: float, t1: float):
-        """(int_{t0}^{t1} A, int_{t0}^{t1} s A(s) ds)."""
-        if not 0.0 <= t0 < t1:
-            raise DomainError("need 0 <= t0 < t1")
-        return self._moments(t0, t1 - t0)
-
     def moment_cells(self, dt: float, n: int):
-        """Vectorized cell moments (m0[r], m1[r]) over [r*dt, (r+1)*dt]."""
-        return self._moments(dt * np.arange(n), dt)
+        """Cell moments (int A, int s A(s) ds) over [r*dt, (r+1)*dt], r < n,
+        from ``_hat``.  No solve reads them; ``bench/tracing.py`` wraps this
+        method by name."""
+        t0 = dt * np.arange(n)
+        wL, wR = self._hat(t0, dt)
+        m0 = wL + wR
+        return m0, t0 * m0 + dt * wL
 
     def __add__(self, other):
         if not isinstance(other, MemoryKernel):
@@ -295,7 +275,6 @@ class Heat(_ExpPolyKernel):
     """a = 0: the plain heat equation with diffusivity a0."""
 
     a0: float = 1.0
-    beta_nominal: float | None = 0.0
 
     def __post_init__(self):
         _require_finite("Heat kernel", a0=self.a0)
@@ -313,7 +292,6 @@ class Wave(_ExpPolyKernel):
 
     c: float = 1.0
     a0: float = 0.0
-    beta_nominal: float | None = 1.0
 
     def __post_init__(self):
         _require_finite("Wave kernel", c=self.c, a0=self.a0)
@@ -348,7 +326,6 @@ class PowerLaw(MemoryKernel):
             raise DomainError("PowerLaw with beta > 0 needs c > 0")
         if self.beta < 0 and self.c > 0:
             raise DomainError("PowerLaw with beta < 0 needs c < 0")
-        self.beta_nominal = self.beta
         self.description = f"powerlaw(beta={self.beta}, c={self.c}, a0={self.a0})"
 
     def a(self, t):
@@ -419,7 +396,6 @@ class Exponential(_ExpPolyKernel):
     mu: float = 1.0
     c: float = 1.0
     a0: float = 0.0
-    beta_nominal: float | None = 0.0
 
     def __post_init__(self):
         _require_finite("Exponential kernel", mu=self.mu, c=self.c, a0=self.a0)
@@ -427,8 +403,6 @@ class Exponential(_ExpPolyKernel):
             raise DomainError("Exponential kernel needs mu > 0")
         if self.c == 0.0:
             raise DomainError("Exponential kernel needs c != 0")
-        if self.c < 0:
-            self.beta_nominal = None
         self.description = f"exponential(mu={self.mu}, c={self.c}, a0={self.a0})"
 
     def exp_terms(self):
@@ -439,7 +413,6 @@ class NegExponential(_ExpPolyKernel):
     """a(t) = -e^{-t} with a0 = 1, so A(t) = e^{-t}."""
 
     a0 = 1.0
-    beta_nominal = None
     description = "negexponential(a=-exp(-t), a0=1)"
 
     def exp_terms(self):
@@ -450,7 +423,6 @@ class Cosine(_ExpPolyKernel):
     """a(t) = cos t with a0 = 0, so A(t) = sin t; not regularly varying."""
 
     a0 = 0.0
-    beta_nominal = None
     description = "cosine(a=cos t, a0=0)"
 
     def exp_terms(self):
@@ -463,7 +435,6 @@ class LogModified(MemoryKernel):
 
     m: float = 1.0
     a0: float = 0.0
-    beta_nominal: float | None = 1.0
 
     def __post_init__(self):
         _require_finite("LogModified", m=self.m)
@@ -505,13 +476,12 @@ class LogModified(MemoryKernel):
 
 
 class SumKernel(MemoryKernel):
-    """Pointwise sum of two kernels; a0, A, moments and transforms add."""
+    """Pointwise sum of two kernels; a0, A, hat weights and transforms add."""
 
     def __init__(self, left: MemoryKernel, right: MemoryKernel):
         self.left = left
         self.right = right
         self.a0 = left.a0 + right.a0
-        self.beta_nominal = None
         self.description = f"sum({left.description}, {right.description})"
 
     def a(self, t):
@@ -548,7 +518,6 @@ class TimeDilated(MemoryKernel):
         self.base = base
         self.T = float(T)
         self.a0 = base.a0
-        self.beta_nominal = base.beta_nominal
         self.description = f"dilated(T={T}, {base.description})"
 
     def a(self, t):
@@ -570,8 +539,8 @@ class TimeDilated(MemoryKernel):
 class SampledKernel(MemoryKernel):
     """Integrated kernel known only through samples A(t_i) on a uniform grid.
 
-    ``A`` is interpolated piecewise linearly; moments are those of the
-    interpolant, in closed form.
+    ``A`` is interpolated piecewise linearly; the hat weights are those of
+    the interpolant, differences of its closed-form antiderivatives.
     """
 
     def __init__(self, dt: float, values):
@@ -584,7 +553,6 @@ class SampledKernel(MemoryKernel):
         if not np.all(np.isfinite(self.values)):
             raise DomainError("samples of A must be finite")
         self.a0 = float(self.values[0])
-        self.beta_nominal = None
         self.description = "sampled kernel"
         # Antiderivatives of the piecewise-linear interpolant at the nodes.
         nodes = self.dt * np.arange(len(self.values))
@@ -626,7 +594,6 @@ class ScaledKernel(MemoryKernel):
         self.base = base
         self.factor = float(factor)
         self.a0 = factor * base.a0
-        self.beta_nominal = base.beta_nominal
         self.description = f"{factor}*{base.description}"
 
     def a(self, t):
@@ -812,9 +779,3 @@ def rv_index_estimate(kernel, t_grid) -> RVEstimate:
         converged = False
     beta = float(last[-1]) if np.isfinite(last[-1]) else math.nan
     return RVEstimate(beta=beta, converged=converged, ratios=ratios, tail_decaying=decaying)
-
-
-def quad_moments(kernel: MemoryKernel, t0: float, t1: float):
-    """(int_{t0}^{t1} A(s) ds, int_{t0}^{t1} s A(s) ds)."""
-    m0, m1 = kernel.quad_moments(t0, t1)
-    return float(m0), float(m1)

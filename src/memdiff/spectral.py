@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .kernels import MemoryKernel, require_positive_definite
+from .kernels import MemoryKernel, _require_finite, require_positive_definite
 from .specfun import mittag_leffler
 from .volterra import TimeGrid, _solve_nodes
 
@@ -203,6 +203,7 @@ class Gaussian(InitialData):
     mass: float = 1.0
 
     def __post_init__(self):
+        _require_finite("Gaussian", width=self.width, mass=self.mass)
         if self.width <= 0:
             raise DomainError("width must be positive")
 
@@ -222,6 +223,7 @@ class BoxFunction(InitialData):
     mass: float = 1.0
 
     def __post_init__(self):
+        _require_finite("BoxFunction", half_width=self.half_width, mass=self.mass)
         if self.half_width <= 0:
             raise DomainError("half_width must be positive")
 

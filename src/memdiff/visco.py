@@ -88,6 +88,15 @@ class VectorGaussian:
     width: float = 1.0
     mass_vector: tuple = (1.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        spectral.Gaussian(self.width)  # refuses a width that is not finite and positive
+        try:
+            V0 = np.asarray(self.mass_vector, dtype=float)
+        except (TypeError, ValueError):
+            V0 = None
+        if V0 is None or V0.shape != (3,) or not np.all(np.isfinite(V0)):
+            raise DomainError("mass_vector must be 3 finite reals")
+
     def field(self, grid: ModeGrid) -> VectorSpectralField:
         env = spectral.Gaussian(self.width, 1.0).hat(xi_squared=grid.xi_squared())
         V0 = np.asarray(self.mass_vector, dtype=float)

@@ -78,10 +78,9 @@ peak.  Either way the peak is exact over every node, so the bound check
 of positive-definite callers still sees every node.  The contour path
 evaluates only the requested nodes, and only the bands that hold one;
 its peak covers those nodes, which suffices since it is exact to
-1.2e-12.  ``relaxation_values`` is the core with every node requested,
-for which the recurrence writes its blocks straight into the result; it
-alone takes a dilation per row, and dilates the kernel once per
-distinct factor.  A non-finite node raises StepSizeError on every path.
+1.2e-12.  ``relaxation_values`` is the core for one kernel with every
+node requested, for which the recurrence writes its blocks straight into
+the result.  A non-finite node raises StepSizeError on every path.
 The FFT division's rounding scales with a row's max|z| over each half
 of it, so a growing row whose requested nodes it would swamp raises
 PrecisionLossError instead of returning them.
@@ -841,31 +840,17 @@ def _solve_nodes(kernels, lambdas, grid: TimeGrid, nodes=None, bounded=False):
     return zs, peak
 
 
-def relaxation_values(kernel: MemoryKernel, lambdas, grid: TimeGrid, dilation=1.0) -> np.ndarray:
-    """Matrix z[j, i] = z(lambdas[j], t_i) of ``dilate(kernel, dilation[j])``.
+def relaxation_values(kernel: MemoryKernel, lambdas, grid: TimeGrid) -> np.ndarray:
+    """Matrix z[j, i] = z(lambdas[j], t_i) for a 1-D ``lambdas``.
 
-    ``lambdas`` is 1-D, and ``dilation`` a scalar or one factor per lam.
-    ``_solve_nodes`` with every node, for each distinct dilation of the
-    kernel; see there for the solver paths and the errors.  The matrix is
-    the transpose of a time-major array, so its rows are strided views.
+    ``_solve_nodes`` with every node; see there for the solver paths and
+    the errors.  The matrix is the transpose of a time-major array, so its
+    rows are strided views.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1:
         raise DomainError("lambdas must be one-dimensional")
-    try:
-        dilation = np.broadcast_to(np.asarray(dilation, dtype=float), lambdas.shape)
-    except ValueError:
-        raise DomainError("need one dilation per lambda, or a scalar") from None
-    Ts, which, counts = np.unique(dilation, return_inverse=True, return_counts=True)
-    rows = np.split(np.argsort(which, kind="stable"), np.cumsum(counts))[:-1]
-    kernels = [dilate(kernel, T) for T in Ts.tolist()]
-    zs, _ = _solve_nodes(kernels, [lambdas[r] for r in rows], grid)
-    if len(zs) == 1:
-        return zs[0].T
-    z = np.empty((grid.n_steps + 1, len(lambdas)))
-    for r, zk in zip(rows, zs):
-        z[:, r] = zk
-    return z.T
+    return _solve_nodes([kernel], [lambdas], grid)[0][0].T
 
 
 def solve_relaxation(kernel: MemoryKernel, lam: float, grid: TimeGrid) -> ScalarRelaxation:
@@ -873,16 +858,10 @@ def solve_relaxation(kernel: MemoryKernel, lam: float, grid: TimeGrid) -> Scalar
     return ScalarRelaxation(float(lam), grid, relaxation_values(kernel, [lam], grid)[0])
 
 
-def solve_relaxation_batch(kernel: MemoryKernel, lambdas, grid: TimeGrid):
-    """``relaxation_values`` as a list of ScalarRelaxation, in input order."""
-    z = relaxation_values(kernel, lambdas, grid)
-    return [ScalarRelaxation(float(l), grid, row) for l, row in zip(lambdas, z)]
-
-
 def decay_envelope_check(rel: ScalarRelaxation, epsilon: float) -> bool:
     """|z(t_i)| <= 2 exp(-epsilon min(lam,1) t_i) at every node?"""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:  # NaN fails too
+        raise DomainError("epsilon must be positive and finite")
     rate = epsilon * min(rel.lam, 1.0)
     bound = 2.0 * np.exp(-rate * rel.grid.nodes) + ENVELOPE_TOL
     return bool(np.all(np.abs(rel.values) <= bound))

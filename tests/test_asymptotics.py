@@ -20,7 +20,6 @@ from memdiff.asymptotics import (
     rescale_field,
     rescaled_values,
     scaling_equivalence_check,
-    scaling_k,
 )
 from memdiff.errors import DomainError, HypothesisViolation
 from memdiff.kernels import (
@@ -53,14 +52,14 @@ GRID_1D = ModeGrid(n=1, modes_per_axis=64, xi_max=6.0)
 def test_scaling_k_wave_is_identity():
     sf = ScalingFunction(kernel=Wave(c=1.0), beta=1.0)
     for t in (0.5, 1.0, 10.0):
-        assert abs(scaling_k(sf, t) - t) < 1e-12 * t
+        assert abs(sf.k(t) - t) < 1e-12 * t
 
 
 def test_scaling_k_exponential_oracle():
     # k(t) = sqrt(t (1 - e^{-t})) for the unit Exponential kernel.
     sf = ScalingFunction(kernel=Exponential(mu=1.0, c=1.0), beta=0.0)
     ref = math.sqrt(10.0 * (1.0 - math.exp(-10.0)))
-    assert abs(scaling_k(sf, 10.0) - ref) < 1e-12
+    assert abs(sf.k(10.0) - ref) < 1e-12
     assert abs(ref - 3.16221) < 1e-4
 
 
@@ -68,7 +67,7 @@ def test_scaling_k_powerlaw_closed_form():
     sf = ScalingFunction(kernel=PowerLaw(beta=0.5, c=1.0), beta=0.5)
     for t in (0.3, 2.0, 50.0):
         ref = math.sqrt(2.0 * gamma(1.5)) * t**0.75
-        assert abs(scaling_k(sf, t) - ref) < 1e-12 * ref
+        assert abs(sf.k(t) - ref) < 1e-12 * ref
 
 
 def test_scaling_function_validation():
@@ -76,6 +75,11 @@ def test_scaling_function_validation():
         ScalingFunction(kernel=Heat(1.0), beta=-1.0)
     with pytest.raises(DomainError):
         ScalingFunction(kernel=Heat(1.0), beta=0.0, C=-1.0)
+    # Each was accepted, and k(2.0) came back NaN or inf with no error.
+    for params in ({"C": math.nan}, {"C": math.inf}, {"exponent_override": math.nan},
+                   {"exponent_override": math.inf}):
+        with pytest.raises(DomainError, match="finite"):
+            ScalingFunction(kernel=Heat(1.0), beta=0.0, **params)
 
 
 @pytest.mark.parametrize("t", [float("nan"), math.inf, 0.0, -1.0])

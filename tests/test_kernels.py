@@ -1,4 +1,4 @@
-"""Kernel catalog: primitives, moments, transforms, and diagnostics."""
+"""Kernel catalog: primitives, cell rules, transforms, and diagnostics."""
 
 import math
 import os
@@ -30,7 +30,6 @@ from memdiff.kernels import (
     fractional,
     laplace_a,
     primitive_A,
-    quad_moments,
     require_positive_definite,
     rv_index_estimate,
     scale,
@@ -51,6 +50,15 @@ CATALOG = [
 ]
 
 RV_GRID = np.geomspace(1e-2, 1e5, 72)
+
+
+def quad_moments(kernel, t0, t1):
+    """(int A, int s A(s) ds) over [t0, t1], from the hat weights of the
+    cell: m0 = wL + wR and m1 = t0 m0 + h wL."""
+    h = t1 - t0
+    wL, wR = kernel._hat(t0, h)
+    m0 = wL + wR
+    return m0, t0 * m0 + h * wL
 
 
 @pytest.mark.parametrize("kernel", CATALOG, ids=lambda k: k.description)
@@ -255,7 +263,7 @@ def test_logmodified_moments_match_mpmath(m):
     kernel = LogModified(m=m)
     t = np.array([1e3, 1e5])
     with mpmath.workdps(30):
-        for p, got in ((1, kernel.integral_A(t)), (2, kernel.integral_tA(t))):
+        for p, got in zip((1, 2), quad_moments(kernel, 0.0, t)):
             for ti, gi in zip(t, got):
                 ref = mpmath.quad(lambda s: s**p * mpmath.log(mpmath.e + s) ** m, [0, 1, ti])
                 assert abs(gi - float(ref)) <= 1e-13 * float(ref)
@@ -319,8 +327,9 @@ def test_dilation_matches_base_kernel(kernel):
     kd = dilate(kernel, T)
     t = np.array([0.1, 0.7, 1.3])
     assert np.allclose(kd.primitive(t), kernel.primitive(T * t), rtol=1e-12)
-    assert np.allclose(kd.integral_A(t), kernel.integral_A(T * t) / T, rtol=1e-10)
-    assert np.allclose(kd.integral_tA(t), kernel.integral_tA(T * t) / T**2, rtol=1e-10)
+    (m0, m1), (r0, r1) = quad_moments(kd, 0.0, t), quad_moments(kernel, 0.0, T * t)
+    assert np.allclose(m0, r0 / T, rtol=1e-10)
+    assert np.allclose(m1, r1 / T**2, rtol=1e-10)
 
 
 def test_dilation_composes():
@@ -380,8 +389,9 @@ def test_sampled_kernel_reproduces_linear_primitive():
     sk = SampledKernel(dt, wave.primitive(nodes))
     t = np.array([0.05, 0.1, 1.234, 4.999])
     assert np.allclose(sk.primitive(t), wave.primitive(t), rtol=1e-12)
-    assert np.allclose(sk.integral_A(t), wave.integral_A(t), rtol=1e-12)
-    assert np.allclose(sk.integral_tA(t), wave.integral_tA(t), rtol=1e-10)
+    (m0, m1), (r0, r1) = quad_moments(sk, 0.0, t), quad_moments(wave, 0.0, t)
+    assert np.allclose(m0, r0, rtol=1e-12)
+    assert np.allclose(m1, r1, rtol=1e-10)
 
 
 @pytest.mark.parametrize("dt, values", [(0.0, [1.0, 2.0]), (-0.1, [1.0, 2.0, 3.0]), (math.nan, [1.0, 2.0]),
@@ -399,8 +409,8 @@ def test_sampled_kernel_convergence_to_smooth_moments():
     for n in (50, 100, 200):
         dt = 2.0 / n
         sk = SampledKernel(dt, kernel.primitive(dt * np.arange(n + 1)))
-        m0, _ = sk.quad_moments(0.0, 2.0)
-        r0, _ = kernel.quad_moments(0.0, 2.0)
+        m0, _ = quad_moments(sk, 0.0, 2.0)
+        r0, _ = quad_moments(kernel, 0.0, 2.0)
         errs.append(abs(m0 - r0))
     order = math.log2(errs[0] / errs[2]) / 2.0
     assert order > 1.8
@@ -424,9 +434,12 @@ def test_catalog_kernels_positive_definite(kernel):
     ids=lambda k: k.description,
 )
 def test_antiderivatives_vanish_at_the_origin(kernel):
-    # The hat weights of the empty cell [0, 0] are 0/0 for some kernels.
-    assert kernel.integral_A(0.0) == kernel.integral_tA(0.0) == 0.0
-    assert not np.any(np.isnan(kernel.integral_A([0.0, 1.0])))
+    # The cell rule is defined for h > 0 only (the empty cell's weights are
+    # 0/0 for some kernels); on the cell [0, h] at the origin, where A may
+    # be singular, the moments are finite and shrink to 0 with h.
+    m0, m1 = quad_moments(kernel, 0.0, np.array([1.0, 1e-3, 1e-6, 1e-9]))
+    assert np.all(np.isfinite(m0)) and np.all(np.isfinite(m1))
+    assert np.all(np.diff(np.abs(m0)) < 0) and np.all(np.diff(np.abs(m1)) < 0)
 
 
 @pytest.mark.parametrize("kernel", CATALOG, ids=lambda k: k.description)
@@ -588,11 +601,6 @@ def test_rv_not_eventually_positive():
 def test_primitive_rejects_negative_time():
     with pytest.raises(DomainError):
         primitive_A(Heat(1.0), -0.5)
-
-
-def test_quad_moments_rejects_bad_interval():
-    with pytest.raises(DomainError):
-        quad_moments(Heat(1.0), 1.0, 0.5)
 
 
 def test_import_leaves_scipy_integrate_out():

@@ -14,8 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memdiff
+import ml_reference
 from memdiff.errors import DomainError
 from memdiff.specfun import erfc, gamma, mittag_leffler
+
+#: Mittag-Leffler reference values, committed; see ml_reference.py.
+ML_TABLE = ml_reference.load()
 
 
 def test_gamma_integers_exact():
@@ -105,39 +109,32 @@ def test_ml_at_zero_is_one():
         assert mittag_leffler(alpha, 0.0) == 1.0
 
 
-@pytest.mark.parametrize("alpha", [0.25, 0.6, 0.75, 1.25, 1.6])
+@pytest.mark.parametrize("alpha", ml_reference.SERIES_ALPHAS)
 def test_ml_against_mpmath_series_reference(alpha):
-    # Reference by brute-force series in high precision.  The grid is
-    # capped per alpha so that the alternating series loses at most ~40
-    # digits; larger |z| is covered by the leading-term and
-    # relaxation-equation cross checks, and small alpha by the quadrature
-    # reference below.
-    z_max = 92.0**alpha
-    z = -np.geomspace(1e-2, z_max, 25)
+    # Reference by brute-force series in high precision, from the committed
+    # table; its middle point is summed again here.  The grid is capped per
+    # alpha so that the alternating series loses at most ~40 digits; larger
+    # |z| is covered by the leading-term and relaxation-equation cross
+    # checks, and small alpha by the quadrature reference below.
+    z = ml_reference.series_points(alpha)
+    table = ML_TABLE["series"][repr(alpha)]
+    assert np.array_equal(table["z"], z)
+    ref = np.array(table["E"])
+    assert ml_reference.series_reference(alpha, z[12]) == ref[12]
     vals = mittag_leffler(alpha, z)
-    with mpmath.workdps(90):
-        ref = np.array(
-            [float(mpmath.nsum(lambda k: mpmath.mpf(zi) ** k / mpmath.gamma(1 + alpha * k),
-                               [0, mpmath.inf])) for zi in z]
-        )
     # Relative, with an absolute floor once the values are tiny.
     tol = np.maximum(1e-8 * np.abs(ref), 2e-9)
     assert np.all(np.abs(vals - ref) < tol)
 
 
 def test_ml_seam_consistency():
-    # At x = 30.03 the series terms grow to ~10^(0.43 x^(1/alpha)) before
-    # they decay, so the reference needs 200 digits.
-    for alpha in (0.6, 0.8, 1.2, 1.6):
-        x = 30.0 * 1.001
-        val = mittag_leffler(alpha, -x)
-        with mpmath.workdps(200):
-            ref = float(
-                mpmath.nsum(
-                    lambda k: (-mpmath.mpf(x)) ** k / mpmath.gamma(1 + alpha * k),
-                    [0, mpmath.inf],
-                )
-            )
+    # E_alpha(-30.03) against a 200-digit series (see ml_reference), from
+    # the committed table; alpha = 1.6, the cheapest, is summed again here.
+    table = ML_TABLE["seam"]
+    assert ml_reference.seam_reference(1.6) == table[repr(1.6)]
+    for alpha in ml_reference.SEAM_ALPHAS:
+        val = mittag_leffler(alpha, -ml_reference.SEAM_X)
+        ref = table[repr(alpha)]
         assert abs(val - ref) < 1e-12 * max(1.0, abs(ref))
 
 
@@ -201,31 +198,17 @@ def test_ml_bounded_small_alpha_samples():
             assert -1.0 <= val <= 1.0 + 1e-12
 
 
-def _gorenflo_mainardi(alpha, x):
-    """E_alpha(-x) = int_0^inf e^{-r x^{1/alpha}} K_alpha(r) dr for alpha < 1,
-    with K_alpha(r) = sin(alpha pi) r^{alpha-1} / (pi (r^{2 alpha} +
-    2 r^alpha cos(alpha pi) + 1)), by mpmath at 40 digits after r = e^v.
-    The v-range drops what is below e^-58 at either end."""
-    with mpmath.workdps(40):
-        a = mpmath.mpf(alpha)
-        X = mpmath.mpf(x) ** (1 / a)
-        sin, cos = mpmath.sin(a * mpmath.pi), mpmath.cos(a * mpmath.pi)
-
-        def integrand(v):
-            ra = mpmath.exp(a * v)
-            return mpmath.exp(-mpmath.exp(v) * X) * sin * ra / (ra * ra + 2 * cos * ra + 1) / mpmath.pi
-
-        hi = float(mpmath.log(110 / X))
-        lo = min(hi, 0.0) - 58.0 / alpha
-        return float(mpmath.quad(integrand, list(np.linspace(lo, hi, int((hi - lo) / 16) + 2))))
-
-
-@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3])
+@pytest.mark.parametrize("alpha", ml_reference.QUADRATURE_ALPHAS)
 def test_ml_small_alpha_against_quadrature(alpha):
-    # Small orders, where a Taylor series would lose |z|^(1/alpha) digits.
-    z = np.array([-0.5, -2.0, -3.0, -8.0, -20.0, -50.0])
+    # Small orders, where a Taylor series would lose |z|^(1/alpha) digits;
+    # the Gorenflo-Mainardi integral (see ml_reference) from the committed
+    # table, with the point z = -2 integrated again here.
+    z = np.array(ml_reference.QUADRATURE_Z)
+    table = ML_TABLE["quadrature"][repr(alpha)]
+    assert np.array_equal(table["z"], z)
+    ref = np.array(table["E"])
+    assert ml_reference.gorenflo_mainardi(alpha, 2.0) == ref[1]
     vals = mittag_leffler(alpha, z)
-    ref = np.array([_gorenflo_mainardi(alpha, -zi) for zi in z])
     assert np.max(np.abs(vals - ref)) <= 1e-12
 
 

@@ -185,6 +185,22 @@ def test_initial_data_mass_at_zero_mode():
         assert abs(f.mass - 2.5) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Gaussian(width=math.nan), lambda: Gaussian(width=math.inf),
+     lambda: Gaussian(mass=math.nan), lambda: Gaussian(mass=-math.inf),
+     lambda: BoxFunction(half_width=math.nan), lambda: BoxFunction(half_width=math.inf),
+     lambda: BoxFunction(mass=math.inf)],
+    ids=["gaussian-width-nan", "gaussian-width-inf", "gaussian-mass-nan", "gaussian-mass-inf",
+         "box-half_width-nan", "box-half_width-inf", "box-mass-inf"],
+)
+def test_initial_data_refuse_parameters_that_are_not_finite(make):
+    # Each was accepted, and its field and evolution came back NaN or inf
+    # with no error.
+    with pytest.raises(DomainError, match="finite"):
+        make()
+
+
 def test_box_function_hat_is_sinc_product():
     g = ModeGrid(n=2, modes_per_axis=8, xi_max=4.0)
     f = BoxFunction(half_width=0.5, mass=1.0).field(g)
@@ -260,8 +276,8 @@ def test_mode_factors_equal_the_gather_of_the_full_solve(kernel, grid):
     kernels = [dilate(kernel, T) for T in dilation]
     factors = _mode_factors(kernels, grid, tg, tg.dt * np.array(nodes), lam_scale)
     lambdas, inverse = unique_lambdas(grid)
-    for per_t, ls, T in zip(factors, lam_scale, dilation):
-        z = relaxation_values(kernel, ls * lambdas, tg, T)
+    for per_t, ls, kernel_T in zip(factors, lam_scale, kernels):
+        z = relaxation_values(kernel_T, ls * lambdas, tg)
         for factor, i in zip(per_t, nodes):
             assert np.array_equal(factor, z[:, i][inverse])
 

@@ -430,6 +430,19 @@ def test_stokes_fundamental_refuses_values_that_are_not_finite_and_positive(whic
         stokes_fundamental(args["A"], args["B"], GRID, args["t"], (1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "width, mass_vector",
+    [(np.nan, (1.0, 0.0, 0.0)), (np.inf, (1.0, 0.0, 0.0)), (0.0, (1.0, 0.0, 0.0)),
+     (1.0, (1.0, np.nan, 0.0)), (1.0, (np.inf, 0.0, 0.0)), (1.0, (1.0, 0.0)),
+     (1.0, ((1.0, 0.0, 0.0),)), (1.0, ("x", 0.0, 0.0)), (1.0, (1j, 0.0, 0.0))],
+)
+def test_vector_gaussian_refuses_a_datum_that_is_not_3_finite_reals(width, mass_vector):
+    # A NaN or inf width or mass was accepted and gave a non-finite field;
+    # a mass vector of the wrong shape was refused only by the field.
+    with pytest.raises(DomainError):
+        VectorGaussian(width=width, mass_vector=mass_vector)
+
+
 class _GaussianSum:
     """v0_hat(xi) = sum of V exp(-width^2 |xi|^2 / 2 - i xi . shift) over
     its terms (V, width, shift), V complex: no product of a vector and one

@@ -45,7 +45,6 @@ from memdiff.volterra import (
     kernel_convergence_test,
     relaxation_values,
     solve_relaxation,
-    solve_relaxation_batch,
 )
 
 #: Half the empirically determined envelope rate for the Exponential
@@ -236,8 +235,8 @@ def test_smooth_path_second_order():
 def test_lambda_zero_is_exactly_one():
     grid = TimeGrid(3.0, 300)
     for kernel in (Heat(1.0), Wave(c=1.0), fractional(-0.5)):
-        rels = solve_relaxation_batch(kernel, [0.0, 1.0], grid)
-        assert np.all(rels[0].values == 1.0)
+        z = relaxation_values(kernel, [0.0, 1.0], grid)
+        assert np.all(z[0] == 1.0)
 
 
 ORACLE_GRID = TimeGrid(10.0, 500)
@@ -459,17 +458,18 @@ def test_powerlaw_weights_match_mpmath(kernel, T):
 
 
 def test_fft_path_rows_keep_their_bits():
-    # The FFT division solves each dilation's rows in blocks of _ROW_BLOCK;
-    # a row must not depend on its block or on the other dilations.
+    # The FFT division solves each dilated kernel's rows in blocks of
+    # _ROW_BLOCK; a row must not depend on its block or on the other
+    # dilations solved in the same call.
     kernel = PowerLaw(beta=0.5, c=1.0) + Exponential(mu=1.0, c=1.0)
     grid = TimeGrid(2.0, 300)
     dilation = np.repeat([1.0, 10.0], _ROW_BLOCK + 3)
     lams = np.linspace(0.0, 8.0, dilation.size)
-    z = relaxation_values(kernel, lams, grid, dilation)
-    for T in (1.0, 10.0):
-        rows = dilation == T
-        assert np.array_equal(z[rows], relaxation_values(dilate(kernel, T), lams[rows], grid))
-    assert np.array_equal(z[5], relaxation_values(kernel, lams[5:6], grid)[0])
+    _, kernels, blocks = _dilated_pairs([kernel], lams, dilation)
+    z, _ = _solve_nodes(kernels, blocks, grid)
+    for zk, kernel_T, block in zip(z, kernels, blocks, strict=True):
+        assert np.array_equal(zk.T, relaxation_values(kernel_T, block, grid))
+    assert np.array_equal(z[0][:, 5], relaxation_values(kernel, lams[5:6], grid)[0])
 
 
 @pytest.mark.parametrize("beta", [-0.9, -0.75, -0.4, -0.1])
@@ -492,10 +492,10 @@ def test_batch_matches_single_bitwise():
     lams = np.linspace(0.3, 7.5, _ROW_BLOCK + 5)
     for kernel in (Exponential(mu=1.0, c=1.0), fractional(-0.5), Cosine(),
                    PowerLaw(beta=-0.3, c=-0.5, a0=0.4)):
-        batch = solve_relaxation_batch(kernel, lams, grid)
-        for lam, rel in zip(lams, batch):
+        batch = relaxation_values(kernel, lams, grid)
+        for lam, row in zip(lams, batch):
             single = solve_relaxation(kernel, lam, grid)
-            assert np.array_equal(rel.values, single.values)
+            assert np.array_equal(row, single.values)
 
 
 @pytest.mark.parametrize(
@@ -512,10 +512,11 @@ def test_dilation_rows_match_one_dilation_at_a_time(kernel):
     dilation = rng.permutation(np.repeat([1.0, 10.0, 1e3], _ROW_BLOCK + 3))
     lams = rng.uniform(0.0, 8.0, dilation.size)
     lams[:3] = 0.0
-    z = relaxation_values(kernel, lams, grid, dilation)
-    for T in (1.0, 10.0, 1e3):
+    _, kernels, blocks = _dilated_pairs([kernel], lams, dilation)
+    z, _ = _solve_nodes(kernels, blocks, grid)
+    for zk, T in zip(z, (1.0, 10.0, 1e3), strict=True):
         rows = dilation == T
-        assert np.array_equal(z[rows], relaxation_values(dilate(kernel, T), lams[rows], grid))
+        assert np.array_equal(zk.T, relaxation_values(dilate(kernel, T), lams[rows], grid))
 
 
 @pytest.mark.parametrize("beta", [-0.9, -0.4, -0.1])
@@ -527,11 +528,11 @@ def test_merged_dilations_match_singular_march(beta, a0):
     lams = np.geomspace(1e-2, 1e3, 8)
     kernel = PowerLaw(beta=beta, c=beta / math.gamma(1.0 + beta), a0=a0)
     Ts = (1.0, 30.0, 1e4)
-    z = relaxation_values(kernel, np.tile(lams, 3), grid, np.repeat(Ts, 8))
+    z, _ = _solve_nodes([dilate(kernel, T) for T in Ts], [lams] * 3, grid)
     idx = np.arange(1, 201) if a0 == 0.0 else np.array([1, 200])
-    for j, T in enumerate(Ts):
+    for zk, T in zip(z, Ts):
         ref = _exact_power_law(dilate(kernel, T), lams, grid.nodes[idx])
-        assert np.max(np.abs(z[8 * j : 8 * (j + 1), idx] - ref)) <= 1e-10
+        assert np.max(np.abs(zk[idx].T - ref)) <= 1e-10
 
 
 @pytest.mark.parametrize("beta", [-0.99, -0.9, -0.5, -0.1, -0.01])
@@ -589,14 +590,6 @@ def test_singular_power_law_in_other_combinations_rejected(other):
     kernel = fractional(-0.5) + other
     with pytest.raises(DomainError, match=re.escape(kernel.description)):
         relaxation_values(kernel, [1.0], TimeGrid(1.0, 10))
-
-
-def test_relaxation_values_rejects_bad_dilation():
-    grid = TimeGrid(1.0, 10)
-    with pytest.raises(DomainError):
-        relaxation_values(Heat(1.0), [1.0, 2.0], grid, [1.0, 2.0, 3.0])
-    with pytest.raises(DomainError):
-        relaxation_values(fractional(-0.5), [1.0, 2.0], grid, [1.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -728,12 +721,11 @@ def test_lambda_zero_rows_are_exactly_one_on_both_paths(kernel):
     # are set to 1, between rows of other lam and dilations.
     grid = TimeGrid(20.0, 500)
     lams, dilation = [0.0, 1.0, 0.0, 10.0, 0.0], [1.0, 1.0, 10.0, 1.0, 100.0]
-    full = relaxation_values(kernel, lams, grid, dilation)
     _, kernels, blocks = _dilated_pairs([kernel], lams, dilation)
+    full, _ = _solve_nodes(kernels, blocks, grid)
     z, _ = _solve_nodes(kernels, blocks, grid, [0, 1, 2, 250, 500])
-    assert np.all(full[[0, 2, 4]] == 1.0)
     assert [list(block) for block in blocks] == [[0.0, 1.0, 10.0], [0.0], [0.0]]
-    for zk, block in zip(z, blocks):
+    for zk, block in zip(full + z, blocks * 2):
         assert np.all(zk[:, block == 0.0] == 1.0)
 
 
@@ -851,11 +843,11 @@ def test_multi_kernel_call_mixing_paths():
     member = [0, 1, 2, 3, 0, 1, 2, 3, 4]
     grid = TimeGrid(2.0, 200)
     _assert_rows_solved_alone(kernels, lams, dilation, member, grid, MULTI_NODES)
-    pairs, dilated, blocks = _dilated_pairs(kernels, lams, dilation, member)
+    _, dilated, blocks = _dilated_pairs(kernels, lams, dilation, member)
     full = _solve_nodes(dilated, blocks, grid)[0]
-    for (m, T), block, zk in zip(pairs, blocks, full, strict=True):
+    for kernel_T, block, zk in zip(dilated, blocks, full, strict=True):
         for j, lam in enumerate(block):
-            assert np.array_equal(zk[:, j], relaxation_values(kernels[m], [lam], grid, T)[0])
+            assert np.array_equal(zk[:, j], relaxation_values(kernel_T, [lam], grid)[0])
     with pytest.raises(DomainError, match="per kernel"):
         _solve_nodes(dilated, blocks[:-1], grid)
 
@@ -929,6 +921,14 @@ def test_decay_envelope_rejects_wave():
     grid = TimeGrid(50.0, 10000)
     rel = solve_relaxation(Wave(c=1.0), 1.0, grid)
     assert not decay_envelope_check(rel, 0.25)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+def test_decay_envelope_refuses_a_rate_that_is_not_finite_and_positive(epsilon):
+    # NaN and inf gave the verdict False, as if the envelope had failed.
+    rel = solve_relaxation(Exponential(mu=1.0, c=1.0), 1.0, TimeGrid(1.0, 10))
+    with pytest.raises(DomainError, match="epsilon"):
+        decay_envelope_check(rel, epsilon)
 
 
 def test_interpolation_between_nodes():
