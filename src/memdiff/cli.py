@@ -22,8 +22,9 @@ the values and each row's index into them, so the grid's repeats are
 never built out.
 Refusals (violated hypotheses) exit 3 with the reason on stderr.  Any
 other library error raised by the run, such as a time that is not a node
-of the time grid or a grid too coarse for the kernel, and an output file
-that cannot be written, exit 2 with ``error: <message>`` on stderr.
+of the time grid or a time grid too coarse for the march of a kernel that
+is not solved exactly (the FFT division), and an output file that cannot
+be written, exit 2 with ``error: <message>`` on stderr.
 ``python -m memdiff`` runs ``main``.
 """
 

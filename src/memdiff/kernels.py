@@ -206,11 +206,15 @@ class _ExpPolyKernel(MemoryKernel):
         raise NotImplementedError
 
     def primitive(self, t):
-        # A constant term is g, where g e^(0 t) would be NaN at t = inf.
+        # A = A(0) + sum of g expm1(s t) over s != 0 + sum of g t: near t = 0
+        # no e^(s t) cancels against a constant term, and a constant term
+        # is g, where g e^(0 t) would be NaN at t = inf.
         t = np.asarray(t, dtype=float)
-        A = np.zeros_like(t)
-        for g, s, m in self.exp_terms():
-            A = A + g * (t if m else np.exp(s * t) if s else 1.0)
+        terms = self.exp_terms()
+        A = sum((g for g, _, m in terms if not m), 0.0) + np.zeros_like(t)
+        for g, s, m in terms:
+            if m or s:
+                A = A + g * (t if m else np.expm1(s * t))
         return np.real(A)
 
     def a(self, t):

@@ -206,6 +206,9 @@ class Gaussian(InitialData):
         _require_finite("Gaussian", width=self.width, mass=self.mass)
         if self.width <= 0:
             raise DomainError("width must be positive")
+        # hat squares the width: past about 1.3e154 that overflows.
+        if float(self.width) * float(self.width) == math.inf:
+            raise DomainError("width must have a finite square")
 
     def hat(self, xi_squared=None, xi_components=None):
         return self.mass * np.exp(-0.5 * self.width**2 * xi_squared)

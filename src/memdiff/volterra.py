@@ -6,42 +6,35 @@ Volterra equation
     z(lam, t) + lam * (A * z)(lam, t) = 1,      z(lam, 0) = 1,
 
 where ``A`` is the integrated kernel and ``*`` is convolution on [0, t].
-Except for the power laws with beta < 0 (last paragraph), the unknown is
-represented as piecewise linear on a uniform grid and the convolution is
-computed exactly against that interpolant, from the weights of ``A``
-against the two hat functions of each cell (the kernel's cell rule).
-Because only ``A`` enters -- never the possibly singular density ``a`` --
-the scheme is uniformly second order across the kernel catalog,
-including weakly singular memories.
-
-The quadrature weights are Toeplitz on uniform grids, so the whole march is
-a lower-triangular Toeplitz system: its solution is the power series of a
-right-hand side divided by the symbol of the weights.  How that series is
-found follows the kernel's structure, in three paths:
+Two kernel classes are solved exactly, with no time step; every other
+kernel is marched.  The path follows the kernel's structure:
 
 * Exponential polynomials, A = sum g t^m e^(s t) with m in {0, 1}: Heat,
   Wave, Exponential, NegExponential, Cosine, and their sums, scalings and
-  dilations.  Their weights are closed-form and geometric in the cell
-  index for each rate s, so the march's history sum splits into one
-  state per rate s != 0 (and per t-term), each updated in O(1) per step:
-  a short recurrence per row, O(n) per ``lam``.  Heat needs no state,
-  Wave and Exponential one, Cosine two.  The recurrence is linear with
-  constant coefficients, so a block of 64 steps follows from one state
-  by the powers of a small matrix per row, in a few vectorised
-  operations that serve the rows of every coupling, every dilation and
-  every kernel of one column layout at once.  Powers and blocks are
-  stored time-major, (step, row), so each operation runs over one
-  contiguous vector of all rows.
+  dilations.  Differentiating the equation turns it into a linear ODE in
+  z and one memory state per distinct rate s != 0 (and one for the
+  t-terms), so z(t) = [exp(t M_lam)]_00 for a small generator M_lam per
+  row (``_generator``).  Heat has no memory state, Wave and Exponential
+  one, Cosine two.  With at most one state z is the closed form of the
+  2 x 2 exponential at each requested node; with more, row 0 of E^i for
+  E = exp(dt M_lam), by scaling and squaring per row.
 * Power laws with beta < 0, alone or with Heat kernels: Laplace inversion
   on contours, below.
 * Every other kernel (power laws with beta in (0, 1], LogModified, sampled
-  kernels, and any sum holding one of them): the symbol is divided by FFT,
-  O(n log n) per ``lam``, for a batch of ``lam`` values at once (Hairer,
-  Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)).  Newton
-  doubling inverts the symbol to half length, and one Karp-Markstein step
-  yields the second half of the quotient, so no FFT is longer than the
-  power of two >= n.  Symbol and right-hand side are linear in ``lam``, so
-  the transforms of their ``lam``-independent parts are computed once per
+  kernels, and any sum holding one of them) is marched: z is piecewise
+  linear on a uniform grid and the convolution is exact against it, from
+  the weights of ``A`` against the two hat functions of each cell (the
+  kernel's cell rule).  Only ``A`` enters, never the possibly singular
+  density ``a``, so the scheme is second order across these kernels,
+  weakly singular memories included.  The weights are Toeplitz, so the
+  march is a lower-triangular Toeplitz system, whose solution is a power
+  series divided by the symbol of the weights, by FFT, O(n log n) per
+  ``lam``, for a batch of ``lam`` values at once (Hairer, Lubich &
+  Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)).  Newton doubling
+  inverts the symbol to half length, and one Karp-Markstein step yields
+  the second half of the quotient, so no FFT is longer than the power of
+  two >= n.  Symbol and right-hand side are linear in ``lam``, so the
+  transforms of their ``lam``-independent parts are computed once per
   kernel and shared by every row.
 
 Power laws with beta < 0, A = a0 + (c/beta) t^beta, are not marched.  With
@@ -59,28 +52,22 @@ All three paths sit behind one core, ``_solve_nodes``, which takes
 kernels and their couplings: an array of lam per kernel.  A dilation
 names a kernel, so callers pass each kernel dilated as they need it.
 The kernels are grouped by path, and each group is one call of its path:
-one per beta on the contour path, one per column layout on the
-recurrence, one per kernel on the FFT division.  So a study of two
-kernels at several dilations, as the viscoelastic one is, makes one
-solve.  Rows never mix, so each has the bits it would have alone.  Each
-path returns its own z and peak, and the core returns z time-major at
-the requested node indices only, one array per kernel, together with a
-peak max|z|, the maximum over the groups.  A study needs z at a few
-times but for every |xi|^2 and dilation, so no path holds a
-(rows x n+1) matrix.  The recurrence evaluates the requested nodes from
-the state at the start of their 64-step block, bounds |z| over each
-block from the squarings S^(2^m) of its step map alone, and tabulates
-and evaluates a block in full only for the rows whose bound could raise
-the running peak, so it holds no 64-step table over all rows; the FFT
-division fills each block of 32 rows into a reused scratch array,
-copies the requested nodes out and folds the block's max|z| into the
-peak.  Either way the peak is exact over every node, so the bound check
-of positive-definite callers still sees every node.  The contour path
-evaluates only the requested nodes, and only the bands that hold one;
-its peak covers those nodes, which suffices since it is exact to
-1.2e-12.  ``relaxation_values`` is the core for one kernel with every
-node requested, for which the recurrence writes its blocks straight into
-the result.  A non-finite node raises StepSizeError on every path.
+one per beta on the contour path, one per memory state count on the
+exponential polynomials, one per kernel on the FFT division.  So a study
+of two kernels at several dilations, as the viscoelastic one is, makes
+one solve.  Rows never mix, so each has the bits it would have
+alone.  Each path returns its own z and peak, and the core returns z
+time-major at the requested node indices only, one array per kernel,
+together with a peak max|z|, the maximum over the groups.  A study needs
+z at a few times but for every |xi|^2 and dilation, so no path holds a
+(rows x n+1) matrix.  The FFT division fills each block of 32 rows into a
+reused scratch array, copies the requested nodes out and folds the
+block's max|z| into the peak, so the bound check of positive-definite
+callers sees a march that went unstable at any node.  The exact paths
+evaluate only the requested nodes, and their peak covers those: an exact
+solution of a positive-definite kernel has |z| <= 1 at every node.
+``relaxation_values`` is the core for one kernel with every node
+requested.  A non-finite node raises StepSizeError on every path.
 The FFT division's rounding scales with a row's max|z| over each half
 of it, so a growing row whose requested nodes it would swamp raises
 PrecisionLossError instead of returning them.
@@ -104,7 +91,6 @@ from .kernels import (
     SumKernel,
     TimeDilated,
     _ExpPolyKernel,
-    _phi,
     dilate,
 )
 from .specfun import _parabola
@@ -120,8 +106,10 @@ PRECISION_TOL = 1e-6
 ENVELOPE_TOL = 1e-9
 #: Lambda rows per block of the series inversion; bounds the temporaries.
 _ROW_BLOCK = 32
-#: Steps per block of the recurrence path, filled from one state.
-_STEP_BLOCK = 64
+#: Largest 1-norm of the scaled dt M whose Taylor sum of degree 12
+#: ``_propagator`` takes: the first omitted term, 0.25^13 / 13!, is below
+#: 3e-18.
+_TAYLOR_NORM = 0.25
 #: Parabola of the beta < 0 path for the band of times (t_hi/4, t_hi]:
 #: mu = _BAND_MU / t_hi, trapezoid step _BAND_H and _BAND_NODES nodes
 #: u >= 0.  Over beta in [-0.99, -0.01], lam up to 1e8 and t from 5e-8 to
@@ -236,7 +224,7 @@ def _power_law_constants(kernel: MemoryKernel):
 
 def _exp_poly_terms(kernel: MemoryKernel):
     """Terms (g, s, m) with A(t) = sum g t^m e^(s t), m in {0, 1}, for the
-    recurrence path.
+    exact path.
 
     Qualify: Heat, Wave, Exponential, NegExponential, Cosine and their sums,
     scalings and dilations; a scaling multiplies g, and a dilation by T
@@ -295,270 +283,195 @@ def _contour_values(beta: float, p: np.ndarray, q: np.ndarray, grid: TimeGrid, n
     return z, _abs_max(z) if z.size else 0.0
 
 
-def _memory_modes(terms_list, dt: float):
-    """(wR[0], wL[0], modes) of exponential polynomials, for the recurrence
-    path.  The term lists of ``terms_list`` share one layout, ``_layout``
-    (``_solve_nodes`` groups the kernels by it; the dilations of a kernel
-    share it), and each output holds one entry per polynomial, on its
-    last axis: ``modes`` is (4, columns, polynomials), with one column
-    (rho, KR, KL, f) per real rate s != 0, per conjugate pair of rates and
-    per t-term.
+def _generator(terms):
+    """(r, G): the generator M_lam = G + lam e_0 r of z + lam A*z = 1 for the
+    terms (g, s, m) of A = sum g t^m e^(s t) (``_exp_poly_terms``).
 
-    A term g e^(s t) with s != 0 has weights (KR, KL) rho^r, rho = e^(s dt),
-    so its part of the march's sum obeys M(i) = rho M(i-1) + KR z_i +
-    KL z_(i-1), and the sum grows by f M(i-1) + KR z_i + KL z_(i-1) per
-    step, f = rho - 1.  A is real, so complex rates come in conjugate pairs
-    with conjugate states: the pair is the column of Im s > 0 with 2 g, of
-    which the march takes the real part.  A t-term g t adds g dt^2 r / 2 to
-    both weights, a state U(i) = U(i-1) + z_i + z_(i-1) with
-    f = g dt^2 / 2.  Constant parts, s = 0, need no state: they only enter
-    wR[0] and wL[0], the hat weights of the first cell, summed term by
-    term in the same order as ``_ExpPolyKernel._hat``.  These are a few
-    scalars per term and polynomial, so they are formed one rate at a
-    time: phi(s dt) is one call of ``_phi`` per rate, and e^(s dt) and
-    expm1(s dt) are numpy's.  A real rate stays real, since taken through
-    complex arithmetic it would get other bits, and takes Python
-    arithmetic with the bits of numpy's array rules.  For a complex rate
-    ``_phi`` gives 0-d arrays, so g dt phi is numpy's product too.
+    Differentiating the equation gives z' = -lam A(0) z - lam sum_k
+    Re(c_k w_k), with states w_k(t) = int_0^t e^(s_k u) z(t - u) du, so
+    w_k' = z + s_k w_k and w_k(0) = 0: one per distinct rate s != 0, with
+    c = g s summed over its terms (none if they cancel), and one at s = 0
+    for the t-terms, with c = g.  A is real, so complex rates come in
+    conjugate pairs: the pair is the state of Im s > 0, with c = 2 g s,
+    held as two reals (Re w, Im w).  A(0) is the sum of g over the terms
+    with m = 0.  So z(t) = [exp(t M_lam)]_00, and len(r) - 1 counts the
+    memory states: 0 for Heat, 1 for Wave and Exponential, 2 for Cosine.
+    Each state is held as sqrt|c| w, so it couples to z by sqrt|c| both
+    ways (see ``_exact_values``).  G is zero in row 0.
     """
-    wR0, wL0, modes = [], [], []
-    for terms in terms_list:
-        wL = wR = 0.0
-        columns = []
-        for g, s, m in terms:
-            if m:
-                wL = wL + g * dt * (dt / 3.0)
-                wR = wR + g * dt * (dt / 6.0)
-                columns.append((1.0, 1.0, 1.0, g * dt**2 / 2.0))
-                continue
-            pair = np.imag(s) != 0.0
-            gdt, sdt = (complex(g * dt), complex(s * dt)) if pair else ((g * dt).real, (s * dt).real)
-            pR, pL = _phi(sdt)
-            wL = wL + (gdt * pL).real
-            wR = wR + (gdt * pR).real
-            if s != 0.0 and np.imag(s) >= 0.0:
-                gdt = 2.0 * gdt if pair else gdt
-                columns.append((np.exp(sdt), gdt * pR, gdt * pL, np.expm1(sdt)))
-        wR0.append(wR)
-        wL0.append(wL)
-        modes.append(columns)
-    modes = np.array(modes, dtype=complex).reshape(len(terms_list), len(modes[0]), 4)
-    return np.array(wR0), np.array(wL0), modes.transpose(2, 1, 0)
+    A0, rates = 0.0, {}
+    for g, s, m in terms:
+        if not m:
+            A0 += g
+        if m or s != 0.0 and np.imag(s) >= 0.0:
+            rates[s] = rates.get(s, 0.0) + (g if m else g * s * (2.0 if np.imag(s) else 1.0))
+    rates = {s: c for s, c in rates.items() if c != 0.0}
+    d = 1 + sum(1 + bool(np.imag(s)) for s in rates)
+    r, G = np.zeros(d), np.zeros((d, d))
+    r[0] = -np.real(A0)
+    j = 1
+    for s, c in rates.items():
+        q = np.sqrt(abs(c))
+        G[j, 0], G[j, j], r[j] = q, np.real(s), -np.real(c) / q
+        if np.imag(s):
+            G[j, j + 1], G[j + 1, j], G[j + 1, j + 1] = -np.imag(s), np.imag(s), np.real(s)
+            r[j + 1] = np.imag(c) / q
+        j += 1 + bool(np.imag(s))
+    return r, G
 
 
-def _square(P):
-    """P P for a stack P of (d, d) matrices on its last axis, each entry
-    summed from b = 0 up; every power of the step map is formed by it."""
-    P2 = P[:, 0, None] * P[0]
-    for b in range(1, len(P)):
-        P2 += P[:, b, None] * P[b]
-    return P2
+def _closed_form(M, t):
+    """z = [exp(t M)]_00 for a stack M of (1, 1) or (2, 2) matrices on its
+    last axis, at the times t, a column: (times, rows).
+
+    A (1, 1) stack gives e^(m00 t).  For (2, 2), with tau = (m00 + m11)/2,
+    h = (m00 - m11)/2 and delta = sqrt(h^2 + m01 m10), real or imaginary,
+    on the branch with Re(delta h) >= 0,
+
+        z = [(delta + h) e^((tau + delta) t)
+             + m01 m10 / (delta + h) e^((tau - delta) t)] / (2 delta),
+
+    which is e^(tau t) (cosh(delta t) + h sinh(delta t) / delta).  The two
+    exponentials are formed apart, so no overflowing cosh meets an
+    underflowing e^(tau t), and on that branch neither delta + h nor
+    m01 m10 / (delta + h) = delta - h cancels.  Where |delta t| < 1 (near
+    critical damping, delta -> 0) z is the cosh form, from the Taylor
+    series of cosh and sinh(x)/x in the real x^2 = (delta t)^2.
+    """
+    if len(M) == 1:
+        return np.exp(M[0, 0] * t)
+    (m00, m01), (m10, m11) = M
+    tau, h, bc = (m00 + m11) / 2.0, (m00 - m11) / 2.0, m01 * m10
+    d2 = h * h + bc
+    delta = np.sqrt(d2.astype(complex))
+    delta = np.where(delta.real * h < 0.0, -delta, delta)
+    x2 = d2 * t * t
+    near = np.abs(x2) < 1.0
+    x2 = np.where(near, x2, 0.0)
+    ch = sh = 0.0
+    for k in range(9, -1, -1):  # at x^2 < 1, x^20 / 20! < 5e-19
+        ch = ch * x2 + 1.0 / math.factorial(2 * k)
+        sh = sh * x2 + 1.0 / math.factorial(2 * k + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = ((delta + h) * np.exp((tau + delta) * t)
+               + bc / (delta + h) * np.exp((tau - delta) * t)) / (2.0 * delta)
+    return np.where(near, np.exp(tau * t) * (ch + h * t * sh), far.real)
 
 
-def _squarings(S):
-    """S^(2^m) for m = 0, 1, 2, ..., each the ``_square`` of the last."""
-    while True:
-        yield S
-        S = _square(S)
+def _product(A, B):
+    """A B for stacks A, B of (d, d) matrices on their last axis, each
+    entry summed from b = 0 up."""
+    C = A[:, 0, None] * B[0]
+    for b in range(1, len(A)):
+        C += A[:, b, None] * B[b]
+    return C
 
 
-def _times(v, P, out, tmp):
-    """out[c] = sum_b v[b] P[b, c] per row, each product added in turn from
-    b = 0 up: row 0 of a power times a power of S, the op order of every
-    entry of the power table.  v and out are (d, k, rows), P is (d, d,
-    rows) and tmp is (k, rows) scratch."""
-    for c in range(len(P)):
-        o = np.multiply(v[0], P[0, c], out=out[c])
-        for b in range(1, len(P)):
-            o += np.multiply(v[b], P[b, c], out=tmp)
+def _times(v, F, out, tmp):
+    """out = v (I + F) per row: out[c] = sum_b v[b] F[b, c] + v[c], each
+    product added in turn from b = 0 up, one op order wherever a node is
+    formed.  v and out are (d, k, rows), F is (d, d, rows) and tmp is
+    (k, rows) scratch."""
+    for c in range(len(F)):
+        o = np.multiply(v[0], F[0, c], out=out[c])
+        for b in range(1, len(F)):
+            o += np.multiply(v[b], F[b, c], out=tmp)
+        o += v[c]
     return out
 
 
-def _power_table(S):
-    """(row0, S^_STEP_BLOCK) by doubling: row0[:, k] is row 0 of S^(k + 1),
-    (d, _STEP_BLOCK, rows), and row0[:, k:2k] = row0[:, :k] S^k.  So
-    row0[:, k] is S[0] times S^(2^m) for each set bit m of k, in
-    increasing order, by which ``_block_bound`` forms a single column with
-    the same bits."""
-    d, _, rows = S.shape
-    row0 = np.empty((d, _STEP_BLOCK, rows))
-    tmp = np.empty((_STEP_BLOCK // 2, rows))
-    row0[:, 0] = S[0]
-    for m, P in enumerate(_squarings(S)):
-        k = 1 << m
-        if k == _STEP_BLOCK:
-            return row0, P
-        _times(row0[:, :k], P, row0[:, k : 2 * k], tmp[:k])
+def _propagator(M, dt: float):
+    """F = exp(dt M) - I for a stack M of (d, d) matrices on its last axis,
+    by scaling and squaring per row (Moler & Van Loan, SIAM Rev. 45 (2003);
+    Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
 
-
-def _step_map(terms_list, lambdas: np.ndarray, which: np.ndarray, dt: float):
-    """(S, x1): the step map of ``_recurrence_values``, (d, d, rows), and
-    the state at step 1, (d, rows), of each row; see there for the rows."""
-    rows = len(lambdas)
-    wR0, wL0, modes = _memory_modes(terms_list, dt)
-    wR0, wL0 = wR0[which], wL0[which]
-    rho, KR, KL, f = modes[:, :, which]
-    D0 = 1.0 + lambdas * wR0
-    if np.any(D0 <= 0.0):
-        raise StepSizeError(
-            "implicit coefficient 1 + lambda*w <= 0; refine the time grid"
-        )
-    # State k enters the step as Re(e_k M_k(i)), e_k = -lam f_k / D0.  With
-    # Y_k(i) = e_k (rho_k M_k(i) + KL_k z_i), the part of e_k M_k(i+1) known
-    # before z_(i+1), a step is
-    #   z_(i+1) = c2 z_i + sum_k Re Y_k(i-1),   Y_k(i) = rho_k Y_k(i-1) + gain_k z_i,
-    # that is x_(i+1) = S x_i for x_i = (z_i, Y(i-1)) and x_1 = (c1, Y(0)),
-    # where a column of complex rates is two real states, Re Y and Im Y.
-    e = -lambdas * f / D0
-    c1 = (1.0 - lambdas * wL0) / D0
-    Y, gain = e * KL, e * (rho * KR + KL)
-    pairs = [np.any(np.imag(col) != 0.0) for col in zip(rho, KR, KL, f)]
-    d = 1 + len(pairs) + sum(pairs)
-    S = np.zeros((d, d, rows))
-    x1 = np.empty((d, rows))
-    S[0, 0] = c1 + sum(np.real(e * KR))
-    x1[0] = c1
-    j = 1
-    for k, pair in enumerate(pairs):
-        S[0, j], S[j, 0], S[j, j], x1[j] = 1.0, gain[k].real, rho[k].real, Y[k].real
-        if pair:
-            S[j + 1, 0], x1[j + 1] = gain[k].imag, Y[k].imag
-            S[j, j + 1], S[j + 1, j], S[j + 1, j + 1] = -rho[k].imag, rho[k].imag, rho[k].real
-        j += 1 + pair
-    return S, x1
-
-
-def _block_bound(S, offsets):
-    """(U, cols, S^_STEP_BLOCK) from the squarings S^(2^m) alone, with no
-    power table.  U[b] >= max_k |row0[b, k]| over the table of
-    ``_power_table``: it starts at |S[0]| and takes U <- max(U, U |S^(2^m)|)
-    for m = 0..5, the chains of the table in absolute values, so it covers
-    every entry, up to the rounding of those chains.  cols[k] = row0[:, k]
-    for each in-block offset k in ``offsets``, formed by the table's own
-    chain, so with its bits.  U and the columns are (d, rows)."""
-    # Kept (d, 1, rows) so that ``_times`` serves them as one-step tables.
-    U = np.abs(S[0, :, None])
-    cols = dict.fromkeys(offsets, S[0, :, None])
-    tmp = np.empty((1, S.shape[-1]))
-    for m, P in enumerate(_squarings(S)):
-        if 1 << m == _STEP_BLOCK:
-            return U[:, 0], {k: col[:, 0] for k, col in cols.items()}, P
-        U = np.maximum(U, _times(U, np.abs(P), np.empty_like(U), tmp))
-        for k in cols:
-            if k >> m & 1:
-                cols[k] = _times(cols[k], P, np.empty_like(U), tmp)
-
-
-def _recurrence_values(terms_list, lambdas: np.ndarray, which: np.ndarray, grid: TimeGrid, nodes):
-    """Solver path for exponential polynomials: a short recurrence per row.
-
-    Row j solves z + lam_j A * z = 1 for the kernel with terms
-    ``terms_list[which[j]]``.  Returns (z, peak) as ``_solve_nodes`` does:
-    z time-major, one row per entry of ``nodes`` (every node if None), and
-    peak = max|z| over every node of every row.  Differencing the march (see
-    ``_solve_matrix``) at steps i and i - 1 gives
-
-        z_i (1 + lam wR[0]) = z_(i-1) (1 - lam wL[0]) - lam sum_k f_k M_k(i-1),
-
-    with the states M_k of ``_memory_modes``, so a row costs O(n) per state
-    and its weights are closed-form.  This is the march's own sum, split by
-    rate (a parallel form), and each state carries only its own rate's
-    history, |rho| <= 1.  A d-term recurrence on the monomial coefficients
-    of the rational symbol would need the same few operations per step,
-    but its rounding grows like n^d where the rates e^(s dt) cluster at 1:
-    1.8e-5 for Cosine on TimeGrid(10, 20000), against 3e-12 here.
-
-    The step is a fixed linear map S of z and the states, so z over a
-    block of ``_STEP_BLOCK`` steps is row 0 of S^j, j = 1, 2, ..., applied
-    to the state at the block's start, and S^_STEP_BLOCK gives the next
-    block's state.  A Python loop of one pass per step would make a
-    single-row solve on TimeGrid(5, 5000) ten times slower than the FFT
-    division.  The rows of every kernel go through the blocks together,
-    each with its own S.  Every operation is elementwise, so a row gets
-    the bits it would have alone.
-
-    The powers and the blocks are time-major, (step, row), so each
-    multiply-add runs over one contiguous vector of all rows.  With every
-    node requested, the table of row 0 of S^1..S^_STEP_BLOCK
-    (``_power_table``) is built for all rows and the blocks are written
-    straight into the time-major result.  Otherwise no table is built for
-    all rows: ``_block_bound`` forms, from the squarings S^(2^m) alone,
-    the table's columns at the requested in-block offsets, with their
-    bits, and a bound U[b] >= max_k |row0[b, k]|.  Over a block
-    z = row0 . x, with x the block's starting state, so every |z| in it is
-    at most sum_b U[b] |x[b]|; the factor 1 + 1e-12 covers the rounding of
-    that sum and of the block.  The running peak, which starts at
-    max(1, |z_1|), takes in a block only the rows whose bound is not
-    strictly below it, NaN and inf bounds included (an inf bound stays
-    live even after an inf peak); rows with lam = 0 are exactly 1 and
-    take no part.  The live rows are evaluated from a power table of
-    their own, kept while later live rows fall inside it, in one reused
-    scratch array.  (A bound from powers of |S^_STEP_BLOCK| over the
-    whole horizon would be cheaper, but powers of absolute values grow on
-    oscillating rows, which it would keep live.)  So the peak stays exact
-    over every node of every row, a decaying row is evaluated in few
-    blocks, and memory is a few vectors per row plus the table of the
-    live rows, not rows x (n + 1) values or 64 steps of every row.
+    Row j sums the Taylor series of exp(X) - I, X = dt M / 2^s_j, to degree
+    12 by Horner's rule in X^3 over chunks of three powers (Paterson &
+    Stockmeyer), and squares it s_j times as F <- F F + 2 F, where s_j is
+    the least count that brings the 1-norm of X to ``_TAYLOR_NORM``.  The
+    count is the row's own, since each squaring adds rounding (a count
+    shared by all rows lost 7e-10); the rows are squared in order of their
+    counts, each pass on a leading slice.  F is carried, not exp(dt M),
+    where a slow mode is 1 minus a small number whose rounding relative to
+    1 every squaring would double.  Every operation is elementwise over
+    the rows.
     """
-    n = grid.n_steps
-    rows = len(lambdas)
-    z = np.empty((n + 1 if nodes is None else len(nodes), rows))
-    if not rows:
-        return z, 0.0
-    S, x1 = _step_map(terms_list, lambdas, which, grid.dt)
-    d = len(S)
-    # z at steps i + 1..i + _STEP_BLOCK from x_i, block by block; steps 0
-    # and 1 are 1 and c1.
-    x = x1
-    if nodes is None:
-        row0, S64 = _power_table(S)
-        tmp = np.empty((_STEP_BLOCK, rows))
-        z[0], z[1] = 1.0, x1[0]
-    else:
-        for p, node in enumerate(nodes):
-            if node < 2:
-                z[p] = x1[0] if node else 1.0
-        U, cols, S64 = _block_bound(S, {(node - 2) % _STEP_BLOCK for node in nodes if node >= 2})
-        slack = 1.0 + 1e-12
-        peak = np.maximum(1.0, _abs_max(x1[0]))
-        solved = lambdas != 0.0
-        tabled = np.empty(0, dtype=np.intp)
-    for i in range(1, n, _STEP_BLOCK):
-        m = min(_STEP_BLOCK, n - i)
-        if nodes is None:
-            out = z[i + 1 : i + 1 + m]
-            np.multiply(row0[0, :m], x[0], out=out)
-            for b in range(1, d):
-                out += np.multiply(row0[b, :m], x[b], out=tmp[:m])
+    X = dt * M
+    s = np.maximum(np.frexp(np.abs(X).sum(axis=0).max(axis=0) / _TAYLOR_NORM)[1], 0)
+    order = np.argsort(-s, kind="stable")
+    s, X = s[order], np.take(X, order, axis=-1) * np.exp2(-s[order])
+    X2 = _product(X, X)
+    X3 = _product(X2, X)
+    chunks = [X / math.factorial(k) + X2 / math.factorial(k + 1) + X3 / math.factorial(k + 2)
+              for k in (1, 4, 7, 10)]
+    F = chunks.pop()
+    while chunks:
+        F = chunks.pop() + _product(X3, F)
+    for k in range(s.max(initial=0)):
+        Fk = F[:, :, : np.count_nonzero(s > k)]
+        Fk[...] = _product(Fk, Fk) + 2.0 * Fk
+    F[:, :, order] = F.copy()
+    return F
+
+
+def _row0_powers(F, nodes, every: bool):
+    """z = [E^i]_00 for E = I + F at the node indices i of ``nodes``,
+    (len(nodes), rows); ``every`` says that they are 0..n, every node.
+
+    Row 0 of E^i is e_0 times E^(2^m) over the set bits m of i, in
+    increasing order, each product by ``_times``.  Every node is tabled by
+    doubling, v[:, k + j] = v[:, j] E^k for j < k = 2^m, which forms each
+    node by that same chain; a requested node takes it alone.  So a node
+    gets the same bits whichever other nodes are requested.
+    """
+    d, _, rows = F.shape
+    v = np.zeros((d, len(nodes), rows))
+    v[0] = 1.0
+    tmp = np.empty((len(nodes), rows))
+    for m in range(int(nodes.max(initial=0)).bit_length()):
+        if m:
+            F = _product(F, F) + 2.0 * F
+        k = 1 << m
+        if every:
+            w = min(k, len(nodes) - k)
+            _times(v[:, :w], F, v[:, k : k + w], tmp[:w])
         else:
-            # A NaN or inf bound fails the test, so its row stays live.
-            live = np.flatnonzero(~((U * np.abs(x)).sum(axis=0) * slack < peak) & solved)
-            if len(live):
-                at = np.searchsorted(tabled, live)
-                if not (len(tabled) and np.array_equal(tabled.take(at, mode="clip"), live)):
-                    tabled, at = live, np.arange(len(live))
-                    table = _power_table(S[:, :, live])[0]
-                    scratch = np.empty((2, _STEP_BLOCK * len(live)))
-                out, g = scratch[:, : m * len(live)].reshape(2, m, len(live))
-                # mode="clip" lets take write into out unbuffered.
-                np.take(table[0, :m], at, axis=1, out=out, mode="clip")
-                out *= x[0, live]
-                for b in range(1, d):
-                    np.take(table[b, :m], at, axis=1, out=g, mode="clip")
-                    out += np.multiply(g, x[b, live], out=g)
-                peak = np.maximum(peak, _abs_max(out))
-            for p, node in enumerate(nodes):
-                if i < node <= i + m:
-                    col = cols[node - i - 1]
-                    np.multiply(col[0], x[0], out=z[p])
-                    for b in range(1, d):
-                        z[p] += col[b] * x[b]
-        x2 = S64[:, 0] * x[0]
-        for b in range(1, d):
-            x2 += S64[:, b] * x[b]
-        x = x2
+            sel = np.flatnonzero(nodes & k)
+            v[:, sel] = _times(v[:, sel], F, np.empty((d, len(sel), rows)), tmp[: len(sel)])
+    return v[0].copy()
+
+
+def _exact_values(generators, lambdas: np.ndarray, which: np.ndarray, grid: TimeGrid, nodes):
+    """Solver path for exponential polynomials: z = [exp(t M_lam)]_00.
+
+    Row j solves z + lam_j A * z = 1 for the kernel whose generator (r, G)
+    is ``generators[which[j]]`` (``_generator``; they share one size), with
+    M = D (G + lam_j e_0 r) D^-1 for D = diag(1, sqrt(lam_j), ...).  D
+    leaves [exp(t M)]_00 as it is and, with the sqrt|c| of ``_generator``,
+    makes each coupling of z and a state the same size both ways, so the
+    squarings of an oscillating row keep their accuracy (unbalanced, a
+    dilated Cosine at lam = 1e6 was 1.5e-10 off).  With at most one memory
+    state z is ``_closed_form`` at each node's time; with more, it is
+    [E^i]_00 for E = exp(dt M) (``_propagator``, ``_row0_powers``).  No
+    time step enters, so z at a time depends on n by rounding only.
+    Returns (z, peak) as ``_solve_nodes`` does: z time-major, one row per
+    entry of ``nodes`` (every node if None), and peak = max|z| over them.
+    Every operation is elementwise over the rows, so a row has the bits it
+    has alone, and rows with lam = 0 are exactly 1.
+    """
+    M = np.take(np.stack([G for _, G in generators], axis=-1), which, axis=-1)
+    r = np.take(np.stack([r for r, _ in generators], axis=-1), which, axis=-1)
+    root = np.sqrt(lambdas)
+    M[0] = root * r
+    M[0, 0] = lambdas * r[0]
+    M[1:, 0] *= root
+    index = np.arange(grid.n_steps + 1) if nodes is None else np.asarray(nodes, dtype=np.intp)
+    if len(M) <= 2:
+        z = _closed_form(M, grid.dt * index[:, None])
+    else:
+        z = _row0_powers(_propagator(M, grid.dt), index, nodes is None)
     z[:, lambdas == 0.0] = 1.0
-    return z, _abs_max(z) if nodes is None else peak
+    return z, _abs_max(z) if z.size else 0.0
 
 
 def _newton_levels(dc: np.ndarray, h: int):
@@ -703,17 +616,13 @@ def require_bounded(peak) -> None:
     """Raise StepSizeError unless peak = max|z| <= 1 + BOUND_TOL.
 
     For a positive-definite kernel |z| <= 1 is a theorem, so a larger value
-    means the discrete scheme went unstable on too coarse a grid.  Call
-    only where the kernel is known to be positive definite, with the peak
-    of ``_solve_nodes``.  On the recurrence and FFT paths that peak is
-    exact over every node, requested or not, even where the recurrence
-    skips the blocks of a row that cannot raise it: its bound per block,
-    from the squarings of the row's step map, covers every step of the
-    block, and a NaN or inf bound keeps the block.  On the contour path
-    (power laws with beta < 0) it covers only the evaluated nodes: that
-    path is no march but the exact solution to 1.2e-12 at each node, so
-    for a positive-definite kernel |z| <= 1 holds at every node, and an
-    unrequested node has no instability to show.
+    means the march went unstable on too coarse a grid.  Call only where
+    the kernel is known to be positive definite, with the peak of
+    ``_solve_nodes``.  On the FFT division that peak covers every node,
+    requested or not.  On the two exact paths (exponential polynomials,
+    and power laws with beta < 0 on contours) it covers only the evaluated
+    nodes: an exact solution, to rounding or to 1.2e-12, has no
+    instability to show at an unrequested node.
     """
     if not peak <= 1.0 + BOUND_TOL:  # NaN fails too
         raise StepSizeError(
@@ -722,25 +631,20 @@ def require_bounded(peak) -> None:
         )
 
 
-def _layout(terms):
-    """The state columns that ``_memory_modes`` gives these terms, as one
-    flag per column: whether it holds a conjugate pair of rates."""
-    columns = [(s, m) for g, s, m in terms if m or s != 0.0 and np.imag(s) >= 0.0]
-    return tuple(bool(not m and np.imag(s) != 0.0) for s, m in columns)
-
-
 def _path(kernel: MemoryKernel):
     """(path, share, data): the solver path of the kernel, what kernels
     must share to go through one call of it (beta on the contour path, the
-    column layout on the recurrence, nothing on the FFT division) and what
-    the path takes of the kernel: (a0, c/beta), the terms or None.  Raises
-    the DomainError of ``_power_law_constants`` for a kernel with no path."""
+    count of memory states on the exact path, nothing on the FFT division)
+    and what the path takes of the kernel: (a0, c/beta), the generator of
+    ``_generator`` or None.  Raises the DomainError of
+    ``_power_law_constants`` for a kernel with no path."""
     constants = _power_law_constants(kernel)
     if constants is not None:
         return "contour", constants[0], constants[1:]
     terms = _exp_poly_terms(kernel)
     if terms is not None:
-        return "recurrence", _layout(terms), terms
+        generator = _generator(terms)
+        return "exact", len(generator[0]) - 1, generator
     return "fft", None, None
 
 
@@ -751,48 +655,35 @@ def _solve_nodes(kernels, lambdas, grid: TimeGrid, nodes=None, bounded=False):
     The array core of the solver API: the relaxations of a sequence of
     kernels, each at its own couplings.  A caller that needs a kernel at
     several dilations passes each dilated kernel.  The kernels are grouped
-    by solver path, and each group is one call of its path: one per beta
-    on the contour path, one per column layout (``_layout``) on the
-    recurrence, one per kernel on the FFT division; each path returns its
-    own z and peak, and zs[m] is a view of its group's z.  Each row has
-    the bits it would have if solved alone, at whichever nodes are
-    requested, and rows with lam = 0 are exactly 1.
+    by solver path (``_path``), and each group is one call of its path: one
+    per beta on the contour path (power laws with beta < 0, alone or with
+    Heat kernels), one per count of memory states on the exact path of
+    exponential polynomials (``_exact_values``), one per kernel on the FFT
+    division, which computes the kernel's weights once for all its rows
+    and works in blocks of ``_ROW_BLOCK`` rows.  Each path returns its own
+    z and peak, and zs[m] is a view of its group's z.  Each row has the
+    bits it would have if solved alone, at whichever nodes are requested,
+    and rows with lam = 0 are exactly 1.
 
     z is time-major, one row per entry of ``nodes`` (node indices, in any
     order), or per node of the grid if ``nodes`` is None; no path holds
     the values at other nodes.  peak is the maximum of the groups' peaks,
-    NaN if any node it covers is.  On the recurrence and FFT paths it
-    covers every node of every row, requested or not; the recurrence
-    evaluates a 64-step block only for the rows whose bound, from the
-    squarings of their step map, could raise the peak, and the others
-    cannot, so the peak is still exact.  On the contour path it covers
-    only the requested nodes, since that path evaluates no others; it is
-    exact to 1.2e-12 at each node, so ``require_bounded`` loses nothing
-    (see there).  ``bounded=True`` applies it to the peak here, for callers
-    whose kernels are positive definite.
-
-    Power laws with beta < 0, alone or summed with Heat kernels, are solved
-    for all rows of a beta at once by Laplace inversion on parabolic
-    contours, row j with its own constants (lam a0, lam c/beta); a0 < 0
-    and any other combination with such a power law raise the DomainError
-    of ``_power_law_constants``.  Exponential polynomials (see
-    ``_exp_poly_terms``) are solved for all rows of a layout at once by a
-    short recurrence per row on closed-form weights.  Every other kernel
-    is marched by FFT division, with its weights computed a single time
-    for all its rows, in blocks of ``_ROW_BLOCK`` rows.  The recurrence and
-    the FFT division keep only the requested nodes of each block; the
-    contour path evaluates no others.
+    NaN if any node it covers is.  On the FFT division it covers every
+    node of every row, requested or not; on the two exact paths only the
+    requested nodes, which loses ``require_bounded`` nothing (see there).
+    ``bounded=True`` applies it to the peak here, for callers whose
+    kernels are positive definite.
 
     Raises DomainError for a lam that is negative or not finite, for a
-    count of lambda arrays that is not one per kernel and for a node index
-    that is not an integer or lies off the grid, StepSizeError if any node
-    is not finite or, with ``bounded``, the peak exceeds 1 + BOUND_TOL,
-    and PrecisionLossError for an FFT-path row that grew past the
-    precision of its requested nodes (see ``_solve_matrix``).  The
-    StepSizeErrors come first, since they know the peak over every node:
-    a row that loses precision has a peak far above 1, which for a
-    positive-definite kernel means too coarse a time grid, not a growing
-    solution.
+    count of lambda arrays that is not one per kernel, for a node index
+    that is not an integer or lies off the grid and for a kernel with no
+    path (``_power_law_constants``), StepSizeError if any node is not
+    finite or, with ``bounded``, the peak exceeds 1 + BOUND_TOL, and
+    PrecisionLossError for an FFT-path row that grew past the precision of
+    its requested nodes (see ``_solve_matrix``).  The StepSizeErrors come
+    first, since the FFT division's peak covers every node: a row that
+    loses precision has a peak far above 1, which for a positive-definite
+    kernel means too coarse a time grid, not a growing solution.
     """
     lambdas = [np.asarray(lam, dtype=float) for lam in lambdas]
     if len(lambdas) != len(kernels):
@@ -820,9 +711,9 @@ def _solve_nodes(kernels, lambdas, grid: TimeGrid, nodes=None, bounded=False):
             p = np.concatenate([l * a0 for l, (a0, _) in zip(lam, data)])
             q = np.concatenate([l * cA for l, (_, cA) in zip(lam, data)])
             zg, pg = _contour_values(share, p, q, grid, index)
-        elif path == "recurrence":
+        elif path == "exact":
             which = np.repeat(np.arange(len(lam)), [len(l) for l in lam])
-            zg, pg = _recurrence_values(data, np.concatenate(lam), which, grid, nodes)
+            zg, pg = _exact_values(data, np.concatenate(lam), which, grid, nodes)
         else:
             zg, pg, lost_g = _solve_matrix(kernels[members[0]], lam[0], grid, index)
             lost = lost or lost_g

@@ -302,8 +302,8 @@ def test_missing_required_key_is_collected_with_the_others():
 @pytest.mark.parametrize("edits,message", [
     # Not a node of the time grid: DomainError.
     ([("t_list = 0.0, 1.0", "t_list = 0.333")], "not a node"),
-    # Far too coarse for the kernel: StepSizeError.
-    ([("family = heat\na0 = 1.0", "family = exponential"),
+    # Far too coarse for the march of the kernel A = c t: StepSizeError.
+    ([("family = heat\na0 = 1.0", "family = powerlaw\nbeta = 1.0"),
       ("t_end = 1.0\nn_steps = 100", "t_end = 50.0\nn_steps = 2"),
       ("t_list = 0.0, 1.0", "t_list = 50.0")], "refine the time grid"),
 ])

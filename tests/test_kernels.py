@@ -24,6 +24,7 @@ from memdiff.kernels import (
     NegExponential,
     PowerLaw,
     SampledKernel,
+    TimeDilated,
     Wave,
     check_positive_definite,
     dilate,
@@ -72,6 +73,16 @@ def test_primitive_matches_quadrature_of_a(kernel):
         assert abs(primitive_A(kernel, t) - kernel.a0 - ref) < 1e-9 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("t", [1e-12, 1e-8, 1e-4, 1.0, 1e5, math.inf])
+def test_exp_poly_primitive_has_no_cancellation(t):
+    # A = (a0 + c/mu) - (c/mu) e^(-mu t) cancelled near t = 0: at t = 1e-8
+    # it was 3.5e-9 relative off.  A(inf) = c/mu.
+    with mpmath.workdps(40):
+        ref = float(mpmath.mpf(1.5) * (1 if math.isinf(t) else -mpmath.expm1(-2 * mpmath.mpf(t))))
+    got = Exponential(mu=2.0, c=3.0).primitive(t)
+    assert abs(got - ref) <= 2 * np.finfo(float).eps * ref
+
+
 @pytest.mark.parametrize("kernel", CATALOG, ids=lambda k: k.description)
 def test_moments_match_quadrature_of_primitive(kernel):
     # The closed-form cell moments equal int A and int s A(s) ds.
@@ -103,9 +114,13 @@ def _exp_decay_A(t):
     [(Exponential(mu=0.2, c=-2.0, a0=1.0), _exp_decay_A), (NegExponential(), lambda t: mpmath.exp(-t)),
      (Cosine(), mpmath.sin), (dilate(Cosine(), 2.0), lambda t: mpmath.sin(2 * t)),
      (scale(NegExponential(), 2.0), lambda t: 2 * mpmath.exp(-t)),
-     (Exponential(mu=1.0, c=1.0) + Heat(0.5), lambda t: 1.5 - mpmath.exp(-t))],
+     (Exponential(mu=1.0, c=1.0) + Heat(0.5), lambda t: 1.5 - mpmath.exp(-t)),
+     (TimeDilated(Wave(c=1.0, a0=0.5), 2.0), lambda t: 0.5 + 2 * t),
+     (TimeDilated(NegExponential(), 3.0), lambda t: mpmath.exp(-3 * t)),
+     (TimeDilated(Cosine(), 3.0), lambda t: mpmath.sin(3 * t))],
     ids=["exponential", "negexponential", "cosine", "dilated-cosine", "scaled-negexponential",
-         "exponential+heat"],
+         "exponential+heat", "time-dilated-wave", "time-dilated-negexponential",
+         "time-dilated-cosine"],
 )
 def test_moments_are_exact_on_short_and_far_cells(kernel, A):
     # Differences of antiderivatives lost up to 5e-2 relative on these

@@ -27,7 +27,7 @@ from memdiff.spectral import (
     synthesize,
     unique_lambdas,
 )
-from memdiff.volterra import BOUND_TOL, TimeGrid, _solve_nodes, relaxation_values
+from memdiff.volterra import TimeGrid, _solve_nodes, relaxation_values
 
 
 def test_mode_grid_includes_zero_and_endpoints():
@@ -201,6 +201,20 @@ def test_initial_data_refuse_parameters_that_are_not_finite(make):
         make()
 
 
+def test_gaussian_refuses_a_width_whose_square_overflows():
+    # hat squares the width: at 1e200 a float width raised a bare
+    # OverflowError, a numpy width gave NaN at xi = 0 with a RuntimeWarning,
+    # and VectorGaussian accepted either.
+    from memdiff.visco import VectorGaussian
+
+    for width in (1e200, np.float64(1e200)):
+        for make in (Gaussian, VectorGaussian):
+            with pytest.raises(DomainError, match="square"):
+                make(width=width)
+    f = Gaussian(width=1e150).field(ModeGrid(1, 16, 4.0))
+    assert np.all(np.isfinite(f.values)) and f.mass == 1.0
+
+
 def test_box_function_hat_is_sinc_product():
     g = ModeGrid(n=2, modes_per_axis=8, xi_max=4.0)
     f = BoxFunction(half_width=0.5, mass=1.0).field(g)
@@ -267,9 +281,9 @@ def test_evolve_rejects_off_grid_time():
     ids=["recurrence", "recurrence-pair", "fft", "contour"],
 )
 def test_mode_factors_equal_the_gather_of_the_full_solve(kernel, grid):
-    # The recurrence fills steps 2 + 64 b onward in blocks of 64, so the
-    # nodes straddle block edges; n = 203 is not a multiple of 64, and a
-    # node may repeat or come out of order.
+    # Each requested node is formed alone (by the chain of squarings of
+    # its bits on the exact path with more than one state), and must keep
+    # the bits of the full solve; a node may repeat or come out of order.
     tg = TimeGrid(2.03, 203)
     nodes = [0, 1, 2, 64, 65, 66, 128, 129, 130, 203, 65]
     lam_scale, dilation = [1.0, 0.3, 2.0], [1.0, 10.0, 100.0]
@@ -284,13 +298,13 @@ def test_mode_factors_equal_the_gather_of_the_full_solve(kernel, grid):
 
 @pytest.mark.parametrize(
     "kernel",
-    [Exponential(mu=0.2, c=-2.0, a0=1.0),
-     PowerLaw(beta=0.5, c=0.01) + Exponential(mu=0.2, c=-2.0, a0=1.0)],
-    ids=["recurrence", "fft"],
+    [PowerLaw(beta=0.5, c=0.01) + Exponential(mu=0.2, c=-2.0, a0=1.0)],
+    ids=["fft"],
 )
 def test_mode_factors_bound_check_sees_unrequested_nodes(kernel):
-    # z = 1 at t = 0, the only node asked for, but these kernels are not
-    # positive definite and z grows past 1 later on the grid.
+    # z = 1 at t = 0, the only node asked for, but this kernel is not
+    # positive definite and z grows past 1 later on the grid; the march
+    # sees it.  The exact paths evaluate only the requested nodes.
     with pytest.raises(StepSizeError, match="exceeds 1"):
         _mode_factors([kernel], ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400), [0.0])
 
@@ -310,7 +324,8 @@ def test_mode_factors_report_a_coarse_grid_before_lost_precision():
 def test_mode_factors_refuse_a_kernel_tuple_with_one_non_positive_definite_member():
     # The positive-definite member alone passes the bound check; in one
     # solve with a member that is not, the peak is the max over both.
-    good, bad = Exponential(mu=1.0, c=1.0), Exponential(mu=0.2, c=-2.0, a0=1.0)
+    good = Exponential(mu=1.0, c=1.0)
+    bad = PowerLaw(beta=0.5, c=0.01) + Exponential(mu=0.2, c=-2.0, a0=1.0)
     grid, tg = ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400)
     ((z_good,),) = _mode_factors([good], grid, tg, [20.0])
     (z_first,), (z_second,) = _mode_factors([good, good], grid, tg, [20.0])
@@ -320,25 +335,14 @@ def test_mode_factors_refuse_a_kernel_tuple_with_one_non_positive_definite_membe
             _mode_factors(kernels, grid, tg, [0.0])
 
 
-def test_mode_factors_bound_check_sees_a_late_first_excess():
-    # |z| stays within 1 through node 321 and first exceeds it at node 326,
-    # in the sixth 64-step block, where the recurrence must not skip it.
-    kernel = Exponential(mu=0.1, c=-0.2, a0=1.0)
-    grid, tg = ModeGrid(1, 8, 2.0, radial=True), TimeGrid(20.0, 400)
-    z = relaxation_values(kernel, unique_lambdas(grid)[0], tg)
-    assert np.max(np.abs(z[:, :322])) <= 1.0 < np.max(np.abs(z)) - BOUND_TOL
-    with pytest.raises(StepSizeError, match="exceeds 1"):
-        _mode_factors([kernel], grid, tg, [0.0])
-
-
 def test_mode_factors_report_a_nan_peak():
-    # The Wave march diverges to NaN past lam c dt^2 ~ 25; a running max
-    # that dropped NaN would hand back NaN factors.
+    # The march of Wave plus a power law diverges to NaN past lam c dt^2 ~
+    # 25; a running max that dropped NaN would hand back NaN factors.
     # A lam_scale of inf makes lam = inf * 0 = NaN at xi = 0, refused.
     grid = ModeGrid(1, 64, 200.0, radial=True)
     with np.errstate(all="ignore"):
         with pytest.raises(StepSizeError, match=r"max\|z\| = nan"):
-            _mode_factors([Wave(c=1.0)], grid, TimeGrid(50.0, 1000), [0.0])
+            _mode_factors([PowerLaw(beta=0.5) + Wave(c=1.0)], grid, TimeGrid(50.0, 1000), [0.0])
         with pytest.raises(DomainError, match="finite"):
             _mode_factors([Exponential(1.0, 1.0)], grid, TimeGrid(1.0, 100), [1.0], lam_scale=1e309)
 
@@ -352,9 +356,9 @@ def test_mode_factors_report_a_nan_peak():
 def test_study_holds_no_full_solve_matrix(kernel, beta, s):
     # A 2-D N=128 study at the default 2000 steps per unit time: the
     # (rows x n+1) solve matrix would be 3 x 1621 x 4001 doubles, 156 MB.
-    # The recurrence keeps a few 64-step blocks, the FFT division one
-    # 32-row block and the contour path the transform values of one band,
-    # each with the requested nodes.
+    # The exact path forms the requested nodes alone, the FFT division
+    # keeps one 32-row block and the contour path the transform values of
+    # one band, each with the requested nodes.
     grid = ModeGrid(2, 128, 8.0)
     T_list = [1e2, 1e3, 1e4]
     full = len(T_list) * len(unique_lambdas(grid)[0]) * 4001 * 8
@@ -369,9 +373,8 @@ def test_study_holds_no_full_solve_matrix(kernel, beta, s):
 
 
 def test_recurrence_study_holds_no_64_step_table_over_all_rows(monkeypatch):
-    # The only rows whose bound can raise max|z| here are lam = 0, which
-    # are exactly 1, so no 64-step block is evaluated: the solve must stay
-    # below one (64, rows) array of doubles.
+    # The exact path evaluates only the requested node: the solve must
+    # stay below one (64, rows) array of doubles.
     peaks = []
 
     def traced(*args, **kwargs):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
+from scipy.linalg import expm
 
 from memdiff.errors import DomainError, PrecisionLossError, StepSizeError
 from memdiff.kernels import (
@@ -20,6 +21,7 @@ from memdiff.kernels import (
     PowerLaw,
     SampledKernel,
     ScaledKernel,
+    SumKernel,
     TimeDilated,
     Wave,
     dilate,
@@ -30,17 +32,14 @@ from memdiff import volterra
 from memdiff.specfun import mittag_leffler
 from memdiff.volterra import (
     _ROW_BLOCK,
-    _STEP_BLOCK,
     BOUND_TOL,
     TimeGrid,
     _abs_max,
-    _block_bound,
     _convolution_weights,
     _exp_poly_terms,
-    _memory_modes,
-    _power_table,
+    _generator,
+    _path,
     _solve_nodes,
-    _step_map,
     decay_envelope_check,
     kernel_convergence_test,
     relaxation_values,
@@ -142,6 +141,39 @@ def _exact_power_law(kernel, lambdas, t):
             for ti in t] for lam in lambdas])
 
 
+def _terms_of(kernel):
+    """Terms (g, s, m) of A = sum g t^m e^(s t) for an exponential
+    polynomial: the families' own exp_terms, through sums, scalings and
+    dilations (t -> T t maps s to T s and g t to g T t)."""
+    if isinstance(kernel, SumKernel):
+        return _terms_of(kernel.left) + _terms_of(kernel.right)
+    if isinstance(kernel, ScaledKernel):
+        return [(kernel.factor * g, s, m) for g, s, m in _terms_of(kernel.base)]
+    if isinstance(kernel, TimeDilated):
+        return [(g * kernel.T**m, s * kernel.T, m) for g, s, m in _terms_of(kernel.base)]
+    return kernel.exp_terms()
+
+
+def _expm_relaxation(kernel, lambdas, t):
+    """z(lam, t) = [expm(t M_lam)]_00 by scipy, one row per lam, for an
+    exponential polynomial.  The generator has one complex state w per
+    term with s != 0 or m = 1, w' = z + s w, which enters z' as -lam g s w
+    (-lam g w for a t-term); z' also takes -lam A(0) z."""
+    terms = _terms_of(kernel)
+    memory = [(g, s, m) for g, s, m in terms if m or s != 0]
+    G = np.zeros((len(memory) + 1,) * 2, dtype=complex)
+    r = np.zeros(len(memory) + 1, dtype=complex)
+    r[0] = -sum(g for g, s, m in terms if not m)
+    for j, (g, s, m) in enumerate(memory, 1):
+        G[j, 0], G[j, j], r[j] = 1.0, s, -(g if m else g * s)
+    rows = []
+    for lam in lambdas:
+        M = G.copy()
+        M[0] = lam * r
+        rows.append(expm(np.asarray(t)[:, None, None] * M)[:, 0, 0].real)
+    return np.array(rows)
+
+
 def test_time_grid_basics():
     g = TimeGrid(2.0, 4)
     assert g.dt == 0.5
@@ -166,8 +198,6 @@ def test_heat_kernel_is_exponential_decay():
     for lam in (0.5, 1.0, 4.0):
         rel = solve_relaxation(Heat(a0=1.5), lam, grid)
         ref = np.exp(-1.5 * lam * grid.nodes)
-        # Second-order one-step error accumulates like (a0 lam dt)^3/12
-        # per step; 1e-5 leaves a small margin at lam = 4.
         assert np.max(np.abs(rel.values - ref)) < 1e-5
 
 
@@ -220,9 +250,10 @@ def test_singular_path_second_order():
 
 
 def test_smooth_path_second_order():
-    # Self-convergence under step halving against a fine reference.
+    # Self-convergence of the march (FFT division) under step halving
+    # against a fine reference.
     lam = 2.0
-    kernel = Exponential(mu=1.0, c=1.0)
+    kernel = PowerLaw(beta=0.5, c=0.01) + Exponential(mu=1.0, c=1.0)
     errs = []
     fine = solve_relaxation(kernel, lam, TimeGrid(1.0, 4096)).values
     for n in (256, 512, 1024):
@@ -244,16 +275,14 @@ ORACLE_GRID = TimeGrid(10.0, 500)
 
 @pytest.mark.parametrize(
     "kernel",
-    [Heat(1.0), Wave(c=1.0), PowerLaw(beta=0.5, c=1.0),
-     Exponential(mu=1.0, c=1.0), NegExponential(), Cosine(), LogModified(),
+    [PowerLaw(beta=0.5, c=1.0), LogModified(),
      SampledKernel(ORACLE_GRID.dt, 0.2 + ORACLE_GRID.nodes / (1.0 + ORACLE_GRID.nodes)),
-     Exponential(mu=0.2, c=-2.0, a0=1.0), Exponential(mu=1.0, c=1.0) + Heat(0.5),
-     ScaledKernel(Exponential(mu=1.0, c=1.0), 2.0), TimeDilated(Cosine(), 3.0),
-     TimeDilated(NegExponential(), 3.0), PowerLaw(beta=0.5, c=1.0) + Exponential(mu=1.0, c=1.0)],
+     PowerLaw(beta=0.5, c=1.0) + Exponential(mu=1.0, c=1.0)],
     ids=lambda k: k.description,
 )
 def test_toeplitz_inversion_matches_march(kernel):
-    # lam * dt reaches 20 at lam = 1e3; the non-PD kernel grows to ~1e6.
+    # lam * dt reaches 20 at lam = 1e3.  Exponential polynomials are solved
+    # exactly and held to expm (test_exact_path_matches_expm).
     lams = np.geomspace(1e-2, 1e3, 16)
     ref = _march(kernel, lams, ORACLE_GRID)
     z = relaxation_values(kernel, lams, ORACLE_GRID)
@@ -264,10 +293,13 @@ def test_toeplitz_inversion_matches_march(kernel):
 def test_toeplitz_inversion_matches_march_on_short_grids(n):
     # Powers of two and one past them: the shared FFT length must be at
     # least n, not n - 1, or S*q0 wraps onto z_n (at n = 2, 3, 5, 9, ...).
+    # Each exponential polynomial is summed with a power law, which keeps
+    # its weight shape on the FFT division.
     grid = TimeGrid(0.2, n)
     lams = np.geomspace(1e-2, 30.0, 12)
-    for kernel in (Heat(1.0), Wave(c=1.0), Exponential(mu=1.0, c=1.0), Cosine(),
-                   Exponential(mu=0.2, c=-2.0, a0=1.0), PowerLaw(beta=0.5, c=1.0)):
+    exp_poly = (Heat(1.0), Wave(c=1.0), Exponential(mu=1.0, c=1.0), Cosine(),
+                Exponential(mu=0.2, c=-2.0, a0=1.0))
+    for kernel in (*(PowerLaw(beta=0.5, c=0.01) + k for k in exp_poly), PowerLaw(beta=0.5, c=1.0)):
         ref = _march(kernel, lams, grid)
         z = relaxation_values(kernel, lams, grid)
         assert np.max(np.abs(z - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -280,9 +312,48 @@ def test_toeplitz_inversion_is_pointwise_accurate_on_growing_rows(grid):
     # dipping to ~5e-4; the error at every node must be small relative to z.
     lams = [1.0, 10.0, 100.0, 1000.0]
     kernel = Exponential(mu=0.2, c=-2.0, a0=1.0)
-    ref = _march(kernel, lams, grid)
+    ref = _expm_relaxation(kernel, lams, grid.nodes)
     z = relaxation_values(kernel, lams, grid)
     assert np.max(np.abs(z - ref) / np.abs(ref)) <= 1e-6
+
+
+EXACT_KERNELS = [
+    Heat(1.0), Wave(c=1.0), Exponential(mu=1.0, c=1.0), NegExponential(), Cosine(),
+    Exponential(mu=0.2, c=-2.0, a0=1.0), Exponential(mu=1.0, c=1.0) + Heat(0.5),
+    ScaledKernel(Exponential(mu=1.0, c=1.0), 2.0), TimeDilated(Cosine(), 3.0),
+    TimeDilated(NegExponential(), 3.0), TimeDilated(Wave(c=1.0, a0=0.5), 2.0),
+    Exponential(mu=1.0, c=1.0) + Exponential(mu=3.0, c=2.0), Cosine() + Heat(0.1),
+    Wave(c=1.0) + Exponential(mu=1.0, c=1.0),
+    Exponential(mu=1.0, c=1.0) + Cosine() + Wave(c=0.5) + Heat(0.3),
+    dilate(Exponential(mu=1.0, c=1.0), 1e4), dilate(NegExponential(), 1e4),
+    dilate(Exponential(mu=1.0, c=1.0, a0=0.2) + Exponential(mu=3.0, c=2.0), 1e4),
+    dilate(Cosine() + Heat(0.3), 1e4),
+]
+
+
+@pytest.mark.parametrize("kernel", EXACT_KERNELS, ids=lambda k: k.description)
+def test_exact_path_matches_expm(kernel):
+    # Every family; sums, scalings and dilations up to T = 1e4; two rates,
+    # conjugate pairs and t-terms; lam = 0, lam near critical damping of
+    # Exponential(mu=1, c=1) (lam = 1/4) and lam over 12 decades.  The
+    # reference is scipy's expm of a generator built here from exp_terms.
+    critical = 0.25 * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    for grid, lams in ((TimeGrid(10.0, 500), np.geomspace(1e-2, 1e3, 16)),
+                       (TimeGrid(1.0, 100), np.geomspace(1e-6, 1e6, 25))):
+        lams = np.concatenate([[0.0], critical, lams])
+        n = grid.n_steps
+        idx = np.unique(np.r_[0, 1, 2, np.arange(0, n + 1, n // 20), n - 1, n])
+        full = relaxation_values(kernel, lams, grid)
+        (z,), _ = _solve_nodes([kernel], [lams], grid, idx)
+        ref = _expm_relaxation(kernel, lams, grid.nodes[idx])
+        assert np.all(np.abs(full[:, idx] - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+        assert np.array_equal(z, full[:, idx].T)
+        assert np.all(full[0] == 1.0)
+    # No time step enters: t = 1 is the same on every grid, up to rounding.
+    lams = np.concatenate([critical, np.geomspace(1e-2, 1e3, 16)])
+    at_1 = [relaxation_values(kernel, lams, TimeGrid(1.0, n))[:, -1] for n in (10, 100, 1000)]
+    for z in at_1[1:]:
+        assert np.all(np.abs(z - at_1[0]) <= 1e-13 * np.maximum(1.0, np.abs(at_1[0])))
 
 
 def test_fft_division_refuses_rows_that_outgrow_their_precision():
@@ -330,89 +401,26 @@ def test_fft_division_scales_its_rounding_by_the_half_that_holds_a_node():
         relaxation_values(kernel, [100.0], grid)
 
 
-def _recurrence_weights(kernel, grid):
-    """(wL, wR) that the recurrence path marches, rebuilt from its modes.
-
-    wR[0] and wL[0] are given; a mode (rho, KR, KL, f) adds (KR, KL)
-    (rho^r - 1) to cell r, or (f r, f r) for a t-term (rho = 1).
-    """
-    (wR0,), (wL0,), modes = _memory_modes([_exp_poly_terms(kernel)], grid.dt)
-    rho, KR, KL, f = modes[..., 0]
-    r = np.arange(grid.n_steps)[:, None]
-    t_term = rho == 1.0
-    grow = np.where(t_term, f * r, rho**r - 1.0)
-    return (wL0 + np.real(grow @ np.where(t_term, 1.0, KL)),
-            wR0 + np.real(grow @ np.where(t_term, 1.0, KR)))
-
-
-def test_exp_poly_weights_match_mpmath():
-    # Differences of antiderivatives at 30 digits keep 20 after the
-    # cancellation; at double precision they were 8e-9 of max|w| off.  The
-    # march applies rho = e^(s dt), rounded once, r times, so cell r carries
-    # about r eps / 2 of its term: 1.3e-14 of max|w| at r = 4000.
-    grid = TimeGrid(20.0, 4000)
-    wL, wR = _recurrence_weights(Exponential(mu=0.2, c=-2.0, a0=1.0), grid)
-    with mpmath.workdps(30):
-        mu, c, a0, dt = map(mpmath.mpf, (0.2, -2.0, 1.0, grid.dt))
-        t = [r * dt for r in range(grid.n_steps + 1)]
-        e = [mpmath.exp(-mu * ti) for ti in t]
-        i1 = [(a0 + c / mu) * ti - c / mu**2 * (1 - ei) for ti, ei in zip(t, e)]
-        i2 = [(a0 + c / mu) * ti**2 / 2 - c / mu**3 * (1 - (1 + mu * ti) * ei) for ti, ei in zip(t, e)]
-        m0 = np.diff(i1)
-        m1 = np.diff(i2)
-        r = np.arange(grid.n_steps)
-        refR = np.array(((r + 1) * dt * m0 - m1) / dt, dtype=float)
-        refL = np.array((m1 - r * dt * m0) / dt, dtype=float)
-    for w, ref in ((wL, refL), (wR, refR)):
-        assert np.max(np.abs(w - ref)) <= 2e-14 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize(
-    "kernel, A",
-    [(TimeDilated(Cosine(), 3.0), lambda t: mpmath.sin(3 * t)),
-     (TimeDilated(Wave(c=1.0, a0=0.5), 2.0), lambda t: 0.5 + 2 * t),
-     (TimeDilated(NegExponential(), 3.0), lambda t: mpmath.exp(-3 * t)),
-     (ScaledKernel(Exponential(mu=1.0, c=1.0), 2.0), lambda t: 2 * (1 - mpmath.exp(-t))),
-     (Exponential(mu=1.0, c=1.0) + Heat(0.5), lambda t: 1.5 - mpmath.exp(-t))],
-    ids=["dilated-cosine", "dilated-wave", "dilated-negexponential", "scaled-exponential",
-         "exponential+heat"],
-)
-def test_recurrence_weights_of_composite_kernels_match_mpmath(kernel, A):
-    # Scalings, sums and dilations (s -> T s; Wave dilates within its
-    # family) combine the families' terms; the reference integrates A
-    # itself against the hats.
-    # Cell r may carry r eps of max|w| from rho^r (2.7e-14 for the dilated
-    # Cosine at r = 999); a wrong combination would be off by O(1).
-    grid = TimeGrid(10.0, 1000)
-    wL, wR = _recurrence_weights(kernel, grid)
-    cells = np.array([0, 1, 2, 500, 999])
-    with mpmath.workdps(30):
-        dt = mpmath.mpf(grid.dt)
-        refL = [mpmath.quad(lambda s: A(s) * (s - r * dt), [r * dt, (r + 1) * dt]) / dt for r in cells]
-        refR = [mpmath.quad(lambda s: A(s) * ((r + 1) * dt - s), [r * dt, (r + 1) * dt]) / dt for r in cells]
-    for w, ref in ((wL, refL), (wR, refR)):
-        ref = np.array(ref, dtype=float)
-        assert np.all(np.abs(w[cells] - ref) <= (4 + cells) * np.finfo(float).eps * np.max(np.abs(w)))
-
-
 @pytest.mark.parametrize(
     "kernel, states",
     [(Heat(1.0), 0), (Wave(c=1.0, a0=0.5), 1), (Exponential(mu=1.0, c=1.0), 1),
-     (Exponential(mu=1.0, c=1.0) + Heat(0.5), 1), (Cosine(), 1),
-     (dilate(Cosine() + NegExponential(), 3.0), 2),
+     (Exponential(mu=1.0, c=1.0) + Heat(0.5), 1), (Cosine(), 2),
+     (Exponential(mu=1.0, c=1.0) + Exponential(mu=1.0, c=2.0), 1),
+     (dilate(Cosine() + NegExponential(), 3.0), 3),
      (PowerLaw(beta=0.5, c=1.0) + Exponential(mu=1.0, c=1.0), None),
      (dilate(LogModified(), 2.0), None)],
     ids=lambda k: getattr(k, "description", k),
 )
 def test_exp_poly_terms_choose_the_recurrence_path(kernel, states):
-    # The recurrence takes exponential polynomials, with one column of
-    # states per real rate s != 0, per conjugate pair and per t-term; the
-    # FFT division keeps every other kernel.
+    # The exact path takes exponential polynomials, with one memory state
+    # per real rate s != 0 and for the t-terms, and two per conjugate pair;
+    # the FFT division keeps every other kernel.
     terms = _exp_poly_terms(kernel)
     if states is None:
-        assert terms is None
+        assert terms is None and _path(kernel)[0] == "fft"
     else:
-        assert _memory_modes([terms], 0.01)[2][..., 0].shape == (4, states)
+        assert len(_generator(terms)[0]) - 1 == states
+        assert _path(kernel)[:2] == ("exact", states)
 
 
 @pytest.mark.parametrize("T", [1.0, 7.5])
@@ -640,47 +648,34 @@ def _dilated_pairs(kernels, lams, dilation, member=0):
 
 
 @pytest.mark.parametrize(
-    "kernel, lams, dilation, n, tables",
-    [(Exponential(mu=1.0, c=1.0), np.geomspace(1e-3, 1e4, 40), 1.0, 1000, None),
-     (Cosine(), np.geomspace(1e-3, 1e4, 40), 1.0, 1000, None),
-     (Wave(c=1.0), np.geomspace(1e-3, 1e2, 40), 1.0, 1000, None),
+    "kernel, lams, dilation, n",
+    [(Exponential(mu=1.0, c=1.0), np.geomspace(1e-3, 1e4, 40), 1.0, 1000),
+     (Cosine(), np.geomspace(1e-3, 1e4, 40), 1.0, 1000),
+     (Wave(c=1.0), np.geomspace(1e-3, 1e2, 40), 1.0, 1000),
      (Exponential(mu=1.0, c=1.0) + Cosine() + Wave(c=0.5) + Heat(0.3),
-      np.geomspace(1e-3, 1e2, 40), 1.0, 1000, None),
+      np.geomspace(1e-3, 1e2, 40), 1.0, 1000),
      (Exponential(mu=1.0, c=1.0), np.repeat(np.geomspace(1e-2, 1e3, 10), 3),
-      np.tile([1.0, 10.0, 100.0], 10), 1000, None),
-     (Heat(1.0) + Cosine(), [0.0, 0.5, 0.0, 50.0], 1.0, 203, None),
-     (Exponential(mu=0.2, c=-2.0, a0=1.0), [0.0, 0.01, 0.1, 1.0, 10.0], 1.0, 1000, None),
-     (Exponential(mu=0.1, c=-0.2, a0=1.0) + Cosine(), [0.3, 1.0, 3.0], [1.0, 10.0, 1.0], 203, None),
-     (Exponential(mu=0.1, c=-0.2, a0=1.0) + Cosine(), [0.3, 0.0, 1.0, 0.0, 3.0, 0.0], 1.0, 1000, [1, 2, 3])],
+      np.tile([1.0, 10.0, 100.0], 10), 1000),
+     (Heat(1.0) + Cosine(), [0.0, 0.5, 0.0, 50.0], 1.0, 203),
+     (Exponential(mu=0.2, c=-2.0, a0=1.0), [0.0, 0.01, 0.1, 1.0, 10.0], 1.0, 1000),
+     (Exponential(mu=0.1, c=-0.2, a0=1.0) + Cosine(), [0.3, 1.0, 3.0], [1.0, 10.0, 1.0], 203)],
     ids=["real-rate", "complex-pair", "t-term", "mixed-sum", "mixed-dilations", "lambda-0",
-         "growing", "growing-mixed", "late-live-rows"],
+         "growing", "growing-mixed"],
 )
-def test_requested_nodes_equal_the_full_solve_bitwise(kernel, lams, dilation, n, tables, monkeypatch):
-    # The recurrence evaluates a 64-step block of a requested-node solve
-    # only for the rows whose bound could raise the running peak, from a
-    # power table of those rows alone, so the peak must still be exact over
-    # every node and z must keep its bits.  Steps 1 + 64 b end the blocks;
-    # n = 203 ends in a short block.  In the last case the rows lam = 1
-    # and 3 turn live only after the first block, between lam = 0 rows,
-    # so the table of live rows is built again as it grows.
-    built, power_table = [], _power_table
-
-    def recording(S):
-        built.append(S.shape[-1])
-        return power_table(S)
-
-    monkeypatch.setattr("memdiff.volterra._power_table", recording)
+def test_requested_nodes_equal_the_full_solve_bitwise(kernel, lams, dilation, n):
+    # A requested node of a kernel with two or more memory states is row 0
+    # of E^i by the chain of squarings over the bits of i, which the table
+    # of every node follows too, so z must keep its bits; the closed form of
+    # the others is elementwise in time.  The exact path evaluates only the
+    # requested nodes, so its peak is max|z| over them.
     grid = TimeGrid(20.0, n)
     nodes = [0, 1, 2, 65, 66, 130, n - 1, n, 66]
     _, kernels, blocks = _dilated_pairs([kernel], lams, dilation)
     full = _solve_nodes(kernels, blocks, grid)[0]
-    del built[:]
     z, peak = _solve_nodes(kernels, blocks, grid, nodes)
     for zk, fk in zip(z, full, strict=True):
         assert np.array_equal(zk, fk[nodes])
-    assert np.array_equal(peak, max(_abs_max(fk) for fk in full))
-    if tables is not None:
-        assert built == tables
+    assert np.array_equal(peak, max(_abs_max(fk[nodes]) for fk in full))
 
 
 EXP_POLY_FAMILIES = [
@@ -690,35 +685,9 @@ EXP_POLY_FAMILIES = [
 
 
 @pytest.mark.parametrize("kernel", EXP_POLY_FAMILIES, ids=lambda k: k.description)
-def test_block_bound_covers_the_power_table(kernel):
-    # A requested-node solve builds no power table over all rows: from the
-    # squarings alone it bounds every entry of row 0 of S^1..S^64, and it
-    # forms the table's columns at the requested offsets and S^64, which
-    # must keep the bits of the table's.  Wave and Exponential(c < 0) grow,
-    # Cosine is a complex pair (d = 3); lam runs over 7 decades and every
-    # row is solved at three dilations (at 30, 1 + lam wR[0] <= 0 for the
-    # growing Exponential).
-    Ts = [1.0, 3.0, 10.0]
-    lams = np.geomspace(1e-3, 1e4, 30)
-    terms_list = [_exp_poly_terms(dilate(kernel, T)) for T in Ts]
-    which = np.repeat(np.arange(len(Ts)), len(lams))
-    with np.errstate(all="ignore"):
-        S, _ = _step_map(terms_list, np.tile(lams, len(Ts)), which, 20.0 / 1000)
-        row0, S64 = _power_table(S)
-        U, cols, S64_alone = _block_bound(S, range(_STEP_BLOCK))
-        R = np.max(np.abs(row0), axis=1)
-    # NaN compares false, so a NaN entry of the table needs a NaN or inf U.
-    assert np.all((U >= R * (1.0 - 1e-12)) | ~(U < np.inf))
-    assert np.array_equal(S64_alone, S64, equal_nan=True)
-    assert sorted(cols) == list(range(_STEP_BLOCK))
-    for k, col in cols.items():
-        assert np.array_equal(col, row0[:, k], equal_nan=True)
-
-
-@pytest.mark.parametrize("kernel", EXP_POLY_FAMILIES, ids=lambda k: k.description)
 def test_lambda_zero_rows_are_exactly_one_on_both_paths(kernel):
-    # Rows with lam = 0 take no part in the recurrence's bound scan; they
-    # are set to 1, between rows of other lam and dilations.
+    # Rows with lam = 0 are set to 1, between rows of other lam and
+    # dilations, with every node or a few requested.
     grid = TimeGrid(20.0, 500)
     lams, dilation = [0.0, 1.0, 0.0, 10.0, 0.0], [1.0, 1.0, 10.0, 1.0, 100.0]
     _, kernels, blocks = _dilated_pairs([kernel], lams, dilation)
@@ -729,41 +698,19 @@ def test_lambda_zero_rows_are_exactly_one_on_both_paths(kernel):
         assert np.all(zk[:, block == 0.0] == 1.0)
 
 
-def test_recurrence_skips_blocks_below_the_running_peak(monkeypatch):
-    # max|z| is 2.9 at lam = 0.01 and 2.8e12 at lam = 10 for this kernel,
-    # which is not positive definite.  Once the lam = 10 row has raised the
-    # peak past anything the other row can reach, only it is evaluated; a
-    # bound compared with 1 instead would keep both rows live throughout.
-    live = []
-
-    def recording(a):
-        live.append(np.shape(a)[-1])
-        return _abs_max(a)
-
-    monkeypatch.setattr("memdiff.volterra._abs_max", recording)
-    _solve_nodes([Exponential(mu=0.2, c=-2.0, a0=1.0)], [[0.01, 10.0]], TimeGrid(20.0, 1000), nodes=[0])
-    # One call on z at step 1, then one per evaluated block with its live
-    # rows: the lam = 10 row raises the peak in each of the 16 blocks.
-    assert len(live) == 17 and live[1:].count(2) <= 2
-
-
 @pytest.mark.parametrize(
     "kernel, lams, grid, dilation, nodes",
-    [(Wave(c=1.0), [1e4, 3e4], TimeGrid(50.0, 1000), 1.0, None),
-     (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, None),
+    [(LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, None),
      (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, [0]),
-     (Exponential(mu=1.0, c=5.0, a0=-1.0), [14.647973968236519], TimeGrid(20.0, 100), 1.0, [0])],
-    ids=["wave-recurrence", "logmodified-fft", "logmodified-fft-node-0", "recurrence-node-0"],
+     (Exponential(mu=0.2, c=-2.0, a0=1.0), [1e3], TimeGrid(500.0, 100), 1.0, [100])],
+    ids=["logmodified-fft", "logmodified-fft-node-0", "exact-overflow"],
 )
 def test_non_finite_solve_raises(kernel, lams, grid, dilation, nodes):
-    # The march diverges for Wave at lam c dt^2 = 25 and 75, and the FFT
-    # division overflows for the dilated LogModified: both came back as NaN
-    # rows with only a RuntimeWarning.  Node 0 is 1, so asked for it alone
-    # the solve must still see the NaN of the nodes it does not return.
-    # In the last case 1 + lam wR[0] = 1e-12, so z alternates in sign and
-    # grows 1e12-fold per step: the powers of the step map, and with them
-    # the bound of the recurrence's first block, are NaN, and that block
-    # must still be evaluated.
+    # The FFT division overflows for the dilated LogModified: it came back
+    # as NaN rows with only a RuntimeWarning.  Node 0 is 1, so asked for it
+    # alone the solve must still see the NaN of the nodes it does not
+    # return.  The growing Exponential overflows exactly: z grows like
+    # e^(1.8 t), past the largest double at t = 500.
     with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="not finite"):
         _solve_nodes([dilate(kernel, dilation)], [lams], grid, nodes)
 
@@ -798,9 +745,9 @@ MULTI_NODES = [0, 1, 2, 65, 130, 199, 200]
 
 
 def test_multi_kernel_recurrence_rows_of_two_layouts(monkeypatch):
-    # Exponential and Exponential + Heat have one real column, Cosine a
-    # conjugate pair: two recurrence calls, one per layout.
-    calls = _count_calls(monkeypatch, "_recurrence_values")
+    # Exponential and Exponential + Heat have one memory state, Cosine two:
+    # two calls of the exact path, one per state count.
+    calls = _count_calls(monkeypatch, "_exact_values")
     kernels = (Exponential(mu=1.0, c=1.0), Cosine(), Exponential(mu=0.5, c=2.0) + Heat(0.3))
     lams = [0.0, 0.5, 3.0, 0.5, 40.0, 2.0, 0.5]
     dilation = [1.0, 10.0, 1.0, 1.0, 3.0, 10.0, 10.0]
@@ -853,16 +800,15 @@ def test_multi_kernel_call_mixing_paths():
 
 
 def test_multi_kernel_peak_keeps_nan_from_any_group():
-    # Wave, alone on the recurrence or with a power law on the FFT path,
-    # diverges to NaN at lam c dt^2 = 25 (see test_non_finite_solve_raises);
-    # the growing Exponential has a finite peak of 2.7e32.  A max over the
-    # groups by Python's max would keep NaN in one order and drop it in the
-    # other.
+    # Wave with a power law, on the FFT path, diverges to NaN at
+    # lam c dt^2 = 25; the growing Exponential, on the exact path, has a
+    # finite peak of 1.0 at the one node asked for.  A max over the groups
+    # by Python's max would keep NaN in one order and drop it in the other.
     grid = TimeGrid(50.0, 1000)
-    growing, wave = Exponential(mu=0.2, c=-2.0, a0=1.0), Wave(c=1.0)
-    fft_wave = PowerLaw(beta=0.5) + wave
+    growing = Exponential(mu=0.2, c=-2.0, a0=1.0)
+    fft_wave = PowerLaw(beta=0.5) + Wave(c=1.0)
     with np.errstate(all="ignore"):
-        for kernels in ((growing, wave), (growing, fft_wave), (fft_wave, growing)):
+        for kernels in ((growing, fft_wave), (fft_wave, growing)):
             lams = [10.0 if k is growing else 1e4 for k in kernels]
             for order in ([0, 1], [1, 0]):
                 with pytest.raises(StepSizeError, match=r"max\|z\| = nan"):
@@ -944,9 +890,11 @@ def test_negative_lambda_rejected():
 
 
 def test_nonpositive_implicit_coefficient_rejected():
-    # A < 0 near 0 makes 1 + lam * wR[0] negative at lam * dt = 100.
-    with pytest.raises(StepSizeError):
-        solve_relaxation(Exponential(mu=1.0, c=-2.0, a0=0.0), 1e3, TimeGrid(1.0, 10))
+    # A < 0 near 0 makes 1 + lam * wR[0] of the march negative at
+    # lam * dt = 100.
+    kernel = PowerLaw(beta=0.5, c=0.01) + Exponential(mu=1.0, c=-2.0)
+    with pytest.raises(StepSizeError, match="implicit coefficient"):
+        solve_relaxation(kernel, 1e3, TimeGrid(1.0, 10))
 
 
 def test_kernel_convergence_identical_is_zero():
@@ -978,14 +926,16 @@ def test_kernel_convergence_dilated_powerlaw():
 
 
 def test_kernel_convergence_accepts_sampled_arrays():
+    # Member and limit are both samples of A (a sampled member is marched,
+    # while Heat itself would be solved exactly).
     grid = TimeGrid(1.0, 200)
-    k = Heat(1.0)
-    A = np.asarray(k.primitive(grid.nodes), dtype=float)
-    rep = kernel_convergence_test([A], k, 2.0, grid)
+    A = np.asarray(Heat(1.0).primitive(grid.nodes), dtype=float)
+    rep = kernel_convergence_test([A], A.copy(), 2.0, grid)
     assert rep.sup_distance[0] < 1e-10
+    limit = A.copy()
     A[3] = np.nan
     with pytest.raises(DomainError, match="finite"):
-        kernel_convergence_test([A], k, 2.0, grid)
+        kernel_convergence_test([A], limit, 2.0, grid)
 
 
 @given(st.floats(min_value=0.01, max_value=50.0))
