@@ -12,12 +12,16 @@ plain ones.
 The canonical scaling is k(t) = sqrt(t A(t) Gamma(1+beta)); with it the
 rescaled fields approach the Mittag-Leffler limit profile of index
 alpha = 1 + beta as T grows.
+
+Every factor of an H^s distance but the datum is constant on a shell of
+equal |xi|^2, so the studies fit the datum once (``spectral._shell_fit``)
+and sum each row over the shells: the per-mode sum to rounding, not bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,12 +36,13 @@ from .spectral import (
     InitialData,
     ModeGrid,
     SpectralField,
-    _mode_factors,
-    _require_finite_exponent,
-    hs_norm,
-    limit_profile,
+    _hs_weights,
+    _lattice,
+    _shell_factors,
+    _shell_fit,
+    unique_lambdas,
 )
-from .specfun import gamma as gamma_fn
+from .specfun import gamma as gamma_fn, mittag_leffler
 from .volterra import TimeGrid, _solve_nodes
 
 #: Slack on a regular-variation index: how far its estimate may lie from
@@ -109,7 +114,8 @@ def _dilated_time_grid(t_max: float, n_steps: int | None) -> TimeGrid:
 
 
 def _rescaled_fields(kernel, u0, sf, T_list, t_list, grid: ModeGrid, n_steps):
-    """``rescaled_values`` for every T of ``T_list``, from one solve."""
+    """Per T of ``T_list``: the datum u0_hat(xi / k(T)) on the modes, formed
+    as read, and the shell arrays z(lam / k(T)^2, T t) per t, from one solve."""
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
     if np.any(t_list <= 0):
         raise DomainError("rescaled times must be positive")
@@ -117,16 +123,13 @@ def _rescaled_fields(kernel, u0, sf, T_list, t_list, grid: ModeGrid, n_steps):
     kT = sf.k(np.array(T_list)).tolist()
     tg = _dilated_time_grid(float(np.max(t_list)), n_steps)
     lam_scale = [T / k**2 for T, k in zip(T_list, kT)]
-    factors = _mode_factors([dilate(kernel, T) for T in T_list], grid, tg, t_list, lam_scale)
-    out = []
-    for k, per_t in zip(kT, factors):
-        if grid.radial:
-            u0_scaled = u0.hat(xi_squared=grid.xi_squared() / k**2)
-        else:
-            comps = [c / k for c in grid.components()]
-            u0_scaled = u0.hat(xi_squared=grid.xi_squared() / k**2, xi_components=comps)
-        out.append([SpectralField(grid, u0_scaled * factor) for factor in per_t])
-    return out
+    zs = _shell_factors([dilate(kernel, T) for T in T_list], grid, tg, t_list, lam_scale)
+    comps = _lattice(grid).components  # None on a radial grid
+    return (
+        (u0.hat(xi_squared=grid.xi_squared() / k**2,
+                xi_components=None if comps is None else [c / k for c in comps]), z)
+        for k, z in zip(kT, zs)
+    )
 
 
 def rescaled_values(
@@ -145,7 +148,9 @@ def rescaled_values(
     The kernel must be positive definite, as ``converge_to_limit`` checks;
     |z| above 1 then means the grid is too coarse and raises StepSizeError.
     """
-    return _rescaled_fields(kernel, u0, sf, [T], t_list, grid, n_steps)[0]
+    ((u0_scaled, zs),) = _rescaled_fields(kernel, u0, sf, [T], t_list, grid, n_steps)
+    inverse = unique_lambdas(grid)[1]
+    return [SpectralField(grid, u0_scaled * z[inverse]) for z in zs]
 
 
 def rescale_field(
@@ -317,7 +322,7 @@ def converge_to_limit(
     positivity of A, regular variation, index range, index consistency
     with the scaling function, and the Sobolev-exponent branch.
     """
-    _require_finite_exponent(s)
+    weight = _hs_weights(grid, s)  # refuses an s that is not finite
     est = _validate_harness_kernel(kernel, sf, s, grid.n)
     T_list = np.atleast_1d(np.asarray(T_list, dtype=float))
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
@@ -325,16 +330,15 @@ def converge_to_limit(
         raise DomainError("T_list must be strictly increasing")
     U0 = u0.mass
     report = ConvergenceReport(s=s, U0=U0, beta_estimate=est.beta)
-    profiles = {
-        float(t): limit_profile(sf.beta, grid, float(t), U0) for t in t_list
-    }
-    # The reference norm ||U0 w(., t)||_{H^s} depends on t alone.
-    ref_norms = {t: hs_norm(prof, s) for t, prof in profiles.items()}
-    all_fields = _rescaled_fields(kernel, u0, sf, T_list, t_list, grid, n_steps)
-    for T, fields in zip(T_list, all_fields):
-        for t, f in zip(map(float, t_list), fields):
-            diff = SpectralField(grid, f.values - profiles[t].values)
-            report.rows.append((float(T), t, hs_norm(diff, s), ref_norms[t]))
+    rescaled = _rescaled_fields(kernel, u0, sf, T_list, t_list, grid, n_steps)
+    # The limit U0 E_alpha(-lam t^alpha) per shell, as in limit_profile.
+    alpha, lams = 1.0 + sf.beta, unique_lambdas(grid)[0]
+    profiles = [U0 * mittag_leffler(alpha, -lams * t**alpha) for t in map(float, t_list)]
+    for T, (u0_scaled, zs) in zip(T_list, rescaled):
+        k, Y, R = _shell_fit(grid, weight, u0_scaled[None], np.ones(1))
+        for t, z, E in zip(t_list, zs, profiles):
+            dist = math.sqrt(float(np.vdot((z * k - E) ** 2, Y) + np.vdot(z * z, R)))
+            report.rows.append((float(T), float(t), dist, math.sqrt(float(np.vdot(E * E, Y)))))
     return report
 
 
@@ -376,7 +380,7 @@ def leading_order_rate(
     r(t) = t^{n/4} * ||u_hat(., t) - U0 exp(-A_inf |xi|^2 t)||_{Hs}; on the
     beta = 0 branch r decreases toward 0 along a geometric time list.
     """
-    _require_finite_exponent(s)
+    weight = _hs_weights(grid, s)  # refuses an s that is not finite
     require_positive_definite(kernel)
     A_inf = kernel.total_mass()
     if A_inf is None or not np.isfinite(A_inf) or A_inf <= 0:
@@ -393,18 +397,16 @@ def leading_order_rate(
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
     if not np.all((t_list > 0.0) & (t_list < np.inf)):  # NaN fails too
         raise DomainError("t_list must be finite and positive")
-    U0 = u0.mass
-    lam2 = grid.xi_squared()
-    base = u0.field(grid).values
+    lams = unique_lambdas(grid)[0]
+    k, Y, R = _shell_fit(grid, weight, u0.field(grid).values[None], np.ones(1))
     out = RateReport(s=s, A_infinity=float(A_inf))
     # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t.
     dilated = [dilate(kernel, t) for t in map(float, t_list)]
-    factors = _mode_factors(dilated, grid, TimeGrid(1.0, n_steps), [1.0], t_list)
-    for t, (factor,) in zip(map(float, t_list), factors):
-        u_hat = base * factor
-        w_hat = U0 * np.exp(-A_inf * lam2 * t)
-        dist = hs_norm(SpectralField(grid, u_hat - w_hat), s)
-        out.rows.append((t, float(t ** (grid.n / 4.0) * dist), float(dist)))
+    factors = _shell_factors(dilated, grid, TimeGrid(1.0, n_steps), [1.0], t_list)
+    for t, (z,) in zip(map(float, t_list), factors):
+        e = u0.mass * np.exp(-A_inf * lams * t)
+        dist = math.sqrt(float(np.vdot((z * k - e) ** 2, Y) + np.vdot(z * z, R)))
+        out.rows.append((t, float(t ** (grid.n / 4.0) * dist), dist))
     return out
 
 
@@ -427,7 +429,7 @@ def scaling_equivalence_check(
     """
     C = sf2.C / sf1.C
     f2 = rescale_field(kernel, u0, sf2, T, t, grid, n_steps)
-    shrunk = ModeGrid(grid.n, grid.modes_per_axis, grid.xi_max / C, grid.radial)
+    shrunk = replace(grid, xi_max=grid.xi_max / C)
     f1 = rescale_field(kernel, u0, sf1, T, t, shrunk, n_steps)
     diff = float(np.max(np.abs(f2.values - f1.values)))
     return diff <= tol

@@ -187,12 +187,8 @@ class InitialData:
         raise NotImplementedError
 
     def field(self, grid: ModeGrid) -> SpectralField:
-        if grid.radial:
-            return SpectralField(grid, self.hat(xi_squared=grid.xi_squared()))
-        return SpectralField(
-            grid,
-            self.hat(xi_squared=grid.xi_squared(), xi_components=grid.components()),
-        )
+        comps = _lattice(grid).components  # None on a radial grid
+        return SpectralField(grid, self.hat(xi_squared=grid.xi_squared(), xi_components=comps))
 
 
 @dataclass
@@ -298,27 +294,44 @@ def evolve(
     return [SpectralField(grid, base * factor) for factor in factors]
 
 
-def _require_finite_exponent(s: float):
-    """DomainError unless the Sobolev exponent s is finite (NaN fails too)."""
+def _hs_weights(grid: ModeGrid, s: float) -> np.ndarray:
+    """Per mode, the weight of the trapezoid H^s quadrature: (1+|xi|^2)^s
+    times the trapezoid weight times dxi^n / (2 pi)^n, and on a radial grid
+    times surf * r^(n-1), with surf the area of the unit sphere.  Raises
+    DomainError unless the Sobolev exponent s is finite (NaN fails too)."""
     if not math.isfinite(s):
         raise DomainError(f"Sobolev exponent s must be finite (got s = {s})")
+    scale = (grid.dxi / (2.0 * math.pi)) ** grid.n
+    if grid.radial:
+        surf = 2.0 * math.pi ** (grid.n / 2.0) / math.gamma(grid.n / 2.0)
+        scale = surf * grid.axis ** (grid.n - 1) * grid.dxi / (2.0 * math.pi) ** grid.n
+    return grid.trapezoid_weights() * (1.0 + grid.xi_squared()) ** s * scale
+
+
+def _shell_sums(grid: ModeGrid, w, x, y=None) -> np.ndarray:
+    """Per shell: the sum of w x.y, x.y dotted over the leading axis (y = x by default)."""
+    lams, inverse = unique_lambdas(grid)
+    xy = np.einsum("i...,i...->...", x, x if y is None else y)
+    return np.bincount(inverse.ravel(), (w * xy).ravel(), len(lams))
+
+
+def _shell_fit(grid: ModeGrid, w, x, y):
+    """(k, Y, R) per shell for x and a real y, dotted over their leading axis:
+    Y = sum w y.y, k = sum w Re(x).y / Y (0 where Y = 0), R = sum w |x - k y|^2.
+    So for real f, e constant on shells, sum w |f x - e y|^2 is the sum over
+    the shells of (f k - e)^2 Y + f^2 R, of nonnegative parts that do not cancel."""
+    inverse = unique_lambdas(grid)[1]
+    Y = _shell_sums(grid, w, y)
+    k = np.divide(_shell_sums(grid, w, x.real, y), Y, out=np.zeros_like(Y), where=Y > 0)
+    R = _shell_sums(grid, w, x.real - k[inverse] * y)
+    if np.iscomplexobj(x):
+        R = R + _shell_sums(grid, w, x.imag)
+    return k, Y, R
 
 
 def hs_norm(field_: SpectralField, s: float) -> float:
     """((2 pi)^{-n} integral (1+|xi|^2)^s |u_hat|^2 d xi)^{1/2} by trapezoid."""
-    _require_finite_exponent(s)
-    grid = field_.grid
-    weight = (1.0 + grid.xi_squared()) ** s * np.abs(field_.values) ** 2
-    if grid.radial:
-        r = grid.axis
-        n = grid.n
-        surf = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-        integral = surf * np.trapezoid(r ** (n - 1) * weight, r)
-    else:
-        integral = float(
-            np.sum(grid.trapezoid_weights() * weight) * grid.dxi**grid.n
-        )
-    return math.sqrt(integral / (2.0 * math.pi) ** grid.n)
+    return math.sqrt(float(np.sum(_hs_weights(field_.grid, s) * np.abs(field_.values) ** 2)))
 
 
 def synthesize(field_: SpectralField):

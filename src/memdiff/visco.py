@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DomainError, HypothesisViolation
 from .kernels import MemoryKernel, dilate, require_positive_definite, scale
-from .spectral import InitialData, ModeGrid, SpectralField, hs_norm, unique_lambdas
-from .spectral import _mode_factors, _require_finite_exponent, _shell_factors
+from .spectral import ModeGrid, SpectralField, hs_norm, unique_lambdas
+from .spectral import _hs_weights, _mode_factors, _shell_factors, _shell_fit, _shell_sums
 from .volterra import TimeGrid
 from . import spectral
 
@@ -235,20 +235,16 @@ def visco_asymptotics(
     relaxations of the gradient-part and shear kernels, and
     e_K = exp(-K |xi|^2 t).  At xi = 0, where P passes the value and Q
     vanishes, it is |f1 v0_hat(0) - V0|^2.  The squares are weighted by
-    the trapezoid H^s weight w = (1 + |xi|^2)^s dxi^3 / (2 pi)^3.
+    the H^s quadrature weight w of ``spectral._hs_weights``.
 
-    f1, f and e_K are constant on each shell of equal |xi|^2 (the buckets
-    of ``unique_lambdas``, e_K taken at the shell's value), so the datum
-    is reduced once per study to per-shell sums, and each t sums over the
-    shells alone.  On a shell, with G = sum w |xi|^2 c_V^2 and
-    a = sum w |xi|^2 c c_V / G (0 where G = 0), the gradient part is
-    (f1 a - e_B)^2 G + f1^2 sum w |xi|^2 (c - a c_V)^2; the divergence-free
-    part is formed the same way from Q v0_hat and Q V0.  Each term is a sum
-    of nonnegative parts, so nothing cancels where the field is close to
-    the Stokes solution.  The imaginary parts of the datum only scale by
-    f1 and f (V0 is real) and add two sums per shell; a datum with no
-    nonzero imaginary part skips them.  Each row is within 1e-14 relative
-    of the per-mode assembly of the vector fields.
+    f1, f and e_K are constant on each shell of equal |xi|^2 (e_K taken at
+    the shell's value), so ``spectral._shell_fit`` reduces the datum once
+    per study, c against c_V under the weight w |xi|^2 and Q v0_hat against
+    Q V0 under w, and each t sums over the shells alone.  The imaginary
+    parts of the datum only scale by f1 and f (V0 is real) and add two
+    sums per shell; a datum with no nonzero imaginary part skips them.
+    Each row is within 1e-14 relative of the per-mode assembly of the
+    vector fields.
 
     Requires a finite Sobolev exponent s and finite positive effective
     viscosities A (shear) and B (gradient part); refusals name the
@@ -256,7 +252,7 @@ def visco_asymptotics(
     vanish; the report flags it.  Any other mass vector, however small,
     scales the distances linearly.
     """
-    _require_finite_exponent(s)
+    weight = _hs_weights(grid, s)  # refuses an s that is not finite
     pair.validate()
     A, B = pair.effective_viscosities()
     for val, name in ((A, "shear"), (B, "gradient-part")):
@@ -271,23 +267,8 @@ def visco_asymptotics(
     V0 = base.mass_vector
     zero = grid.zero_index()
     v_zero = base.values[(slice(None),) + zero]
-    lam = grid.xi_squared()
     lams, inverse = unique_lambdas(grid)
-    weight = grid.trapezoid_weights() * (1.0 + lam) ** s * (grid.dxi / (2.0 * math.pi)) ** 3
-    weight_p = weight * lam
-
-    def shells(w, x, y=None):
-        """Per shell: sum of w x.y over the leading axis (y = x by default)."""
-        xy = np.sum(x * (x if y is None else y), axis=0)
-        return np.bincount(inverse.ravel(), (w * xy).ravel(), len(lams))
-
-    def fit(w, x, y):
-        """Per shell: Y = sum w y.y, k = sum w x.y / Y (0 where Y = 0) and
-        the remainder sum w |x - k y|^2."""
-        Y = shells(w, y)
-        k = np.divide(shells(w, x, y), Y, out=np.zeros_like(Y), where=Y > 0)
-        return k, Y, shells(w, x - k[inverse] * y)
-
+    weight_p = weight * grid.xi_squared()
     # V0 is real, so the imaginary parts of the datum only scale by f1, f:
     # their sums are formed once.  The parts are split one at a time as
     # real arrays, with the bits of the complex split's, and what a split
@@ -296,13 +277,13 @@ def visco_asymptotics(
     imag_p = imag_q = 0.0
     if part and base.values.imag.any():
         c, q0 = _split(grid, base.values.imag, part)[::2]
-        imag_p, imag_q = shells(weight_p, c[None]), shells(weight, q0)
+        imag_p, imag_q = _shell_sums(grid, weight_p, c[None]), _shell_sums(grid, weight, q0)
         del c, q0
     c, q0 = _split(grid, base.values.real, part)[::2]
     c_V, q_V = _split(grid, np.broadcast_to(V0[:, None, None, None], base.values.shape))[::2]
-    a, G, R = fit(weight_p, c[None], c_V[None])
+    a, G, R = _shell_fit(grid, weight_p, c[None], c_V[None])
     del c, c_V
-    b, H, S = fit(weight, q0, q_V)
+    b, H, S = _shell_fit(grid, weight, q0, q_V)
     R, S = R + imag_p, S + imag_q
     report = ViscoRateReport(s=s, A=float(A), B=float(B), degenerate_mass=not V0.any())
     tg = TimeGrid(1.0, n_steps)

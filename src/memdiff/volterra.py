@@ -678,7 +678,9 @@ def _solve_nodes(kernels, lambdas, grid: TimeGrid, nodes=None, bounded=False):
     count of lambda arrays that is not one per kernel, for a node index
     that is not an integer or lies off the grid and for a kernel with no
     path (``_power_law_constants``), StepSizeError if any node is not
-    finite or, with ``bounded``, the peak exceeds 1 + BOUND_TOL, and
+    finite (naming a too coarse time grid on the FFT division, an overflow
+    of the exact solution elsewhere) or, with ``bounded``, the peak exceeds
+    1 + BOUND_TOL, and
     PrecisionLossError for an FFT-path row that grew past the precision of
     its requested nodes (see ``_solve_matrix``).  The StepSizeErrors come
     first, since the FFT division's peak covers every node: a row that
@@ -717,13 +719,13 @@ def _solve_nodes(kernels, lambdas, grid: TimeGrid, nodes=None, bounded=False):
         else:
             zg, pg, lost_g = _solve_matrix(kernels[members[0]], lam[0], grid, index)
             lost = lost or lost_g
+        if not np.isfinite(pg):
+            cure = ("refine the time grid" if path == "fft"
+                    else "the exact solution overflows float64")
+            raise StepSizeError(f"max|z| = {pg:.3e}: the solve is not finite; {cure}")
         peak = np.maximum(peak, pg)
         for m, z in zip(members, np.split(zg, np.cumsum([len(l) for l in lam])[:-1], axis=1)):
             zs[m] = z
-    if not np.isfinite(peak):
-        raise StepSizeError(
-            f"max|z| = {peak:.3e}: the solve is not finite; refine the time grid"
-        )
     if bounded:
         require_bounded(peak)
     if lost:

@@ -2,12 +2,14 @@
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memdiff import asymptotics, spectral
 from memdiff.asymptotics import (
     RV_GRID,
     ConvergenceReport,
@@ -36,7 +38,9 @@ from memdiff.kernels import (
 )
 from memdiff.specfun import gamma, mittag_leffler
 from memdiff.spectral import (
+    BoxFunction,
     Gaussian,
+    InitialData,
     ModeGrid,
     SpectralField,
     hs_norm,
@@ -169,27 +173,72 @@ def test_converge_exponential_strictly_decreasing():
         assert np.all(np.diff(d) < 0.0)
 
 
-def test_converge_matches_a_loop_over_T_bitwise():
-    # One solve for every T gives the bits of one dilated solve per T.
+def _spy_shell_factors(monkeypatch):
+    """Record each call of ``_shell_factors`` by the studies: (kernels, z)."""
+    seen = []
+
+    def spy(kernels, *args):
+        seen.append((kernels, spectral._shell_factors(kernels, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(asymptotics, "_shell_factors", spy)
+    return seen
+
+
+def _per_mode_hs(grid, values, s):
+    """H^s norm as a sum over the modes: the product trapezoid rule on a
+    full grid, np.trapezoid over r on a radial one."""
+    weight = (1.0 + grid.xi_squared()) ** s * np.abs(values) ** 2
+    if grid.radial:
+        r, n = grid.axis, grid.n
+        surf = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        integral = surf * np.trapezoid(r ** (n - 1) * weight, r)
+    else:
+        integral = np.sum(grid.trapezoid_weights() * weight) * grid.dxi**grid.n
+    return math.sqrt(integral / (2.0 * math.pi) ** grid.n)
+
+
+def _assert_converge_rows_close(rows, ref_rows):
+    # Distances within 1e-15 of the reference norm, reference norms within
+    # 1e-15 relative: the shell sums reorder the per-mode sums.
+    assert [r[:2] for r in rows] == [r[:2] for r in ref_rows]
+    for (_, _, dist, ref), (_, _, ref_dist, ref_ref) in zip(rows, ref_rows, strict=True):
+        assert abs(dist - ref_dist) <= 1e-15 * ref_ref
+        assert abs(ref - ref_ref) <= 1e-15 * ref_ref
+
+
+def _assert_rate_rows_close(rows, ref_rows):
+    assert [r[0] for r in rows] == [r[0] for r in ref_rows]
+    for (_, r, dist), (_, ref_r, ref_dist) in zip(rows, ref_rows, strict=True):
+        assert abs(r - ref_r) <= 1e-14 * ref_r and abs(dist - ref_dist) <= 1e-14 * ref_dist
+
+
+def test_converge_matches_a_loop_over_T_bitwise(monkeypatch):
+    # One solve for every T gives the bits of one dilated solve per T, and
+    # the rows are the per-mode sums over those solves, to rounding.
+    seen = _spy_shell_factors(monkeypatch)
     kernel = Exponential(mu=1.3, c=0.9, a0=0.2)
     sf = ScalingFunction(kernel=kernel, beta=0.0)
     u0 = Gaussian(width=0.9, mass=1.4)
     grid = ModeGrid(2, 16, 6.0)
     T_list, t_list = [1e2, 1e3, 1e4], [0.5, 1.0]
     rep = converge_to_limit(kernel, u0, sf, T_list, t_list, 0.0, grid, n_steps=300)
+    ((kernels, factors),) = seen
+    assert [k.description for k in kernels] == [dilate(kernel, T).description for T in T_list]
     lams, inverse = unique_lambdas(grid)
     tg = TimeGrid(1.0, 300)
     rows = []
-    for T in T_list:
+    for T, zs in zip(T_list, factors, strict=True):
         kT = sf.k(T)
         z = relaxation_values(dilate(kernel, T), lams * (T / kT**2), tg)
         u0_scaled = u0.hat(xi_squared=grid.xi_squared() / kT**2,
                            xi_components=[c / kT for c in grid.components()])
-        for t in t_list:
+        for t, zt in zip(t_list, zs, strict=True):
+            assert np.array_equal(zt, z[:, tg.index_of(t)])
             prof = limit_profile(0.0, grid, t, u0.mass)
             diff = u0_scaled * z[:, tg.index_of(t)][inverse] - prof.values
             rows.append((T, t, hs_norm(SpectralField(grid, diff), 0.0), hs_norm(prof, 0.0)))
-    assert rep.rows == rows
+    _assert_converge_rows_close(rep.rows, rows)
 
 
 def test_converge_wave_beta_one_branch():
@@ -342,21 +391,94 @@ def test_rate_exponential_decreasing():
     assert np.all(np.diff(rep.r_values) < 0.0)
 
 
-def test_rate_matches_a_loop_over_t_bitwise():
+def test_rate_matches_a_loop_over_t_bitwise(monkeypatch):
+    # One solve for every t gives the bits of one dilated solve per t, and
+    # the rows are the per-mode sums over those solves, to rounding.
+    seen = _spy_shell_factors(monkeypatch)
     kernel = Exponential(mu=1.3, c=0.9, a0=0.2)
     u0 = Gaussian(width=0.9, mass=1.4)
     grid = ModeGrid(2, 16, 6.0)
     t_list = [2.0, 8.0, 32.0]
     rep = leading_order_rate(kernel, u0, t_list, 0.0, grid, n_steps=400)
+    ((kernels, factors),) = seen
+    assert [k.description for k in kernels] == [dilate(kernel, t).description for t in t_list]
     lams, inverse = unique_lambdas(grid)
     base = u0.field(grid).values
     rows = []
-    for t in t_list:
+    for t, (f,) in zip(t_list, factors, strict=True):
         z = relaxation_values(dilate(kernel, t), lams * t, TimeGrid(1.0, 400))[:, -1]
+        assert np.array_equal(f, z)
         w_hat = u0.mass * np.exp(-rep.A_infinity * grid.xi_squared() * t)
         dist = hs_norm(SpectralField(grid, base * z[inverse] - w_hat), 0.0)
         rows.append((t, t ** (grid.n / 4.0) * dist, dist))
-    assert rep.rows == rows
+    _assert_rate_rows_close(rep.rows, rows)
+
+
+@dataclass
+class _ShiftedGaussian(InitialData):
+    """u0_hat(xi) = exp(-i xi . shift) exp(-|xi|^2 / 2): complex, and not
+    radial, with mass 1."""
+
+    shift: tuple = (0.4, -0.7)
+
+    def hat(self, xi_squared=None, xi_components=None):
+        phase = sum(c * x for c, x in zip(xi_components, self.shift))
+        return np.exp(-0.5 * xi_squared - 1j * phase)
+
+
+_NON_DYADIC = ModeGrid(2, 18, 5.0)
+_RADIAL_3D = ModeGrid(3, 64, 6.0, radial=True)
+_BOX = BoxFunction(half_width=0.8, mass=1.2)
+
+
+@pytest.mark.parametrize("kernel, beta, u0, grid, s", [
+    pytest.param(Exponential(mu=1.3, c=0.9, a0=0.2), 0.0, _BOX, _NON_DYADIC, 0.0, id="box-s0"),
+    pytest.param(Exponential(mu=1.3, c=0.9, a0=0.2), 0.0, _BOX, _NON_DYADIC, 1.0, id="box-s1"),
+    pytest.param(Exponential(mu=1.3, c=0.9, a0=0.2), 0.0, _ShiftedGaussian(), _NON_DYADIC, 1.0,
+                 id="shifted-gaussian-s1"),
+    pytest.param(Exponential(mu=1.3, c=0.9, a0=0.2), 0.0, Gaussian(width=0.9, mass=1.4),
+                 _RADIAL_3D, 1.0, id="radial-3d-s1"),
+    pytest.param(fractional(-0.4), -0.4, _BOX, _NON_DYADIC, -1.6, id="fractional-box"),
+    pytest.param(fractional(-0.4), -0.4, _ShiftedGaussian(), _NON_DYADIC, -1.6,
+                 id="fractional-shifted-gaussian"),
+    pytest.param(fractional(-0.4), -0.4, Gaussian(width=0.9, mass=1.4), _RADIAL_3D, -1.6,
+                 id="fractional-radial-3d"),
+])
+def test_studies_match_the_per_mode_assembly(kernel, beta, u0, grid, s):
+    # The shell sums against the per-mode fields: gather z onto the modes,
+    # form the rescaled datum there, and sum over the modes.  The box and
+    # the shifted Gaussian are not radial, the latter complex, and dxi = 5/9
+    # is not dyadic, so |xi|^2 differs from its shell's value in the last
+    # bit at some modes.
+    n_steps, T_list, t_list = 300, [1e2, 1e3, 1e4], [0.5, 1.0]
+    lams, inverse = unique_lambdas(grid)
+    field = u0.field(grid)
+    assert abs(hs_norm(field, s) - _per_mode_hs(grid, field.values, s)) <= 1e-15 * hs_norm(field, s)
+    sf = ScalingFunction(kernel=kernel, beta=beta)
+    rep = converge_to_limit(kernel, u0, sf, T_list, t_list, s, grid, n_steps=n_steps)
+    tg, rows = TimeGrid(1.0, n_steps), []
+    comps = None if grid.radial else grid.components()
+    for T in T_list:
+        kT = sf.k(T)
+        z = relaxation_values(dilate(kernel, T), lams * (T / kT**2), tg)
+        u0_scaled = u0.hat(xi_squared=grid.xi_squared() / kT**2,
+                           xi_components=None if comps is None else [c / kT for c in comps])
+        for t in t_list:
+            prof = limit_profile(beta, grid, t, u0.mass).values
+            diff = u0_scaled * z[:, tg.index_of(t)][inverse] - prof
+            rows.append((T, t, _per_mode_hs(grid, diff, s), _per_mode_hs(grid, prof, s)))
+    _assert_converge_rows_close(rep.rows, rows)
+    if beta != 0.0:
+        return
+    rate_t = [2.0, 8.0, 32.0]
+    rate = leading_order_rate(kernel, u0, rate_t, s, grid, n_steps=n_steps)
+    rows = []
+    for t in rate_t:
+        z = relaxation_values(dilate(kernel, t), lams * t, tg)[:, -1]
+        w_hat = u0.mass * np.exp(-rate.A_infinity * grid.xi_squared() * t)
+        dist = _per_mode_hs(grid, field.values * z[inverse] - w_hat, s)
+        rows.append((t, t ** (grid.n / 4.0) * dist, dist))
+    _assert_rate_rows_close(rate.rows, rows)
 
 
 def test_rate_refuses_t_that_is_not_finite_and_positive():

@@ -699,20 +699,23 @@ def test_lambda_zero_rows_are_exactly_one_on_both_paths(kernel):
 
 
 @pytest.mark.parametrize(
-    "kernel, lams, grid, dilation, nodes",
-    [(LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, None),
-     (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, [0]),
-     (Exponential(mu=0.2, c=-2.0, a0=1.0), [1e3], TimeGrid(500.0, 100), 1.0, [100])],
+    "kernel, lams, grid, dilation, nodes, cure",
+    [(LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, None, "refine the time grid"),
+     (LogModified(), [700.0, 1000.0], TimeGrid(3.0, 600), 1e3, [0], "refine the time grid"),
+     (Exponential(mu=0.2, c=-2.0, a0=1.0), [1e3], TimeGrid(500.0, 100), 1.0, [100],
+      "the exact solution overflows float64")],
     ids=["logmodified-fft", "logmodified-fft-node-0", "exact-overflow"],
 )
-def test_non_finite_solve_raises(kernel, lams, grid, dilation, nodes):
+def test_non_finite_solve_raises(kernel, lams, grid, dilation, nodes, cure):
     # The FFT division overflows for the dilated LogModified: it came back
     # as NaN rows with only a RuntimeWarning.  Node 0 is 1, so asked for it
     # alone the solve must still see the NaN of the nodes it does not
     # return.  The growing Exponential overflows exactly: z grows like
-    # e^(1.8 t), past the largest double at t = 500.
-    with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="not finite"):
+    # e^(1.8 t), past the largest double at t = 500, which no time grid
+    # can cure, so the message names the overflow instead.
+    with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="not finite") as err:
         _solve_nodes([dilate(kernel, dilation)], [lams], grid, nodes)
+    assert str(err.value).endswith(cure)
 
 
 def _count_calls(monkeypatch, name):
