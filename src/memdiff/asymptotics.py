@@ -16,6 +16,8 @@ alpha = 1 + beta as T grows.
 Every factor of an H^s distance but the datum is constant on a shell of
 equal |xi|^2, so the studies fit the datum once (``spectral._shell_fit``)
 and sum each row over the shells: the per-mode sum to rounding, not bits.
+A radial datum (``InitialData.radial``) is constant on the shells too, so
+it is formed on the shell values alone and is its own fit.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .spectral import (
     _lattice,
     _shell_factors,
     _shell_fit,
+    _shell_sums,
+    _time_list,
     unique_lambdas,
 )
 from .specfun import gamma as gamma_fn, mittag_leffler
@@ -113,23 +117,34 @@ def _dilated_time_grid(t_max: float, n_steps: int | None) -> TimeGrid:
     return TimeGrid(t_max, n_steps)
 
 
-def _rescaled_fields(kernel, u0, sf, T_list, t_list, grid: ModeGrid, n_steps):
-    """Per T of ``T_list``: the datum u0_hat(xi / k(T)) on the modes, formed
-    as read, and the shell arrays z(lam / k(T)^2, T t) per t, from one solve."""
-    t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
-    if np.any(t_list <= 0):
-        raise DomainError("rescaled times must be positive")
+def _rescaled_fields(kernel, sf, T_list, t_list, grid: ModeGrid, n_steps):
+    """Per T of ``T_list``: k(T) and the shell arrays z(lam / k(T)^2, T t)
+    per t, from one solve; ``t_list`` is checked by ``_time_list`` first."""
+    t_list = _time_list(t_list)
     T_list = [float(T) for T in T_list]
     kT = sf.k(np.array(T_list)).tolist()
-    tg = _dilated_time_grid(float(np.max(t_list)), n_steps)
+    tg = _dilated_time_grid(max(t_list.tolist(), default=1.0), n_steps)
     lam_scale = [T / k**2 for T, k in zip(T_list, kT)]
     zs = _shell_factors([dilate(kernel, T) for T in T_list], grid, tg, t_list, lam_scale)
+    return zip(kT, zs)
+
+
+def _scaled_datum(u0: InitialData, grid: ModeGrid, k=1.0):
+    """u0_hat(xi / k) on the modes, formed as read."""
     comps = _lattice(grid).components  # None on a radial grid
-    return (
-        (u0.hat(xi_squared=grid.xi_squared() / k**2,
-                xi_components=None if comps is None else [c / k for c in comps]), z)
-        for k, z in zip(kT, zs)
-    )
+    return u0.hat(xi_squared=grid.xi_squared() / k**2,
+                  xi_components=None if comps is None else [c / k for c in comps])
+
+
+def _datum_fit(u0: InitialData, grid: ModeGrid, weight, Y, k=1.0):
+    """(fit, R) per shell of u0_hat(xi / k) against y = 1 under ``weight``,
+    with Y = sum weight per shell from the caller (see ``_shell_fit``).  A
+    radial datum is its own fit, formed on the shell values, and R = 0;
+    any other is formed on the modes and fitted."""
+    if u0.radial:
+        return u0.hat(xi_squared=unique_lambdas(grid)[0] / k**2), np.zeros_like(Y)
+    fit, _, R = _shell_fit(grid, weight, _scaled_datum(u0, grid, k)[None], np.ones(1), Y)
+    return fit, R
 
 
 def rescaled_values(
@@ -148,7 +163,8 @@ def rescaled_values(
     The kernel must be positive definite, as ``converge_to_limit`` checks;
     |z| above 1 then means the grid is too coarse and raises StepSizeError.
     """
-    ((u0_scaled, zs),) = _rescaled_fields(kernel, u0, sf, [T], t_list, grid, n_steps)
+    ((k, zs),) = _rescaled_fields(kernel, sf, [T], t_list, grid, n_steps)
+    u0_scaled = _scaled_datum(u0, grid, k)
     inverse = unique_lambdas(grid)[1]
     return [SpectralField(grid, u0_scaled * z[inverse]) for z in zs]
 
@@ -317,25 +333,33 @@ def converge_to_limit(
 ) -> ConvergenceReport:
     """Hs distances of u_{T,k}(., t) to U0 * limit profile over (T, t).
 
+    Each row is a sum over the |xi|^2 shells (the per-mode sum to
+    rounding): per T the datum u0_hat(xi / k(T)) is reduced to a fit and
+    residual per shell, on the shell values alone for a radial datum
+    (``InitialData.radial``), and Y = sum w per shell is formed once.
+
     Refuses kernels violating the hypotheses of the limit theorems, with
     the specific condition named: positive definiteness, eventual
     positivity of A, regular variation, index range, index consistency
-    with the scaling function, and the Sobolev-exponent branch.
+    with the scaling function, and the Sobolev-exponent branch.  A
+    ``t_list`` that is not 1-D, or not finite and positive, raises
+    DomainError; an empty one gives no rows.
     """
     weight = _hs_weights(grid, s)  # refuses an s that is not finite
     est = _validate_harness_kernel(kernel, sf, s, grid.n)
     T_list = np.atleast_1d(np.asarray(T_list, dtype=float))
-    t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
     if np.any(np.diff(T_list) <= 0):
         raise DomainError("T_list must be strictly increasing")
     U0 = u0.mass
     report = ConvergenceReport(s=s, U0=U0, beta_estimate=est.beta)
-    rescaled = _rescaled_fields(kernel, u0, sf, T_list, t_list, grid, n_steps)
+    t_list = _time_list(t_list)
+    rescaled = _rescaled_fields(kernel, sf, T_list, t_list, grid, n_steps)
     # The limit U0 E_alpha(-lam t^alpha) per shell, as in limit_profile.
     alpha, lams = 1.0 + sf.beta, unique_lambdas(grid)[0]
     profiles = [U0 * mittag_leffler(alpha, -lams * t**alpha) for t in map(float, t_list)]
-    for T, (u0_scaled, zs) in zip(T_list, rescaled):
-        k, Y, R = _shell_fit(grid, weight, u0_scaled[None], np.ones(1))
+    Y = _shell_sums(grid, weight, np.ones(1))
+    for T, (kT, zs) in zip(T_list, rescaled):
+        k, R = _datum_fit(u0, grid, weight, Y, kT)
         for t, z, E in zip(t_list, zs, profiles):
             dist = math.sqrt(float(np.vdot((z * k - E) ** 2, Y) + np.vdot(z * z, R)))
             report.rows.append((float(T), float(t), dist, math.sqrt(float(np.vdot(E * E, Y)))))
@@ -394,11 +418,10 @@ def leading_order_rate(
             "kernel is not regularly varying with index 0; the heat-limit "
             "rate statement does not apply"
         )
-    t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
-    if not np.all((t_list > 0.0) & (t_list < np.inf)):  # NaN fails too
-        raise DomainError("t_list must be finite and positive")
+    t_list = _time_list(t_list)
     lams = unique_lambdas(grid)[0]
-    k, Y, R = _shell_fit(grid, weight, u0.field(grid).values[None], np.ones(1))
+    Y = _shell_sums(grid, weight, np.ones(1))
+    k, R = _datum_fit(u0, grid, weight, Y)
     out = RateReport(s=s, A_infinity=float(A_inf))
     # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t.
     dilated = [dilate(kernel, t) for t in map(float, t_list)]

@@ -179,9 +179,11 @@ class SpectralField:
 
 
 class InitialData:
-    """Initial datum known through its Fourier transform."""
+    """Initial datum known through its Fourier transform.  ``radial``: hat
+    reads |xi|^2 alone, so studies form it on the shells, not the modes."""
 
     mass: float = 1.0
+    radial = False
 
     def hat(self, xi_squared=None, xi_components=None):
         raise NotImplementedError
@@ -197,6 +199,7 @@ class Gaussian(InitialData):
 
     width: float = 1.0
     mass: float = 1.0
+    radial = True
 
     def __post_init__(self):
         _require_finite("Gaussian", width=self.width, mass=self.mass)
@@ -267,6 +270,18 @@ def _shell_factors(kernels, grid: ModeGrid, time_grid: TimeGrid, times, lam_scal
     return _solve_nodes(kernels, scaled, time_grid, indices, bounded=True)[0]
 
 
+def _time_list(t_list) -> np.ndarray:
+    """A study's times as a 1-D float array (a scalar is one time).  Raises
+    DomainError for a list that is not 1-D or a time that is not finite
+    and positive; an empty list passes."""
+    t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
+    if t_list.ndim != 1:
+        raise DomainError("t_list must be a 1-D list of times")
+    if not np.all((t_list > 0.0) & (t_list < np.inf)):  # NaN fails too
+        raise DomainError("t_list must be finite and positive")
+    return t_list
+
+
 def _mode_factors(kernels, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale=1.0):
     """Grid arrays z(lam_scale[m] * |xi|^2, t) of each of ``kernels``: the
     shell arrays of ``_shell_factors`` gathered onto the modes, indexed
@@ -315,13 +330,15 @@ def _shell_sums(grid: ModeGrid, w, x, y=None) -> np.ndarray:
     return np.bincount(inverse.ravel(), (w * xy).ravel(), len(lams))
 
 
-def _shell_fit(grid: ModeGrid, w, x, y):
+def _shell_fit(grid: ModeGrid, w, x, y, Y=None):
     """(k, Y, R) per shell for x and a real y, dotted over their leading axis:
-    Y = sum w y.y, k = sum w Re(x).y / Y (0 where Y = 0), R = sum w |x - k y|^2.
+    Y = sum w y.y (formed here unless the caller passes it), k = sum w Re(x).y / Y
+    (0 where Y = 0), R = sum w |x - k y|^2.
     So for real f, e constant on shells, sum w |f x - e y|^2 is the sum over
     the shells of (f k - e)^2 Y + f^2 R, of nonnegative parts that do not cancel."""
     inverse = unique_lambdas(grid)[1]
-    Y = _shell_sums(grid, w, y)
+    if Y is None:
+        Y = _shell_sums(grid, w, y)
     k = np.divide(_shell_sums(grid, w, x.real, y), Y, out=np.zeros_like(Y), where=Y > 0)
     R = _shell_sums(grid, w, x.real - k[inverse] * y)
     if np.iscomplexobj(x):

@@ -21,6 +21,7 @@ from .errors import DomainError, HypothesisViolation
 from .kernels import MemoryKernel, dilate, require_positive_definite, scale
 from .spectral import ModeGrid, SpectralField, hs_norm, unique_lambdas
 from .spectral import _hs_weights, _mode_factors, _shell_factors, _shell_fit, _shell_sums
+from .spectral import _time_list
 from .volterra import TimeGrid
 from . import spectral
 
@@ -83,10 +84,12 @@ class VectorSpectralField:
 
 @dataclass
 class VectorGaussian:
-    """v0 with v0_hat(xi) = V0 * exp(-width^2 |xi|^2 / 2)."""
+    """v0 with v0_hat(xi) = V0 * exp(-width^2 |xi|^2 / 2): ``radial``, as V0 =
+    ``mass_vector`` times the ``envelope`` of |xi|^2, which is 1 at xi = 0."""
 
     width: float = 1.0
     mass_vector: tuple = (1.0, 0.0, 0.0)
+    radial = True
 
     def __post_init__(self):
         spectral.Gaussian(self.width)  # refuses a width that is not finite and positive
@@ -97,8 +100,12 @@ class VectorGaussian:
         if V0 is None or V0.shape != (3,) or not np.all(np.isfinite(V0)):
             raise DomainError("mass_vector must be 3 finite reals")
 
+    def envelope(self, xi_squared):
+        """exp(-width^2 |xi|^2 / 2) at the given |xi|^2."""
+        return spectral.Gaussian(self.width, 1.0).hat(xi_squared=xi_squared)
+
     def field(self, grid: ModeGrid) -> VectorSpectralField:
-        env = spectral.Gaussian(self.width, 1.0).hat(xi_squared=grid.xi_squared())
+        env = self.envelope(grid.xi_squared())
         V0 = np.asarray(self.mass_vector, dtype=float)
         vals = V0[:, None, None, None] * env[None, ...]
         return VectorSpectralField(grid, vals.astype(complex))
@@ -238,16 +245,21 @@ def visco_asymptotics(
     the H^s quadrature weight w of ``spectral._hs_weights``.
 
     f1, f and e_K are constant on each shell of equal |xi|^2 (e_K taken at
-    the shell's value), so ``spectral._shell_fit`` reduces the datum once
-    per study, c against c_V under the weight w |xi|^2 and Q v0_hat against
-    Q V0 under w, and each t sums over the shells alone.  The imaginary
-    parts of the datum only scale by f1 and f (V0 is real) and add two
-    sums per shell; a datum with no nonzero imaginary part skips them.
-    Each row is within 1e-14 relative of the per-mode assembly of the
-    vector fields.
+    the shell's value), so the datum is reduced once per study, c against
+    c_V under the weight w |xi|^2 and Q v0_hat against Q V0 under w, to a
+    fit and a residual per shell, and each t sums over the shells alone.
+    G = sum w |xi|^2 c_V^2 and H = sum w |Q V0|^2 per shell come from one
+    split of V0.  A radial datum (``VectorGaussian``: v0_hat = V0 g(|xi|^2))
+    is never formed on the modes: both fits are g per shell with no
+    residual, and v0_hat(0) = V0 g(0).  Any other datum is split and fitted
+    by ``spectral._shell_fit``; the imaginary parts of the datum only scale
+    by f1 and f (V0 is real) and add two sums per shell, which a datum with
+    no nonzero imaginary part skips.  Each row is within 1e-14 relative of
+    the per-mode assembly of the vector fields.
 
     Requires a finite Sobolev exponent s and finite positive effective
-    viscosities A (shear) and B (gradient part); refusals name the
+    viscosities A (shear) and B (gradient part), and a 1-D ``t_list`` of
+    finite positive times (an empty one gives no rows); refusals name the
     failing hypothesis.  A zero mass vector makes the comparison target
     vanish; the report flags it.  Any other mass vector, however small,
     scales the distances linearly.
@@ -260,31 +272,39 @@ def visco_asymptotics(
             raise HypothesisViolation(
                 f"effective {name} viscosity {val} is not finite and positive"
             )
-    t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
-    if not np.all((t_list > 0.0) & (t_list < np.inf)):  # NaN fails too
-        raise DomainError("t_list must be finite and positive")
-    base = v0.field(grid)
-    V0 = base.mass_vector
+    t_list = _time_list(t_list)
+    radial = getattr(v0, "radial", False)
+    if radial:
+        V0 = np.asarray(v0.mass_vector, dtype=float)
+    else:
+        base = v0.field(grid)
+        V0 = base.mass_vector
     zero = grid.zero_index()
-    v_zero = base.values[(slice(None),) + zero]
     lams, inverse = unique_lambdas(grid)
     weight_p = weight * grid.xi_squared()
-    # V0 is real, so the imaginary parts of the datum only scale by f1, f:
-    # their sums are formed once.  The parts are split one at a time as
-    # real arrays, with the bits of the complex split's, and what a split
-    # leaves unused is freed at once.
-    part = np.iscomplexobj(base.values)
-    imag_p = imag_q = 0.0
-    if part and base.values.imag.any():
-        c, q0 = _split(grid, base.values.imag, part)[::2]
-        imag_p, imag_q = _shell_sums(grid, weight_p, c[None]), _shell_sums(grid, weight, q0)
-        del c, q0
-    c, q0 = _split(grid, base.values.real, part)[::2]
-    c_V, q_V = _split(grid, np.broadcast_to(V0[:, None, None, None], base.values.shape))[::2]
-    a, G, R = _shell_fit(grid, weight_p, c[None], c_V[None])
-    del c, c_V
-    b, H, S = _shell_fit(grid, weight, q0, q_V)
-    R, S = R + imag_p, S + imag_q
+    c_V, q_V = _split(grid, np.broadcast_to(V0[:, None, None, None], (3,) + grid.shape))[::2]
+    G, H = _shell_sums(grid, weight_p, c_V[None]), _shell_sums(grid, weight, q_V)
+    if radial:
+        a = b = v0.envelope(lams)
+        R = S = np.zeros_like(G)
+        v_zero = V0 * a[inverse[zero]]
+    else:
+        v_zero = base.values[(slice(None),) + zero]
+        # V0 is real, so the imaginary parts of the datum only scale by f1,
+        # f: their sums are formed once.  The parts are split one at a time
+        # as real arrays, with the bits of the complex split's, and what a
+        # split leaves unused is freed at once.
+        part = np.iscomplexobj(base.values)
+        imag_p = imag_q = 0.0
+        if part and base.values.imag.any():
+            c, q0 = _split(grid, base.values.imag, part)[::2]
+            imag_p, imag_q = _shell_sums(grid, weight_p, c[None]), _shell_sums(grid, weight, q0)
+            del c, q0
+        c, q0 = _split(grid, base.values.real, part)[::2]
+        a, _, R = _shell_fit(grid, weight_p, c[None], c_V[None], G)
+        del c, c_V
+        b, _, S = _shell_fit(grid, weight, q0, q_V, H)
+        R, S = R + imag_p, S + imag_q
     report = ViscoRateReport(s=s, A=float(A), B=float(B), degenerate_mass=not V0.any())
     tg = TimeGrid(1.0, n_steps)
     # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t, for

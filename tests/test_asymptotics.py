@@ -427,6 +427,8 @@ class _ShiftedGaussian(InitialData):
 
 
 _NON_DYADIC = ModeGrid(2, 18, 5.0)
+_NON_DYADIC_7 = ModeGrid(2, 18, 7.1)
+_NON_DYADIC_3D = ModeGrid(3, 10, 2.9)
 _RADIAL_3D = ModeGrid(3, 64, 6.0, radial=True)
 _BOX = BoxFunction(half_width=0.8, mass=1.2)
 
@@ -443,6 +445,14 @@ _BOX = BoxFunction(half_width=0.8, mass=1.2)
                  id="fractional-shifted-gaussian"),
     pytest.param(fractional(-0.4), -0.4, Gaussian(width=0.9, mass=1.4), _RADIAL_3D, -1.6,
                  id="fractional-radial-3d"),
+    pytest.param(Exponential(mu=1.3, c=0.9, a0=0.2), 0.0, Gaussian(width=0.9, mass=1.4),
+                 _NON_DYADIC_7, 1.0, id="gaussian-2d-xi7.1"),
+    pytest.param(fractional(-0.4), -0.4, Gaussian(width=0.9, mass=1.4), _NON_DYADIC_7, -1.6,
+                 id="fractional-gaussian-2d-xi7.1"),
+    pytest.param(Exponential(mu=1.3, c=0.9, a0=0.2), 0.0, Gaussian(width=0.9, mass=1.4),
+                 _NON_DYADIC_3D, 1.0, id="gaussian-3d-xi2.9"),
+    pytest.param(fractional(-0.4), -0.4, Gaussian(width=0.9, mass=1.4), _NON_DYADIC_3D, -1.6,
+                 id="fractional-gaussian-3d-xi2.9"),
 ])
 def test_studies_match_the_per_mode_assembly(kernel, beta, u0, grid, s):
     # The shell sums against the per-mode fields: gather z onto the modes,
@@ -479,6 +489,69 @@ def test_studies_match_the_per_mode_assembly(kernel, beta, u0, grid, s):
         dist = _per_mode_hs(grid, field.values * z[inverse] - w_hat, s)
         rows.append((t, t ** (grid.n / 4.0) * dist, dist))
     _assert_rate_rows_close(rate.rows, rows)
+
+
+def test_studies_form_a_radial_datum_on_the_shells_alone(monkeypatch):
+    # A Gaussian reads |xi|^2 alone, so each study evaluates it once per T
+    # (once for the rate) on the shell values and never fits it; the rows
+    # are the per-mode assembly's (test_studies_match_the_per_mode_assembly).
+    grid = ModeGrid(2, 18, 7.1)
+    lams = unique_lambdas(grid)[0]
+    sizes = []
+    hat = Gaussian.hat
+
+    def spy(self, xi_squared=None, xi_components=None):
+        sizes.append((np.size(xi_squared), xi_components))
+        return hat(self, xi_squared, xi_components)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a radial datum was fitted")
+
+    monkeypatch.setattr(Gaussian, "hat", spy)
+    monkeypatch.setattr(asymptotics, "_shell_fit", no_fit)
+    kernel = Exponential(mu=1.3, c=0.9, a0=0.2)
+    sf = ScalingFunction(kernel=kernel, beta=0.0)
+    u0 = Gaussian(width=0.9, mass=1.4)
+    rep = converge_to_limit(kernel, u0, sf, [1e2, 1e3, 1e4], [0.5, 1.0], 1.0, grid, n_steps=300)
+    assert len(rep.rows) == 6 and sizes == [(lams.size, None)] * 3
+    sizes.clear()
+    rate = leading_order_rate(kernel, u0, [2.0, 8.0], 1.0, grid, n_steps=300)
+    assert len(rate.rows) == 2 and sizes == [(lams.size, None)]
+    assert lams.size < math.prod(grid.shape)
+
+
+@pytest.mark.parametrize("t_list, message", [
+    ([np.nan], "finite and positive"),
+    ([np.inf], "finite and positive"),
+    ([1.0, -2.0], "finite and positive"),
+    ([[1.0, 2.0]], "1-D"),
+])
+def test_studies_refuse_a_t_list_that_is_not_1d_finite_and_positive(t_list, message):
+    # converge_to_limit and rescale_field raised a bare ValueError for NaN
+    # and OverflowError for inf, from the size of the time grid; a 2-D list
+    # raised TypeError in every study.
+    kernel = Exponential(mu=1.0, c=1.0)
+    sf = ScalingFunction(kernel=kernel, beta=0.0)
+    u0 = Gaussian()
+    with pytest.raises(DomainError, match=message):
+        converge_to_limit(kernel, u0, sf, [10.0, 100.0], t_list, 0.0, GRID_1D)
+    with pytest.raises(DomainError, match=message):
+        rescaled_values(kernel, u0, sf, 10.0, t_list, GRID_1D)
+    with pytest.raises(DomainError, match=message):
+        leading_order_rate(kernel, u0, t_list, 0.0, GRID_1D)
+    if len(t_list) == 1 and np.ndim(t_list[0]) == 0:
+        with pytest.raises(DomainError, match=message):
+            rescale_field(kernel, u0, sf, 10.0, t_list[0], GRID_1D)
+
+
+def test_studies_with_no_times_give_no_rows():
+    # converge_to_limit raised ValueError from np.max of the empty list.
+    kernel = Exponential(mu=1.0, c=1.0)
+    sf = ScalingFunction(kernel=kernel, beta=0.0)
+    for u0 in (Gaussian(), BoxFunction()):
+        assert converge_to_limit(kernel, u0, sf, [10.0, 100.0], [], 0.0, GRID_1D).rows == []
+        assert rescaled_values(kernel, u0, sf, 10.0, [], GRID_1D) == []
+        assert leading_order_rate(kernel, u0, [], 0.0, GRID_1D).rows == []
 
 
 def test_rate_refuses_t_that_is_not_finite_and_positive():

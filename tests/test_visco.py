@@ -1,6 +1,7 @@
 """Helmholtz projectors, viscoelastic evolution, and the Stokes limit."""
 
 import itertools
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -411,6 +412,14 @@ def test_visco_rate_refuses_t_that_is_not_finite_and_positive():
             visco_asymptotics(pair, VectorGaussian(), t_list, -2.0, GRID)
 
 
+def test_visco_rate_refuses_a_t_list_that_is_not_1d():
+    # A 2-D list raised TypeError from float() in the per-t loop.
+    pair = ViscoKernelPair(Exponential(mu=1.0, c=1.0), Heat(0.5))
+    with pytest.raises(DomainError, match="1-D"):
+        visco_asymptotics(pair, VectorGaussian(), [[2.0, 8.0]], -2.0, GRID)
+    assert visco_asymptotics(pair, VectorGaussian(), [], -2.0, GRID).rows == []
+
+
 @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
 def test_visco_rate_and_vector_norm_refuse_a_sobolev_exponent_that_is_not_finite(s):
     # The rate study returned NaN distances for s = NaN and inf, and 0.0
@@ -460,8 +469,22 @@ class _GaussianSum:
             for V, width, shift in self.terms))
 
 
+@dataclass
+class _ShiftedVectorGaussian(VectorGaussian):
+    """v0_hat(xi) = V0 exp(-width^2 |xi|^2 / 2) exp(-i xi . shift): a
+    VectorGaussian moved off the origin, so not radial."""
+
+    shift: tuple = (0.4, -0.7, 0.2)
+    radial = False
+
+    def field(self, grid):
+        phase = np.exp(-1j * sum(c * x for c, x in zip(grid.components(), self.shift)))
+        return VectorSpectralField(grid, super().field(grid).values * phase[None])
+
+
 _ASSEMBLY_DATA = {
     "vector_gaussian": VectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8)),
+    "shifted_vector_gaussian": _ShiftedVectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8)),
     "sum_of_two": _GaussianSum(((1.0, 0.5, -2.0), 0.8, (0.0, 0.0, 0.0)),
                                ((-0.3, 1.0, 0.2), 1.4, (0.0, 0.0, 0.0))),
     "complex_at_zero": _GaussianSum(((1.0 + 0.5j, -0.2j, 0.3), 1.0, (0.4, -0.7, 0.2)),
@@ -473,7 +496,8 @@ _ASSEMBLY_DATA = {
 
 @pytest.mark.parametrize("v0, grid", [
     pytest.param(v0, grid, id=name + suffix)
-    for suffix, grid in (("", GRID), ("-non_dyadic", ModeGrid(3, 10, 3.0)))
+    for suffix, grid in (("", GRID), ("-non_dyadic", ModeGrid(3, 10, 3.0)),
+                         ("-xi2.9", ModeGrid(3, 10, 2.9)))
     for name, v0 in _ASSEMBLY_DATA.items()
 ])
 def test_visco_rate_matches_the_vector_field_assembly(v0, grid):
@@ -496,6 +520,37 @@ def test_visco_rate_matches_the_vector_field_assembly(v0, grid):
         ref = vector_hs_norm(VectorSpectralField(grid, v_hat - w.values), -2.0)
         assert t_row == t and r == t**0.75 * dist
         assert abs(dist - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("v0, splits, fields", [
+    pytest.param(VectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8)), 1, 0, id="radial"),
+    pytest.param(_ShiftedVectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8)), 3, 1,
+                 id="shifted"),
+])
+def test_visco_rate_splits_only_v0_for_a_radial_datum(monkeypatch, v0, splits, fields):
+    # A VectorGaussian is V0 times an envelope of |xi|^2: the study splits
+    # the constant V0 field alone and never forms the datum on the modes.
+    # The shifted datum takes the general path: its field, and the splits
+    # of V0 and of the datum's real and imaginary parts.
+    seen, formed = [], []
+    split, field = visco._split, type(v0).field
+
+    def spy_split(grid, v, part=False):
+        seen.append(np.array(v))
+        return split(grid, v, part)
+
+    def spy_field(self, grid):
+        formed.append(grid)
+        return field(self, grid)
+
+    monkeypatch.setattr(visco, "_split", spy_split)
+    monkeypatch.setattr(type(v0), "field", spy_field)
+    grid = ModeGrid(3, 10, 2.9)
+    rep = visco_asymptotics(ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5)),
+                            v0, [5.0, 20.0], -2.0, grid, n_steps=500)
+    assert len(rep.rows) == 2 and len(seen) == splits and len(formed) == fields
+    V0 = np.asarray(v0.mass_vector)[:, None, None, None]
+    assert np.array_equal(seen[0], np.broadcast_to(V0, (3,) + grid.shape))
 
 
 def test_visco_rate_flags_degenerate_mass():
