@@ -119,8 +119,8 @@ def _dilated_time_grid(t_max: float, n_steps: int | None) -> TimeGrid:
 
 def _rescaled_fields(kernel, sf, T_list, t_list, grid: ModeGrid, n_steps):
     """Per T of ``T_list``: k(T) and the shell arrays z(lam / k(T)^2, T t)
-    per t, from one solve; ``t_list`` is checked by ``_time_list`` first."""
-    t_list = _time_list(t_list)
+    per t, from one solve; ``t_list`` is an array the caller has checked
+    with ``_time_list``, before any time grid is built."""
     T_list = [float(T) for T in T_list]
     kT = sf.k(np.array(T_list)).tolist()
     tg = _dilated_time_grid(max(t_list.tolist(), default=1.0), n_steps)
@@ -143,8 +143,7 @@ def _datum_fit(u0: InitialData, grid: ModeGrid, weight, Y, k=1.0):
     any other is formed on the modes and fitted."""
     if u0.radial:
         return u0.hat(xi_squared=unique_lambdas(grid)[0] / k**2), np.zeros_like(Y)
-    fit, _, R = _shell_fit(grid, weight, _scaled_datum(u0, grid, k)[None], np.ones(1), Y)
-    return fit, R
+    return _shell_fit(grid, weight, _scaled_datum(u0, grid, k)[None], np.ones(1), Y)
 
 
 def rescaled_values(
@@ -163,7 +162,7 @@ def rescaled_values(
     The kernel must be positive definite, as ``converge_to_limit`` checks;
     |z| above 1 then means the grid is too coarse and raises StepSizeError.
     """
-    ((k, zs),) = _rescaled_fields(kernel, sf, [T], t_list, grid, n_steps)
+    ((k, zs),) = _rescaled_fields(kernel, sf, [T], _time_list(t_list), grid, n_steps)
     u0_scaled = _scaled_datum(u0, grid, k)
     inverse = unique_lambdas(grid)[1]
     return [SpectralField(grid, u0_scaled * z[inverse]) for z in zs]
@@ -352,7 +351,7 @@ def converge_to_limit(
         raise DomainError("T_list must be strictly increasing")
     U0 = u0.mass
     report = ConvergenceReport(s=s, U0=U0, beta_estimate=est.beta)
-    t_list = _time_list(t_list)
+    t_list = _time_list(t_list)  # before the time grid of _rescaled_fields
     rescaled = _rescaled_fields(kernel, sf, T_list, t_list, grid, n_steps)
     # The limit U0 E_alpha(-lam t^alpha) per shell, as in limit_profile.
     alpha, lams = 1.0 + sf.beta, unique_lambdas(grid)[0]

@@ -330,20 +330,18 @@ def _shell_sums(grid: ModeGrid, w, x, y=None) -> np.ndarray:
     return np.bincount(inverse.ravel(), (w * xy).ravel(), len(lams))
 
 
-def _shell_fit(grid: ModeGrid, w, x, y, Y=None):
-    """(k, Y, R) per shell for x and a real y, dotted over their leading axis:
-    Y = sum w y.y (formed here unless the caller passes it), k = sum w Re(x).y / Y
-    (0 where Y = 0), R = sum w |x - k y|^2.
+def _shell_fit(grid: ModeGrid, w, x, y, Y):
+    """(k, R) per shell for x and a real y, dotted over their leading axis,
+    given Y = sum w y.y per shell (``_shell_sums(grid, w, y)``, formed once
+    by the caller): k = sum w Re(x).y / Y (0 where Y = 0), R = sum w |x - k y|^2.
     So for real f, e constant on shells, sum w |f x - e y|^2 is the sum over
     the shells of (f k - e)^2 Y + f^2 R, of nonnegative parts that do not cancel."""
     inverse = unique_lambdas(grid)[1]
-    if Y is None:
-        Y = _shell_sums(grid, w, y)
     k = np.divide(_shell_sums(grid, w, x.real, y), Y, out=np.zeros_like(Y), where=Y > 0)
     R = _shell_sums(grid, w, x.real - k[inverse] * y)
     if np.iscomplexobj(x):
         R = R + _shell_sums(grid, w, x.imag)
-    return k, Y, R
+    return k, R
 
 
 def hs_norm(field_: SpectralField, s: float) -> float:

@@ -59,6 +59,11 @@ class ViscoKernelPair:
         return self.shear.total_mass(), self.beta_kernel.total_mass()
 
 
+def _require_vector_grid(grid: ModeGrid):
+    if grid.n != 3 or grid.radial:
+        raise DomainError("vector fields require a full 3-D grid")
+
+
 @dataclass
 class VectorSpectralField:
     """Complex 3-vector per mode on a 3-D mode grid."""
@@ -68,8 +73,7 @@ class VectorSpectralField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.grid.n != 3 or self.grid.radial:
-            raise DomainError("vector fields require a full 3-D grid")
+        _require_vector_grid(self.grid)
         if self.values.shape != (3,) + self.grid.shape:
             raise DomainError("values must have shape (3,) + grid shape")
 
@@ -85,7 +89,9 @@ class VectorSpectralField:
 @dataclass
 class VectorGaussian:
     """v0 with v0_hat(xi) = V0 * exp(-width^2 |xi|^2 / 2): ``radial``, as V0 =
-    ``mass_vector`` times the ``envelope`` of |xi|^2, which is 1 at xi = 0."""
+    ``mass_vector`` times the ``envelope`` of |xi|^2, which is 1 at xi = 0.
+    ``visco_asymptotics`` reads a radial datum through those two alone, so
+    a subclass that overrides ``field`` must set ``radial = False``."""
 
     width: float = 1.0
     mass_vector: tuple = (1.0, 0.0, 0.0)
@@ -257,9 +263,10 @@ def visco_asymptotics(
     no nonzero imaginary part skips.  Each row is within 1e-14 relative of
     the per-mode assembly of the vector fields.
 
-    Requires a finite Sobolev exponent s and finite positive effective
-    viscosities A (shear) and B (gradient part), and a 1-D ``t_list`` of
-    finite positive times (an empty one gives no rows); refusals name the
+    Requires a finite Sobolev exponent s, finite positive effective
+    viscosities A (shear) and B (gradient part), a 1-D ``t_list`` of
+    finite positive times (an empty one gives no rows) and a full 3-D
+    grid (DomainError for a radial or lower-dimensional one); refusals name the
     failing hypothesis.  A zero mass vector makes the comparison target
     vanish; the report flags it.  Any other mass vector, however small,
     scales the distances linearly.
@@ -273,22 +280,27 @@ def visco_asymptotics(
                 f"effective {name} viscosity {val} is not finite and positive"
             )
     t_list = _time_list(t_list)
-    radial = getattr(v0, "radial", False)
-    if radial:
-        V0 = np.asarray(v0.mass_vector, dtype=float)
-    else:
-        base = v0.field(grid)
-        V0 = base.mass_vector
+    _require_vector_grid(grid)
     zero = grid.zero_index()
     lams, inverse = unique_lambdas(grid)
     weight_p = weight * grid.xi_squared()
-    c_V, q_V = _split(grid, np.broadcast_to(V0[:, None, None, None], (3,) + grid.shape))[::2]
-    G, H = _shell_sums(grid, weight_p, c_V[None]), _shell_sums(grid, weight, q_V)
-    if radial:
+
+    def v0_split(V0):
+        """c_V and Q V0 of the constant field V0, and G, H per shell."""
+        const = np.broadcast_to(V0[:, None, None, None], (3,) + grid.shape)
+        c_V, q_V = _split(grid, const)[::2]
+        return c_V, q_V, _shell_sums(grid, weight_p, c_V[None]), _shell_sums(grid, weight, q_V)
+
+    if getattr(v0, "radial", False):
+        V0 = np.asarray(v0.mass_vector, dtype=float)
+        G, H = v0_split(V0)[2:]
         a = b = v0.envelope(lams)
         R = S = np.zeros_like(G)
         v_zero = V0 * a[inverse[zero]]
     else:
+        base = v0.field(grid)
+        V0 = base.mass_vector
+        c_V, q_V, G, H = v0_split(V0)
         v_zero = base.values[(slice(None),) + zero]
         # V0 is real, so the imaginary parts of the datum only scale by f1,
         # f: their sums are formed once.  The parts are split one at a time
@@ -301,9 +313,9 @@ def visco_asymptotics(
             imag_p, imag_q = _shell_sums(grid, weight_p, c[None]), _shell_sums(grid, weight, q0)
             del c, q0
         c, q0 = _split(grid, base.values.real, part)[::2]
-        a, _, R = _shell_fit(grid, weight_p, c[None], c_V[None], G)
+        a, R = _shell_fit(grid, weight_p, c[None], c_V[None], G)
         del c, c_V
-        b, _, S = _shell_fit(grid, weight, q0, q_V, H)
+        b, S = _shell_fit(grid, weight, q0, q_V, H)
         R, S = R + imag_p, S + imag_q
     report = ViscoRateReport(s=s, A=float(A), B=float(B), degenerate_mass=not V0.any())
     tg = TimeGrid(1.0, n_steps)

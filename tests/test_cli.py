@@ -320,6 +320,20 @@ def test_runtime_library_error_exits_2_without_traceback(edits, message, tmp_pat
     assert not out.exists()
 
 
+def test_visco_on_a_radial_grid_exits_2_without_traceback(tmp_path, capsys):
+    # The config check asks only for dimension = 3; the study refuses a
+    # radial grid, since the vector datum needs a full 3-D grid.
+    out = tmp_path / "visco.csv"
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text("[kernel]\nfamily = heat\n[kernel.bulk]\nfamily = heat\n[initial]\n"
+                        "[grid]\ndimension = 3\nmodes_per_axis = 4\nradial = yes\n"
+                        f"[experiment]\nt_list = 1.0\noutput = {out}\n")
+    assert main(["visco", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "full 3-D grid" in err
+    assert not out.exists()
+
+
 # --- The column-wise CSV writer against the row-wise one it replaced ------
 
 

@@ -420,6 +420,18 @@ def test_visco_rate_refuses_a_t_list_that_is_not_1d():
     assert visco_asymptotics(pair, VectorGaussian(), [], -2.0, GRID).rows == []
 
 
+@pytest.mark.parametrize("grid", [ModeGrid(2, 8, 3.0), ModeGrid(3, 8, 3.0, radial=True),
+                                  ModeGrid(1, 8, 3.0)], ids=["2d", "radial-3d", "1d"])
+def test_visco_rate_refuses_a_grid_that_is_not_full_3d(grid):
+    # The datum is a 3-vector per mode of a full 3-D grid; other grids
+    # must be refused with the message of VectorSpectralField, not fail
+    # inside numpy while the constant V0 field is broadcast.
+    pair = ViscoKernelPair(Exponential(mu=1.0, c=1.0), Heat(0.5))
+    for v0 in (VectorGaussian(), _ShiftedVectorGaussian()):
+        with pytest.raises(DomainError, match="vector fields require a full 3-D grid"):
+            visco_asymptotics(pair, v0, [2.0], -2.0, grid)
+
+
 @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
 def test_visco_rate_and_vector_norm_refuse_a_sobolev_exponent_that_is_not_finite(s):
     # The rate study returned NaN distances for s = NaN and inf, and 0.0
