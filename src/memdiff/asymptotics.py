@@ -17,7 +17,8 @@ Every factor of an H^s distance but the datum is constant on a shell of
 equal |xi|^2, so the studies fit the datum once (``spectral._shell_fit``)
 and sum each row over the shells: the per-mode sum to rounding, not bits.
 A radial datum (``InitialData.radial``) is constant on the shells too, so
-it is formed on the shell values alone and is its own fit.
+it is formed on the shell values alone and is its own fit, and its study
+weighs the shells alone (``spectral._shell_weights``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .spectral import (
     _shell_factors,
     _shell_fit,
     _shell_sums,
+    _shell_weights,
     _time_list,
     unique_lambdas,
 )
@@ -136,11 +138,23 @@ def _scaled_datum(u0: InitialData, grid: ModeGrid, k=1.0):
                   xi_components=None if comps is None else [c / k for c in comps])
 
 
+def _study_weights(u0: InitialData, grid: ModeGrid, s: float):
+    """(weight, Y) of a study of u0: the H^s weight per mode and Y = sum
+    weight per shell.  A radial datum reads Y alone, formed on the shells
+    by ``spectral._shell_weights``, and weight is None; any other keeps the
+    per-mode weight, which its fit reads, and its sum, so its rows keep
+    their bits.  Raises DomainError unless s is finite."""
+    if u0.radial:
+        return None, _shell_weights(grid, s)
+    weight = _hs_weights(grid, s)
+    return weight, _shell_sums(grid, weight, np.ones(1))
+
+
 def _datum_fit(u0: InitialData, grid: ModeGrid, weight, Y, k=1.0):
     """(fit, R) per shell of u0_hat(xi / k) against y = 1 under ``weight``,
-    with Y = sum weight per shell from the caller (see ``_shell_fit``).  A
-    radial datum is its own fit, formed on the shell values, and R = 0;
-    any other is formed on the modes and fitted."""
+    with Y from ``_study_weights`` (see ``_shell_fit``).  A radial datum is
+    its own fit, formed on the shell values, and R = 0; any other is formed
+    on the modes and fitted."""
     if u0.radial:
         return u0.hat(xi_squared=unique_lambdas(grid)[0] / k**2), np.zeros_like(Y)
     return _shell_fit(grid, weight, _scaled_datum(u0, grid, k)[None], np.ones(1), Y)
@@ -335,18 +349,22 @@ def converge_to_limit(
     Each row is a sum over the |xi|^2 shells (the per-mode sum to
     rounding): per T the datum u0_hat(xi / k(T)) is reduced to a fit and
     residual per shell, on the shell values alone for a radial datum
-    (``InitialData.radial``), and Y = sum w per shell is formed once.
+    (``InitialData.radial``).  Y = sum w per shell is formed once: on the
+    shells alone for a radial datum (``spectral._shell_weights``), which
+    forms no H^s weight w per mode, and from w for any other datum, whose
+    fit reads w.
 
     Refuses kernels violating the hypotheses of the limit theorems, with
     the specific condition named: positive definiteness, eventual
     positivity of A, regular variation, index range, index consistency
     with the scaling function, and the Sobolev-exponent branch.  A
-    ``t_list`` that is not 1-D, or not finite and positive, raises
-    DomainError; an empty one gives no rows.
+    ``T_list`` or ``t_list`` that is not 1-D, or not finite and positive,
+    raises DomainError, as does a ``T_list`` that is not strictly
+    increasing, before any solve; an empty list gives no rows.
     """
-    weight = _hs_weights(grid, s)  # refuses an s that is not finite
+    weight, Y = _study_weights(u0, grid, s)  # refuses an s that is not finite
     est = _validate_harness_kernel(kernel, sf, s, grid.n)
-    T_list = np.atleast_1d(np.asarray(T_list, dtype=float))
+    T_list = _time_list(T_list, "T_list")
     if np.any(np.diff(T_list) <= 0):
         raise DomainError("T_list must be strictly increasing")
     U0 = u0.mass
@@ -356,7 +374,6 @@ def converge_to_limit(
     # The limit U0 E_alpha(-lam t^alpha) per shell, as in limit_profile.
     alpha, lams = 1.0 + sf.beta, unique_lambdas(grid)[0]
     profiles = [U0 * mittag_leffler(alpha, -lams * t**alpha) for t in map(float, t_list)]
-    Y = _shell_sums(grid, weight, np.ones(1))
     for T, (kT, zs) in zip(T_list, rescaled):
         k, R = _datum_fit(u0, grid, weight, Y, kT)
         for t, z, E in zip(t_list, zs, profiles):
@@ -403,7 +420,7 @@ def leading_order_rate(
     r(t) = t^{n/4} * ||u_hat(., t) - U0 exp(-A_inf |xi|^2 t)||_{Hs}; on the
     beta = 0 branch r decreases toward 0 along a geometric time list.
     """
-    weight = _hs_weights(grid, s)  # refuses an s that is not finite
+    weight, Y = _study_weights(u0, grid, s)  # refuses an s that is not finite
     require_positive_definite(kernel)
     A_inf = kernel.total_mass()
     if A_inf is None or not np.isfinite(A_inf) or A_inf <= 0:
@@ -419,7 +436,6 @@ def leading_order_rate(
         )
     t_list = _time_list(t_list)
     lams = unique_lambdas(grid)[0]
-    Y = _shell_sums(grid, weight, np.ones(1))
     k, R = _datum_fit(u0, grid, weight, Y)
     out = RateReport(s=s, A_infinity=float(A_inf))
     # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t.

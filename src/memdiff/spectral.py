@@ -125,17 +125,19 @@ def _lattice(grid: ModeGrid) -> _Lattice:
     sq = axis**2
     xi_squared = sq
     if grid.radial:
-        total = np.arange(N + 1) ** 2
+        # Each axis point is its own shell: no bucket array over 0..N^2.
+        j = np.arange(N + 1)
+        unique = grid.dxi**2 * (j**2).astype(float), j
     else:
         jsq = np.arange(-N // 2, N // 2 + 1) ** 2
         total = jsq
         for _ in range(grid.n - 1):
             xi_squared = xi_squared[..., None] + sq
             total = total[..., None] + jsq
-    present = np.zeros(int(total.max()) + 1, dtype=bool)
-    present[total] = True
-    rank = np.cumsum(present) - 1
-    unique = grid.dxi**2 * np.flatnonzero(present).astype(float), rank[total]
+        present = np.zeros(int(total.max()) + 1, dtype=bool)
+        present[total] = True
+        rank = np.cumsum(present) - 1
+        unique = grid.dxi**2 * np.flatnonzero(present).astype(float), rank[total]
     w1 = np.ones(N + 1)
     w1[0] = w1[-1] = 0.5
     weights = w1
@@ -246,7 +248,9 @@ def unique_lambdas(grid: ModeGrid):
     Modes are bucketed by the integer |j|^2 of their lattice index, so
     equality is exact and 3-D grids collapse to O(N^2) distinct radii.
     The buckets are ranked by a cumulative count instead of a sort, so
-    the cost is linear in the grid size.
+    the cost is linear in the grid size.  On a radial grid each of the
+    N+1 axis points is its own shell, dxi^2 j^2 at rank j, so the cost is
+    O(N) there.
     """
     return _lattice(grid).unique_lambdas
 
@@ -270,15 +274,15 @@ def _shell_factors(kernels, grid: ModeGrid, time_grid: TimeGrid, times, lam_scal
     return _solve_nodes(kernels, scaled, time_grid, indices, bounded=True)[0]
 
 
-def _time_list(t_list) -> np.ndarray:
+def _time_list(t_list, name="t_list") -> np.ndarray:
     """A study's times as a 1-D float array (a scalar is one time).  Raises
-    DomainError for a list that is not 1-D or a time that is not finite
-    and positive; an empty list passes."""
+    DomainError, naming the list ``name``, for a list that is not 1-D or a
+    time that is not finite and positive; an empty list passes."""
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
     if t_list.ndim != 1:
-        raise DomainError("t_list must be a 1-D list of times")
+        raise DomainError(f"{name} must be a 1-D list of times")
     if not np.all((t_list > 0.0) & (t_list < np.inf)):  # NaN fails too
-        raise DomainError("t_list must be finite and positive")
+        raise DomainError(f"{name} must be finite and positive")
     return t_list
 
 
@@ -309,18 +313,39 @@ def evolve(
     return [SpectralField(grid, base * factor) for factor in factors]
 
 
-def _hs_weights(grid: ModeGrid, s: float) -> np.ndarray:
-    """Per mode, the weight of the trapezoid H^s quadrature: (1+|xi|^2)^s
-    times the trapezoid weight times dxi^n / (2 pi)^n, and on a radial grid
-    times surf * r^(n-1), with surf the area of the unit sphere.  Raises
+def _quadrature_scale(grid: ModeGrid, s: float):
+    """dxi^n / (2 pi)^n, and on a radial grid surf * r^(n-1) * dxi / (2 pi)^n
+    per axis point, with surf the area of the unit sphere.  Raises
     DomainError unless the Sobolev exponent s is finite (NaN fails too)."""
     if not math.isfinite(s):
         raise DomainError(f"Sobolev exponent s must be finite (got s = {s})")
-    scale = (grid.dxi / (2.0 * math.pi)) ** grid.n
     if grid.radial:
         surf = 2.0 * math.pi ** (grid.n / 2.0) / math.gamma(grid.n / 2.0)
-        scale = surf * grid.axis ** (grid.n - 1) * grid.dxi / (2.0 * math.pi) ** grid.n
+        return surf * grid.axis ** (grid.n - 1) * grid.dxi / (2.0 * math.pi) ** grid.n
+    return (grid.dxi / (2.0 * math.pi)) ** grid.n
+
+
+def _hs_weights(grid: ModeGrid, s: float) -> np.ndarray:
+    """Per mode, the weight of the trapezoid H^s quadrature: (1+|xi|^2)^s
+    times the trapezoid weight times ``_quadrature_scale``.  Raises
+    DomainError unless s is finite."""
+    scale = _quadrature_scale(grid, s)
     return grid.trapezoid_weights() * (1.0 + grid.xi_squared()) ** s * scale
+
+
+def _shell_weights(grid: ModeGrid, s: float) -> np.ndarray:
+    """Y = the sum of the ``_hs_weights`` per shell of ``unique_lambdas``,
+    formed on the shells: (1+lam)^s times the shell's trapezoid mass (one
+    ``np.bincount`` of the trapezoid weights; on a radial grid each axis
+    point is its own shell) times ``_quadrature_scale``.  So Y is the
+    per-mode sum to rounding, not bits, where |xi|^2 and its shell value
+    differ in the last bit.  Raises DomainError unless s is finite."""
+    scale = _quadrature_scale(grid, s)
+    lams, inverse = unique_lambdas(grid)
+    mass = grid.trapezoid_weights()
+    if not grid.radial:
+        mass = np.bincount(inverse.ravel(), mass.ravel(), len(lams))
+    return mass * scale * (1.0 + lams) ** s
 
 
 def _shell_sums(grid: ModeGrid, w, x, y=None) -> np.ndarray:

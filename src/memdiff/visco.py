@@ -21,7 +21,7 @@ from .errors import DomainError, HypothesisViolation
 from .kernels import MemoryKernel, dilate, require_positive_definite, scale
 from .spectral import ModeGrid, SpectralField, hs_norm, unique_lambdas
 from .spectral import _hs_weights, _mode_factors, _shell_factors, _shell_fit, _shell_sums
-from .spectral import _time_list
+from .spectral import _shell_weights, _time_list
 from .volterra import TimeGrid
 from . import spectral
 
@@ -253,12 +253,16 @@ def visco_asymptotics(
     f1, f and e_K are constant on each shell of equal |xi|^2 (e_K taken at
     the shell's value), so the datum is reduced once per study, c against
     c_V under the weight w |xi|^2 and Q v0_hat against Q V0 under w, to a
-    fit and a residual per shell, and each t sums over the shells alone.
-    G = sum w |xi|^2 c_V^2 and H = sum w |Q V0|^2 per shell come from one
-    split of V0.  A radial datum (``VectorGaussian``: v0_hat = V0 g(|xi|^2))
-    is never formed on the modes: both fits are g per shell with no
-    residual, and v0_hat(0) = V0 g(0).  Any other datum is split and fitted
-    by ``spectral._shell_fit``; the imaginary parts of the datum only scale
+    fit and a residual per shell, and each t sums over the shells alone,
+    against G = sum w |xi|^2 c_V^2 and H = sum w |Q V0|^2 per shell.  A
+    radial datum (``VectorGaussian``: v0_hat = V0 g(|xi|^2)) is never formed
+    on the modes: both fits are g per shell with no residual, and
+    v0_hat(0) = V0 g(0).  Nor is V0 split: the lattice is symmetric under
+    permutations and sign flips of the axes, so sum w xi xi^T = (lam Y / 3) I
+    on a shell, with Y = sum w from ``spectral._shell_weights``, and hence
+    G = |V0|^2 Y / 3 and H = 2 G on every shell with lam > 0 (both 0 at
+    xi = 0).  Any other datum is split with V0 and fitted by
+    ``spectral._shell_fit``; the imaginary parts of the datum only scale
     by f1 and f (V0 is real) and add two sums per shell, which a datum with
     no nonzero imaginary part skips.  Each row is within 1e-14 relative of
     the per-mode assembly of the vector fields.
@@ -271,7 +275,7 @@ def visco_asymptotics(
     vanish; the report flags it.  Any other mass vector, however small,
     scales the distances linearly.
     """
-    weight = _hs_weights(grid, s)  # refuses an s that is not finite
+    Y = _shell_weights(grid, s)  # refuses an s that is not finite
     pair.validate()
     A, B = pair.effective_viscosities()
     for val, name in ((A, "shear"), (B, "gradient-part")):
@@ -281,26 +285,24 @@ def visco_asymptotics(
             )
     t_list = _time_list(t_list)
     _require_vector_grid(grid)
-    zero = grid.zero_index()
-    lams, inverse = unique_lambdas(grid)
-    weight_p = weight * grid.xi_squared()
-
-    def v0_split(V0):
-        """c_V and Q V0 of the constant field V0, and G, H per shell."""
-        const = np.broadcast_to(V0[:, None, None, None], (3,) + grid.shape)
-        c_V, q_V = _split(grid, const)[::2]
-        return c_V, q_V, _shell_sums(grid, weight_p, c_V[None]), _shell_sums(grid, weight, q_V)
-
+    lams = unique_lambdas(grid)[0]  # lams[0] = 0: the shell of xi = 0
     if getattr(v0, "radial", False):
         V0 = np.asarray(v0.mass_vector, dtype=float)
-        G, H = v0_split(V0)[2:]
+        G = np.vdot(V0, V0) / 3.0 * Y
+        G[0] = 0.0
+        H = 2.0 * G
         a = b = v0.envelope(lams)
         R = S = np.zeros_like(G)
-        v_zero = V0 * a[inverse[zero]]
+        v_zero = V0 * a[0]
     else:
+        zero = grid.zero_index()
+        weight = _hs_weights(grid, s)
+        weight_p = weight * grid.xi_squared()
         base = v0.field(grid)
         V0 = base.mass_vector
-        c_V, q_V, G, H = v0_split(V0)
+        const = np.broadcast_to(V0[:, None, None, None], (3,) + grid.shape)
+        c_V, q_V = _split(grid, const)[::2]
+        G, H = _shell_sums(grid, weight_p, c_V[None]), _shell_sums(grid, weight, q_V)
         v_zero = base.values[(slice(None),) + zero]
         # V0 is real, so the imaginary parts of the datum only scale by f1,
         # f: their sums are formed once.  The parts are split one at a time
@@ -326,10 +328,10 @@ def visco_asymptotics(
     factors = _shell_factors(dilated, grid, tg, [1.0], ts * 2)
     z1, z = factors[: len(ts)], factors[len(ts) :]
     for t, (f1,), (f,) in zip(ts, z1, z):
-        r_0 = f1[inverse[zero]] * v_zero - V0
+        r_0 = f1[0] * v_zero - V0
         sq = (np.vdot((f1 * a - np.exp(-B * lams * t)) ** 2, G) + np.vdot(f1 * f1, R)
               + np.vdot((f * b - np.exp(-A * lams * t)) ** 2, H) + np.vdot(f * f, S)
-              + weight[zero] * np.vdot(r_0, r_0).real)
+              + Y[0] * np.vdot(r_0, r_0).real)
         dist = math.sqrt(float(sq))
         report.rows.append((t, float(t ** 0.75 * dist), dist))
     return report

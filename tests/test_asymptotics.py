@@ -493,8 +493,9 @@ def test_studies_match_the_per_mode_assembly(kernel, beta, u0, grid, s):
 
 def test_studies_form_a_radial_datum_on_the_shells_alone(monkeypatch):
     # A Gaussian reads |xi|^2 alone, so each study evaluates it once per T
-    # (once for the rate) on the shell values and never fits it; the rows
-    # are the per-mode assembly's (test_studies_match_the_per_mode_assembly).
+    # (once for the rate) on the shell values and never fits it, and takes
+    # Y from the shells without the H^s weight per mode; the rows are the
+    # per-mode assembly's (test_studies_match_the_per_mode_assembly).
     grid = ModeGrid(2, 18, 7.1)
     lams = unique_lambdas(grid)[0]
     sizes = []
@@ -507,8 +508,12 @@ def test_studies_form_a_radial_datum_on_the_shells_alone(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a radial datum was fitted")
 
+    def no_weight(*args, **kwargs):
+        raise AssertionError("a radial study formed the H^s weight per mode")
+
     monkeypatch.setattr(Gaussian, "hat", spy)
     monkeypatch.setattr(asymptotics, "_shell_fit", no_fit)
+    monkeypatch.setattr(asymptotics, "_hs_weights", no_weight)
     kernel = Exponential(mu=1.3, c=0.9, a0=0.2)
     sf = ScalingFunction(kernel=kernel, beta=0.0)
     u0 = Gaussian(width=0.9, mass=1.4)
@@ -544,12 +549,32 @@ def test_studies_refuse_a_t_list_that_is_not_1d_finite_and_positive(t_list, mess
             rescale_field(kernel, u0, sf, 10.0, t_list[0], GRID_1D)
 
 
+@pytest.mark.parametrize("T_list, message", [
+    ([[10.0, 100.0]], "T_list must be a 1-D list"),
+    ([np.inf, 1e300], "T_list must be finite and positive"),
+    ([10.0, np.nan], "T_list must be finite and positive"),
+    ([100.0, 10.0], "T_list must be strictly increasing"),
+])
+def test_converge_refuses_a_T_list_before_any_solve(monkeypatch, T_list, message):
+    # A 2-D T_list raised a bare TypeError, [inf, 1e300] was refused as not
+    # increasing and [10, nan] for the scaling function's t.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a refused T_list reached the solve")
+
+    monkeypatch.setattr(asymptotics, "_shell_factors", no_solve)
+    kernel = Exponential(mu=1.0, c=1.0)
+    with pytest.raises(DomainError, match=message):
+        converge_to_limit(kernel, Gaussian(), ScalingFunction(kernel=kernel, beta=0.0),
+                          T_list, [1.0], 0.0, GRID_1D)
+
+
 def test_studies_with_no_times_give_no_rows():
     # converge_to_limit raised ValueError from np.max of the empty list.
     kernel = Exponential(mu=1.0, c=1.0)
     sf = ScalingFunction(kernel=kernel, beta=0.0)
     for u0 in (Gaussian(), BoxFunction()):
         assert converge_to_limit(kernel, u0, sf, [10.0, 100.0], [], 0.0, GRID_1D).rows == []
+        assert converge_to_limit(kernel, u0, sf, [], [1.0], 0.0, GRID_1D).rows == []
         assert rescaled_values(kernel, u0, sf, 10.0, [], GRID_1D) == []
         assert leading_order_rate(kernel, u0, [], 0.0, GRID_1D).rows == []
 

@@ -96,6 +96,41 @@ def test_unique_lambdas_are_built_once_and_read_only(grid):
     assert np.allclose(lams[inverse], grid.xi_squared())
 
 
+def test_radial_lattice_is_built_in_memory_linear_in_n():
+    # The shells of a radial grid are its N+1 axis points.  A bucket array
+    # over 0..N^2 and its int64 cumsum took about 150 MB here, and raised
+    # numpy's _ArrayMemoryError (8 GiB) at N = 32768.
+    grid = ModeGrid(2, 4096, 8.0, radial=True)
+    spectral._lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        lams, inverse = unique_lambdas(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    j = np.arange(4097)
+    assert np.array_equal(inverse, j) and np.array_equal(lams, grid.dxi**2 * (j**2).astype(float))
+
+
+@pytest.mark.parametrize("s", [-2.0, 0.0, 1.3])
+@pytest.mark.parametrize(
+    "grid",
+    [ModeGrid(1, 16, 3.0), ModeGrid(2, 30, 4.3), ModeGrid(3, 10, 2.9),
+     ModeGrid(1, 16, 3.0, radial=True), ModeGrid(3, 40, 4.3, radial=True)],
+    ids=["1d", "2d-xi4.3", "3d-xi2.9", "1d-radial", "3d-radial"],
+)
+def test_shell_weights_are_the_per_mode_weight_summed_per_shell(grid, s):
+    # Y per shell from the trapezoid mass of each shell, against the sum of
+    # the per-mode H^s weights: equal to rounding, as the sums run in
+    # another order and |xi|^2 and its shell's value differ in the last bit
+    # on non-dyadic grids.
+    per_mode = spectral._shell_sums(grid, spectral._hs_weights(grid, s), np.ones(1))
+    np.testing.assert_allclose(spectral._shell_weights(grid, s), per_mode, rtol=1e-14, atol=0.0)
+    with pytest.raises(DomainError, match="Sobolev exponent s must be finite"):
+        spectral._shell_weights(grid, math.nan)
+
+
 def _fresh_arrays(grid):
     """xi^2, unique_lambdas, components and trapezoid weights of a grid,
     built here from its axis and lattice indices, apart from the library."""

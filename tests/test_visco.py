@@ -535,34 +535,62 @@ def test_visco_rate_matches_the_vector_field_assembly(v0, grid):
 
 
 @pytest.mark.parametrize("v0, splits, fields", [
-    pytest.param(VectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8)), 1, 0, id="radial"),
+    pytest.param(VectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8)), 0, 0, id="radial"),
     pytest.param(_ShiftedVectorGaussian(width=1.0, mass_vector=(0.3, -0.5, 0.8)), 3, 1,
                  id="shifted"),
 ])
 def test_visco_rate_splits_only_v0_for_a_radial_datum(monkeypatch, v0, splits, fields):
-    # A VectorGaussian is V0 times an envelope of |xi|^2: the study splits
-    # the constant V0 field alone and never forms the datum on the modes.
-    # The shifted datum takes the general path: its field, and the splits
-    # of V0 and of the datum's real and imaginary parts.
-    seen, formed = [], []
-    split, field = visco._split, type(v0).field
+    # A VectorGaussian is V0 times an envelope of |xi|^2: the study never
+    # forms the datum on the modes, and takes G and H of V0 in closed form
+    # from the shell weights, with no split and no H^s weight per mode.
+    # The shifted datum takes the general path: its field, the per-mode
+    # weight, and the splits of V0 and of the datum's real and imaginary
+    # parts.
+    seen, formed, weights = [], [], []
+    split, field, hs_weights = visco._split, type(v0).field, visco._hs_weights
 
     def spy_split(grid, v, part=False):
         seen.append(np.array(v))
         return split(grid, v, part)
+
+    def spy_weights(grid, s):
+        weights.append(s)
+        return hs_weights(grid, s)
 
     def spy_field(self, grid):
         formed.append(grid)
         return field(self, grid)
 
     monkeypatch.setattr(visco, "_split", spy_split)
+    monkeypatch.setattr(visco, "_hs_weights", spy_weights)
     monkeypatch.setattr(type(v0), "field", spy_field)
     grid = ModeGrid(3, 10, 2.9)
     rep = visco_asymptotics(ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5)),
                             v0, [5.0, 20.0], -2.0, grid, n_steps=500)
     assert len(rep.rows) == 2 and len(seen) == splits and len(formed) == fields
+    assert len(weights) == fields  # the per-mode H^s weight serves a datum's fit alone
     V0 = np.asarray(v0.mass_vector)[:, None, None, None]
-    assert np.array_equal(seen[0], np.broadcast_to(V0, (3,) + grid.shape))
+    assert not seen or np.array_equal(seen[0], np.broadcast_to(V0, (3,) + grid.shape))
+
+
+@pytest.mark.parametrize("s", [-2.0, 0.0, 1.0])
+@pytest.mark.parametrize("grid", [ModeGrid(3, 16, 8.0), ModeGrid(3, 10, 2.9), ModeGrid(3, 14, 4.3)],
+                         ids=["N16", "N10-xi2.9", "N14-xi4.3"])
+def test_closed_form_v0_sums_match_the_split(grid, s):
+    # The lattice is symmetric under permutations and sign flips of the
+    # axes, so sum w xi xi^T = (lam Y / 3) I on each shell: G = |V0|^2 Y / 3
+    # and H = 2 G for lam > 0, both 0 at xi = 0, against the sums of the
+    # split of the constant field V0 under the per-mode weight.
+    V0 = np.array([0.3, -0.5, 0.8])
+    weight = spectral._hs_weights(grid, s)
+    c_V, _, q_V = visco._split(grid, np.broadcast_to(V0[:, None, None, None], (3,) + grid.shape))
+    G_split = spectral._shell_sums(grid, weight * grid.xi_squared(), c_V[None])
+    H_split = spectral._shell_sums(grid, weight, q_V)
+    Y = spectral._shell_weights(grid, s)
+    G = V0 @ V0 / 3.0 * Y
+    assert G_split[0] == 0.0 and H_split[0] == 0.0
+    np.testing.assert_allclose(G[1:], G_split[1:], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(2.0 * G[1:], H_split[1:], rtol=1e-14, atol=0.0)
 
 
 def test_visco_rate_flags_degenerate_mass():
