@@ -14,11 +14,13 @@ rescaled fields approach the Mittag-Leffler limit profile of index
 alpha = 1 + beta as T grows.
 
 Every factor of an H^s distance but the datum is constant on a shell of
-equal |xi|^2, so the studies fit the datum once (``spectral._shell_fit``)
-and sum each row over the shells: the per-mode sum to rounding, not bits.
-A radial datum (``InitialData.radial``) is constant on the shells too, so
-it is formed on the shell values alone and is its own fit, and its study
-weighs the shells alone (``spectral._shell_weights``).
+equal |xi|^2, the H^s factor h = (1+lam)^s times the quadrature scale
+among them (``spectral._shell_weights``), so the studies fit the datum once
+under the trapezoid weights alone (``spectral._shell_fit``) and sum each
+row over the shells: the per-mode sum to rounding, not bits.  No study
+forms a weight per mode.  A radial datum (``InitialData.radial``) is
+constant on the shells too, so it is formed on the shell values alone and
+is its own fit.
 """
 
 from __future__ import annotations
@@ -39,11 +41,9 @@ from .spectral import (
     InitialData,
     ModeGrid,
     SpectralField,
-    _hs_weights,
     _lattice,
     _shell_factors,
     _shell_fit,
-    _shell_sums,
     _shell_weights,
     _time_list,
     unique_lambdas,
@@ -138,26 +138,14 @@ def _scaled_datum(u0: InitialData, grid: ModeGrid, k=1.0):
                   xi_components=None if comps is None else [c / k for c in comps])
 
 
-def _study_weights(u0: InitialData, grid: ModeGrid, s: float):
-    """(weight, Y) of a study of u0: the H^s weight per mode and Y = sum
-    weight per shell.  A radial datum reads Y alone, formed on the shells
-    by ``spectral._shell_weights``, and weight is None; any other keeps the
-    per-mode weight, which its fit reads, and its sum, so its rows keep
-    their bits.  Raises DomainError unless s is finite."""
-    if u0.radial:
-        return None, _shell_weights(grid, s)
-    weight = _hs_weights(grid, s)
-    return weight, _shell_sums(grid, weight, np.ones(1))
-
-
-def _datum_fit(u0: InitialData, grid: ModeGrid, weight, Y, k=1.0):
-    """(fit, R) per shell of u0_hat(xi / k) against y = 1 under ``weight``,
-    with Y from ``_study_weights`` (see ``_shell_fit``).  A radial datum is
-    its own fit, formed on the shell values, and R = 0; any other is formed
-    on the modes and fitted."""
+def _datum_fit(u0: InitialData, grid: ModeGrid, h, Y, k=1.0):
+    """(fit, R) per shell of u0_hat(xi / k) against y = 1, with (h, Y) from
+    ``spectral._shell_weights`` (see ``_shell_fit``).  A radial datum is its
+    own fit, formed on the shell values, and R = 0; any other is formed on
+    the modes and fitted."""
     if u0.radial:
         return u0.hat(xi_squared=unique_lambdas(grid)[0] / k**2), np.zeros_like(Y)
-    return _shell_fit(grid, weight, _scaled_datum(u0, grid, k)[None], np.ones(1), Y)
+    return _shell_fit(grid, _scaled_datum(u0, grid, k)[None], np.ones(1), Y, h)
 
 
 def rescaled_values(
@@ -175,7 +163,12 @@ def rescaled_values(
     through the dilation identity, solving on tau in [0, max(t_list)].
     The kernel must be positive definite, as ``converge_to_limit`` checks;
     |z| above 1 then means the grid is too coarse and raises StepSizeError.
+    A T that is not one finite positive time raises DomainError, naming T,
+    before any solve.
     """
+    if np.ndim(T) != 0:
+        raise DomainError("T must be one time, not a list")
+    (T,) = _time_list(T, "T")
     ((k, zs),) = _rescaled_fields(kernel, sf, [T], _time_list(t_list), grid, n_steps)
     u0_scaled = _scaled_datum(u0, grid, k)
     inverse = unique_lambdas(grid)[1]
@@ -349,10 +342,10 @@ def converge_to_limit(
     Each row is a sum over the |xi|^2 shells (the per-mode sum to
     rounding): per T the datum u0_hat(xi / k(T)) is reduced to a fit and
     residual per shell, on the shell values alone for a radial datum
-    (``InitialData.radial``).  Y = sum w per shell is formed once: on the
-    shells alone for a radial datum (``spectral._shell_weights``), which
-    forms no H^s weight w per mode, and from w for any other datum, whose
-    fit reads w.
+    (``InitialData.radial``).  The H^s factor h per shell and Y, the H^s
+    weight summed per shell, are formed once, on the shells alone
+    (``spectral._shell_weights``), for every datum: a fit sums under the
+    trapezoid weights and scales by h, so no H^s weight is formed per mode.
 
     Refuses kernels violating the hypotheses of the limit theorems, with
     the specific condition named: positive definiteness, eventual
@@ -362,7 +355,7 @@ def converge_to_limit(
     raises DomainError, as does a ``T_list`` that is not strictly
     increasing, before any solve; an empty list gives no rows.
     """
-    weight, Y = _study_weights(u0, grid, s)  # refuses an s that is not finite
+    h, Y = _shell_weights(grid, s)  # refuses an s that is not finite
     est = _validate_harness_kernel(kernel, sf, s, grid.n)
     T_list = _time_list(T_list, "T_list")
     if np.any(np.diff(T_list) <= 0):
@@ -375,7 +368,7 @@ def converge_to_limit(
     alpha, lams = 1.0 + sf.beta, unique_lambdas(grid)[0]
     profiles = [U0 * mittag_leffler(alpha, -lams * t**alpha) for t in map(float, t_list)]
     for T, (kT, zs) in zip(T_list, rescaled):
-        k, R = _datum_fit(u0, grid, weight, Y, kT)
+        k, R = _datum_fit(u0, grid, h, Y, kT)
         for t, z, E in zip(t_list, zs, profiles):
             dist = math.sqrt(float(np.vdot((z * k - E) ** 2, Y) + np.vdot(z * z, R)))
             report.rows.append((float(T), float(t), dist, math.sqrt(float(np.vdot(E * E, Y)))))
@@ -420,7 +413,7 @@ def leading_order_rate(
     r(t) = t^{n/4} * ||u_hat(., t) - U0 exp(-A_inf |xi|^2 t)||_{Hs}; on the
     beta = 0 branch r decreases toward 0 along a geometric time list.
     """
-    weight, Y = _study_weights(u0, grid, s)  # refuses an s that is not finite
+    h, Y = _shell_weights(grid, s)  # refuses an s that is not finite
     require_positive_definite(kernel)
     A_inf = kernel.total_mass()
     if A_inf is None or not np.isfinite(A_inf) or A_inf <= 0:
@@ -436,7 +429,7 @@ def leading_order_rate(
         )
     t_list = _time_list(t_list)
     lams = unique_lambdas(grid)[0]
-    k, R = _datum_fit(u0, grid, weight, Y)
+    k, R = _datum_fit(u0, grid, h, Y)
     out = RateReport(s=s, A_infinity=float(A_inf))
     # z(lam, t) = w(1) of the kernel dilated by t at coupling lam * t.
     dilated = [dilate(kernel, t) for t in map(float, t_list)]

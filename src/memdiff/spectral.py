@@ -326,47 +326,49 @@ def _quadrature_scale(grid: ModeGrid, s: float):
 
 
 def _hs_weights(grid: ModeGrid, s: float) -> np.ndarray:
-    """Per mode, the weight of the trapezoid H^s quadrature: (1+|xi|^2)^s
-    times the trapezoid weight times ``_quadrature_scale``.  Raises
-    DomainError unless s is finite."""
+    """Per mode, the weight of the trapezoid H^s quadrature of ``hs_norm``:
+    (1+|xi|^2)^s times the trapezoid weight times ``_quadrature_scale``.
+    Raises DomainError unless s is finite."""
     scale = _quadrature_scale(grid, s)
     return grid.trapezoid_weights() * (1.0 + grid.xi_squared()) ** s * scale
 
 
-def _shell_weights(grid: ModeGrid, s: float) -> np.ndarray:
-    """Y = the sum of the ``_hs_weights`` per shell of ``unique_lambdas``,
-    formed on the shells: (1+lam)^s times the shell's trapezoid mass (one
-    ``np.bincount`` of the trapezoid weights; on a radial grid each axis
-    point is its own shell) times ``_quadrature_scale``.  So Y is the
-    per-mode sum to rounding, not bits, where |xi|^2 and its shell value
-    differ in the last bit.  Raises DomainError unless s is finite."""
+def _shell_weights(grid: ModeGrid, s: float):
+    """(h, Y) per shell of ``unique_lambdas``: the H^s factor
+    h = ``_quadrature_scale`` times (1+lam)^s, constant on the shell, and
+    Y = h times the shell's trapezoid mass (one ``np.bincount`` of the
+    trapezoid weights; on a radial grid each axis point is its own shell),
+    the sum of the ``_hs_weights`` over the shell to rounding.  No weight is
+    formed per mode.  Raises DomainError unless s is finite."""
     scale = _quadrature_scale(grid, s)
     lams, inverse = unique_lambdas(grid)
     mass = grid.trapezoid_weights()
     if not grid.radial:
         mass = np.bincount(inverse.ravel(), mass.ravel(), len(lams))
-    return mass * scale * (1.0 + lams) ** s
+    factor = (1.0 + lams) ** s
+    return scale * factor, mass * scale * factor
 
 
-def _shell_sums(grid: ModeGrid, w, x, y=None) -> np.ndarray:
-    """Per shell: the sum of w x.y, x.y dotted over the leading axis (y = x by default)."""
+def _shell_sums(grid: ModeGrid, x, y=None) -> np.ndarray:
+    """Per shell: the trapezoid sum of x.y, x.y dotted over the leading axis (y = x by default)."""
     lams, inverse = unique_lambdas(grid)
     xy = np.einsum("i...,i...->...", x, x if y is None else y)
-    return np.bincount(inverse.ravel(), (w * xy).ravel(), len(lams))
+    return np.bincount(inverse.ravel(), (grid.trapezoid_weights() * xy).ravel(), len(lams))
 
 
-def _shell_fit(grid: ModeGrid, w, x, y, Y):
+def _shell_fit(grid: ModeGrid, x, y, Y, h):
     """(k, R) per shell for x and a real y, dotted over their leading axis,
-    given Y = sum w y.y per shell (``_shell_sums(grid, w, y)``, formed once
-    by the caller): k = sum w Re(x).y / Y (0 where Y = 0), R = sum w |x - k y|^2.
-    So for real f, e constant on shells, sum w |f x - e y|^2 is the sum over
-    the shells of (f k - e)^2 Y + f^2 R, of nonnegative parts that do not cancel."""
+    under the weight h times the trapezoid weight, with h constant on each
+    shell and Y = h sum y.y per shell (formed once by the caller):
+    k = h sum Re(x).y / Y (0 where Y = 0), R = h sum |x - k y|^2.  So for
+    real f, e constant on shells, h sum |f x - e y|^2 is the sum over the
+    shells of (f k - e)^2 Y + f^2 R, of nonnegative parts that do not cancel."""
     inverse = unique_lambdas(grid)[1]
-    k = np.divide(_shell_sums(grid, w, x.real, y), Y, out=np.zeros_like(Y), where=Y > 0)
-    R = _shell_sums(grid, w, x.real - k[inverse] * y)
+    k = np.divide(h * _shell_sums(grid, x.real, y), Y, out=np.zeros_like(Y), where=Y > 0)
+    R = _shell_sums(grid, x.real - k[inverse] * y)
     if np.iscomplexobj(x):
-        R = R + _shell_sums(grid, w, x.imag)
-    return k, R
+        R = R + _shell_sums(grid, x.imag)
+    return k, h * R
 
 
 def hs_norm(field_: SpectralField, s: float) -> float:
@@ -426,11 +428,14 @@ def evaluate_at(field_: SpectralField, points) -> np.ndarray:
 
 
 def limit_profile(beta: float, grid: ModeGrid, t: float, mass: float) -> SpectralField:
-    """Self-similar limit w_hat(xi, t) = mass * E_{1+beta}(-|xi|^2 t^{1+beta})."""
+    """Self-similar limit w_hat(xi, t) = mass * E_{1+beta}(-|xi|^2 t^{1+beta}).
+    Raises DomainError unless t is finite and positive and mass finite."""
     if not -1.0 < beta <= 1.0:
         raise DomainError("beta must lie in (-1, 1]")
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:  # NaN fails too
+        raise DomainError("t must be positive and finite")
+    if not math.isfinite(mass):
+        raise DomainError("mass must be finite")
     alpha = 1.0 + beta
     lambdas, inverse = unique_lambdas(grid)
     return SpectralField(grid, mass * mittag_leffler(alpha, -lambdas * t**alpha)[inverse])

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, HypothesisViolation
 from .kernels import MemoryKernel, dilate, require_positive_definite, scale
 from .spectral import ModeGrid, SpectralField, hs_norm, unique_lambdas
-from .spectral import _hs_weights, _mode_factors, _shell_factors, _shell_fit, _shell_sums
+from .spectral import _mode_factors, _shell_factors, _shell_fit, _shell_sums
 from .spectral import _shell_weights, _time_list
 from .volterra import TimeGrid
 from . import spectral
@@ -117,22 +117,18 @@ class VectorGaussian:
         return VectorSpectralField(grid, vals.astype(complex))
 
 
-def _split(grid: ModeGrid, v: np.ndarray, part: bool = False):
+def _split(grid: ModeGrid, v: np.ndarray):
     """One projection pass over 3-vector mode values v: (c, P v, Q v).
 
     c = xi . v / |xi|^2 per mode (0 at xi = 0), so P v = xi c, and
     Q v = v - P v.  Convention at xi = 0: P passes the value, Q vanishes
-    (P + Q = I).  With ``part``, v is the real or imaginary part of a
-    complex field, and c is taken as xi . v times 1/|xi|^2, as numpy
-    divides a complex number by a real one: the split is linear, so each
-    part then gets the bits of the complex split's.
+    (P + Q = I).
     """
     comps = grid.components()
     center = grid.zero_index()
     safe = grid.xi_squared().copy()
     safe[center] = 1.0
-    c = sum(comps[d] * v[d] for d in range(3))
-    c = c * (1.0 / safe) if part else c / safe
+    c = sum(comps[d] * v[d] for d in range(3)) / safe
     p_vals = np.stack([comps[d] * c for d in range(3)])
     idx = (slice(None),) + center
     p_vals[idx] = v[idx]
@@ -248,24 +244,26 @@ def visco_asymptotics(
     relaxations of the gradient-part and shear kernels, and
     e_K = exp(-K |xi|^2 t).  At xi = 0, where P passes the value and Q
     vanishes, it is |f1 v0_hat(0) - V0|^2.  The squares are weighted by
-    the H^s quadrature weight w of ``spectral._hs_weights``.
+    the H^s quadrature weight w = h times the trapezoid weight, with h the
+    H^s factor per shell of ``spectral._shell_weights``.
 
-    f1, f and e_K are constant on each shell of equal |xi|^2 (e_K taken at
-    the shell's value), so the datum is reduced once per study, c against
-    c_V under the weight w |xi|^2 and Q v0_hat against Q V0 under w, to a
-    fit and a residual per shell, and each t sums over the shells alone,
-    against G = sum w |xi|^2 c_V^2 and H = sum w |Q V0|^2 per shell.  A
-    radial datum (``VectorGaussian``: v0_hat = V0 g(|xi|^2)) is never formed
-    on the modes: both fits are g per shell with no residual, and
-    v0_hat(0) = V0 g(0).  Nor is V0 split: the lattice is symmetric under
-    permutations and sign flips of the axes, so sum w xi xi^T = (lam Y / 3) I
-    on a shell, with Y = sum w from ``spectral._shell_weights``, and hence
-    G = |V0|^2 Y / 3 and H = 2 G on every shell with lam > 0 (both 0 at
-    xi = 0).  Any other datum is split with V0 and fitted by
-    ``spectral._shell_fit``; the imaginary parts of the datum only scale
-    by f1 and f (V0 is real) and add two sums per shell, which a datum with
-    no nonzero imaginary part skips.  Each row is within 1e-14 relative of
-    the per-mode assembly of the vector fields.
+    f1, f, e_K and h are constant on each shell of equal |xi|^2 (e_K and h
+    taken at the shell's value), so the datum is reduced once per study, c
+    against c_V under the factor h lam and Q v0_hat against Q V0 under h,
+    to a fit and a residual per shell (trapezoid sums, no weight per mode),
+    and each t sums over the shells alone, against G = h lam sum c_V^2 and
+    H = h sum |Q V0|^2 per shell.  A radial datum (``VectorGaussian``:
+    v0_hat = V0 g(|xi|^2)) is never formed on the modes: both fits are g
+    per shell with no residual, and v0_hat(0) = V0 g(0).  Nor is V0 split:
+    the lattice is symmetric under permutations and sign flips of the axes,
+    so sum w xi xi^T = (lam Y / 3) I on a shell, with Y = sum w from
+    ``spectral._shell_weights``, and hence G = |V0|^2 Y / 3 and H = 2 G on
+    every shell with lam > 0 (both 0 at xi = 0).  Any other datum is split
+    with V0 and fitted by ``spectral._shell_fit``; the imaginary parts of
+    the datum only scale by f1 and f (V0 is real) and add two sums per
+    shell, scaled as G and H, which a datum with no nonzero imaginary part
+    skips.  Each row is within 1e-14 relative of the per-mode assembly of
+    the vector fields.
 
     Requires a finite Sobolev exponent s, finite positive effective
     viscosities A (shear) and B (gradient part), a 1-D ``t_list`` of
@@ -275,7 +273,7 @@ def visco_asymptotics(
     vanish; the report flags it.  Any other mass vector, however small,
     scales the distances linearly.
     """
-    Y = _shell_weights(grid, s)  # refuses an s that is not finite
+    h, Y = _shell_weights(grid, s)  # refuses an s that is not finite
     pair.validate()
     A, B = pair.effective_viscosities()
     for val, name in ((A, "shear"), (B, "gradient-part")):
@@ -295,29 +293,26 @@ def visco_asymptotics(
         R = S = np.zeros_like(G)
         v_zero = V0 * a[0]
     else:
-        zero = grid.zero_index()
-        weight = _hs_weights(grid, s)
-        weight_p = weight * grid.xi_squared()
+        # The gradient part is weighed by h |xi|^2, h lam per shell.
+        h_p = h * lams
         base = v0.field(grid)
         V0 = base.mass_vector
         const = np.broadcast_to(V0[:, None, None, None], (3,) + grid.shape)
         c_V, q_V = _split(grid, const)[::2]
-        G, H = _shell_sums(grid, weight_p, c_V[None]), _shell_sums(grid, weight, q_V)
-        v_zero = base.values[(slice(None),) + zero]
+        G, H = h_p * _shell_sums(grid, c_V[None]), h * _shell_sums(grid, q_V)
+        v_zero = base.values[(slice(None),) + grid.zero_index()]
         # V0 is real, so the imaginary parts of the datum only scale by f1,
         # f: their sums are formed once.  The parts are split one at a time
-        # as real arrays, with the bits of the complex split's, and what a
-        # split leaves unused is freed at once.
-        part = np.iscomplexobj(base.values)
+        # as real arrays, and what a split leaves unused is freed at once.
         imag_p = imag_q = 0.0
-        if part and base.values.imag.any():
-            c, q0 = _split(grid, base.values.imag, part)[::2]
-            imag_p, imag_q = _shell_sums(grid, weight_p, c[None]), _shell_sums(grid, weight, q0)
+        if np.iscomplexobj(base.values) and base.values.imag.any():
+            c, q0 = _split(grid, base.values.imag)[::2]
+            imag_p, imag_q = h_p * _shell_sums(grid, c[None]), h * _shell_sums(grid, q0)
             del c, q0
-        c, q0 = _split(grid, base.values.real, part)[::2]
-        a, R = _shell_fit(grid, weight_p, c[None], c_V[None], G)
+        c, q0 = _split(grid, base.values.real)[::2]
+        a, R = _shell_fit(grid, c[None], c_V[None], G, h_p)
         del c, c_V
-        b, S = _shell_fit(grid, weight, q0, q_V, H)
+        b, S = _shell_fit(grid, q0, q_V, H, h)
         R, S = R + imag_p, S + imag_q
     report = ViscoRateReport(s=s, A=float(A), B=float(B), degenerate_mass=not V0.any())
     tg = TimeGrid(1.0, n_steps)

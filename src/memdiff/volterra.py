@@ -144,8 +144,12 @@ class TimeGrid:
         return self.dt * np.arange(self.n_steps + 1)
 
     def index_of(self, t: float) -> int:
-        """Node index of t; DomainError if t is not (nearly) a node."""
-        i = round(t / self.dt)
+        """Node index of t; DomainError if t is not (nearly) a node, as for
+        a t that is not finite."""
+        q = t / self.dt
+        if not math.isfinite(q):  # round raises ValueError for NaN, OverflowError for inf
+            raise DomainError(f"t={t} is not a node of the time grid")
+        i = round(q)
         if not 0 <= i <= self.n_steps or abs(i * self.dt - t) > 1e-9 * max(1.0, t):
             raise DomainError(f"t={t} is not a node of the time grid")
         return int(i)

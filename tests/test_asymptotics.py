@@ -493,9 +493,10 @@ def test_studies_match_the_per_mode_assembly(kernel, beta, u0, grid, s):
 
 def test_studies_form_a_radial_datum_on_the_shells_alone(monkeypatch):
     # A Gaussian reads |xi|^2 alone, so each study evaluates it once per T
-    # (once for the rate) on the shell values and never fits it, and takes
-    # Y from the shells without the H^s weight per mode; the rows are the
-    # per-mode assembly's (test_studies_match_the_per_mode_assembly).
+    # (once for the rate) on the shell values and never fits it; the rows
+    # are the per-mode assembly's (test_studies_match_the_per_mode_assembly).
+    # No study forms the H^s weight per mode, for a box datum either: the
+    # H^s factor is taken per shell.
     grid = ModeGrid(2, 18, 7.1)
     lams = unique_lambdas(grid)[0]
     sizes = []
@@ -509,11 +510,12 @@ def test_studies_form_a_radial_datum_on_the_shells_alone(monkeypatch):
         raise AssertionError("a radial datum was fitted")
 
     def no_weight(*args, **kwargs):
-        raise AssertionError("a radial study formed the H^s weight per mode")
+        raise AssertionError("a study formed the H^s weight per mode")
 
     monkeypatch.setattr(Gaussian, "hat", spy)
     monkeypatch.setattr(asymptotics, "_shell_fit", no_fit)
-    monkeypatch.setattr(asymptotics, "_hs_weights", no_weight)
+    for module in (spectral, asymptotics):  # a name imported from spectral too
+        monkeypatch.setattr(module, "_hs_weights", no_weight, raising=False)
     kernel = Exponential(mu=1.3, c=0.9, a0=0.2)
     sf = ScalingFunction(kernel=kernel, beta=0.0)
     u0 = Gaussian(width=0.9, mass=1.4)
@@ -523,6 +525,13 @@ def test_studies_form_a_radial_datum_on_the_shells_alone(monkeypatch):
     rate = leading_order_rate(kernel, u0, [2.0, 8.0], 1.0, grid, n_steps=300)
     assert len(rate.rows) == 2 and sizes == [(lams.size, None)]
     assert lams.size < math.prod(grid.shape)
+    monkeypatch.undo()
+    for module in (spectral, asymptotics):
+        monkeypatch.setattr(module, "_hs_weights", no_weight, raising=False)
+    box = BoxFunction(half_width=0.8)
+    rep = converge_to_limit(kernel, box, sf, [1e2, 1e3, 1e4], [0.5, 1.0], 1.0, grid, n_steps=300)
+    rate = leading_order_rate(kernel, box, [2.0, 8.0], 1.0, grid, n_steps=300)
+    assert len(rep.rows) == 6 and len(rate.rows) == 2
 
 
 @pytest.mark.parametrize("t_list, message", [
@@ -566,6 +575,27 @@ def test_converge_refuses_a_T_list_before_any_solve(monkeypatch, T_list, message
     with pytest.raises(DomainError, match=message):
         converge_to_limit(kernel, Gaussian(), ScalingFunction(kernel=kernel, beta=0.0),
                           T_list, [1.0], 0.0, GRID_1D)
+
+
+@pytest.mark.parametrize("T, message", [
+    ([10.0, 20.0], "T must be one time"),
+    (np.nan, "T must be finite and positive"),
+    (np.inf, "T must be finite and positive"),
+    (-1.0, "T must be finite and positive"),
+])
+def test_rescaled_values_refuse_a_T_before_any_solve(monkeypatch, T, message):
+    # A list raised a bare TypeError from float(T); NaN, inf and -1 were
+    # refused for the scaling function's t, not as T.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a refused T reached the solve")
+
+    monkeypatch.setattr(asymptotics, "_shell_factors", no_solve)
+    kernel = Exponential(mu=1.0, c=1.0)
+    sf = ScalingFunction(kernel=kernel, beta=0.0)
+    with pytest.raises(DomainError, match=message):
+        rescaled_values(kernel, Gaussian(), sf, T, [1.0], GRID_1D)
+    with pytest.raises(DomainError, match=message):
+        rescale_field(kernel, Gaussian(), sf, T, 1.0, GRID_1D)
 
 
 def test_studies_with_no_times_give_no_rows():

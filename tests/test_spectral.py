@@ -125,8 +125,14 @@ def test_shell_weights_are_the_per_mode_weight_summed_per_shell(grid, s):
     # the per-mode H^s weights: equal to rounding, as the sums run in
     # another order and |xi|^2 and its shell's value differ in the last bit
     # on non-dyadic grids.
-    per_mode = spectral._shell_sums(grid, spectral._hs_weights(grid, s), np.ones(1))
-    np.testing.assert_allclose(spectral._shell_weights(grid, s), per_mode, rtol=1e-14, atol=0.0)
+    lams, inverse = unique_lambdas(grid)
+    weight = spectral._hs_weights(grid, s)
+    per_mode = np.bincount(inverse.ravel(), weight.ravel(), len(lams))
+    h, Y = spectral._shell_weights(grid, s)
+    np.testing.assert_allclose(Y, per_mode, rtol=1e-14, atol=0.0)
+    # h is the weight over the trapezoid weight, constant on each shell.
+    per_mode_h = weight / grid.trapezoid_weights()
+    np.testing.assert_allclose(h[inverse], per_mode_h, rtol=1e-14, atol=0.0)
     with pytest.raises(DomainError, match="Sobolev exponent s must be finite"):
         spectral._shell_weights(grid, math.nan)
 
@@ -304,6 +310,11 @@ def test_evolve_rejects_off_grid_time():
     tg = TimeGrid(1.0, 100)
     with pytest.raises(DomainError):
         evolve(Heat(1.0), Gaussian(), g, [0.0055], tg)
+    # The node index was rounded from t / dt: a bare ValueError for NaN
+    # and OverflowError for inf.
+    for t in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="not a node"):
+            evolve(Heat(1.0), Gaussian(), g, [t], tg)
 
 
 @pytest.mark.parametrize(
@@ -613,6 +624,14 @@ def test_limit_profile_rejects_bad_args():
         limit_profile(-1.0, g, 1.0, 1.0)
     with pytest.raises(DomainError):
         limit_profile(0.5, g, 0.0, 1.0)
+    # t = NaN or inf was refused only by mittag_leffler, after a
+    # RuntimeWarning, and a NaN mass gave a field of NaNs.
+    for t in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="t must be positive and finite"):
+            limit_profile(0.0, g, t, 1.0)
+    for mass in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="mass must be finite"):
+            limit_profile(0.0, g, 1.0, mass)
 
 
 @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5, 1.0])

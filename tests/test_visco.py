@@ -139,19 +139,6 @@ def test_mode_grid_arrays_are_built_once_and_read_only():
         assert rep.rows == fresh.rows
 
 
-def test_split_of_each_part_has_the_bits_of_the_complex_split():
-    # numpy divides a complex number by a real one as a product with its
-    # reciprocal, so a real part divided by |xi|^2 gets other bits.
-    grid = ModeGrid(n=3, modes_per_axis=8, xi_max=3.0)
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
-    whole = visco._split(grid, v)
-    for part in (np.real, np.imag):
-        got = visco._split(grid, part(v), True)
-        assert all(map(np.array_equal, got, map(part, whole)))
-    assert not np.array_equal(visco._split(grid, v.real)[0], whole[0].real)
-
-
 def test_vector_gaussian_mass_vector():
     v0 = VectorGaussian(width=1.0, mass_vector=(1.0, -2.0, 0.5))
     f = v0.field(GRID)
@@ -164,6 +151,14 @@ def test_evolve_visco_time_zero_exact():
     tg = TimeGrid(1.0, 100)
     (f,) = evolve_visco(pair, v0, GRID, [0.0], tg)
     assert np.max(np.abs(f.values - v0.field(GRID).values)) < 1e-14
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_evolve_visco_refuses_a_time_that_is_not_finite(t):
+    # As for evolve: a bare ValueError for NaN and OverflowError for inf.
+    pair = ViscoKernelPair(Exponential(mu=1.0, c=1.0), Heat(a0=0.5))
+    with pytest.raises(DomainError, match="not a node"):
+        evolve_visco(pair, VectorGaussian(), GRID, [t], TimeGrid(1.0, 10))
 
 
 def test_evolve_visco_momentum_conserved():
@@ -506,21 +501,23 @@ _ASSEMBLY_DATA = {
 }
 
 
-@pytest.mark.parametrize("v0, grid", [
-    pytest.param(v0, grid, id=name + suffix)
+@pytest.mark.parametrize("v0, grid, s", [
+    pytest.param(v0, grid, s, id=name + suffix + ("" if s == -2.0 else f"-s{s:g}"))
+    for s in (-2.0, 0.0, 1.0)
     for suffix, grid in (("", GRID), ("-non_dyadic", ModeGrid(3, 10, 3.0)),
                          ("-xi2.9", ModeGrid(3, 10, 2.9)))
     for name, v0 in _ASSEMBLY_DATA.items()
 ])
-def test_visco_rate_matches_the_vector_field_assembly(v0, grid):
+def test_visco_rate_matches_the_vector_field_assembly(v0, grid, s):
     # The per-shell sums against 3-vector fields: project the datum, build
     # the Stokes field, take the componentwise Hs norms.  On the non-dyadic
     # grid |xi|^2 differs from its shell value in the last bit at some
     # modes; the zero-mass datum has no Stokes target, so every shell's
-    # coefficient against it is 0.
+    # coefficient against it is 0.  s enters every datum's sums through
+    # the H^s factor per shell.
     pair = ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5))
     t_list = [5.0, 20.0, 80.0]
-    rep = visco_asymptotics(pair, v0, t_list, -2.0, grid, n_steps=500)
+    rep = visco_asymptotics(pair, v0, t_list, s, grid, n_steps=500)
     lams, inverse = unique_lambdas(grid)
     base = v0.field(grid)
     tg = TimeGrid(1.0, 500)
@@ -529,7 +526,7 @@ def test_visco_rate_matches_the_vector_field_assembly(v0, grid):
         z = relaxation_values(dilate(pair.shear, t), lams * t, tg)[:, -1][inverse]
         v_hat = project_P(base).values * z1[None] + project_Q(base).values * z[None]
         w = stokes_fundamental(rep.A, rep.B, grid, t, base.mass_vector)
-        ref = vector_hs_norm(VectorSpectralField(grid, v_hat - w.values), -2.0)
+        ref = vector_hs_norm(VectorSpectralField(grid, v_hat - w.values), s)
         assert t_row == t and r == t**0.75 * dist
         assert abs(dist - ref) <= 1e-14 * ref
 
@@ -542,33 +539,32 @@ def test_visco_rate_matches_the_vector_field_assembly(v0, grid):
 def test_visco_rate_splits_only_v0_for_a_radial_datum(monkeypatch, v0, splits, fields):
     # A VectorGaussian is V0 times an envelope of |xi|^2: the study never
     # forms the datum on the modes, and takes G and H of V0 in closed form
-    # from the shell weights, with no split and no H^s weight per mode.
-    # The shifted datum takes the general path: its field, the per-mode
-    # weight, and the splits of V0 and of the datum's real and imaginary
-    # parts.
-    seen, formed, weights = [], [], []
-    split, field, hs_weights = visco._split, type(v0).field, visco._hs_weights
+    # from the shell weights, with no split.  The shifted datum takes the
+    # general path: its field, and the splits of V0 and of the datum's real
+    # and imaginary parts.  Neither forms the H^s weight per mode: the H^s
+    # factor is taken per shell.
+    seen, formed = [], []
+    split, field = visco._split, type(v0).field
 
-    def spy_split(grid, v, part=False):
+    def spy_split(grid, v):
         seen.append(np.array(v))
-        return split(grid, v, part)
+        return split(grid, v)
 
-    def spy_weights(grid, s):
-        weights.append(s)
-        return hs_weights(grid, s)
+    def no_weight(*args, **kwargs):
+        raise AssertionError("the study formed the H^s weight per mode")
 
     def spy_field(self, grid):
         formed.append(grid)
         return field(self, grid)
 
     monkeypatch.setattr(visco, "_split", spy_split)
-    monkeypatch.setattr(visco, "_hs_weights", spy_weights)
+    for module in (spectral, visco):  # a name imported from spectral too
+        monkeypatch.setattr(module, "_hs_weights", no_weight, raising=False)
     monkeypatch.setattr(type(v0), "field", spy_field)
     grid = ModeGrid(3, 10, 2.9)
     rep = visco_asymptotics(ViscoKernelPair(Exponential(mu=1.1, c=1.2, a0=0.3), Heat(0.5)),
                             v0, [5.0, 20.0], -2.0, grid, n_steps=500)
     assert len(rep.rows) == 2 and len(seen) == splits and len(formed) == fields
-    assert len(weights) == fields  # the per-mode H^s weight serves a datum's fit alone
     V0 = np.asarray(v0.mass_vector)[:, None, None, None]
     assert not seen or np.array_equal(seen[0], np.broadcast_to(V0, (3,) + grid.shape))
 
@@ -584,9 +580,10 @@ def test_closed_form_v0_sums_match_the_split(grid, s):
     V0 = np.array([0.3, -0.5, 0.8])
     weight = spectral._hs_weights(grid, s)
     c_V, _, q_V = visco._split(grid, np.broadcast_to(V0[:, None, None, None], (3,) + grid.shape))
-    G_split = spectral._shell_sums(grid, weight * grid.xi_squared(), c_V[None])
-    H_split = spectral._shell_sums(grid, weight, q_V)
-    Y = spectral._shell_weights(grid, s)
+    lams, inverse = unique_lambdas(grid)
+    G_split = np.bincount(inverse.ravel(), (weight * grid.xi_squared() * c_V**2).ravel(), len(lams))
+    H_split = np.bincount(inverse.ravel(), (weight * np.sum(q_V**2, axis=0)).ravel(), len(lams))
+    Y = spectral._shell_weights(grid, s)[1]
     G = V0 @ V0 / 3.0 * Y
     assert G_split[0] == 0.0 and H_split[0] == 0.0
     np.testing.assert_allclose(G[1:], G_split[1:], rtol=1e-14, atol=0.0)

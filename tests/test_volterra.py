@@ -181,6 +181,10 @@ def test_time_grid_basics():
     assert g.index_of(1.5) == 3
     with pytest.raises(DomainError):
         g.index_of(0.7)
+    # round raised a bare ValueError for NaN and OverflowError for inf.
+    for t in (math.nan, math.inf, -math.inf, 1e308):
+        with pytest.raises(DomainError, match="not a node"):
+            TimeGrid(2.0, 10**9).index_of(t)
     with pytest.raises(DomainError):
         TimeGrid(-1.0, 4)
     # A NaN t_end reached the solver, and 10.5 steps put the last node
