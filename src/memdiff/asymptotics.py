@@ -5,9 +5,9 @@ u_hat_{T,k}(xi, t) = z(|xi|^2 / k(T)^2, T t) * u0_hat(xi / k(T)), so the
 rescaled field is formed analytically from the representation formula --
 no resampling, no interpolation error.  The long solve to time T*t is
 avoided through the dilation identity z(lam, T tau) = w(tau), where w is
-the relaxation of the dilated kernel A(T .) with coupling lam*T; dilation
-stays within the kernel catalog, so rescaled evolutions cost the same as
-plain ones.
+the relaxation of the dilated kernel A(T .) with coupling lam*T.  The
+solver reads a dilation from the kernel tree and takes the dilated
+kernel's path, so rescaled evolutions cost the same as plain ones.
 
 The canonical scaling is k(t) = sqrt(t A(t) Gamma(1+beta)); with it the
 rescaled fields approach the Mittag-Leffler limit profile of index
@@ -41,7 +41,7 @@ from .spectral import (
     InitialData,
     ModeGrid,
     SpectralField,
-    _lattice,
+    _scaled_datum,
     _shell_factors,
     _shell_fit,
     _shell_weights,
@@ -129,13 +129,6 @@ def _rescaled_fields(kernel, sf, T_list, t_list, grid: ModeGrid, n_steps):
     lam_scale = [T / k**2 for T, k in zip(T_list, kT)]
     zs = _shell_factors([dilate(kernel, T) for T in T_list], grid, tg, t_list, lam_scale)
     return zip(kT, zs)
-
-
-def _scaled_datum(u0: InitialData, grid: ModeGrid, k=1.0):
-    """u0_hat(xi / k) on the modes, formed as read."""
-    comps = _lattice(grid).components  # None on a radial grid
-    return u0.hat(xi_squared=grid.xi_squared() / k**2,
-                  xi_components=None if comps is None else [c / k for c in comps])
 
 
 def _datum_fit(u0: InitialData, grid: ModeGrid, h, Y, k=1.0):
@@ -377,9 +370,11 @@ def converge_to_limit(
 
 def relaxation_at_time(kernel: MemoryKernel, lambdas, t: float, n_steps: int = 2000):
     """z(lam, t) for one time via the dilation identity (cheap for large t),
-    in the shape of ``lambdas``."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    in the shape of ``lambdas``.  A t that is not one finite positive time
+    raises DomainError, naming t, as ``rescaled_values`` does for T."""
+    if np.ndim(t) != 0:
+        raise DomainError("t must be one time, not a list")
+    (t,) = _time_list(t, "t")
     lambdas = np.asarray(lambdas, dtype=float)
     grid = TimeGrid(1.0, n_steps)
     (z,), _ = _solve_nodes([dilate(kernel, t)], [lambdas.ravel() * t], grid, [n_steps])

@@ -539,6 +539,10 @@ class TimeDilated(MemoryKernel):
         # a_T(t) = T a(T t), so its transform is that of a at s / T.
         return self.base.laplace(np.asarray(s, dtype=complex) / self.T)
 
+    def total_mass(self):
+        # A(T t) has the limit of A as t -> inf.
+        return self.base.total_mass()
+
 
 class SampledKernel(MemoryKernel):
     """Integrated kernel known only through samples A(t_i) on a uniform grid.
@@ -619,45 +623,22 @@ class ScaledKernel(MemoryKernel):
 
 
 def scale(kernel: MemoryKernel, factor: float) -> MemoryKernel:
-    """factor * kernel, staying inside the family when possible."""
-    if not 0.0 < factor < math.inf:  # NaN fails too
-        raise DomainError("scale factor must be positive and finite")
-    if isinstance(kernel, Heat):
-        return Heat(a0=factor * kernel.a0)
-    if isinstance(kernel, Wave):
-        return Wave(c=factor * kernel.c, a0=factor * kernel.a0)
-    if isinstance(kernel, PowerLaw):
-        return PowerLaw(beta=kernel.beta, c=factor * kernel.c, a0=factor * kernel.a0)
-    if isinstance(kernel, Exponential):
-        return Exponential(mu=kernel.mu, c=factor * kernel.c, a0=factor * kernel.a0)
-    if isinstance(kernel, SumKernel):
-        return SumKernel(scale(kernel.left, factor), scale(kernel.right, factor))
+    """factor * kernel, a ``ScaledKernel``: the solver multiplies the factor
+    through to the leaves of the kernel tree (``volterra._terms``)."""
     return ScaledKernel(kernel, factor)
 
 
 def dilate(kernel: MemoryKernel, T: float) -> MemoryKernel:
-    """Kernel whose integrated part is A(T t), in closed form when possible.
+    """Kernel whose integrated part is A(T t): the kernel itself at T = 1,
+    else a ``TimeDilated`` wrapper.
 
     Time dilation underlies the rescaling identity z(lam, T*tau) =
     w(tau) with w solving the relaxation equation for the dilated kernel
-    and coupling lam*T; catalog families dilate within the family, and
-    T = 1 gives the kernel itself.
+    and coupling lam*T.  No family is rebuilt with new constants: the
+    solver reads each leaf's dilation from the kernel tree
+    (``volterra._terms``).
     """
-    if not 0.0 < T < math.inf:  # NaN fails too
-        raise DomainError("dilation factor T must be positive and finite")
-    if T == 1.0 or isinstance(kernel, Heat):
-        return kernel
-    if isinstance(kernel, Wave):
-        return Wave(c=kernel.c * T, a0=kernel.a0)
-    if isinstance(kernel, PowerLaw):
-        return PowerLaw(beta=kernel.beta, c=kernel.c * T**kernel.beta, a0=kernel.a0)
-    if isinstance(kernel, Exponential):
-        return Exponential(mu=kernel.mu * T, c=kernel.c * T, a0=kernel.a0)
-    if isinstance(kernel, SumKernel):
-        return SumKernel(dilate(kernel.left, T), dilate(kernel.right, T))
-    if isinstance(kernel, TimeDilated):
-        return dilate(kernel.base, T * kernel.T)
-    return TimeDilated(kernel, T)
+    return kernel if T == 1.0 else TimeDilated(kernel, T)
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,21 @@ class InitialData:
         raise NotImplementedError
 
     def field(self, grid: ModeGrid) -> SpectralField:
-        comps = _lattice(grid).components  # None on a radial grid
-        return SpectralField(grid, self.hat(xi_squared=grid.xi_squared(), xi_components=comps))
+        return SpectralField(grid, _scaled_datum(self, grid))
+
+
+def _scaled_datum(u0: InitialData, grid: ModeGrid, k=1.0):
+    """u0_hat(xi / k) on the modes, formed as read: the one place a datum
+    meets a mode grid.  A radial grid holds |xi| alone, which determines a
+    datum that is not radial only in 1-D, and there only an even one, as
+    the box is; in n >= 2 such a datum would be read along one ray, so it
+    raises DomainError."""
+    if grid.radial and grid.n > 1 and not u0.radial:
+        raise DomainError(f"a radial grid in n = {grid.n} holds |xi| alone and takes "
+                          f"radial data only; {type(u0).__name__} is not radial")
+    comps = _lattice(grid).components  # None on a radial grid
+    return u0.hat(xi_squared=grid.xi_squared() / k**2,
+                  xi_components=None if comps is None else [c / k for c in comps])
 
 
 @dataclass
@@ -233,7 +246,7 @@ class BoxFunction(InitialData):
 
     def hat(self, xi_squared=None, xi_components=None):
         if xi_components is None:
-            # Radial grids only make sense in n = 1 for this datum.
+            # A radial grid, in n = 1 (``_scaled_datum``): the box is even.
             xi_components = [np.sqrt(xi_squared)]
         out = self.mass * np.ones_like(xi_components[0])
         for comp in xi_components:
@@ -305,11 +318,12 @@ def evolve(
     """Fields u_hat(., t) = z(|xi|^2, t) u0_hat for each requested time.
 
     Refuses kernels that fail the positive-definiteness check, mirroring
-    the existence hypothesis of the representation formula.
+    the existence hypothesis of the representation formula, and a datum
+    the grid cannot hold (``_scaled_datum``), before any solve.
     """
     require_positive_definite(kernel)
-    factors = _mode_factors([kernel], grid, time_grid, times)[0]
     base = u0.field(grid).values
+    factors = _mode_factors([kernel], grid, time_grid, times)[0]
     return [SpectralField(grid, base * factor) for factor in factors]
 
 

@@ -64,6 +64,17 @@ def _require_vector_grid(grid: ModeGrid):
         raise DomainError("vector fields require a full 3-D grid")
 
 
+def _mass_vector(V0) -> np.ndarray:
+    """V0 as a float array; DomainError unless it is 3 finite reals."""
+    try:
+        V0 = np.asarray(V0, dtype=float)
+    except (TypeError, ValueError):
+        V0 = None
+    if V0 is None or V0.shape != (3,) or not np.all(np.isfinite(V0)):
+        raise DomainError("mass_vector must be 3 finite reals")
+    return V0
+
+
 @dataclass
 class VectorSpectralField:
     """Complex 3-vector per mode on a 3-D mode grid."""
@@ -99,12 +110,7 @@ class VectorGaussian:
 
     def __post_init__(self):
         spectral.Gaussian(self.width)  # refuses a width that is not finite and positive
-        try:
-            V0 = np.asarray(self.mass_vector, dtype=float)
-        except (TypeError, ValueError):
-            V0 = None
-        if V0 is None or V0.shape != (3,) or not np.all(np.isfinite(V0)):
-            raise DomainError("mass_vector must be 3 finite reals")
+        _mass_vector(self.mass_vector)
 
     def envelope(self, xi_squared):
         """exp(-width^2 |xi|^2 / 2) at the given |xi|^2."""
@@ -167,10 +173,14 @@ def evolve_visco(
 
 
 def stokes_fundamental(A: float, B: float, grid: ModeGrid, t: float, V0) -> VectorSpectralField:
-    """W_hat(xi, t) V0 = e^{-B |xi|^2 t} P V0 + e^{-A |xi|^2 t} Q V0."""
+    """W_hat(xi, t) V0 = e^{-B |xi|^2 t} P V0 + e^{-A |xi|^2 t} Q V0.
+
+    Raises DomainError, before any array work, unless A, B and t are finite
+    and positive, V0 is 3 finite reals and the grid is a full 3-D grid."""
     if not all(0.0 < x < math.inf for x in (A, B, t)):  # NaN fails too
         raise DomainError("need finite A, B, t > 0")
-    V0 = np.asarray(V0, dtype=float)
+    V0 = _mass_vector(V0)
+    _require_vector_grid(grid)
     const = np.broadcast_to(V0[:, None, None, None], (3,) + grid.shape).astype(complex)
     _, p, q = _split(grid, const)
     lam2 = grid.xi_squared()

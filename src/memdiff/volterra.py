@@ -91,7 +91,6 @@ from .kernels import (
     SumKernel,
     TimeDilated,
     _ExpPolyKernel,
-    dilate,
 )
 from .specfun import _parabola
 
@@ -179,19 +178,20 @@ def _convolution_weights(kernel: MemoryKernel, grid: TimeGrid):
 
 
 def _terms(kernel: MemoryKernel):
-    """(factor, leaf) pairs whose factor-weighted sum is the kernel.
+    """(factor, dilation, leaf) triples: the kernel is the sum of factor
+    times the leaf dilated, A(t) = sum f A_leaf(T t).
 
-    Sums are split, scalings go into the factor and a dilation is applied
-    to each leaf, so leaves are never SumKernel, ScaledKernel or (for
-    catalog families) TimeDilated.
+    The one statement of the kernel algebra: sums are split, scalings
+    multiply the factor and dilations the dilation, so leaves are never
+    SumKernel, ScaledKernel or TimeDilated.
     """
     if isinstance(kernel, SumKernel):
         return _terms(kernel.left) + _terms(kernel.right)
     if isinstance(kernel, ScaledKernel):
-        return [(kernel.factor * f, leaf) for f, leaf in _terms(kernel.base)]
+        return [(kernel.factor * f, T, leaf) for f, T, leaf in _terms(kernel.base)]
     if isinstance(kernel, TimeDilated):
-        return [(f, dilate(leaf, kernel.T)) for f, leaf in _terms(kernel.base)]
-    return [(1.0, kernel)]
+        return [(f, kernel.T * T, leaf) for f, T, leaf in _terms(kernel.base)]
+    return [(1.0, 1.0, kernel)]
 
 
 def _power_law_constants(kernel: MemoryKernel):
@@ -199,30 +199,32 @@ def _power_law_constants(kernel: MemoryKernel):
 
     Qualify: power laws with beta < 0, and sums, scalings and dilations of
     Heat kernels and power laws that share one beta < 0; their constants
-    add.  None when the kernel has no beta < 0 power-law part.  A beta < 0
-    power law combined with anything else has no solver path, and neither
-    has a0 < 0, since the transform of z then has a pole s > 0 that the
-    contour would miss: DomainError.
+    add, a0 as f a0 and c/beta as f (c/beta) T^beta over the terms (f, T)
+    of ``_terms``.  None when the kernel has no beta < 0 power-law part.
+    A beta < 0 power law combined with anything else has no solver path,
+    and neither has a0 < 0, since the transform of z then has a pole
+    s > 0 that the contour would miss: DomainError.
     """
     terms = _terms(kernel)
-    betas = {leaf.beta for _, leaf in terms if isinstance(leaf, PowerLaw) and leaf.beta < 0}
+    betas = {leaf.beta for _, _, leaf in terms if isinstance(leaf, PowerLaw) and leaf.beta < 0}
     if not betas:
         return None
     if len(betas) > 1 or not all(
         isinstance(leaf, Heat) or isinstance(leaf, PowerLaw) and leaf.beta in betas
-        for _, leaf in terms
+        for _, _, leaf in terms
     ):
         raise DomainError(
             f"{kernel.description}: a power law with beta < 0 can only be "
             "combined with Heat kernels and power laws of the same beta"
         )
-    a0 = sum(f * leaf.a0 for f, leaf in terms)
+    a0 = sum(f * leaf.a0 for f, _, leaf in terms)
     if a0 < 0.0:
         raise DomainError(
             f"{kernel.description}: a0 < 0 gives the transform of z a pole "
             "s > 0, which the beta < 0 path cannot represent"
         )
-    cA = sum(f * leaf.c / leaf.beta for f, leaf in terms if isinstance(leaf, PowerLaw))
+    cA = sum(f * leaf.c / leaf.beta * T**leaf.beta
+             for f, T, leaf in terms if isinstance(leaf, PowerLaw))
     return betas.pop(), a0, cA
 
 
@@ -231,14 +233,11 @@ def _exp_poly_terms(kernel: MemoryKernel):
     exact path.
 
     Qualify: Heat, Wave, Exponential, NegExponential, Cosine and their sums,
-    scalings and dilations; a scaling multiplies g, and a dilation by T
-    maps s to T s and scales a t-term by T.  None for any other kernel.
+    scalings and dilations.  Each term (f, T) of ``_terms`` maps a leaf's
+    terms: g to f g T^m and s to T s.  None for any other kernel.
     """
     out = []
-    for f, leaf in _terms(kernel):
-        T = 1.0
-        if isinstance(leaf, TimeDilated):
-            T, leaf = leaf.T, leaf.base
+    for f, T, leaf in _terms(kernel):
         if not isinstance(leaf, _ExpPolyKernel):
             return None
         out += [(f * g * T**m, s * T, m) for g, s, m in leaf.exp_terms()]

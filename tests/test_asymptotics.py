@@ -358,9 +358,33 @@ def test_relaxation_at_time_keeps_the_shape_of_lambdas():
     assert np.array_equal(relaxation_at_time(kernel, lams, 3.0), flat.reshape(2, 2))
     z = relaxation_at_time(kernel, 2.0, 3.0)
     assert np.ndim(z) == 0 and z == flat[1]
-    for t in (np.nan, np.inf):
-        with pytest.raises(DomainError):
+    # NaN and inf were refused as "dilation factor T must be positive and
+    # finite", which names a T the caller never passed.
+    for t in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(DomainError, match="t must be finite and positive"):
             relaxation_at_time(kernel, lams, t)
+    # A list raised a bare ValueError from its truth value.
+    with pytest.raises(DomainError, match="t must be one time, not a list"):
+        relaxation_at_time(kernel, lams, [1.0, 2.0])
+
+
+def test_a_datum_that_is_not_radial_is_refused_on_a_radial_grid_past_1d():
+    # A radial grid holds |xi| alone: BoxFunction(0.8) on a radial 2-D grid
+    # was read as sinc(h |xi|), with hs_norm 0.6877 where the box's L2 norm
+    # is 0.625, and every solve and study answered for that other datum.
+    box, kernel = BoxFunction(half_width=0.8), Exponential(mu=1.0, c=1.0)
+    sf = ScalingFunction(kernel=kernel, beta=0.0)
+    for grid in (ModeGrid(2, 256, 16.0, radial=True), ModeGrid(3, 16, 4.0, radial=True)):
+        for call in (lambda: box.field(grid),
+                     lambda: spectral.evolve(kernel, box, grid, [1.0], TimeGrid(1.0, 10)),
+                     lambda: rescaled_values(kernel, box, sf, 10.0, [1.0], grid, n_steps=10),
+                     lambda: converge_to_limit(kernel, box, sf, [10.0], [1.0], 0.0, grid, n_steps=10),
+                     lambda: leading_order_rate(kernel, box, [1.0], 0.0, grid, n_steps=10)):
+            with pytest.raises(DomainError, match="takes radial data only; BoxFunction"):
+                call()
+    # In 1-D, |xi| = xi on the half line holds the even box, bit for bit.
+    radial, full = ModeGrid(1, 16, 4.0, radial=True), ModeGrid(1, 32, 4.0)
+    assert np.array_equal(box.field(radial).values, box.field(full).values[16:])
 
 
 def test_rate_heat_is_pure_data_spreading():

@@ -306,6 +306,9 @@ def test_missing_required_key_is_collected_with_the_others():
     ([("family = heat\na0 = 1.0", "family = powerlaw\nbeta = 1.0"),
       ("t_end = 1.0\nn_steps = 100", "t_end = 50.0\nn_steps = 2"),
       ("t_list = 0.0, 1.0", "t_list = 50.0")], "refine the time grid"),
+    # A box datum on a radial 2-D grid, which holds |xi| alone: DomainError.
+    ([("type = gaussian\nwidth = 1.0", "type = box\nhalf_width = 0.8"),
+      ("dimension = 1", "dimension = 2\nradial = true")], "takes radial data only"),
 ])
 def test_runtime_library_error_exits_2_without_traceback(edits, message, tmp_path, capsys):
     out = tmp_path / "solve.csv"

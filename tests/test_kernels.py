@@ -322,11 +322,19 @@ def test_sum_kernel_adds_everything():
 
 
 def test_scale_stays_in_family():
-    k = scale(Exponential(mu=2.0, c=3.0, a0=1.0), 2.0)
-    assert isinstance(k, Exponential)
-    assert k.c == 6.0 and k.a0 == 2.0 and k.mu == 2.0
-    assert isinstance(scale(Heat(1.0), 3.0), Heat)
-    with pytest.raises(DomainError):
+    # A scaling is a ScaledKernel wrapper; its A, a0 and total mass are
+    # those of the family member with the scaled constants.
+    t = np.array([0.0, 0.3, 1.0, 7.0])
+    for kernel, factor, member in (
+            (Exponential(mu=2.0, c=3.0, a0=1.0), 2.0, Exponential(mu=2.0, c=6.0, a0=2.0)),
+            (Heat(1.0), 3.0, Heat(3.0)),
+            (Wave(c=1.5, a0=0.25), 2.0, Wave(c=3.0, a0=0.5)),
+            (PowerLaw(beta=0.5, c=2.0, a0=0.5), 2.0, PowerLaw(beta=0.5, c=4.0, a0=1.0))):
+        k = scale(kernel, factor)
+        assert np.allclose(k.primitive(t), member.primitive(t), rtol=1e-15, atol=0.0)
+        assert k.a0 == member.a0
+        assert k.total_mass() == member.total_mass()
+    with pytest.raises(DomainError, match="scale factor must be positive and finite"):
         scale(Heat(1.0), 0.0)
 
 
@@ -342,6 +350,8 @@ def test_dilation_matches_base_kernel(kernel):
     kd = dilate(kernel, T)
     t = np.array([0.1, 0.7, 1.3])
     assert np.allclose(kd.primitive(t), kernel.primitive(T * t), rtol=1e-12)
+    # A_T has the limit of A as t -> inf; a dilated LogModified gave None.
+    assert kd.total_mass() == kernel.total_mass()
     (m0, m1), (r0, r1) = quad_moments(kd, 0.0, t), quad_moments(kernel, 0.0, T * t)
     assert np.allclose(m0, r0 / T, rtol=1e-10)
     assert np.allclose(m1, r1 / T**2, rtol=1e-10)

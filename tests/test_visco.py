@@ -438,6 +438,19 @@ def test_visco_rate_and_vector_norm_refuse_a_sobolev_exponent_that_is_not_finite
         vector_hs_norm(_random_field(), s)
 
 
+@pytest.mark.parametrize(
+    "V0, grid",
+    [((np.nan, 0.0, 0.0), GRID), ((1.0, np.inf, 0.0), GRID), ((1.0, 0.0), GRID),
+     ((1.0, 0.0, 0.0), ModeGrid(2, 4, 1.0)), ((1.0, 0.0, 0.0), ModeGrid(3, 4, 1.0, radial=True))],
+    ids=["V0-nan", "V0-inf", "V0-length-2", "grid-2d", "grid-radial-3d"],
+)
+def test_stokes_fundamental_refuses_a_mass_vector_or_grid_it_cannot_use(V0, grid):
+    # A NaN or inf V0 gave a field of NaNs with no error, and the others
+    # raised a bare numpy ValueError from the broadcast.
+    with pytest.raises(DomainError, match="mass_vector must be 3 finite reals|full 3-D grid"):
+        stokes_fundamental(1.0, 2.0, grid, 0.5, V0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("which", ["A", "B", "t"])
 def test_stokes_fundamental_refuses_values_that_are_not_finite_and_positive(which, bad):

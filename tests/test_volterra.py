@@ -415,7 +415,7 @@ def test_fft_division_scales_its_rounding_by_the_half_that_holds_a_node():
      (dilate(LogModified(), 2.0), None)],
     ids=lambda k: getattr(k, "description", k),
 )
-def test_exp_poly_terms_choose_the_recurrence_path(kernel, states):
+def test_exp_poly_terms_choose_the_exact_path(kernel, states):
     # The exact path takes exponential polynomials, with one memory state
     # per real rate s != 0 and for the t-terms, and two per conjugate pair;
     # the FFT division keeps every other kernel.
@@ -425,6 +425,19 @@ def test_exp_poly_terms_choose_the_recurrence_path(kernel, states):
     else:
         assert len(_generator(terms)[0]) - 1 == states
         assert _path(kernel)[:2] == ("exact", states)
+
+
+def test_terms_multiply_factors_and_dilations_through_the_tree():
+    # A(t) = sum f A_leaf(T t) over the (factor, dilation, leaf) terms: a
+    # scaling multiplies the factors below it and a dilation the dilations.
+    e, w, c = Exponential(mu=1.0, c=1.0), Wave(c=2.0), Cosine()
+    kernel = dilate(scale(dilate(e + scale(w, 3.0), 2.0), 5.0) + c, 7.0)
+    terms = volterra._terms(kernel)
+    assert terms == [(5.0, 14.0, e), (15.0, 14.0, w), (1.0, 7.0, c)]
+    t = np.array([0.1, 0.5, 2.0])
+    A = sum(f * leaf.primitive(T * t) for f, T, leaf in terms)
+    assert np.allclose(kernel.primitive(t), A, rtol=1e-14, atol=0.0)
+    assert volterra._terms(dilate(e, 1.0)) == [(1.0, 1.0, e)]
 
 
 @pytest.mark.parametrize("T", [1.0, 7.5])
@@ -543,7 +556,8 @@ def test_merged_dilations_match_singular_march(beta, a0):
     z, _ = _solve_nodes([dilate(kernel, T) for T in Ts], [lams] * 3, grid)
     idx = np.arange(1, 201) if a0 == 0.0 else np.array([1, 200])
     for zk, T in zip(z, Ts):
-        ref = _exact_power_law(dilate(kernel, T), lams, grid.nodes[idx])
+        dilated = PowerLaw(beta=beta, c=kernel.c * T**beta, a0=a0)
+        ref = _exact_power_law(dilated, lams, grid.nodes[idx])
         assert np.max(np.abs(zk[idx].T - ref)) <= 1e-10
 
 
@@ -584,10 +598,12 @@ def test_sum_with_singular_power_law_takes_singular_path():
     ref = relaxation_values(PowerLaw(beta=-0.5, c=frac.c, a0=0.1), lams, grid)
     z = relaxation_values(frac + Heat(0.1), lams, grid)
     assert np.max(np.abs(z - ref)) <= 1e-14
-    for wrapped, plain in ((ScaledKernel(frac, 2.0), scale(frac, 2.0)),
-                           (TimeDilated(frac, 3.0), dilate(frac, 3.0)),
+    # Each wrapped tree against the power law of its constants: a scaling
+    # multiplies c, a dilation by T multiplies c by T^beta and keeps a0.
+    for wrapped, plain in ((ScaledKernel(frac, 2.0), PowerLaw(beta=-0.5, c=2.0 * frac.c)),
+                           (TimeDilated(frac, 3.0), PowerLaw(beta=-0.5, c=frac.c * 3.0**-0.5)),
                            (TimeDilated(ScaledKernel(frac, 2.0) + Heat(0.1), 3.0),
-                            scale(frac, 2.0 * 3.0**-0.5) + Heat(0.1))):
+                            PowerLaw(beta=-0.5, c=2.0 * 3.0**-0.5 * frac.c, a0=0.1))):
         ref = relaxation_values(plain, lams, grid)
         assert np.max(np.abs(relaxation_values(wrapped, lams, grid) - ref)) <= 1e-13
 
