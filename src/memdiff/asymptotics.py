@@ -41,6 +41,7 @@ from .spectral import (
     InitialData,
     ModeGrid,
     SpectralField,
+    _require_datum_fits,
     _scaled_datum,
     _shell_factors,
     _shell_fit,
@@ -157,11 +158,12 @@ def rescaled_values(
     The kernel must be positive definite, as ``converge_to_limit`` checks;
     |z| above 1 then means the grid is too coarse and raises StepSizeError.
     A T that is not one finite positive time raises DomainError, naming T,
-    before any solve.
+    before any solve, as does a datum the grid cannot hold.
     """
     if np.ndim(T) != 0:
         raise DomainError("T must be one time, not a list")
     (T,) = _time_list(T, "T")
+    _require_datum_fits(u0, grid)
     ((k, zs),) = _rescaled_fields(kernel, sf, [T], _time_list(t_list), grid, n_steps)
     u0_scaled = _scaled_datum(u0, grid, k)
     inverse = unique_lambdas(grid)[1]
@@ -346,7 +348,8 @@ def converge_to_limit(
     with the scaling function, and the Sobolev-exponent branch.  A
     ``T_list`` or ``t_list`` that is not 1-D, or not finite and positive,
     raises DomainError, as does a ``T_list`` that is not strictly
-    increasing, before any solve; an empty list gives no rows.
+    increasing, before any solve, as does a datum the grid cannot hold
+    (``spectral._require_datum_fits``); an empty list gives no rows.
     """
     h, Y = _shell_weights(grid, s)  # refuses an s that is not finite
     est = _validate_harness_kernel(kernel, sf, s, grid.n)
@@ -356,6 +359,7 @@ def converge_to_limit(
     U0 = u0.mass
     report = ConvergenceReport(s=s, U0=U0, beta_estimate=est.beta)
     t_list = _time_list(t_list)  # before the time grid of _rescaled_fields
+    _require_datum_fits(u0, grid)
     rescaled = _rescaled_fields(kernel, sf, T_list, t_list, grid, n_steps)
     # The limit U0 E_alpha(-lam t^alpha) per shell, as in limit_profile.
     alpha, lams = 1.0 + sf.beta, unique_lambdas(grid)[0]

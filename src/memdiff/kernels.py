@@ -9,8 +9,10 @@ the Volterra solver uses of the kernel: its Toeplitz weights are that rule
 on the cells of a grid.  Heat, Wave, Exponential, NegExponential and
 Cosine state only the terms of A = sum g t^m e^(s t), from which A, a,
 its transform, its total mass and closed-form hat weights with no
-differencing all derive; sums, scalings and dilations combine their
-parts' rules, so they stay as exact.
+differencing all derive.  Sums, scalings and dilations state only their
+terms (factor, dilation, leaf), A(t) = sum f A_leaf(T t) (``_terms``), and
+sum each of those over their leaves (``_Combination``), so they stay as
+exact.
 ``LogModified`` takes its weights and transform from fixed rules exact to
 rounding: Gauss-Legendre per cell, trapezoid on a rotated ray.  Power
 laws sum a Taylor series of positive terms on each cell no wider than its
@@ -175,6 +177,11 @@ class MemoryKernel:
         """(wL, wR) = (int A(s) (s - t0) ds, int A(s) (t0 + h - s) ds) / h
         over the cell [t0, t0 + h], elementwise, for h > 0."""
         raise NotImplementedError
+
+    def _terms(self):
+        """(factor, dilation, leaf) triples with A(t) = sum f A_leaf(T t);
+        a catalog kernel is its own one leaf."""
+        return [(1.0, 1.0, self)]
 
     def moment_cells(self, dt: float, n: int):
         """Cell moments (int A, int s A(s) ds) over [r*dt, (r+1)*dt], r < n,
@@ -479,69 +486,81 @@ class LogModified(MemoryKernel):
         return math.inf
 
 
-class SumKernel(MemoryKernel):
-    """Pointwise sum of two kernels; a0, A, hat weights and transforms add."""
+def _add(values):
+    """Sum from the first value on: a start of 0 would turn -0.0 into 0.0."""
+    return functools.reduce(operator.add, values)
+
+
+class _Combination(MemoryKernel):
+    """A sum, scaling or dilation, which states only its terms (f, T, leaf):
+    each member is the sum over them of the leaf's, a0 as f a0, A as
+    f A(T t), a as f T a(T t), the transform as f a~(s / T) and the total
+    mass as f mass, None if a leaf's is."""
+
+    @property
+    def a0(self):
+        return _add(f * leaf.a0 for f, _, leaf in self._terms())
+
+    def a(self, t):
+        return _add(f * T * leaf.a(T * np.asarray(t)) for f, T, leaf in self._terms())
+
+    def primitive(self, t):
+        t = np.asarray(t, dtype=float)
+        return _add(f * leaf.primitive(T * t) for f, T, leaf in self._terms())
+
+    def _hat(self, t0, h):
+        # s -> T s maps the cell onto [T t0, T (t0 + h)] and scales by 1/T.
+        w = [(f, T, leaf._hat(T * t0, T * h)) for f, T, leaf in self._terms()]
+        return _add(f * wL / T for f, T, (wL, _) in w), _add(f * wR / T for f, T, (_, wR) in w)
+
+    def laplace(self, s):
+        s = np.asarray(s, dtype=complex)
+        return _add(f * leaf.laplace(s / T) for f, T, leaf in self._terms())
+
+    def total_mass(self):
+        masses = [(f, leaf.total_mass()) for f, _, leaf in self._terms()]
+        return None if any(m is None for _, m in masses) else _add(f * m for f, m in masses)
+
+
+class SumKernel(_Combination):
+    """Pointwise sum of two kernels: the terms of both."""
 
     def __init__(self, left: MemoryKernel, right: MemoryKernel):
         self.left = left
         self.right = right
-        self.a0 = left.a0 + right.a0
         self.description = f"sum({left.description}, {right.description})"
 
-    def a(self, t):
-        return self.left.a(t) + self.right.a(t)
-
-    def primitive(self, t):
-        return self.left.primitive(t) + self.right.primitive(t)
-
-    def _hat(self, t0, h):
-        (lL, lR), (rL, rR) = self.left._hat(t0, h), self.right._hat(t0, h)
-        return lL + rL, lR + rR
-
-    def laplace(self, s):
-        return self.left.laplace(s) + self.right.laplace(s)
-
-    def total_mass(self):
-        lm = self.left.total_mass()
-        rm = self.right.total_mass()
-        if lm is None or rm is None:
-            return None
-        return lm + rm
+    def _terms(self):
+        return self.left._terms() + self.right._terms()
 
 
-class TimeDilated(MemoryKernel):
-    """Kernel with integrated part A_T(t) = A(T t) for a base kernel.
+class ScaledKernel(_Combination):
+    """Kernel multiplied by a positive constant factor."""
 
-    Hat weights follow from the base kernel's by substitution, so the
-    rescaled relaxation equation can be solved without loss of accuracy.
-    """
+    def __init__(self, base: MemoryKernel, factor: float):
+        if not 0.0 < factor < math.inf:  # NaN fails too
+            raise DomainError("scale factor must be positive and finite")
+        self.base = base
+        self.factor = float(factor)
+        self.description = f"{factor}*{base.description}"
+
+    def _terms(self):
+        return [(self.factor * f, T, leaf) for f, T, leaf in self.base._terms()]
+
+
+class TimeDilated(_Combination):
+    """Kernel with integrated part A_T(t) = A(T t) for a base kernel; its
+    cell rule follows from the base's by substitution, without loss."""
 
     def __init__(self, base: MemoryKernel, T: float):
         if not 0.0 < T < math.inf:  # NaN fails too
             raise DomainError("dilation factor T must be positive and finite")
         self.base = base
         self.T = float(T)
-        self.a0 = base.a0
         self.description = f"dilated(T={T}, {base.description})"
 
-    def a(self, t):
-        return self.T * self.base.a(self.T * np.asarray(t))
-
-    def primitive(self, t):
-        return self.base.primitive(self.T * np.asarray(t, dtype=float))
-
-    def _hat(self, t0, h):
-        # s -> T s maps the cell onto [T t0, T (t0 + h)] and scales by 1/T.
-        wL, wR = self.base._hat(self.T * t0, self.T * h)
-        return wL / self.T, wR / self.T
-
-    def laplace(self, s):
-        # a_T(t) = T a(T t), so its transform is that of a at s / T.
-        return self.base.laplace(np.asarray(s, dtype=complex) / self.T)
-
-    def total_mass(self):
-        # A(T t) has the limit of A as t -> inf.
-        return self.base.total_mass()
+    def _terms(self):
+        return [(f, self.T * T, leaf) for f, T, leaf in self.base._terms()]
 
 
 class SampledKernel(MemoryKernel):
@@ -593,38 +612,9 @@ class SampledKernel(MemoryKernel):
         return (m1 - t0 * m0) / h, (t1 * m0 - m1) / h
 
 
-class ScaledKernel(MemoryKernel):
-    """Kernel multiplied by a positive constant factor."""
-
-    def __init__(self, base: MemoryKernel, factor: float):
-        if not 0.0 < factor < math.inf:  # NaN fails too
-            raise DomainError("scale factor must be positive and finite")
-        self.base = base
-        self.factor = float(factor)
-        self.a0 = factor * base.a0
-        self.description = f"{factor}*{base.description}"
-
-    def a(self, t):
-        return self.factor * self.base.a(t)
-
-    def primitive(self, t):
-        return self.factor * self.base.primitive(t)
-
-    def _hat(self, t0, h):
-        wL, wR = self.base._hat(t0, h)
-        return self.factor * wL, self.factor * wR
-
-    def laplace(self, s):
-        return self.factor * self.base.laplace(s)
-
-    def total_mass(self):
-        m = self.base.total_mass()
-        return None if m is None else self.factor * m
-
-
 def scale(kernel: MemoryKernel, factor: float) -> MemoryKernel:
-    """factor * kernel, a ``ScaledKernel``: the solver multiplies the factor
-    through to the leaves of the kernel tree (``volterra._terms``)."""
+    """factor * kernel, a ``ScaledKernel``: its terms (``MemoryKernel._terms``)
+    carry the factor through to the leaves of the kernel tree."""
     return ScaledKernel(kernel, factor)
 
 
@@ -634,9 +624,8 @@ def dilate(kernel: MemoryKernel, T: float) -> MemoryKernel:
 
     Time dilation underlies the rescaling identity z(lam, T*tau) =
     w(tau) with w solving the relaxation equation for the dilated kernel
-    and coupling lam*T.  No family is rebuilt with new constants: the
-    solver reads each leaf's dilation from the kernel tree
-    (``volterra._terms``).
+    and coupling lam*T.  No family is rebuilt with new constants: each
+    leaf's dilation is read from the kernel tree (``MemoryKernel._terms``).
     """
     return kernel if T == 1.0 else TimeDilated(kernel, T)
 
@@ -647,15 +636,19 @@ def dilate(kernel: MemoryKernel, T: float) -> MemoryKernel:
 
 
 def primitive_A(kernel: MemoryKernel, t):
-    """A(t) = a0 + int_0^t a(s) ds, in closed form per family."""
-    if np.any(np.asarray(t) < 0):
+    """A(t) = a0 + int_0^t a(s) ds, in closed form per family; a t that is
+    negative or NaN raises DomainError."""
+    if not np.all(np.asarray(t) >= 0):  # NaN fails too
         raise DomainError("primitive_A needs t >= 0")
     out = kernel.primitive(t)
     return float(out) if np.isscalar(t) else out
 
 
 def laplace_a(kernel: MemoryKernel, s):
-    """Analytic Laplace transform of the memory part a."""
+    """Analytic Laplace transform of the memory part a; an s that holds
+    NaN raises DomainError."""
+    if np.any(np.isnan(s)):
+        raise DomainError("laplace_a needs an s without NaN")
     out = kernel.laplace(s)
     return complex(out) if np.isscalar(s) else out
 

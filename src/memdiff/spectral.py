@@ -194,15 +194,20 @@ class InitialData:
         return SpectralField(grid, _scaled_datum(self, grid))
 
 
-def _scaled_datum(u0: InitialData, grid: ModeGrid, k=1.0):
-    """u0_hat(xi / k) on the modes, formed as read: the one place a datum
-    meets a mode grid.  A radial grid holds |xi| alone, which determines a
-    datum that is not radial only in 1-D, and there only an even one, as
-    the box is; in n >= 2 such a datum would be read along one ray, so it
-    raises DomainError."""
+def _require_datum_fits(u0: InitialData, grid: ModeGrid):
+    """DomainError unless the grid can hold the datum.  A radial grid holds
+    |xi| alone, which determines a datum that is not radial only in 1-D,
+    and there only an even one, as the box is; in n >= 2 such a datum
+    would be read along one ray.  Studies call this before their solve."""
     if grid.radial and grid.n > 1 and not u0.radial:
         raise DomainError(f"a radial grid in n = {grid.n} holds |xi| alone and takes "
                           f"radial data only; {type(u0).__name__} is not radial")
+
+
+def _scaled_datum(u0: InitialData, grid: ModeGrid, k=1.0):
+    """u0_hat(xi / k) on the modes, formed as read: the one place a datum
+    meets a mode grid, which must hold it (``_require_datum_fits``)."""
+    _require_datum_fits(u0, grid)
     comps = _lattice(grid).components  # None on a radial grid
     return u0.hat(xi_squared=grid.xi_squared() / k**2,
                   xi_components=None if comps is None else [c / k for c in comps])

@@ -64,14 +64,15 @@ def _require_vector_grid(grid: ModeGrid):
         raise DomainError("vector fields require a full 3-D grid")
 
 
-def _mass_vector(V0) -> np.ndarray:
-    """V0 as a float array; DomainError unless it is 3 finite reals."""
+def _mass_vector(V0, name="mass_vector") -> np.ndarray:
+    """V0 as a float array; DomainError, naming it ``name``, unless it is 3
+    finite reals."""
     try:
         V0 = np.asarray(V0, dtype=float)
     except (TypeError, ValueError):
         V0 = None
     if V0 is None or V0.shape != (3,) or not np.all(np.isfinite(V0)):
-        raise DomainError("mass_vector must be 3 finite reals")
+        raise DomainError(f"{name} must be 3 finite reals")
     return V0
 
 
@@ -198,8 +199,12 @@ def stokes_gradient_part_real(x, t: float) -> np.ndarray:
     so Hess phi = (2 F'(u) I / (4t) + 4 F''(u) x x^T / (4t)^2) /
     (2 pi^{3/2} sqrt(4t)).  F' and F'' are taken in closed form, or from
     the Taylor series of F for u < 1/2, where the closed form cancels.
+    An x that is not 3 finite reals, or a t that is not one finite
+    positive time, raises DomainError.
     """
-    x = np.asarray(x, dtype=float)
+    x = _mass_vector(x, "x")
+    if np.ndim(t) != 0 or not 0.0 < t < math.inf:  # NaN fails too
+        raise DomainError("t must be one finite positive time")
     s2 = 4.0 * t
     u = float(x @ x) / s2
     if u < 0.5:

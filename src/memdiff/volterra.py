@@ -87,9 +87,6 @@ from .kernels import (
     MemoryKernel,
     PowerLaw,
     SampledKernel,
-    ScaledKernel,
-    SumKernel,
-    TimeDilated,
     _ExpPolyKernel,
 )
 from .specfun import _parabola
@@ -177,35 +174,19 @@ def _convolution_weights(kernel: MemoryKernel, grid: TimeGrid):
     return kernel._hat(grid.dt * np.arange(grid.n_steps), grid.dt)
 
 
-def _terms(kernel: MemoryKernel):
-    """(factor, dilation, leaf) triples: the kernel is the sum of factor
-    times the leaf dilated, A(t) = sum f A_leaf(T t).
-
-    The one statement of the kernel algebra: sums are split, scalings
-    multiply the factor and dilations the dilation, so leaves are never
-    SumKernel, ScaledKernel or TimeDilated.
-    """
-    if isinstance(kernel, SumKernel):
-        return _terms(kernel.left) + _terms(kernel.right)
-    if isinstance(kernel, ScaledKernel):
-        return [(kernel.factor * f, T, leaf) for f, T, leaf in _terms(kernel.base)]
-    if isinstance(kernel, TimeDilated):
-        return [(f, kernel.T * T, leaf) for f, T, leaf in _terms(kernel.base)]
-    return [(1.0, 1.0, kernel)]
-
-
 def _power_law_constants(kernel: MemoryKernel):
     """(beta, a0, c/beta) with A = a0 + (c/beta) t^beta, for the singular path.
 
     Qualify: power laws with beta < 0, and sums, scalings and dilations of
     Heat kernels and power laws that share one beta < 0; their constants
-    add, a0 as f a0 and c/beta as f (c/beta) T^beta over the terms (f, T)
-    of ``_terms``.  None when the kernel has no beta < 0 power-law part.
+    add, a0 as the kernel's and c/beta as f (c/beta) T^beta over the terms
+    (f, T) of ``MemoryKernel._terms``.  None when the kernel has no
+    beta < 0 power-law part.
     A beta < 0 power law combined with anything else has no solver path,
     and neither has a0 < 0, since the transform of z then has a pole
     s > 0 that the contour would miss: DomainError.
     """
-    terms = _terms(kernel)
+    terms = kernel._terms()
     betas = {leaf.beta for _, _, leaf in terms if isinstance(leaf, PowerLaw) and leaf.beta < 0}
     if not betas:
         return None
@@ -217,7 +198,7 @@ def _power_law_constants(kernel: MemoryKernel):
             f"{kernel.description}: a power law with beta < 0 can only be "
             "combined with Heat kernels and power laws of the same beta"
         )
-    a0 = sum(f * leaf.a0 for f, _, leaf in terms)
+    a0 = kernel.a0
     if a0 < 0.0:
         raise DomainError(
             f"{kernel.description}: a0 < 0 gives the transform of z a pole "
@@ -233,11 +214,12 @@ def _exp_poly_terms(kernel: MemoryKernel):
     exact path.
 
     Qualify: Heat, Wave, Exponential, NegExponential, Cosine and their sums,
-    scalings and dilations.  Each term (f, T) of ``_terms`` maps a leaf's
-    terms: g to f g T^m and s to T s.  None for any other kernel.
+    scalings and dilations.  Each term (f, T) of ``MemoryKernel._terms``
+    maps a leaf's terms: g to f g T^m and s to T s.  None for any other
+    kernel.
     """
     out = []
-    for f, T, leaf in _terms(kernel):
+    for f, T, leaf in kernel._terms():
         if not isinstance(leaf, _ExpPolyKernel):
             return None
         out += [(f * g * T**m, s * T, m) for g, s, m in leaf.exp_terms()]

@@ -387,6 +387,25 @@ def test_a_datum_that_is_not_radial_is_refused_on_a_radial_grid_past_1d():
     assert np.array_equal(box.field(radial).values, box.field(full).values[16:])
 
 
+def test_a_datum_the_grid_cannot_hold_is_refused_before_any_solve(monkeypatch):
+    # converge_to_limit and rescaled_values refused the box on a radial 2-D
+    # grid only after _rescaled_fields had solved every T.
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a solve ran before the datum was checked")
+
+    monkeypatch.setattr(asymptotics, "_shell_factors", solve)
+    box, kernel = BoxFunction(half_width=0.8), Exponential(mu=1.0, c=1.0)
+    sf, grid = ScalingFunction(kernel=kernel, beta=0.0), ModeGrid(2, 64, 8.0, radial=True)
+    with pytest.raises(DomainError, match="takes radial data only"):
+        converge_to_limit(kernel, box, sf, [10.0, 100.0], [1.0], 0.0, grid, n_steps=10)
+    with pytest.raises(DomainError, match="takes radial data only"):
+        rescaled_values(kernel, box, sf, 10.0, [1.0], grid, n_steps=10)
+    assert calls == []
+
+
 def test_rate_heat_is_pure_data_spreading():
     # For the plain heat kernel u IS the comparison flow, so the residual
     # reduces to the initial-data spreading term e^{-lam t}(u0_hat - U0),

@@ -321,6 +321,76 @@ def test_sum_kernel_adds_everything():
         assert np.max(np.abs(w - (w1 + w2))) <= 1e-15 * np.max(np.abs(w))
 
 
+COMBINATIONS = [
+    Heat(0.5) + (PowerLaw(beta=0.3) + Exponential(mu=1.0, c=1.0)),
+    scale(LogModified(m=1.0) + Heat(1.0), 2.5),
+    dilate(PowerLaw(beta=0.5) + Exponential(mu=1.0, c=1.0), 3.0),
+    dilate(dilate(LogModified(m=2.5), 3.0), 1.3),
+    dilate(scale(dilate(Exponential(mu=2.0, c=1.0, a0=0.2) + scale(PowerLaw(beta=0.5), 3.0), 2.0),
+                 5.0) + LogModified(m=1.0), 7.0),
+    scale(Cosine(), 2.0) + dilate(Wave(c=1.5, a0=0.25), 4.0),
+]
+
+
+def _close(x, ref):
+    x, ref = np.asarray(x), np.asarray(ref)
+    return np.max(np.abs(x - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kernel", COMBINATIONS, ids=lambda k: k.description)
+def test_combination_members_are_sums_over_its_terms(kernel):
+    # A sum, scaling or dilation states only its (factor, dilation, leaf)
+    # terms; a0, A, a, the cell rule, the transform and the total mass are
+    # the sums over them of f a0, f A(T t), f T a(T t), f hat(T t0, T h) / T,
+    # f a~(s / T) and f mass.
+    terms = kernel._terms()
+    assert not any(isinstance(leaf, kernels._Combination) for _, _, leaf in terms)
+    t = np.array([0.1, 0.7, 2.0, 9.0])
+    t0, h = 0.05 * np.arange(40), 0.05
+    s = np.array([1e-8 + 0.5j, 0.3 - 2.0j, 4.0 + 0.0j])
+    assert math.isclose(kernel.a0, sum(f * leaf.a0 for f, _, leaf in terms), rel_tol=1e-15)
+    assert _close(kernel.primitive(t), sum(f * leaf.primitive(T * t) for f, T, leaf in terms))
+    assert _close(kernel.a(t), sum(f * T * leaf.a(T * t) for f, T, leaf in terms))
+    w = [(f, T, leaf._hat(T * t0, T * h)) for f, T, leaf in terms]
+    wL, wR = kernel._hat(t0, h)
+    assert _close(wL, sum(f * wl / T for f, T, (wl, _) in w))
+    assert _close(wR, sum(f * wr / T for f, T, (_, wr) in w))
+    assert _close(kernel.laplace(s), sum(f * leaf.laplace(s / T) for f, T, leaf in terms))
+    masses = [leaf.total_mass() for _, _, leaf in terms]
+    if None in masses:
+        assert kernel.total_mass() is None
+    else:
+        assert math.isclose(kernel.total_mass(),
+                            sum(f * m for (f, _, _), m in zip(terms, masses)), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [(PowerLaw(beta=0.5), Exponential(mu=1.0, c=1.0)), (LogModified(m=1.0), Heat(0.4)),
+     (Exponential(mu=2.0, c=1.0, a0=0.3), Wave(c=1.5, a0=0.25))],
+    ids=lambda k: k.description,
+)
+def test_a_sum_and_a_dilation_of_leaves_keep_their_parts_bits(left, right):
+    t, t0, h = np.array([0.1, 0.7, 2.0]), 0.01 * np.arange(30), 0.01
+    s = np.array([1e-8 + 0.5j, 0.3 - 2.0j])
+    k = left + right
+    assert k.a0 == left.a0 + right.a0
+    assert np.array_equal(k.primitive(t), left.primitive(t) + right.primitive(t))
+    assert np.array_equal(k.a(t), left.a(t) + right.a(t))
+    assert np.array_equal(k._hat(t0, h), np.add(left._hat(t0, h), right._hat(t0, h)))
+    assert np.array_equal(k.laplace(s), left.laplace(s) + right.laplace(s))
+    assert k.total_mass() == left.total_mass() + right.total_mass()
+    for leaf in (left, right):
+        T = 3.7
+        kd = dilate(leaf, T)
+        assert kd.a0 == leaf.a0
+        assert np.array_equal(kd.primitive(t), leaf.primitive(T * t))
+        assert np.array_equal(kd.a(t), T * leaf.a(T * t))
+        assert np.array_equal(kd._hat(t0, h), np.divide(leaf._hat(T * t0, T * h), T))
+        assert np.array_equal(kd.laplace(s), leaf.laplace(s / T))
+        assert kd.total_mass() == leaf.total_mass()
+
+
 def test_scale_stays_in_family():
     # A scaling is a ScaledKernel wrapper; its A, a0 and total mass are
     # those of the family member with the scaled constants.
@@ -626,6 +696,18 @@ def test_rv_not_eventually_positive():
 def test_primitive_rejects_negative_time():
     with pytest.raises(DomainError):
         primitive_A(Heat(1.0), -0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, [1.0, math.nan], complex(math.nan, 1.0)],
+                         ids=["nan", "array-with-nan", "complex-nan"])
+def test_primitive_and_transform_refuse_nan(value):
+    # primitive_A(Exponential(), nan) returned nan (t < 0 is false for NaN),
+    # and laplace_a(Exponential(), nan) nan+nanj after a RuntimeWarning.
+    if not isinstance(value, complex):
+        with pytest.raises(DomainError, match="primitive_A needs t >= 0"):
+            primitive_A(Exponential(), value)
+    with pytest.raises(DomainError, match="laplace_a needs an s without NaN"):
+        laplace_a(Exponential(), value)
 
 
 def test_import_leaves_scipy_integrate_out():

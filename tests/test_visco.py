@@ -451,6 +451,21 @@ def test_stokes_fundamental_refuses_a_mass_vector_or_grid_it_cannot_use(V0, grid
         stokes_fundamental(1.0, 2.0, grid, 0.5, V0)
 
 
+@pytest.mark.parametrize(
+    "x, t",
+    [((1.0, 0.0, 0.0), 0.0), ((1.0, 0.0, 0.0), -1.0), ((1.0, 0.0, 0.0), np.nan),
+     ((1.0, 0.0, 0.0), np.inf), ((1.0, 0.0, 0.0), [1.0, 2.0]), ((np.nan, 0.0, 0.0), 1.0),
+     ((1.0, np.inf, 0.0), 1.0), ((1.0, 0.0), 1.0)],
+    ids=["t-0", "t-negative", "t-nan", "t-inf", "t-list", "x-nan", "x-inf", "x-length-2"],
+)
+def test_stokes_gradient_part_real_refuses_a_point_or_time_it_cannot_use(x, t):
+    # t = 0 raised a bare ZeroDivisionError and t = -1 a bare "math domain
+    # error"; a NaN gave a matrix of NaNs with no error, and an x of length
+    # 2 a bare numpy broadcast ValueError.
+    with pytest.raises(DomainError, match="x must be 3 finite reals|one finite positive time"):
+        stokes_gradient_part_real(x, t)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("which", ["A", "B", "t"])
 def test_stokes_fundamental_refuses_values_that_are_not_finite_and_positive(which, bad):

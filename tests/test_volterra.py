@@ -432,12 +432,12 @@ def test_terms_multiply_factors_and_dilations_through_the_tree():
     # scaling multiplies the factors below it and a dilation the dilations.
     e, w, c = Exponential(mu=1.0, c=1.0), Wave(c=2.0), Cosine()
     kernel = dilate(scale(dilate(e + scale(w, 3.0), 2.0), 5.0) + c, 7.0)
-    terms = volterra._terms(kernel)
+    terms = kernel._terms()
     assert terms == [(5.0, 14.0, e), (15.0, 14.0, w), (1.0, 7.0, c)]
     t = np.array([0.1, 0.5, 2.0])
     A = sum(f * leaf.primitive(T * t) for f, T, leaf in terms)
     assert np.allclose(kernel.primitive(t), A, rtol=1e-14, atol=0.0)
-    assert volterra._terms(dilate(e, 1.0)) == [(1.0, 1.0, e)]
+    assert dilate(e, 1.0)._terms() == [(1.0, 1.0, e)]
 
 
 @pytest.mark.parametrize("T", [1.0, 7.5])
