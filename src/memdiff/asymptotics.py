@@ -43,6 +43,7 @@ from .spectral import (
     SpectralField,
     _require_datum_fits,
     _scaled_datum,
+    _shell_datum,
     _shell_factors,
     _shell_fit,
     _shell_weights,
@@ -138,7 +139,7 @@ def _datum_fit(u0: InitialData, grid: ModeGrid, h, Y, k=1.0):
     own fit, formed on the shell values, and R = 0; any other is formed on
     the modes and fitted."""
     if u0.radial:
-        return u0.hat(xi_squared=unique_lambdas(grid)[0] / k**2), np.zeros_like(Y)
+        return _shell_datum(u0, grid, k), np.zeros_like(Y)
     return _shell_fit(grid, _scaled_datum(u0, grid, k)[None], np.ones(1), Y, h)
 
 
@@ -202,19 +203,6 @@ class ConvergenceReport:
         _write_csv(path, meta_lines, CONVERGENCE_HEADER, zip(*self.rows))
 
 
-@dataclass(frozen=True)
-class _Factored:
-    """A CSV column given by its structure: row i holds ``values[codes[i]]``.
-
-    A caller that knows how a column repeats (the t and xi columns of a
-    solve) passes it so, and the writer neither builds nor sorts the
-    full column.  ``values`` need not be distinct.
-    """
-
-    values: object
-    codes: np.ndarray
-
-
 def _cell_text(v) -> str:
     """The CSV text of one cell: ``repr(float(v))`` for a real, else ``str(v)``."""
     return repr(float(v)) if isinstance(v, _REAL) else str(v)
@@ -228,11 +216,8 @@ def _column_words(column):
     string that reads back to the same float64, so numpy scalars are plain
     numbers too; any other value (an int, a string) by ``str``.  A float
     column is factored on its int64 view, which keeps -0.0 apart from 0.0,
-    so each distinct bit pattern is formatted once; a ``_Factored`` column
-    formats each of its values once.
+    so each distinct bit pattern is formatted once.
     """
-    if isinstance(column, _Factored):
-        return [_cell_text(v) for v in column.values], column.codes
     if not (isinstance(column, np.ndarray) and column.dtype.kind == "f"):
         if not all(isinstance(v, _REAL) for v in column):
             return [_cell_text(v) for v in column], np.arange(len(column))
@@ -274,11 +259,11 @@ def _write_csv(path, meta_lines, header, columns):
     """Write a CSV: '#' metadata lines, the header row, then the data rows.
 
     ``columns`` holds one entry per header entry: an equal-length sequence
-    (or 1-D array) of cells, or a ``_Factored`` column of values and
-    per-row codes.  Columns of unequal length raise ValueError; no
+    (or 1-D array) of cells.  Columns of unequal length raise ValueError; no
     columns writes the header alone.  Cells are formatted by
     ``_column_words``, so floats are exact, and rows end in CRLF.  Rows are
     streamed to the file a chunk at a time, never built into one string.
+    ``memdiff solve`` writes its rows by time instead (``cli._write_solve_csv``).
     """
     with open(path, "w", newline="") as fh:
         _write_table(fh, meta_lines, header, columns)

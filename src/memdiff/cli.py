@@ -13,13 +13,13 @@ rejected with exit code 2.
 
 Outputs are CSV with '#'-prefixed metadata lines (version, config hash,
 kernel, beta estimate) before the header row; identical configs produce
-byte-identical files.  Each command hands one column per header entry
+byte-identical files.  Every float is written as its shortest
+round-trip repr.  The studies and ``ml`` hand one column per header entry
 to one writer (``asymptotics._write_csv``, or ``_write_table`` for the
-``ml`` table on stdout), which writes every float as its shortest
-round-trip repr.  A column is an array or sequence of cells, or, for the
-t and xi columns of ``solve``, an ``asymptotics._Factored`` pair of
-the values and each row's index into them, so the grid's repeats are
-never built out.
+``ml`` table on stdout).  ``solve`` writes its rows one output time at a
+time (``_write_solve_csv``): u_hat is formed on cells, the |xi|^2 shells for
+a radial datum (``spectral._evolved_cells``), each cell's value is
+formatted once per time, and the xi text is formed once per run.
 Refusals (violated hypotheses) exit 3 with the reason on stderr.  Any
 other library error raised by the run, such as a time that is not a node
 of the time grid or a time grid too coarse for the march of a kernel that
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__ as VERSION
 from . import asymptotics, kernels, spectral, visco
-from .asymptotics import _write_csv, _write_table
+from .asymptotics import _CSV_CHUNK, _column_words, _write_csv, _write_table
 from .errors import ConfigError, HypothesisViolation, MemdiffError
 from .specfun import mittag_leffler
 from .volterra import TimeGrid
@@ -317,11 +317,12 @@ def _metadata_lines(cfg: RunConfig, kernel, beta_estimate=None):
     return lines
 
 
-def _write_output(cfg: RunConfig, meta_lines, header, columns) -> int:
-    """Write the command's CSV to [experiment] output (default <command>.csv)."""
+def _write_output(cfg: RunConfig, write, *args) -> int:
+    """Write the command's CSV to [experiment] output (default
+    <command>.csv) by ``write(path, *args)``."""
     path = cfg.get("experiment", "output", f"{cfg.command}.csv")
     try:
-        _write_csv(path, meta_lines, header, columns)
+        write(path, *args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -345,23 +346,42 @@ def _cmd_ml(args) -> int:
     return 0
 
 
+def _write_solve_csv(path, meta_lines, grid: spectral.ModeGrid, t_list, cells, values):
+    """Write a solve's CSV as ``_write_csv`` would, one row per time and
+    mode, modes in C order within each time, from the ``cells`` and
+    ``values`` of ``spectral._evolved_cells``.
+
+    The rows of one time are a table of text cells, one row per mode: the
+    t cell, the xi cells (from the axis words, formed once per run) and the
+    u_hat cell, each with its separator.  Per time only the t cell and the
+    u_hat cell change; the latter is the word of its cell's value followed
+    by the imaginary part, 0.0, since the solve's values are real.  The
+    table is written ``_CSV_CHUNK`` rows at a time.
+    """
+    index = np.indices(grid.shape).reshape(len(grid.shape), -1)
+    axis_words = np.array([repr(x) + "," for x in grid.axis.tolist()], dtype=object)
+    table = np.empty((index.shape[1], len(index) + 2), dtype=object)
+    table[:, 1:-1] = axis_words[index.T]
+    cells = cells.ravel()
+    header = ["t"] + [f"xi{d+1}" for d in range(len(index))] + ["re_u_hat", "im_u_hat"]
+    with open(path, "w", newline="") as fh:
+        _write_table(fh, meta_lines, header, [])
+        for t, v in zip(t_list, values):
+            words, codes = _column_words(v)
+            table[:, 0] = repr(float(t)) + ","
+            table[:, -1] = np.array([w + ",0.0\r\n" for w in words], dtype=object)[codes[cells]]
+            for start in range(0, len(table), _CSV_CHUNK):
+                fh.write("".join(table[start:start + _CSV_CHUNK].ravel().tolist()))
+
+
 def _cmd_solve(cfg: RunConfig) -> int:
     kernel = build_kernel(cfg)
     grid = build_grid(cfg)
     t_list = cfg.get("experiment", "t_list")
-    fields = spectral.evolve(kernel, build_initial(cfg), grid, t_list, build_time_grid(cfg))
-    # One row per time and mode, modes in C order within each time; the t
-    # and xi columns go to the writer as their values and each row's index,
-    # and so does a real solve's imaginary column: +0.0 on every row.
-    u_hat = np.concatenate([f.values.ravel() for f in fields])
-    index = np.indices(grid.shape).reshape(len(grid.shape), -1)
-    im_u_hat = (u_hat.imag if np.iscomplexobj(u_hat)
-                else asymptotics._Factored((0.0,), np.broadcast_to(np.intp(0), u_hat.shape)))
-    columns = [asymptotics._Factored(t_list, np.repeat(np.arange(len(t_list)), index.shape[1])),
-               *(asymptotics._Factored(grid.axis, np.tile(i, len(t_list))) for i in index),
-               u_hat.real, im_u_hat]
-    header = ["t"] + [f"xi{d+1}" for d in range(len(index))] + ["re_u_hat", "im_u_hat"]
-    return _write_output(cfg, _metadata_lines(cfg, kernel), header, columns)
+    cells, values = spectral._evolved_cells(kernel, build_initial(cfg), grid, t_list,
+                                            build_time_grid(cfg))
+    return _write_output(cfg, _write_solve_csv, _metadata_lines(cfg, kernel), grid, t_list,
+                         cells, values)
 
 
 def _cmd_converge(cfg: RunConfig) -> int:
@@ -375,7 +395,7 @@ def _cmd_converge(cfg: RunConfig) -> int:
         kernel, build_initial(cfg), sf, cfg.get("experiment", "big_t_list"),
         cfg.get("experiment", "t_list"), cfg.get("experiment", "s", 0.0), build_grid(cfg),
     )
-    return _write_output(cfg, _metadata_lines(cfg, kernel, report.beta_estimate),
+    return _write_output(cfg, _write_csv, _metadata_lines(cfg, kernel, report.beta_estimate),
                          asymptotics.CONVERGENCE_HEADER, zip(*report.rows))
 
 
@@ -385,7 +405,7 @@ def _cmd_rate(cfg: RunConfig) -> int:
         kernel, build_initial(cfg), cfg.get("experiment", "t_list"),
         cfg.get("experiment", "s", 0.0), build_grid(cfg),
     )
-    return _write_output(cfg, _metadata_lines(cfg, kernel),
+    return _write_output(cfg, _write_csv, _metadata_lines(cfg, kernel),
                          ["t", "scaled_residual", "distance_hs"], zip(*report.rows))
 
 
@@ -403,7 +423,7 @@ def _cmd_visco(cfg: RunConfig) -> int:
     meta = _metadata_lines(cfg, shear)
     meta.append(f"# bulk_kernel: {bulk.description}")
     meta.append(f"# effective_viscosities: A={report.A!r} B={report.B!r}")
-    return _write_output(cfg, meta, ["t", "scaled_residual", "distance_hs"],
+    return _write_output(cfg, _write_csv, meta, ["t", "scaled_residual", "distance_hs"],
                          zip(*report.rows))
 
 

@@ -235,15 +235,14 @@ class _ExpPolyKernel(MemoryKernel):
 
     def laplace(self, p):
         # g t transforms to g / p and g s e^(s t) to g s / (p - s); as the
-        # t-terms have s = 0, each term needs Re p > Re s.
-        p = np.asarray(p, dtype=complex)
+        # t-terms have s = 0, each term needs Re p > Re s.  A constant term
+        # transforms to 0 anywhere, so with no other term (Heat) no half
+        # plane is checked, and NaN alone is refused.
+        terms = [(g, s, m) for g, s, m in self.exp_terms() if m or s]
+        p = _transform_argument(self, p, max((np.real(s) for _, s, _ in terms), default=None))
         out = np.zeros_like(p)
-        for g, s, m in self.exp_terms():
-            if m or s:
-                if np.any(p.real <= np.real(s)):
-                    raise DomainError(f"Laplace transform of {self.description} "
-                                      f"needs Re p > {np.real(s)}")
-                out = out + (g / p if m else g * s / (p - s))
+        for g, s, m in terms:
+            out = out + (g / p if m else g * s / (p - s))
         return out
 
     def total_mass(self):
@@ -271,6 +270,17 @@ class _ExpPolyKernel(MemoryKernel):
                 wL = wL + e * pL
                 wR = wR + e * pR
         return np.real(wL), np.real(wR)
+
+
+def _transform_argument(kernel: MemoryKernel, s, abscissa):
+    """s as a complex array for ``kernel.laplace``: DomainError if it holds
+    NaN, or, unless ``abscissa`` is None, if any Re s <= abscissa."""
+    s = np.asarray(s, dtype=complex)
+    if np.any(np.isnan(s)):
+        raise DomainError(f"Laplace transform of {kernel.description} needs an s without NaN")
+    if abscissa is not None and np.any(s.real <= abscissa):
+        raise DomainError(f"Laplace transform of {kernel.description} needs Re s > {abscissa}")
+    return s
 
 
 def _require_finite(family: str, **params):
@@ -381,9 +391,7 @@ class PowerLaw(MemoryKernel):
         # For beta in (0,1) this is the classical transform of c t^{beta-1};
         # for beta in (-1,0) the same formula is the Abel-regularized
         # (distributional) transform of the non-locally-integrable kernel.
-        s = np.asarray(s, dtype=complex)
-        if np.any(s.real <= 0):
-            raise DomainError("PowerLaw Laplace transform needs Re s > 0")
+        s = _transform_argument(self, s, 0.0)
         return self.c * math.gamma(self.beta) * s ** (-self.beta)
 
     def total_mass(self):
@@ -477,9 +485,7 @@ class LogModified(MemoryKernel):
 
     def laplace(self, s):
         # a, kept complex, is analytic in Re t > -e: rotate onto the ray.
-        s = np.asarray(s, dtype=complex)
-        if np.any(s.real <= 0):
-            raise DomainError("LogModified Laplace transform needs Re s > 0")
+        s = _transform_argument(self, s, 0.0)
         return np.tensordot(_RAY_W, self.a(np.multiply.outer(_RAY_R, 1.0 / s)), axes=1) / s
 
     def total_mass(self):
@@ -566,8 +572,10 @@ class TimeDilated(_Combination):
 class SampledKernel(MemoryKernel):
     """Integrated kernel known only through samples A(t_i) on a uniform grid.
 
-    ``A`` is interpolated piecewise linearly; the hat weights are those of
-    the interpolant, differences of its closed-form antiderivatives.
+    ``A`` is interpolated piecewise linearly and held at its last sample
+    past the last node, in ``primitive`` and the cell rule alike; the hat
+    weights are those of the interpolant, differences of its closed-form
+    antiderivatives.
     """
 
     def __init__(self, dt: float, values):
@@ -590,16 +598,18 @@ class SampledKernel(MemoryKernel):
         cell_i2 = nodes[:-1] * mids * self.dt + self.dt**2 * (a / 6.0 + b / 3.0)
         self._i2 = np.concatenate([[0.0], np.cumsum(cell_i2)])
         self._nodes = nodes
+        # The interpolant's slope from each node on: 0 past the last.
+        self._slopes = np.append(np.diff(self.values) / self.dt, 0.0)
 
     def primitive(self, t):
         return np.interp(np.asarray(t, dtype=float), self._nodes, self.values)
 
     def _hat(self, t0, h):
         def antiderivatives(t):
-            # The nodes' values plus the part of the sample cell [tl, t].
-            idx = np.clip((t / self.dt).astype(int), 0, len(self.values) - 2)
-            tl, a = self._nodes[idx], self.values[idx]
-            slope = (self.values[idx + 1] - a) / self.dt
+            # The nodes' values plus the part of the sample cell [tl, t], or
+            # of the constant A past the last node.
+            idx = np.clip((t / self.dt).astype(int), 0, len(self.values) - 1)
+            tl, a, slope = self._nodes[idx], self.values[idx], self._slopes[idx]
             d = t - tl
             return (self._i1[idx] + a * d + slope * d**2 / 2.0,
                     self._i2[idx] + a * (t**2 - tl**2) / 2.0 + slope * d**2 * (tl / 2.0 + d / 3.0))

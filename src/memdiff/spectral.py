@@ -182,7 +182,8 @@ class SpectralField:
 
 class InitialData:
     """Initial datum known through its Fourier transform.  ``radial``: hat
-    reads |xi|^2 alone, so studies form it on the shells, not the modes."""
+    reads |xi|^2 alone, so it is formed on the shells of ``unique_lambdas``
+    (``_shell_datum``) and gathered where the modes need it."""
 
     mass: float = 1.0
     radial = False
@@ -204,10 +205,19 @@ def _require_datum_fits(u0: InitialData, grid: ModeGrid):
                           f"radial data only; {type(u0).__name__} is not radial")
 
 
+def _shell_datum(u0: InitialData, grid: ModeGrid, k=1.0):
+    """u0_hat(lam / k^2) per shell lam of ``unique_lambdas``, for a radial datum."""
+    return u0.hat(xi_squared=unique_lambdas(grid)[0] / k**2)
+
+
 def _scaled_datum(u0: InitialData, grid: ModeGrid, k=1.0):
-    """u0_hat(xi / k) on the modes, formed as read: the one place a datum
-    meets a mode grid, which must hold it (``_require_datum_fits``)."""
+    """u0_hat(xi / k) on the modes: the one place a datum meets a mode grid,
+    which must hold it (``_require_datum_fits``).  A radial datum is formed
+    on the shells (``_shell_datum``) and gathered, so it is constant on
+    each shell; any other is formed as read."""
     _require_datum_fits(u0, grid)
+    if u0.radial:
+        return _shell_datum(u0, grid, k)[unique_lambdas(grid)[1]]
     comps = _lattice(grid).components  # None on a radial grid
     return u0.hat(xi_squared=grid.xi_squared() / k**2,
                   xi_components=None if comps is None else [c / k for c in comps])
@@ -313,6 +323,28 @@ def _mode_factors(kernels, grid: ModeGrid, time_grid: TimeGrid, times, lam_scale
     return [[zk[inverse] for zk in z] for z in zs]
 
 
+def _evolved_cells(kernel: MemoryKernel, u0: InitialData, grid: ModeGrid, times,
+                   time_grid: TimeGrid):
+    """(cells, values): the representation formula u_hat = z(|xi|^2, t) u0_hat
+    on cells.  The cells are the shells of ``unique_lambdas`` for a radial
+    datum and the modes, in C order, for any other; ``cells`` is each
+    mode's cell (an index array of the grid's shape) and ``values[k]`` the
+    1-D array of u_hat on the cells at the k-th time, real on every solver
+    path.  Refuses, in this order, a kernel that fails the
+    positive-definiteness check, a datum the grid cannot hold, and what the
+    solve refuses (a time that is not a node, a too coarse time grid)."""
+    require_positive_definite(kernel)
+    _require_datum_fits(u0, grid)
+    (z,) = _shell_factors([kernel], grid, time_grid, times)
+    inverse = unique_lambdas(grid)[1]
+    if u0.radial:
+        base = _shell_datum(u0, grid)
+        return inverse, [base * zk for zk in z]
+    base = _scaled_datum(u0, grid).ravel()
+    inverse = inverse.ravel()
+    return np.arange(base.size).reshape(grid.shape), [base * zk[inverse] for zk in z]
+
+
 def evolve(
     kernel: MemoryKernel,
     u0: InitialData,
@@ -320,16 +352,15 @@ def evolve(
     times,
     time_grid: TimeGrid,
 ):
-    """Fields u_hat(., t) = z(|xi|^2, t) u0_hat for each requested time.
+    """Fields u_hat(., t) = z(|xi|^2, t) u0_hat for each requested time: the
+    values of ``_evolved_cells`` gathered onto the modes.
 
     Refuses kernels that fail the positive-definiteness check, mirroring
     the existence hypothesis of the representation formula, and a datum
-    the grid cannot hold (``_scaled_datum``), before any solve.
+    the grid cannot hold (``_require_datum_fits``), before any solve.
     """
-    require_positive_definite(kernel)
-    base = u0.field(grid).values
-    factors = _mode_factors([kernel], grid, time_grid, times)[0]
-    return [SpectralField(grid, base * factor) for factor in factors]
+    cells, values = _evolved_cells(kernel, u0, grid, times, time_grid)
+    return [SpectralField(grid, v[cells]) for v in values]
 
 
 def _quadrature_scale(grid: ModeGrid, s: float):

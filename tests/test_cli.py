@@ -367,28 +367,50 @@ def _config(**sections):
 
 _EXPONENTIAL = "family = exponential\nmu = 1.3\nc = 0.7\na0 = 0.4"
 _TIME = "t_end = 1.0\nn_steps = 40"
+_NON_DYADIC_2D = "dimension = 2\nmodes_per_axis = 30\nxi_max = 4.3"
 _ORACLE_CASES = {
-    "solve_1d_box": ("solve", spectral, "evolve", "t,xi1,re_u_hat,im_u_hat", _config(
+    "solve_1d_box": ("solve", None, None, "t,xi1,re_u_hat,im_u_hat", _config(
         kernel=_EXPONENTIAL, initial="type = box\nhalf_width = 1.5\nmass = -2.0",
         grid="dimension = 1\nmodes_per_axis = 64\nxi_max = 12.0", time=_TIME,
         experiment="t_list = 0.0, 0.5, 1.0")),
-    "solve_2d_gaussian": ("solve", spectral, "evolve", "t,xi1,xi2,re_u_hat,im_u_hat", _config(
+    "solve_2d_gaussian": ("solve", None, None, "t,xi1,xi2,re_u_hat,im_u_hat", _config(
         kernel=_EXPONENTIAL, initial="type = gaussian\nwidth = 0.9\nmass = 1.7",
         grid="dimension = 2\nmodes_per_axis = 16\nxi_max = 8.0", time=_TIME,
         experiment="t_list = 0.25, 1.0")),
-    "solve_3d_radial": ("solve", spectral, "evolve", "t,xi1,re_u_hat,im_u_hat", _config(
+    "solve_3d_radial": ("solve", None, None, "t,xi1,re_u_hat,im_u_hat", _config(
         kernel="family = fractional\nbeta = -0.4", initial="type = gaussian",
         grid="dimension = 3\nmodes_per_axis = 32\nxi_max = 6.0\nradial = true", time=_TIME,
         experiment="t_list = 0.5, 1.0")),
-    "solve_3d_full": ("solve", spectral, "evolve", "t,xi1,xi2,xi3,re_u_hat,im_u_hat", _config(
+    "solve_3d_full": ("solve", None, None, "t,xi1,xi2,xi3,re_u_hat,im_u_hat", _config(
         kernel=_EXPONENTIAL, initial="type = gaussian\nwidth = 0.8",
         grid="dimension = 3\nmodes_per_axis = 8\nxi_max = 5.0", time=_TIME,
         experiment="t_list = 0.5, 1.0")),
     # Times that repeat, are out of order and hold a negative zero.
-    "solve_t_unsorted": ("solve", spectral, "evolve", "t,xi1,xi2,xi3,re_u_hat,im_u_hat", _config(
+    "solve_t_unsorted": ("solve", None, None, "t,xi1,xi2,xi3,re_u_hat,im_u_hat", _config(
         kernel=_EXPONENTIAL, initial="type = box\nhalf_width = 1.5",
         grid="dimension = 3\nmodes_per_axis = 4\nxi_max = 5.0", time=_TIME,
         experiment="t_list = 1.0, -0.0, 0.5, 1.0")),
+    "solve_gaussian_zero_mass": ("solve", None, None, "t,xi1,xi2,re_u_hat,im_u_hat", _config(
+        kernel=_EXPONENTIAL, initial="type = gaussian\nmass = 0.0",
+        grid="dimension = 2\nmodes_per_axis = 16\nxi_max = 8.0", time=_TIME,
+        experiment="t_list = 0.0, 1.0")),
+    # u_hat = z * -0.0 is -0.0 where z > 0 and 0.0 where z < 0: the wave's
+    # z changes sign, and the two zeros must not merge.
+    "solve_gaussian_minus_zero_mass": ("solve", None, None, "t,xi1,re_u_hat,im_u_hat", _config(
+        kernel="family = wave\nc = 1.0", initial="type = gaussian\nmass = -0.0",
+        grid="dimension = 1\nmodes_per_axis = 32\nxi_max = 12.0", time=_TIME,
+        experiment="t_list = 0.5, 1.0")),
+    # Non-dyadic grids, where |xi|^2 and its shell's value differ in the
+    # last bit at some modes.
+    "solve_non_dyadic_2d_gaussian": ("solve", None, None, "t,xi1,xi2,re_u_hat,im_u_hat", _config(
+        kernel=_EXPONENTIAL, initial="type = gaussian\nwidth = 1.3\nmass = -0.4",
+        grid=_NON_DYADIC_2D, time=_TIME, experiment="t_list = 0.25, 1.0")),
+    "solve_non_dyadic_2d_box": ("solve", None, None, "t,xi1,xi2,re_u_hat,im_u_hat", _config(
+        kernel=_EXPONENTIAL, initial="type = box\nhalf_width = 0.7",
+        grid=_NON_DYADIC_2D, time=_TIME, experiment="t_list = 0.25, 1.0")),
+    "solve_non_dyadic_radial_2d": ("solve", None, None, "t,xi1,re_u_hat,im_u_hat", _config(
+        kernel="family = fractional\nbeta = -0.4", initial="type = gaussian\nwidth = 1.3",
+        grid=_NON_DYADIC_2D + "\nradial = true", time=_TIME, experiment="t_list = 0.5, 1.0")),
     "converge": ("converge", asymptotics, "converge_to_limit", "T,t,distance_hs,reference_norm",
                  _config(kernel="family = exponential\nmu = 1.0\nc = 1.0",
                          initial="type = gaussian",
@@ -408,35 +430,46 @@ _ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_csv_bytes_match_the_rowwise_oracle(case, tmp_path, monkeypatch):
+    # A study's rows are the result of its library call, caught by a spy;
+    # a solve's are the per-mode fields of ``spectral.evolve`` on the
+    # config's kernel, datum, grid and times, which the solve itself no
+    # longer calls.
     command, module, name, header, text = _ORACLE_CASES[case]
-    seen = {}
-    run = getattr(module, name)
-
-    def spy_run(*args, **kwargs):
-        seen["args"], seen["result"] = args, run(*args, **kwargs)
-        return seen["result"]
-
-    write = cli._write_csv
-
-    def spy_write(path, meta_lines, header, columns):
-        seen["meta"] = list(meta_lines)
-        write(path, meta_lines, header, columns)
-
-    monkeypatch.setattr(module, name, spy_run)
-    monkeypatch.setattr(cli, "_write_csv", spy_write)
     out = tmp_path / "out.csv"
+    text = text.replace("[experiment]\n", f"[experiment]\noutput = {out}\n")
+    seen = {}
+    if command != "solve":
+        run, write = getattr(module, name), cli._write_csv
+
+        def spy_run(*args, **kwargs):
+            seen["result"] = run(*args, **kwargs)
+            return seen["result"]
+
+        def spy_write(path, meta_lines, header, columns):
+            seen["meta"] = list(meta_lines)
+            write(path, meta_lines, header, columns)
+
+        monkeypatch.setattr(module, name, spy_run)
+        monkeypatch.setattr(cli, "_write_csv", spy_write)
     cfg_file = tmp_path / "cfg.ini"
-    cfg_file.write_text(text.replace("[experiment]\n", f"[experiment]\noutput = {out}\n"))
+    cfg_file.write_text(text)
     assert main([command, str(cfg_file)]) == 0
     if command == "solve":
-        _, _, grid, t_list, _ = seen["args"]
-        rows = _rowwise_solve_rows(grid, t_list, seen["result"])
+        cfg = parse_config(text, "solve")
+        kernel, grid = build_kernel(cfg), cli.build_grid(cfg)
+        t_list = cfg.get("experiment", "t_list")
+        fields = spectral.evolve(kernel, cli.build_initial(cfg), grid, t_list,
+                                 cli.build_time_grid(cfg))
+        rows = _rowwise_solve_rows(grid, t_list, fields)
+        seen["meta"] = cli._metadata_lines(cfg, kernel)
     else:
         rows = seen["result"].rows
     oracle = tmp_path / "oracle.csv"
     _rowwise_write_csv(oracle, seen["meta"], header.split(","), rows)
     assert len(rows) > 1
     assert out.read_bytes() == oracle.read_bytes()
+    if case == "solve_gaussian_minus_zero_mass":
+        assert {repr(row[-2]) for row in rows} == {"0.0", "-0.0"}
 
 
 @pytest.mark.parametrize("alpha,zmin,zmax,n", [

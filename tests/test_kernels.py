@@ -36,7 +36,7 @@ from memdiff.kernels import (
     scale,
 )
 from memdiff.spectral import Gaussian, ModeGrid, evolve
-from memdiff.volterra import TimeGrid, _convolution_weights
+from memdiff.volterra import TimeGrid, _convolution_weights, relaxation_values
 
 CATALOG = [
     Heat(a0=1.0),
@@ -489,6 +489,19 @@ def test_sampled_kernel_reproduces_linear_primitive():
     assert np.allclose(m1, r1, rtol=1e-10)
 
 
+def test_sampled_kernel_holds_its_last_sample_in_the_cell_rule():
+    # primitive held A at 0.2 past t = 0.2 while the cell rule extended the
+    # last sample cell's line, A(s) = s: the cell [1.0, 1.1] had the weights
+    # of int s, 0.105 in all, where the held A gives (0.01, 0.01).
+    sampled = SampledKernel(0.1, [0.0, 0.1, 0.2])
+    assert np.allclose(sampled._hat(1.0, 0.1), (0.01, 0.01), rtol=1e-12, atol=0.0)
+    assert sampled.primitive(5.0) == 0.2
+    held = SampledKernel(0.1, np.minimum(0.1 * np.arange(51), 0.2))
+    grid = TimeGrid(5.0, 50)
+    z = relaxation_values(sampled, [0.5, 1.0, 3.0], grid)
+    assert np.max(np.abs(z - relaxation_values(held, [0.5, 1.0, 3.0], grid))) <= 1e-12
+
+
 @pytest.mark.parametrize("dt, values", [(0.0, [1.0, 2.0]), (-0.1, [1.0, 2.0, 3.0]), (math.nan, [1.0, 2.0]),
                                        (math.inf, [1.0, 2.0]), (0.1, [1.0, math.nan]),
                                        (0.1, [1.0, math.inf]), (0.1, [1.0])])
@@ -708,6 +721,22 @@ def test_primitive_and_transform_refuse_nan(value):
             primitive_A(Exponential(), value)
     with pytest.raises(DomainError, match="laplace_a needs an s without NaN"):
         laplace_a(Exponential(), value)
+
+
+@pytest.mark.parametrize("value", [math.nan, [1.0, math.nan], complex(1.0, math.nan)],
+                         ids=["nan", "array-with-nan", "complex-nan"])
+@pytest.mark.parametrize(
+    "kernel",
+    CATALOG + [PowerLaw(beta=0.5) + Heat(1.0), dilate(Exponential(), 2.0), scale(LogModified(), 2.0)],
+    ids=lambda k: k.description,
+)
+def test_every_transform_refuses_nan(kernel, value):
+    # Exponential, PowerLaw and LogModified returned nan+nanj (a NaN fails
+    # no Re s <= abscissa check), and Heat, which has no half plane, 0j.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="needs an s without NaN"):
+            kernel.laplace(value)
 
 
 def test_import_leaves_scipy_integrate_out():

@@ -298,6 +298,36 @@ def test_evolve_preserves_hermitian_symmetry():
     assert f.hermitian_defect() < 1e-14
 
 
+def test_radial_datum_is_formed_on_the_shells():
+    # dxi = 4.3 / 15 is not dyadic, so |xi|^2 differs from its shell's
+    # value in the last bit at some modes; the datum reads the shell's.
+    u0 = Gaussian(width=1.3, mass=-0.4)
+    for grid in (ModeGrid(2, 30, 4.3), ModeGrid(3, 10, 3.0), ModeGrid(2, 30, 4.3, radial=True)):
+        values = u0.field(grid).values
+        lams, inverse = unique_lambdas(grid)
+        per_shell = np.full(len(lams), np.nan)
+        per_shell[inverse] = values
+        assert np.array_equal(values, per_shell[inverse])
+        ref = -0.4 * np.exp(-0.5 * 1.3**2 * grid.xi_squared())
+        assert np.max(np.abs(values - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert not np.array_equal(grid.xi_squared(), lams[inverse])
+    # On a dyadic grid each |xi|^2 is its shell's value, bit for bit.
+    grid = ModeGrid(2, 16, 8.0)
+    assert np.array_equal(u0.field(grid).values, -0.4 * np.exp(-0.5 * 1.3**2 * grid.xi_squared()))
+
+
+@pytest.mark.parametrize(
+    "kernel", [Exponential(mu=1.0, c=1.0), fractional(-0.4), PowerLaw(beta=0.5)],
+    ids=["exact", "contour", "fft"],
+)
+@pytest.mark.parametrize("u0", [Gaussian(width=0.9), BoxFunction(half_width=0.7)],
+                         ids=["gaussian", "box"])
+def test_evolve_fields_are_real(kernel, u0):
+    # memdiff solve writes im_u_hat as the constant 0.0 on this ground.
+    for f in evolve(kernel, u0, ModeGrid(2, 10, 4.3), [0.5, 1.0], TimeGrid(1.0, 40)):
+        assert f.values.dtype == np.float64
+
+
 def test_evolve_refuses_non_positive_definite_kernel():
     g = ModeGrid(n=1, modes_per_axis=16, xi_max=4.0)
     tg = TimeGrid(1.0, 100)
